@@ -45,7 +45,6 @@ from .hashing import (
     BucketStats,
     ChainedHashTable,
     HashConfig,
-    hash_bytes,
 )
 from .qgrams import (
     Substitution,
@@ -89,7 +88,6 @@ __all__ = [
     "extract_kmers",
     "gen_noisy_queries",
     "hamming_at_most",
-    "hash_bytes",
     "load_index",
     "load_misspellings",
     "load_substitutions",

@@ -86,7 +86,7 @@ def run_bench(
 
     The mean is wall-clock time over all runs divided by query executions;
     every result is consumed so the work cannot be skipped.  Verification
-    counts come from one extra untimed instrumented pass.
+    counts come from one extra untimed pass of the same search.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -104,10 +104,8 @@ def run_bench(
         matches = found
     elapsed = time.perf_counter() - start
 
-    verifications = 0
-    for p in patterns:
-        _, _, verified = index.query_counting(p)
-        verifications += verified
+    search = index._search
+    verifications = sum(search(p, set()) for p in patterns)
 
     bucket = index.table.bucket_stats()
     lists = index.list_stats()

@@ -22,17 +22,20 @@ Payloads may be substitution-coded (see ``qgrams``); keys never are.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import HASH_FUNCTIONS, ChainedHashTable, HashConfig
+from .hashing import ChainedHashTable, HashConfig
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # entry lengths are single bytes; 0 terminates a list
 LIST_ENTRY_LIMIT = 0xFFFF  # the k=1 region marker is a 16-bit entry index
 
 
+@lru_cache(maxsize=1024)  # builds and queries ask for few distinct lengths
 def piece_lengths(length: int, k: int) -> tuple[int, ...]:
     """Piece lengths for a word of ``length`` bytes split into k+1 pieces.
 
@@ -172,11 +175,7 @@ class SplitIndex:
         "subs",
         "source_stats",
         "_decode",
-        "_plen_cache",
         "_list_stats",
-        "_buckets",
-        "_mask",
-        "_hash",
     )
 
     def __init__(
@@ -195,208 +194,136 @@ class SplitIndex:
         self.subs = subs
         self.source_stats = source_stats
         self._decode = subs.decode if subs is not None and len(subs) else None
-        self._plen_cache: dict[int, tuple[int, ...]] = {}
         self._list_stats: ListStats | None = None
-        # Frozen-table internals, snapshotted for the query path.
-        self._buckets = table.buckets
-        self._mask = table.bucket_count - 1
-        self._hash = HASH_FUNCTIONS[table.config.function_id]
 
     # -- queries ---------------------------------------------------------
 
     def query(self, pattern: bytes) -> list[bytes]:
         """All stored words of the pattern's length within k mismatches, sorted."""
+        out = set()
+        self._search(pattern, out)
+        return sorted(out)
+
+    def _search(self, pattern: bytes, out: set) -> int:
+        """Add the matches of ``pattern`` to ``out``; return candidates verified.
+
+        A verification is a Hamming check of one stored word that agrees with
+        the pattern's length and on a whole piece.
+        """
+        if not isinstance(pattern, bytes):
+            raise TypeError(f"pattern must be bytes, got {type(pattern).__name__}")
         n = len(pattern)
         if n == 0:
             raise ValueError("pattern must be non-empty")
         if n <= self.k:
             # Same length and Hamming <= length <= k: everything matches.
-            return list(self.side_table.get(n, ()))
+            out.update(self.side_table.get(n, ()))
+            return 0
         if self.k == 1:
-            return self._query_one(pattern)
-        return self._query_many(pattern)
+            return self._search_one(pattern, out)
+        return self._search_many(pattern, out)
 
-    def _plens(self, n: int) -> tuple[int, ...]:
-        lens = self._plen_cache.get(n)
-        if lens is None:
-            lens = piece_lengths(n, self.k)
-            self._plen_cache[n] = lens
-        return lens
-
-    def _lookup(self, key: bytes) -> int:
-        # Bucket probe, same layout walk as ChainedHashTable.lookup_list but
-        # without the call layering; -1 means absent.  Hot path.
-        blob = self._buckets[self._hash(key) & self._mask]
-        kl = len(key)
-        o = 0
-        bn = len(blob)
-        while o < bn:
-            el = blob[o]
-            if el == kl and blob[o + 1 : o + 1 + kl] == key:
-                p = o + 1 + kl
-                return int.from_bytes(blob[p : p + 4], "little")
-            o += el + 5
-        return -1
-
-    def _query_one(self, pattern: bytes) -> list[bytes]:
-        # Mismatch-1 verification splits the wanted piece in half: a
-        # candidate differing somewhere in each half has two mismatches, so
-        # two C-level prefix checks reject the common case; the surviving
-        # half is checked byte-wise through one integer xor.
-        n = len(pattern)
-        b = self._plens(n)[0]
+    def _search_one(self, pattern: bytes, out: set) -> int:
+        # The pattern's prefix keys the list region of missing suffixes and
+        # its suffix keys the region of missing prefixes; both regions are
+        # walked alike.  Mismatch-1 verification splits the wanted piece in
+        # half: a candidate differing somewhere in each half has two
+        # mismatches, so two C-level prefix checks reject the common case and
+        # the other half is checked through one integer xor.
+        b = piece_lengths(len(pattern), 1)[0]
         head = pattern[:b]
         tail = pattern[b:]
+        lookup = self.table.lookup_list
         lists = self.lists
         decode = self._decode
         ifb = int.from_bytes
-        out = set()
-
-        ref = self._lookup(head)
-        if ref >= 0:
-            # Key matched the pattern's prefix: only missing suffixes apply.
+        verified = 0
+        for key, rest, before, after in ((head, tail, head, b""), (tail, head, b"", tail)):
+            ref = lookup(key)
+            if ref is None:
+                continue
             blob = lists[ref]
             marker = blob[0] | blob[1] << 8
-            need = n - b
             o = 2
-            remaining = marker - 1 if marker else LIST_ENTRY_LIMIT + 1
+            # The missing-suffix region holds marker - 1 entries, or the whole
+            # list without a marker; the terminator ends any walk early.
+            left_in_region = marker - 1 if marker else LIST_ENTRY_LIMIT + 1
+            if after:  # the key is the pattern's suffix: missing prefixes apply
+                if not marker:
+                    continue
+                for _ in range(left_in_region):  # hop over the suffix region
+                    o += blob[o] + 1
+                left_in_region = LIST_ENTRY_LIMIT + 1
+            need = len(rest)
             if decode is not None:
                 # Stored lengths are coded, but decoding never shrinks, so
                 # entries longer than the wanted piece cannot decode to it.
-                while remaining:
+                while left_in_region:
                     ln = blob[o]
                     if ln == 0 or ln > need:
                         break
                     e = decode(blob[o + 1 : o + 1 + ln])
-                    if len(e) == need and hamming_at_most(e, tail, 1):
-                        out.add(head + e)
+                    if len(e) == need:
+                        verified += 1
+                        if hamming_at_most(e, rest, 1):
+                            out.add(before + e + after)
                     o += ln + 1
-                    remaining -= 1
-            else:
-                while remaining:  # entries are shortest-first: skip, then exit
-                    ln = blob[o]
-                    if ln >= need or ln == 0:
-                        break
-                    o += ln + 1
-                    remaining -= 1
-                if remaining and blob[o] == need:
-                    half = need >> 1
-                    left = tail[:half]
-                    right = tail[half:]
-                    lint = ifb(left, "little")
-                    rint = ifb(right, "little")
-                    sw = blob.startswith
-                    while remaining and blob[o] == need:
-                        p = o + 1
-                        mid = p + half
-                        if sw(left, p):
-                            if sw(right, mid):
-                                out.add(pattern)
-                            else:
-                                x = ifb(blob[mid : p + need], "little") ^ rint
-                                one = False
-                                while x:
-                                    if x & 255:
-                                        if one:
-                                            break
-                                        one = True
-                                    x >>= 8
-                                else:
-                                    out.add(head + blob[p : p + need])
-                        elif sw(right, mid):
-                            x = ifb(blob[p:mid], "little") ^ lint
-                            one = False
-                            while x:
-                                if x & 255:
-                                    if one:
-                                        break
-                                    one = True
-                                x >>= 8
-                            else:
-                                out.add(head + blob[p : p + need])
-                        o += need + 1
-                        remaining -= 1
-
-        ref = self._lookup(tail)
-        if ref >= 0:
-            # Key matched the pattern's suffix: only missing prefixes apply.
-            blob = lists[ref]
-            marker = blob[0] | blob[1] << 8
-            if marker:
-                o = 2
-                for _ in range(marker - 1):  # hop over the suffix region
-                    o += blob[o] + 1
-                need = b
-                if decode is not None:
-                    while True:
-                        ln = blob[o]
-                        if ln == 0 or ln > need:
-                            break
-                        e = decode(blob[o + 1 : o + 1 + ln])
-                        if len(e) == need and hamming_at_most(e, head, 1):
-                            out.add(e + tail)
-                        o += ln + 1
+                    left_in_region -= 1
+                continue
+            while left_in_region:  # entries are shortest-first
+                ln = blob[o]
+                if ln >= need or ln == 0:
+                    break
+                o += ln + 1
+                left_in_region -= 1
+            if not left_in_region or blob[o] != need:
+                continue
+            # The wanted entries lie at a fixed stride up to the first longer
+            # one, the terminator, or the end of the region.
+            step = need + 1
+            stop = o + left_in_region * step
+            first = o
+            half = need >> 1
+            lpart = rest[:half]
+            rpart = rest[half:]
+            lint = ifb(lpart, "little")
+            rint = ifb(rpart, "little")
+            sw = blob.startswith
+            while o < stop and blob[o] == need:
+                p = o + 1
+                mid = p + half
+                o += step
+                if sw(lpart, p):
+                    if sw(rpart, mid):
+                        out.add(pattern)
+                        continue
+                    x = ifb(blob[mid : p + need], "little") ^ rint
+                elif sw(rpart, mid):
+                    x = ifb(blob[p:mid], "little") ^ lint
                 else:
-                    while True:  # entries are shortest-first: skip, then exit
-                        ln = blob[o]
-                        if ln >= need or ln == 0:
-                            break
-                        o += ln + 1
-                    if blob[o] == need:
-                        half = need >> 1
-                        left = head[:half]
-                        right = head[half:]
-                        lint = ifb(left, "little")
-                        rint = ifb(right, "little")
-                        sw = blob.startswith
-                        while blob[o] == need:
-                            p = o + 1
-                            mid = p + half
-                            if sw(left, p):
-                                if sw(right, mid):
-                                    out.add(pattern)
-                                else:
-                                    x = ifb(blob[mid : p + need], "little") ^ rint
-                                    one = False
-                                    while x:
-                                        if x & 255:
-                                            if one:
-                                                break
-                                            one = True
-                                        x >>= 8
-                                    else:
-                                        out.add(blob[p : p + need] + tail)
-                            elif sw(right, mid):
-                                x = ifb(blob[p:mid], "little") ^ lint
-                                one = False
-                                while x:
-                                    if x & 255:
-                                        if one:
-                                            break
-                                        one = True
-                                    x >>= 8
-                                else:
-                                    out.add(blob[p : p + need] + tail)
-                            o += need + 1
-        return sorted(out)
+                    continue
+                # At most one non-zero byte: shifted down to its lowest set
+                # byte, x must fit in that byte.
+                if x < 256 or x >> ((x & -x).bit_length() - 1 & -8) < 256:
+                    out.add(before + blob[p : p + need] + after)
+            verified += (o - first) // step
+        return verified
 
-    def _query_many(self, pattern: bytes) -> list[bytes]:
+    def _search_many(self, pattern: bytes, out: set) -> int:
         n = len(pattern)
         k = self.k
-        lens = self._plens(n)
-        lists = self.lists
         lookup = self.table.lookup_list
+        lists = self.lists
         decode = self._decode
-        out = set()
+        verified = 0
         start = 0
-        for i, plen in enumerate(lens):
+        for pos, plen in enumerate(piece_lengths(n, k), 1):
             end = start + plen
             piece = pattern[start:end]
             ref = lookup(piece)
             if ref is not None:
                 rest = pattern[:start] + pattern[end:]
                 need = n - plen
-                pos = i + 1
                 blob = lists[ref]
                 o = 0
                 while True:  # entries are shortest-first; stop once too long
@@ -409,96 +336,19 @@ class SplitIndex:
                     if p == pos:
                         if decode is None:
                             if ln == need:
+                                verified += 1
                                 e = blob[o + 2 : o + 2 + ln]
                                 if e == rest or hamming_at_most(e, rest, k):
                                     out.add(e[:start] + piece + e[start:])
                         else:
                             e = decode(blob[o + 2 : o + 2 + ln])
-                            if len(e) == need and hamming_at_most(e, rest, k):
-                                out.add(e[:start] + piece + e[start:])
+                            if len(e) == need:
+                                verified += 1
+                                if hamming_at_most(e, rest, k):
+                                    out.add(e[:start] + piece + e[start:])
                     o += ln + 2
             start = end
-        return sorted(out)
-
-    def query_counting(self, pattern: bytes) -> tuple[list[bytes], int, int]:
-        """Like ``query`` but also reports (entries scanned, verifications run).
-
-        A verification is a Hamming comparison on a candidate that survived
-        the length filter.  Kept separate from ``query`` so the hot path
-        carries no counters; equivalence of the two is covered by tests.
-        """
-        n = len(pattern)
-        if n == 0:
-            raise ValueError("pattern must be non-empty")
-        if n <= self.k:
-            return list(self.side_table.get(n, ())), 0, 0
-        k = self.k
-        lens = self._plens(n)
-        lists = self.lists
-        lookup = self.table.lookup_list
-        decode = self._decode
-        out = set()
-        scanned = 0
-        verified = 0
-        start = 0
-        for i, plen in enumerate(lens):
-            end = start + plen
-            piece = pattern[start:end]
-            ref = lookup(piece)
-            if ref is None:
-                start = end
-                continue
-            rest = pattern[:start] + pattern[end:]
-            need = n - plen
-            blob = lists[ref]
-            if k == 1:
-                marker = blob[0] | blob[1] << 8
-                o = 2
-                if i == 0:
-                    remaining = marker - 1 if marker else LIST_ENTRY_LIMIT + 1
-                else:
-                    if not marker:
-                        start = end
-                        continue
-                    for _ in range(marker - 1):
-                        o += blob[o] + 1
-                    remaining = LIST_ENTRY_LIMIT + 1
-                while remaining:
-                    ln = blob[o]
-                    if ln == 0 or ln > need:
-                        break
-                    scanned += 1
-                    e = blob[o + 1 : o + 1 + ln]
-                    if decode is not None:
-                        e = decode(e)
-                    if len(e) == need:
-                        verified += 1
-                        if hamming_at_most(e, rest, 1):
-                            out.add(e + piece if i else piece + e)
-                    o += ln + 1
-                    remaining -= 1
-            else:
-                pos = i + 1
-                o = 0
-                while True:
-                    p = blob[o]
-                    if p == 0:
-                        break
-                    ln = blob[o + 1]
-                    if ln > need:
-                        break
-                    if p == pos:
-                        scanned += 1
-                        e = blob[o + 2 : o + 2 + ln]
-                        if decode is not None:
-                            e = decode(e)
-                        if len(e) == need:
-                            verified += 1
-                            if hamming_at_most(e, rest, k):
-                                out.add(e[:start] + piece + e[start:])
-                    o += ln + 2
-            start = end
-        return sorted(out), scanned, verified
+        return verified
 
     # -- stats and sizes ---------------------------------------------------
 
@@ -583,115 +433,71 @@ def build_index(
         raise ConfigError(f"mismatch budget is limited to 255, got {k}")
     table = ChainedHashTable(hash_config)
     side: dict[int, list[bytes]] = {}
-    # Growable per-list staging; compacted into contiguous blobs afterwards
-    # because the k=1 layout needs suffix entries laid out before prefixes.
-    staged_one: list[tuple[list[bytes], list[bytes]]] = []
-    staged_many: list[list[tuple[int, bytes]]] = []
+    # Growable per-list (key position, missing pieces) staging, written out
+    # as contiguous blobs once every entry of a list is known.
+    staged: list[list[tuple[int, bytes]]] = []
     find = table.find_or_create_list
-
-    if k == 1:
-        for word in dictionary.words:
-            n = len(word)
-            if n < 2:
-                side.setdefault(n, []).append(word)
-                continue
-            b = (2 * n + 2) >> 2  # round-half-up of n/2
-            head = word[:b]
-            tail = word[b:]
-            if b > PAYLOAD_LIMIT or n - b > PAYLOAD_LIMIT:
-                raise BuildError(f"missing piece exceeds {PAYLOAD_LIMIT} bytes for word {word[:32]!r}")
-            ref, created = find(head)
+    for word in dictionary.words:
+        n = len(word)
+        if n <= k:
+            side.setdefault(n, []).append(word)
+            continue
+        start = 0
+        for pos, plen in enumerate(piece_lengths(n, k), 1):
+            end = start + plen
+            missing = word[:start] + word[end:]
+            if len(missing) > PAYLOAD_LIMIT:
+                raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {word[:32]!r}")
+            ref, created = find(word[start:end])
             if created:
-                staged_one.append(([], []))
-            staged_one[ref][0].append(tail)
-            ref, created = find(tail)
-            if created:
-                staged_one.append(([], []))
-            staged_one[ref][1].append(head)
-    else:
-        for word in dictionary.words:
-            n = len(word)
-            if n <= k:
-                side.setdefault(n, []).append(word)
-                continue
-            lens = piece_lengths(n, k)
-            start = 0
-            for i, plen in enumerate(lens):
-                end = start + plen
-                blob = word[:start] + word[end:]
-                if len(blob) > PAYLOAD_LIMIT:
-                    raise BuildError(
-                        f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {word[:32]!r}"
-                    )
-                ref, created = find(word[start:end])
-                if created:
-                    staged_many.append([])
-                staged_many[ref].append((i + 1, blob))
-                start = end
+                staged.append([])
+            staged[ref].append((pos, missing))
+            start = end
 
     if substitutions is not None and len(substitutions):
-        _encode_staged(substitutions, staged_one, staged_many)
+        coded = iter(substitutions.encode_many([e for entries in staged for _, e in entries]))
+        for entries in staged:
+            entries[:] = [(pos, next(coded)) for pos, _ in entries]
 
     # Entries within a region are laid out shortest first so scans can skip
     # ahead to the wanted length and stop as soon as entries get longer.
     lists: list[bytes] = []
-    if k == 1:
-        for ref, (suffixes, prefixes) in enumerate(staged_one):
-            if len(suffixes) + len(prefixes) > LIST_ENTRY_LIMIT:
+    for ref, entries in enumerate(staged):
+        if k == 1:
+            # Missing suffixes (key position 1) form the first region.
+            if len(entries) > LIST_ENTRY_LIMIT:
                 raise BuildError(
                     f"list for key ref {ref} exceeds {LIST_ENTRY_LIMIT} entries; "
                     "the region marker is a 16-bit index"
                 )
-            marker = len(suffixes) + 1 if prefixes else 0
-            buf = bytearray((marker & 0xFF, marker >> 8))
-            for e in sorted(suffixes, key=_by_size):
+            entries.sort(key=_by_region_then_size)
+            # Position-first order puts (1, ...) < (2,) <= (2, ...).
+            suffixes = bisect_left(entries, (2,))
+            marker = suffixes + 1 if suffixes < len(entries) else 0
+            buf = bytearray(marker.to_bytes(2, "little"))
+            for _, e in entries:
                 buf.append(len(e))
                 buf += e
-            for e in sorted(prefixes, key=_by_size):
-                buf.append(len(e))
-                buf += e
-            buf.append(0)
-            lists.append(bytes(buf))
-    else:
-        for entries in staged_many:
+        else:
+            entries.sort(key=_by_size_then_position)
             buf = bytearray()
-            entries.sort(key=_by_size_positioned)
             for pos, e in entries:
                 buf.append(pos)
                 buf.append(len(e))
                 buf += e
-            buf.append(0)
-            lists.append(bytes(buf))
+        buf.append(0)
+        lists.append(bytes(buf))
 
     table.freeze()
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
     return SplitIndex(k, table, lists, side_sorted, substitutions, dictionary.stats())
 
 
-def _by_size(entry: bytes):
-    return len(entry), entry
+def _by_region_then_size(item: tuple[int, bytes]):
+    pos, entry = item
+    return pos, len(entry), entry
 
 
-def _by_size_positioned(item: tuple[int, bytes]):
+def _by_size_then_position(item: tuple[int, bytes]):
     pos, entry = item
     return len(entry), pos, entry
-
-
-def _encode_staged(subs: SubstitutionList, staged_one, staged_many) -> None:
-    """Substitution-code every staged payload in one batched pass."""
-    flat: list[bytes] = []
-    if staged_one:
-        for suffixes, prefixes in staged_one:
-            flat += suffixes
-            flat += prefixes
-    else:
-        for entries in staged_many:
-            flat += [e for _, e in entries]
-    encoded = iter(subs.encode_many(flat))
-    if staged_one:
-        for suffixes, prefixes in staged_one:
-            suffixes[:] = (next(encoded) for _ in range(len(suffixes)))
-            prefixes[:] = (next(encoded) for _ in range(len(prefixes)))
-    else:
-        for entries in staged_many:
-            entries[:] = ((pos, next(encoded)) for pos, _ in entries)

@@ -127,15 +127,6 @@ HASH_FUNCTIONS = {
 DEFAULT_HASH = "xxhash"
 
 
-def hash_bytes(key: bytes, function_id: str = DEFAULT_HASH) -> int:
-    """Hash ``key`` with the named function; unknown names are a ConfigError."""
-    try:
-        fn = HASH_FUNCTIONS[function_id]
-    except KeyError:
-        raise ConfigError(f"unknown hash function {function_id!r}; known: {sorted(HASH_FUNCTIONS)}") from None
-    return fn(key)
-
-
 @dataclass(frozen=True)
 class HashConfig:
     """Table tuning knobs.
@@ -176,7 +167,7 @@ class ChainedHashTable:
     the table can be read from multiple threads.
     """
 
-    __slots__ = ("config", "_fn", "_buckets", "_mask", "_count", "_frozen")
+    __slots__ = ("config", "_fn", "_buckets", "_mask", "_count", "_frozen", "_refs")
 
     def __init__(self, config: HashConfig | None = None):
         self.config = config or HashConfig()
@@ -185,6 +176,9 @@ class ChainedHashTable:
         self._mask = self.config.initial_bucket_count - 1
         self._count = 0
         self._frozen = False
+        # Build-phase copy of the key -> ref records, so a repeated key costs
+        # no hash and no bucket walk; dropped by freeze().
+        self._refs: dict[bytes, int] | None = {}
 
     @classmethod
     def from_frozen(cls, buckets: list[bytes], config: HashConfig, key_count: int) -> "ChainedHashTable":
@@ -199,6 +193,7 @@ class ChainedHashTable:
         table._mask = n - 1
         table._count = key_count
         table._frozen = True
+        table._refs = None
         return table
 
     @property
@@ -235,7 +230,7 @@ class ChainedHashTable:
         """
         if self._frozen:
             raise BuildError("table is frozen; no insertions after build")
-        ref = self.lookup_list(key)
+        ref = self._refs.get(key)
         if ref is not None:
             return ref, False
         if len(key) > 255:
@@ -248,6 +243,7 @@ class ChainedHashTable:
         bucket += key
         bucket += ref.to_bytes(4, "little")
         self._count += 1
+        self._refs[key] = ref
         return ref, True
 
     def _grow(self) -> None:
@@ -275,6 +271,7 @@ class ChainedHashTable:
         if not self._frozen:
             self._buckets = [bytes(b) for b in self._buckets]
             self._frozen = True
+            self._refs = None
 
     def chain_lengths(self) -> list[int]:
         """Number of keys stored in each bucket, in bucket order."""
@@ -288,18 +285,6 @@ class ChainedHashTable:
                 c += 1
             out.append(c)
         return out
-
-    def iter_items(self):
-        """Yield (key, ref) pairs in bucket order."""
-        for blob in self._buckets:
-            o = 0
-            n = len(blob)
-            while o < n:
-                kl = blob[o]
-                key = bytes(blob[o + 1 : o + 1 + kl])
-                p = o + 1 + kl
-                yield key, int.from_bytes(blob[p : p + 4], "little")
-                o = p + 4
 
     def bucket_stats(self) -> BucketStats:
         lengths = self.chain_lengths()

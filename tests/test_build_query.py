@@ -1,5 +1,6 @@
 """Index construction and search against the brute-force scan."""
 
+import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpora import random_words
+from corpora import english_words, random_words
 
 from splitindex import (
     BuildError,
     ConfigError,
     Dictionary,
+    QuerySet,
+    SubstitutionList,
     build_index,
     oracle_query,
+    run_bench,
     split_word,
 )
 from splitindex.core import LIST_ENTRY_LIMIT
@@ -63,6 +67,11 @@ def test_query_examples():
     assert idx.query(b"table") == [b"table"]  # found via both regions, deduplicated
     assert idx.query(b"tablet") == [b"tablet"]
     assert build_index(Dictionary([b"left"]), 1).query(b"lift") == [b"left"]
+    # One half of the unkeyed piece matches exactly; the other differs in one
+    # byte, or in two adjacent ones, on either side of the list.
+    idx = build_index(Dictionary([b"abcdefghij"]), 1)
+    assert idx.query(b"abcdefgxij") == idx.query(b"abcxefghij") == [b"abcdefghij"]
+    assert idx.query(b"abcdefgxyj") == idx.query(b"abxyefghij") == []
 
 
 def test_empty_dictionary():
@@ -92,6 +101,15 @@ def test_query_rejects_empty_pattern():
     idx = build_index(Dictionary([b"ab"]), 1)
     with pytest.raises(ValueError):
         idx.query(b"")
+
+
+def test_query_rejects_non_bytes_pattern():
+    d = Dictionary([b"table", b"left", b"tablet"])
+    for k in (1, 2):
+        idx = build_index(d, k)
+        for pattern in (bytearray(b"table"), bytearray(b"tavle"), memoryview(b"table"), "table", "t", 5):
+            with pytest.raises(TypeError, match=type(pattern).__name__):
+                idx.query(pattern)
 
 
 def test_build_rejects_bad_k():
@@ -143,6 +161,26 @@ def test_builds_are_byte_identical():
         assert a == b
 
 
+# SHA-256 of index_to_bytes for the dictionary below, with and without
+# GOLDEN_SUBS; any change to the list or file layout changes these.
+GOLDEN_DIGESTS = {
+    (1, False): "4d82f06f838ecad7676b575b4a60f0fd6ab2513d07d7f6edde4a039b7cd23d11",
+    (1, True): "c630b7d6f98959c3a07c747b733116e4b1891bf5c9d9773ed69ee2cdbfb6e1be",
+    (2, False): "046eef0cf26276e08f83d9efb037710b6645c7f26f9739b080a2ad0ddf5df651",
+    (2, True): "c4d2f4b6586707d909ce3274bda0c3ffedc3a2c477070a7d4941cf0ea6ffda5b",
+    (3, False): "91b838db7543a7b8135d49ea3ecb4ae422b69a72a1ce2f2508086112f3b134fd",
+    (3, True): "a0abdefc53213f709818a8688daf902ec5062367a5440b4820cefd04e9938be4",
+}
+GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
+
+
+def test_layout_is_pinned():
+    d = Dictionary(english_words(6000, seed=5) + [b"a", b"ab", b"abc", b"x"])
+    for (k, coded), digest in GOLDEN_DIGESTS.items():
+        idx = build_index(d, k, substitutions=GOLDEN_SUBS if coded else None)
+        assert hashlib.sha256(index_to_bytes(idx)).hexdigest() == digest, (k, coded)
+
+
 def test_duplicate_words_do_not_duplicate_entries():
     d = Dictionary([b"table", b"table", b"table"])
     assert d.word_count == 1
@@ -179,6 +217,23 @@ def test_region_correctness_matches_full_scan():
             assert sorted(full) == idx.query(p)
 
 
+# Grams over a..d, so coding rewrites payloads at either alphabet size drawn.
+SUBS = SubstitutionList([(b"ab", 128), (b"ca", 129), (b"bcd", 130), (b"aaaa", 131)])
+
+
+def expected_verifications(d, pattern, k):
+    """Stored words of the pattern's length agreeing on piece i, summed over i."""
+    if len(pattern) <= k:
+        return 0
+    pieces = split_word(pattern, k)
+    return sum(
+        split_word(w, k)[i] == piece
+        for w in d.words
+        if len(w) == len(pattern)
+        for i, piece in enumerate(pieces)
+    )
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_query_equals_oracle(data):
@@ -189,14 +244,14 @@ def test_query_equals_oracle(data):
             lambda w: bytes(alpha[b % sigma] for b in w)), min_size=1, max_size=80)
     )
     k = data.draw(st.sampled_from((1, 2, 3)))
+    subs = data.draw(st.sampled_from((None, SUBS)))
     d = Dictionary(words)
-    idx = build_index(d, k)
+    idx = build_index(d, k, substitutions=subs)
     pattern = data.draw(st.binary(min_size=1, max_size=32).map(
         lambda w: bytes(alpha[b % sigma] for b in w)))
     assert idx.query(pattern) == oracle_query(d, pattern, k)
-    got, scanned, verified = idx.query_counting(pattern)
-    assert got == idx.query(pattern)
-    assert verified <= scanned or scanned == 0
+    report = run_bench(idx, QuerySet((pattern,), "drawn"))
+    assert report.verifications == expected_verifications(d, pattern, k)
 
 
 def test_length_filter_never_drops_matches():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitindex import ChainedHashTable, ConfigError, HashConfig, hash_bytes
+from splitindex import HASH_FUNCTIONS, ChainedHashTable, ConfigError, HashConfig
 from splitindex.hashing import fnv1_64, fnv1a_64, sdbm_64, xxhash64
 
 # Frozen against the canonical C implementation (xxh64, seed 0).
@@ -34,7 +34,7 @@ XXH64_VECTORS = [
 def test_xxhash64_vectors(data, expected):
     assert xxhash64(data) == expected
     # the registered function may be the C implementation; must agree
-    assert hash_bytes(data, "xxhash") == expected
+    assert HASH_FUNCTIONS["xxhash"](data) == expected
 
 
 def test_fnv1a_published_vector():
@@ -60,15 +60,15 @@ def test_fnv1_and_sdbm_definitions():
 
 def test_hash_determinism_and_empty():
     for fid in ("xxhash", "fnv1", "fnv1a", "sdbm"):
-        assert hash_bytes(b"tab", fid) == hash_bytes(b"tab", fid)
-        hash_bytes(b"", fid)  # boundary input hashes without error
+        fn = HASH_FUNCTIONS[fid]
+        assert fn(b"tab") == fn(b"tab")
+        fn(b"")  # boundary input hashes without error
 
 
 def test_unknown_function_id():
-    with pytest.raises(ConfigError):
-        hash_bytes(b"x", "md5")
-    with pytest.raises(ConfigError):
-        HashConfig(function_id="crc32")
+    for name in ("md5", "crc32"):
+        with pytest.raises(ConfigError, match=name):
+            HashConfig(function_id=name)
 
 
 def test_config_validation():
@@ -107,7 +107,9 @@ def test_lookup_survives_growth():
     assert t.bucket_count >= 32
     for key in keys:
         assert t.lookup_list(key) == refs[key]
-    assert sorted(dict(t.iter_items())) == sorted(keys)
+    assert t.key_count == len(keys)
+    assert sorted(refs.values()) == list(range(len(keys)))
+    assert t.lookup_list(b"key-100") is None
 
 
 def test_load_factor_never_exceeds_max():
