@@ -208,7 +208,6 @@ class SplitIndex:
         "subs",
         "source_stats",
         "_decode",
-        "_list_stats",
     )
 
     def __init__(
@@ -227,7 +226,6 @@ class SplitIndex:
         self.subs = subs
         self.source_stats = source_stats
         self._decode = subs.decode if subs is not None and len(subs) else None
-        self._list_stats: ListStats | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -394,39 +392,37 @@ class SplitIndex:
 
     def list_stats(self) -> ListStats:
         """Entry counts and stored payload bytes across all piece lists."""
-        if self._list_stats is None:
-            total = 0
-            payload = 0
-            worst = 0
-            positioned = self.k > 1
-            for blob in self.lists:
-                o = 0 if positioned else 2
-                c = 0
-                while True:
-                    if positioned:
-                        if blob[o] == 0:
-                            break
-                        ln = blob[o + 1]
-                        o += ln + 2
-                    else:
-                        ln = blob[o]
-                        if ln == 0:
-                            break
-                        o += ln + 1
-                    c += 1
-                    payload += ln
-                total += c
-                if c > worst:
-                    worst = c
-            count = len(self.lists)
-            self._list_stats = ListStats(
-                list_count=count,
-                entry_count=total,
-                mean_entries=total / count if count else 0.0,
-                max_entries=worst,
-                payload_bytes=payload,
-            )
-        return self._list_stats
+        total = 0
+        payload = 0
+        worst = 0
+        positioned = self.k > 1
+        for blob in self.lists:
+            o = 0 if positioned else 2
+            c = 0
+            while True:
+                if positioned:
+                    if blob[o] == 0:
+                        break
+                    ln = blob[o + 1]
+                    o += ln + 2
+                else:
+                    ln = blob[o]
+                    if ln == 0:
+                        break
+                    o += ln + 1
+                c += 1
+                payload += ln
+            total += c
+            if c > worst:
+                worst = c
+        count = len(self.lists)
+        return ListStats(
+            list_count=count,
+            entry_count=total,
+            mean_entries=total / count if count else 0.0,
+            max_entries=worst,
+            payload_bytes=payload,
+        )
 
     def size_breakdown(self) -> dict[str, int]:
         """Exact byte sizes of every stored component.
@@ -471,12 +467,12 @@ def build_index(
         raise ConfigError(f"mismatch budget must be an integer >= 1, got {k!r}")
     if k > 255:
         raise ConfigError(f"mismatch budget is limited to 255, got {k}")
-    table = ChainedHashTable(hash_config)
     side: dict[int, list[bytes]] = {}
     # Growable per-list (key position, missing pieces) staging, written out
-    # as contiguous blobs once every entry of a list is known.
+    # as contiguous blobs once every entry of a list is known.  A key's ref
+    # is the order in which it was first seen.
+    refs: dict[bytes, int] = {}
     staged: list[list[tuple[int, bytes]]] = []
-    find = table.find_or_create_list
     for word in dictionary.words:
         n = len(word)
         if n <= k:
@@ -488,8 +484,10 @@ def build_index(
             missing = word[:start] + word[end:]
             if len(missing) > PAYLOAD_LIMIT:
                 raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {word[:32]!r}")
-            ref, created = find(word[start:end])
-            if created:
+            key = word[start:end]
+            ref = refs.get(key)
+            if ref is None:
+                ref = refs[key] = len(staged)
                 staged.append([])
             staged[ref].append((pos, missing))
             start = end
@@ -528,7 +526,7 @@ def build_index(
         buf.append(0)
         lists.append(bytes(buf))
 
-    table.freeze()
+    table = ChainedHashTable.build(list(refs), hash_config)
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
     return SplitIndex(k, table, lists, side_sorted, substitutions, dictionary.stats())
 

@@ -2,9 +2,12 @@
 
 The table keeps each bucket as one contiguous byte blob of
 ``[key length u8][key bytes][list ref u32 LE]`` records, so a key and the
-reference to its piece list always sit next to each other.  List references
-are dense integers handed out in creation order; the caller owns whatever
-storage they index.
+reference to its piece list always sit next to each other.  It is built once
+from the final key set and is immutable afterwards.  List references are
+dense integers, the position of each key in the key list the table is built
+from; the caller owns whatever storage they index.  The bucket count is the
+smallest power-of-two multiple of ``initial_bucket_count`` with
+``key count <= bucket count * max_load_factor``.
 
 All hash functions are seedless (fixed internal constants), return 64-bit
 values, and produce identical output on every platform.
@@ -12,9 +15,12 @@ values, and produce identical output on every platform.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 from .errors import BuildError, ConfigError
+
+log = logging.getLogger(__name__)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -128,6 +134,9 @@ HASH_FUNCTIONS = {
 
 DEFAULT_HASH = "xxhash"
 
+# Set once the first table hashing with the pure-Python xxhash64 has said so.
+_slow_hash_warned = False
+
 
 @dataclass(frozen=True)
 class HashConfig:
@@ -165,38 +174,54 @@ class BucketStats:
 class ChainedHashTable:
     """Chained hash table mapping byte keys to dense integer list references.
 
-    Mutable only while building; ``freeze()`` makes the buckets immutable so
-    the table can be read from multiple threads.
+    Built once by ``build`` from the final key set, or loaded from a file, and
+    never changed afterwards, so it is safe to read from many threads.  The
+    bucket count is the smallest power-of-two multiple of
+    ``initial_bucket_count`` that holds every key within ``max_load_factor``
+    keys per bucket.
     """
 
-    __slots__ = ("config", "_fn", "_buckets", "_mask", "_count", "_frozen", "_refs")
+    __slots__ = ("config", "_fn", "_buckets", "_mask", "_count")
 
-    def __init__(self, config: HashConfig | None = None):
-        self.config = config or HashConfig()
-        self._fn = HASH_FUNCTIONS[self.config.function_id]
-        self._buckets: list = [bytearray() for _ in range(self.config.initial_bucket_count)]
-        self._mask = self.config.initial_bucket_count - 1
-        self._count = 0
-        self._frozen = False
-        # Build-phase copy of the key -> ref records, so a repeated key costs
-        # no hash and no bucket walk; dropped by freeze().
-        self._refs: dict[bytes, int] | None = {}
-
-    @classmethod
-    def from_frozen(cls, buckets: list[bytes], config: HashConfig, key_count: int) -> "ChainedHashTable":
-        """Rebuild a read-only table around bucket blobs loaded from a file."""
+    def __init__(self, buckets: list[bytes], config: HashConfig, key_count: int):
         n = len(buckets)
         if n < 1 or n & (n - 1):
             raise ConfigError(f"bucket count must be a power of two, got {n}")
-        table = cls.__new__(cls)
-        table.config = config
-        table._fn = HASH_FUNCTIONS[config.function_id]
-        table._buckets = buckets
-        table._mask = n - 1
-        table._count = key_count
-        table._frozen = True
-        table._refs = None
-        return table
+        self.config = config
+        self._fn = HASH_FUNCTIONS[config.function_id]
+        self._buckets = buckets
+        self._mask = n - 1
+        self._count = key_count
+        global _slow_hash_warned
+        if self._fn is xxhash64 and not _slow_hash_warned:
+            _slow_hash_warned = True
+            log.warning(
+                "the C xxhash extension is not installed; hash id 'xxhash' "
+                "falls back to the much slower pure-Python xxhash64"
+            )
+
+    @classmethod
+    def build(cls, keys: list[bytes], config: HashConfig | None = None) -> "ChainedHashTable":
+        """Lay out a table whose key ``keys[i]`` refers to list ``i``.
+
+        Keys are distinct; each bucket holds its keys in ref order.
+        """
+        config = config or HashConfig()
+        n = config.initial_bucket_count
+        # n is a power of two, so n * max_load_factor is exact.
+        while len(keys) > n * config.max_load_factor:
+            n *= 2
+        buckets = [bytearray() for _ in range(n)]
+        fn = HASH_FUNCTIONS[config.function_id]
+        mask = n - 1
+        for ref, key in enumerate(keys):
+            if len(key) > 255:
+                raise BuildError(f"key longer than 255 bytes: {key[:16]!r}...")
+            bucket = buckets[fn(key) & mask]
+            bucket.append(len(key))
+            bucket += key
+            bucket += ref.to_bytes(4, "little")
+        return cls([bytes(b) for b in buckets], config, len(keys))
 
     @property
     def key_count(self) -> int:
@@ -207,7 +232,7 @@ class ChainedHashTable:
         return len(self._buckets)
 
     @property
-    def buckets(self) -> list:
+    def buckets(self) -> list[bytes]:
         return self._buckets
 
     def lookup_list(self, key: bytes) -> int | None:
@@ -223,57 +248,6 @@ class ChainedHashTable:
                 return int.from_bytes(blob[p : p + 4], "little")
             o += el + 5
         return None
-
-    def find_or_create_list(self, key: bytes) -> tuple[int, bool]:
-        """Return (ref, created) for ``key``, installing a fresh ref if absent.
-
-        Growth happens before a new key is recorded, so the load factor never
-        exceeds the configured maximum.  Build phase only.
-        """
-        if self._frozen:
-            raise BuildError("table is frozen; no insertions after build")
-        ref = self._refs.get(key)
-        if ref is not None:
-            return ref, False
-        if len(key) > 255:
-            raise BuildError(f"key longer than 255 bytes: {key[:16]!r}...")
-        if (self._count + 1) / len(self._buckets) > self.config.max_load_factor:
-            self._grow()
-        ref = self._count
-        bucket = self._buckets[self._fn(key) & self._mask]
-        bucket.append(len(key))
-        bucket += key
-        bucket += ref.to_bytes(4, "little")
-        self._count += 1
-        self._refs[key] = ref
-        return ref, True
-
-    def _grow(self) -> None:
-        need = len(self._buckets) * 2
-        while (self._count + 1) / need > self.config.max_load_factor:
-            need *= 2
-        fresh = [bytearray() for _ in range(need)]
-        mask = need - 1
-        fn = self._fn
-        for blob in self._buckets:
-            o = 0
-            n = len(blob)
-            while o < n:
-                kl = blob[o]
-                end = o + 5 + kl
-                key = bytes(blob[o + 1 : o + 1 + kl])
-                bucket = fresh[fn(key) & mask]
-                bucket += blob[o:end]
-                o = end
-        self._buckets = fresh
-        self._mask = mask
-
-    def freeze(self) -> None:
-        """Make the buckets immutable bytes; reads stay valid, writes raise."""
-        if not self._frozen:
-            self._buckets = [bytes(b) for b in self._buckets]
-            self._frozen = True
-            self._refs = None
 
     def chain_lengths(self) -> list[int]:
         """Number of keys stored in each bucket, in bucket order."""

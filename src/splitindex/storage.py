@@ -119,8 +119,13 @@ def index_from_bytes(data: bytes) -> SplitIndex:
             f"file format version {version}, this reader supports {FORMAT_VERSION}"
         )
     (k,) = cur.unpack("<B")
+    if k < 1:
+        raise StorageError(f"mismatch budget k must be >= 1, got {k}")
     (name_len,) = cur.unpack("<B")
-    function_id = cur.take(name_len).decode("ascii")
+    name = cur.take(name_len)
+    if not name.isascii():
+        raise StorageError(f"hash id must be ASCII, got {name!r}")
+    function_id = name.decode("ascii")
     (bucket_count,) = cur.unpack("<I")
     max_lf, initial_buckets, key_count = cur.unpack("<dII")
     config = HashConfig(
@@ -156,7 +161,7 @@ def index_from_bytes(data: bytes) -> SplitIndex:
     if cur.pos != len(data):
         raise StorageError(f"{len(data) - cur.pos} trailing bytes after index data")
 
-    table = ChainedHashTable.from_frozen(buckets, config, key_count)
+    table = ChainedHashTable(buckets, config, key_count)
     stats = DictionaryStats(total_bytes, word_count, alphabet_size)
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
     return SplitIndex(k, table, lists, side_sorted, subs, stats)

@@ -1,13 +1,24 @@
 """Hash function vectors and the compact chained table."""
 
+import logging
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitindex import HASH_FUNCTIONS, ChainedHashTable, ConfigError, HashConfig
+from splitindex import (
+    HASH_FUNCTIONS,
+    BuildError,
+    ChainedHashTable,
+    ConfigError,
+    Dictionary,
+    HashConfig,
+    build_index,
+    hashing,
+)
 from splitindex.hashing import fnv1_64, fnv1a_64, sdbm_64, xxhash64
+from splitindex.storage import index_from_bytes, index_to_bytes
 
 # Frozen against the canonical C implementation (xxh64, seed 0).
 XXH64_VECTORS = [
@@ -78,55 +89,59 @@ def test_config_validation():
         HashConfig(initial_bucket_count=12)
 
 
-def test_find_or_create_and_lookup():
-    t = ChainedHashTable()
-    ref, created = t.find_or_create_list(b"tab")
-    assert created and t.lookup_list(b"tab") == ref
-    ref2, created2 = t.find_or_create_list(b"tab")
-    assert ref2 == ref and not created2
+def test_build_and_lookup():
+    t = ChainedHashTable.build([b"tab", b"le"])
+    assert t.lookup_list(b"tab") == 0 and t.lookup_list(b"le") == 1
+    assert t.key_count == 2
     assert t.lookup_list(b"zzz") is None
+    assert ChainedHashTable.build([]).lookup_list(b"tab") is None
+    with pytest.raises(BuildError, match="255"):
+        ChainedHashTable.build([b"x" * 256])
 
 
-def test_growth_triggers_before_insertion_completes():
-    t = ChainedHashTable(HashConfig(initial_bucket_count=2, max_load_factor=2.0))
-    for i in range(4):
-        t.find_or_create_list(b"k%d" % i)
-    assert t.bucket_count == 2  # 4 keys / 2 buckets = max LF exactly
-    t.find_or_create_list(b"k4")  # 5/2 would exceed 2.0
+def test_bucket_count_at_load_factor_boundary():
+    cfg = HashConfig(initial_bucket_count=2, max_load_factor=2.0)
+    keys = [b"k%d" % i for i in range(5)]
+    assert ChainedHashTable.build(keys[:4], cfg).bucket_count == 2  # 4 keys / 2 buckets = max LF exactly
+    t = ChainedHashTable.build(keys, cfg)  # 5/2 would exceed 2.0
     assert t.bucket_count == 4
     assert t.key_count == 5
 
 
-def test_lookup_survives_growth():
-    t = ChainedHashTable(HashConfig(initial_bucket_count=2))
+@given(st.integers(0, 3000), st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.sampled_from([1, 2, 16]))
+@settings(max_examples=40, deadline=None)
+def test_bucket_count_is_smallest_power_of_two_multiple(n, lf, initial):
+    cfg = HashConfig(max_load_factor=lf, initial_bucket_count=initial)
+    b = ChainedHashTable.build([b"%d" % i for i in range(n)], cfg).bucket_count
+    doublings = b // initial
+    assert b % initial == 0 and doublings & (doublings - 1) == 0
+    assert n <= b * lf
+    assert b == initial or n > b // 2 * lf
+
+
+def test_lookup_of_many_keys():
     keys = [b"key-%d" % i for i in range(100)]
-    refs = {}
-    for key in keys:
-        refs[key], created = t.find_or_create_list(key)
-        assert created
-    assert t.bucket_count >= 32
-    for key in keys:
-        assert t.lookup_list(key) == refs[key]
+    t = ChainedHashTable.build(keys, HashConfig(initial_bucket_count=2))
+    assert t.bucket_count == 64
+    for ref, key in enumerate(keys):  # refs are dense, in key order
+        assert t.lookup_list(key) == ref
     assert t.key_count == len(keys)
-    assert sorted(refs.values()) == list(range(len(keys)))
     assert t.lookup_list(b"key-100") is None
 
 
 def test_load_factor_never_exceeds_max():
+    keys = [b"%d" % i for i in range(200)]
     for lf in (0.5, 1.0, 2.0, 3.0):
-        t = ChainedHashTable(HashConfig(max_load_factor=lf, initial_bucket_count=2))
-        for i in range(200):
-            t.find_or_create_list(b"%d" % i)
-            assert t.key_count / t.bucket_count <= lf + 1e-9
+        for n in range(0, 201, 5):
+            t = ChainedHashTable.build(keys[:n], HashConfig(max_load_factor=lf, initial_bucket_count=2))
+            assert t.key_count / t.bucket_count <= lf
 
 
 def test_bucket_stats():
-    t = ChainedHashTable()
-    s = t.bucket_stats()
+    s = ChainedHashTable.build([]).bucket_stats()
     assert s.mean_chain == 0 and s.max_chain == 0
-    t2 = ChainedHashTable(HashConfig(initial_bucket_count=2, max_load_factor=10.0))
-    for i in range(4):
-        t2.find_or_create_list(b"x%d" % i)
+    cfg = HashConfig(initial_bucket_count=2, max_load_factor=10.0)
+    t2 = ChainedHashTable.build([b"x%d" % i for i in range(4)], cfg)
     assert t2.bucket_stats().mean_chain == 2.0
 
 
@@ -134,10 +149,8 @@ def test_bucket_stats():
 @settings(max_examples=25, deadline=None)
 def test_bucket_stats_mean_is_exact(n, seed):
     rng = random.Random(seed)
-    t = ChainedHashTable()
     keys = {bytes(rng.choices(b"abcdef", k=rng.randint(1, 12))) for _ in range(n)}
-    for key in keys:
-        t.find_or_create_list(key)
+    t = ChainedHashTable.build(list(keys))
     s = t.bucket_stats()
     lengths = t.chain_lengths()
     assert s.key_count == len(keys) == sum(lengths)
@@ -146,20 +159,36 @@ def test_bucket_stats_mean_is_exact(n, seed):
 
 
 def test_bucket_stats_mean_exact_at_ten_thousand_keys():
-    t = ChainedHashTable()
-    for i in range(10_000):
-        t.find_or_create_list(b"key-%d" % i)
+    t = ChainedHashTable.build([b"key-%d" % i for i in range(10_000)])
     s = t.bucket_stats()
     assert s.key_count == 10_000 == sum(t.chain_lengths())
     assert s.mean_chain == 10_000 / s.bucket_count
 
 
-def test_frozen_table_rejects_insertion():
-    from splitindex import BuildError
+def test_buckets_are_bytes_after_build_and_load():
+    idx = build_index(Dictionary([b"table", b"left", b"a"]), 1)
+    loaded = index_from_bytes(index_to_bytes(idx))
+    for t in (ChainedHashTable.build([b"a", b"b"]), idx.table, loaded.table):
+        assert t.buckets and all(type(b) is bytes for b in t.buckets)
+    assert loaded.table.lookup_list(b"tab") == idx.table.lookup_list(b"tab") is not None
 
-    t = ChainedHashTable()
-    t.find_or_create_list(b"a")
-    t.freeze()
-    assert t.lookup_list(b"a") == 0
-    with pytest.raises(BuildError):
-        t.find_or_create_list(b"b")
+
+def test_pure_python_xxhash_warns_once(monkeypatch, caplog):
+    caplog.set_level(logging.WARNING, logger="splitindex.hashing")
+    monkeypatch.setattr(hashing, "_slow_hash_warned", False)
+    monkeypatch.setitem(HASH_FUNCTIONS, "xxhash", lambda data: xxhash64(data))
+    ChainedHashTable.build([b"a"])  # a C-backed stand-in says nothing
+    ChainedHashTable.build([b"a"], HashConfig(function_id="fnv1"))
+    assert not caplog.records
+
+    monkeypatch.setitem(HASH_FUNCTIONS, "xxhash", xxhash64)
+    blob = index_to_bytes(build_index(Dictionary([b"table"]), 1))
+    ChainedHashTable.build([b"b"])
+    assert len(caplog.records) == 1
+    record = caplog.records[0]
+    assert record.name == "splitindex.hashing" and record.levelno == logging.WARNING
+    assert "xxhash64" in record.getMessage()
+
+    monkeypatch.setattr(hashing, "_slow_hash_warned", False)
+    index_from_bytes(blob)
+    assert len(caplog.records) == 2

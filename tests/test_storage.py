@@ -81,3 +81,19 @@ def test_trailing_garbage_rejected():
     blob = index_to_bytes(build_index(Dictionary([b"table"]), 1))
     with pytest.raises(StorageError):
         index_from_bytes(blob + b"junk")
+
+
+def test_non_ascii_hash_id_is_storage_error():
+    blob = index_to_bytes(build_index(Dictionary([b"table"]), 1))
+    at = 8 + 2 + 1 + 1  # magic, version, k, hash id length
+    assert blob[at : at + 6] == b"xxhash"
+    with pytest.raises(StorageError, match=r"\\xc3xhash"):
+        index_from_bytes(blob[:at] + b"\xc3" + blob[at + 1 :])
+
+
+def test_zero_k_is_storage_error():
+    blob = index_to_bytes(build_index(Dictionary([b"table"]), 1))
+    at = 8 + 2  # magic, version
+    assert blob[at] == 1
+    with pytest.raises(StorageError, match="got 0"):
+        index_from_bytes(blob[:at] + b"\x00" + blob[at + 1 :])
