@@ -15,11 +15,9 @@ from .core import (
     build_index,
     hamming_at_most,
     piece_lengths,
-    reconstruct,
     split_word,
 )
 from .datasets import (
-    DNA_ALPHABET,
     QuerySet,
     extract_kmers,
     gen_noisy_queries,
@@ -70,7 +68,6 @@ __all__ = [
     "DataError",
     "Dictionary",
     "DictionaryStats",
-    "DNA_ALPHABET",
     "HASH_FUNCTIONS",
     "HashConfig",
     "ListStats",
@@ -95,7 +92,6 @@ __all__ = [
     "mine_substitutions",
     "oracle_query",
     "piece_lengths",
-    "reconstruct",
     "run_bench",
     "save_index",
     "save_substitutions",

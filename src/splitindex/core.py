@@ -6,33 +6,31 @@ one piece (pigeonhole), so each piece serves as a hash-table key whose list
 holds the rest of the word.  Verification then runs a plain Hamming check on
 the few surviving candidates.
 
-List layout (one contiguous blob per key):
-
-* ``k == 1`` -- ``[marker u16 LE][entry ...][0x00]`` where an entry is
-  ``[length u8 >= 1][payload]``.  Entries whose key was the word's prefix
-  come first (their payload is the missing suffix); the marker is the
-  1-based entry index where missing prefixes begin, 0 if there are none.
-* ``k > 1`` -- ``[entry ...][0x00]`` where an entry is
-  ``[key position u8 in 1..k+1][length u8 >= 1][payload]`` and the payload
-  is the concatenation of the word's other k pieces.  Piece boundaries are
-  recomputed from the total length at query time.
+List layout (one contiguous blob per key, the same for every k):
+``[k region markers, u16 LE each][entry ...][0x00]`` where an entry is
+``[length u8 >= 1][payload]`` and the payload is the concatenation of the
+word's other k pieces.  Entries are grouped into regions by the key's piece
+position 1..k+1, and sorted shortest first within a region.  Marker j is the
+1-based entry index at which region j+1 begins, 0 when that region is empty;
+region 1 starts at the first entry.  A list holds at most
+``LIST_ENTRY_LIMIT`` entries.  Piece boundaries are recomputed from the
+total length at query time.
 
 Payloads may be substitution-coded (see ``qgrams``); keys never are.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
+from .errors import BuildError, ConfigError, WordTooShortError
 from .hashing import ChainedHashTable, HashConfig
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # entry lengths are single bytes; 0 terminates a list
-LIST_ENTRY_LIMIT = 0xFFFF  # the k=1 region marker is a 16-bit entry index
+LIST_ENTRY_LIMIT = 0xFFFF  # region markers are 16-bit entry indexes
 
 
 @lru_cache(maxsize=1024)  # builds and queries ask for few distinct lengths
@@ -86,41 +84,31 @@ def hamming_at_most(a: bytes, b: bytes, limit: int) -> bool:
     return True
 
 
-def reconstruct(key: bytes, missing_blob: bytes, key_position: int, k: int, total_length: int) -> bytes:
-    """Rebuild a word from a list key and its stored complement (k > 1 layout).
+@lru_cache(maxsize=1024)  # queries ask for few distinct lengths
+def _plan(length: int, k: int) -> tuple[tuple, ...]:
+    """Search plan for a ``length``-byte pattern, one tuple per piece r >= 0.
 
-    ``missing_blob`` is the concatenation of the word's pieces other than the
-    key; the key sits at 1-based piece ``key_position``.  Any disagreement
-    with the piece arithmetic for ``total_length`` signals a corrupt list.
+    A tuple holds the piece's start and end in the pattern; ``need``, the
+    length of the rest of the pattern; the (start, end) of each sub-piece to
+    search, as offsets into that rest with its length byte in front; the list
+    offset of marker r, or -1 for r = 0; and the offsets of the markers after
+    it.  The rest is cut into k + 1 sub-pieces at ``need * j // (k + 1)``.
+    The first keeps the length byte, and when it holds nothing else
+    (need <= k) it is the only one searched.
     """
-    if k <= 1:
-        raise ConfigError(f"positioned entries exist only for k > 1, got k={k}")
-    if not 1 <= key_position <= k + 1:
-        raise CorruptListError(f"key position {key_position} outside 1..{k + 1}")
-    if total_length != len(key) + len(missing_blob):
-        raise CorruptListError(
-            f"total length {total_length} != key {len(key)} + blob {len(missing_blob)}"
-        )
-    try:
-        lens = piece_lengths(total_length, k)
-    except WordTooShortError as exc:
-        raise CorruptListError(str(exc)) from None
-    if lens[key_position - 1] != len(key):
-        raise CorruptListError(
-            f"key length {len(key)} does not fit piece {key_position} of a length-{total_length} word"
-        )
-    cut = sum(lens[: key_position - 1])
-    return missing_blob[:cut] + key + missing_blob[cut:]
-
-
-def _one_byte(x: int) -> bool:
-    """Whether ``x``, the xor of two byte strings, has at most one non-zero byte."""
-    # Shifted down to its lowest set byte, x must fit in that byte.
-    return x < 256 or x >> ((x & -x).bit_length() - 1 & -8) < 256
+    plan = []
+    start = 0
+    for r, plen in enumerate(piece_lengths(length, k)):
+        need = length - plen
+        cuts = [0] + [1 + need * j // (k + 1) for j in range(1, k + 2)]
+        passes = tuple(zip(cuts, cuts[1:])) if cuts[1] > 1 else ((0, 1),)
+        plan.append((start, start + plen, need, passes, 2 * r - 2, tuple(range(2 * r, 2 * k, 2))))
+        start += plen
+    return tuple(plan)
 
 
 def _find_run(blob: bytes, o: int, left: int, need: int) -> tuple[int, int]:
-    """Offset and entry count of the run of ``need``-byte entries in a k = 1 region.
+    """Offset and entry count of the run of ``need``-byte entries in a region.
 
     The region's remaining entries start at offset ``o``, at most ``left`` of
     them, shortest first; the count is 0 when none has that length.  Entries
@@ -246,146 +234,99 @@ class SplitIndex:
         n = len(pattern)
         if n == 0:
             raise ValueError("pattern must be non-empty")
-        if n <= self.k:
+        k = self.k
+        if n <= k:
             # Same length and Hamming <= length <= k: everything matches.
             out.update(self.side_table.get(n, ()))
             return 0
-        if self.k == 1:
-            return self._search_one(pattern, out)
-        return self._search_many(pattern, out)
-
-    def _search_one(self, pattern: bytes, out: set) -> int:
-        # The pattern's prefix keys the list region of missing suffixes and
-        # its suffix keys the region of missing prefixes; both regions are
-        # walked alike: ``_find_run`` skips the shorter entries a run at a
-        # time and counts the run of the wanted length, every entry of which
-        # counts as verified.  Mismatch-1 verification splits the wanted piece
-        # in half: a candidate within one mismatch matches one half exactly
-        # (pigeonhole again), so only the other half is compared, through one
-        # integer xor.
-        b = piece_lengths(len(pattern), 1)[0]
-        head = pattern[:b]
-        tail = pattern[b:]
+        # Piece r >= 0 of the pattern keys a list whose region r + 1 holds
+        # the other pieces of the words that share it.  ``_find_run`` skips the region's
+        # shorter entries a run at a time and counts the run of the wanted
+        # length, every entry of which counts as verified.  Within that run
+        # the pigeonhole step applies again: the rest of the pattern is cut
+        # into k + 1 sub-pieces, and a word within k mismatches matches one of
+        # them exactly, so each sub-piece is searched in C with bytes.find and
+        # only its hits are compared, through one integer xor.
         lookup = self.table.lookup_list
         lists = self.lists
         decode = self._decode
         ifb = int.from_bytes
         verified = 0
-        for key, rest, before, after in ((head, tail, head, b""), (tail, head, b"", tail)):
+        for start, end, need, passes, mark, nexts in _plan(n, k):
+            key = pattern[start:end]
             ref = lookup(key)
             if ref is None:
                 continue
             blob = lists[ref]
-            marker = blob[0] | blob[1] << 8
-            o = 2
-            # The missing-suffix region holds marker - 1 entries, or the whole
-            # list without a marker; the terminator ends any walk early.
-            left_in_region = marker - 1 if marker else LIST_ENTRY_LIMIT + 1
-            if after:  # the key is the pattern's suffix: missing prefixes apply
-                if not marker:
+            # Region r + 1 starts at marker r (at the first entry for r = 0)
+            # and holds the entries up to the next region that has any, or up
+            # to the terminator, which ends any walk early.
+            o = 2 * k
+            if mark < 0:
+                first = 1
+            else:
+                first = blob[mark] | blob[mark + 1] << 8
+                if not first:
                     continue
-                for _ in range(left_in_region):  # hop over the suffix region
+                for _ in range(first - 1):  # hop over the earlier regions
                     o += blob[o] + 1
-                left_in_region = LIST_ENTRY_LIMIT + 1
-            need = len(rest)
+            left = LIST_ENTRY_LIMIT + 1
+            for m in nexts:
+                nxt = blob[m] | blob[m + 1] << 8
+                if nxt:
+                    left = nxt - first
+                    break
             if decode is not None:
+                rest = pattern[:start] + pattern[end:]
+                rint = ifb(rest, "little")
                 # Stored lengths are coded, but decoding never shrinks, so
                 # entries longer than the wanted piece cannot decode to it.
-                while left_in_region:
+                while left:
                     ln = blob[o]
                     if ln == 0 or ln > need:
                         break
                     e = decode(blob[o + 1 : o + 1 + ln])
                     if len(e) == need:
                         verified += 1
-                        if hamming_at_most(e, rest, 1):
-                            out.add(before + e + after)
+                        if (ifb(e, "little") ^ rint).to_bytes(need, "little").count(0) >= need - k:
+                            out.add(e[:start] + key + e[start:])
                     o += ln + 1
-                    left_in_region -= 1
+                    left -= 1
                 continue
-            o, count = _find_run(blob, o, left_in_region, need)
+            o, count = _find_run(blob, o, left, need)
             if not count:
                 continue
             verified += count
-            # The run's entries lie at a fixed stride from o to end and are
-            # searched in C with bytes.find, once for the length byte plus the
-            # left half and once for the right half.  A hit counts only at its
-            # entry's own offset; a misaligned one resumes the search at the
-            # next entry.  Whole matches are added by the first pass, and an
-            # empty left half (need == 1) makes every entry a first-pass hit.
+            # The run's entries lie at a fixed stride from o to stop.  lrest is
+            # the entry the pattern would match exactly, length byte included.
+            # Each pass searches one of its sub-pieces, the first with the
+            # length byte in front, and counts a hit only at its entry's own
+            # offset; a misaligned one resumes the search at the next entry.
+            # When the first sub-piece is empty (need <= k), every entry is a
+            # hit of that pass, the only one then made.
+            lrest = blob[o : o + 1] + pattern[:start] + pattern[end:]
+            lint = ifb(lrest, "little")
             step = need + 1
-            end = o + count * step
-            half = need >> 1
-            lpart = rest[:half]
-            rpart = rest[half:]
+            least = step - k  # the fewest zero bytes in the xor of a match
+            stop = o + count * step
             find = blob.find
-            probe = blob[o : o + 1] + lpart
-            h = find(probe, o, end)
-            while h >= 0:
-                off = (h - o) % step
-                if off:
-                    h = find(probe, h + step - off, end)
-                    continue
-                p = h + 1
-                mid = p + half
-                if blob.startswith(rpart, mid):
-                    out.add(pattern)
-                elif _one_byte(ifb(blob[mid : p + need], "little") ^ ifb(rpart, "little")):
-                    out.add(before + blob[p : p + need] + after)
-                h = find(probe, h + step, end)
-            base = o + 1 + half
-            h = find(rpart, base, end)
-            while h >= 0:
-                off = (h - base) % step
-                if off:
-                    h = find(rpart, h + step - off, end)
-                    continue
-                p = h - half
-                x = ifb(blob[p:h], "little") ^ ifb(lpart, "little")
-                if x and _one_byte(x):
-                    out.add(before + blob[p : p + need] + after)
-                h = find(rpart, h + step, end)
-        return verified
-
-    def _search_many(self, pattern: bytes, out: set) -> int:
-        n = len(pattern)
-        k = self.k
-        lookup = self.table.lookup_list
-        lists = self.lists
-        decode = self._decode
-        verified = 0
-        start = 0
-        for pos, plen in enumerate(piece_lengths(n, k), 1):
-            end = start + plen
-            piece = pattern[start:end]
-            ref = lookup(piece)
-            if ref is not None:
-                rest = pattern[:start] + pattern[end:]
-                need = n - plen
-                blob = lists[ref]
-                o = 0
-                while True:  # entries are shortest-first; stop once too long
-                    p = blob[o]
-                    if p == 0:
-                        break
-                    ln = blob[o + 1]
-                    if ln > need:
-                        break
-                    if p == pos:
-                        if decode is None:
-                            if ln == need:
-                                verified += 1
-                                e = blob[o + 2 : o + 2 + ln]
-                                if e == rest or hamming_at_most(e, rest, k):
-                                    out.add(e[:start] + piece + e[start:])
-                        else:
-                            e = decode(blob[o + 2 : o + 2 + ln])
-                            if len(e) == need:
-                                verified += 1
-                                if hamming_at_most(e, rest, k):
-                                    out.add(e[:start] + piece + e[start:])
-                    o += ln + 2
-            start = end
+            for x, y in passes:
+                probe = lrest[x:y]
+                base = o + x
+                h = find(probe, base, stop)
+                while h >= 0:
+                    off = (h - base) % step
+                    if off:
+                        h = find(probe, h + step - off, stop)
+                        continue
+                    e = h - x  # the entry, from its length byte on
+                    v = ifb(blob[e : e + step], "little") ^ lint
+                    if not v:  # the pattern itself
+                        out.add(pattern)
+                    elif v.to_bytes(step, "little").count(0) >= least:
+                        e += 1
+                        out.add(blob[e : e + start] + key + blob[e + start : e + need])
+                    h = find(probe, h + step, stop)
         return verified
 
     # -- stats and sizes ---------------------------------------------------
@@ -395,21 +336,11 @@ class SplitIndex:
         total = 0
         payload = 0
         worst = 0
-        positioned = self.k > 1
         for blob in self.lists:
-            o = 0 if positioned else 2
+            o = 2 * self.k
             c = 0
-            while True:
-                if positioned:
-                    if blob[o] == 0:
-                        break
-                    ln = blob[o + 1]
-                    o += ln + 2
-                else:
-                    ln = blob[o]
-                    if ln == 0:
-                        break
-                    o += ln + 1
+            while ln := blob[o]:
+                o += ln + 1
                 c += 1
                 payload += ln
             total += c
@@ -461,18 +392,18 @@ def build_index(
     ``substitutions`` given, list payloads are stored substitution-coded.
 
     Raises BuildError when a word's stored complement would not fit an 8-bit
-    length tag, or when a k=1 list outgrows the 16-bit region marker.
+    length tag, or when a list outgrows the 16-bit region markers.
     """
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"mismatch budget must be an integer >= 1, got {k!r}")
     if k > 255:
         raise ConfigError(f"mismatch budget is limited to 255, got {k}")
     side: dict[int, list[bytes]] = {}
-    # Growable per-list (key position, missing pieces) staging, written out
-    # as contiguous blobs once every entry of a list is known.  A key's ref
-    # is the order in which it was first seen.
+    # Growable per-list (key position, payload length, payload) staging,
+    # written out as contiguous blobs once every entry of a list is known.
+    # A key's ref is the order in which it was first seen.
     refs: dict[bytes, int] = {}
-    staged: list[list[tuple[int, bytes]]] = []
+    staged: list[list[tuple[int, int, bytes]]] = []
     for word in dictionary.words:
         n = len(word)
         if n <= k:
@@ -482,60 +413,47 @@ def build_index(
         for pos, plen in enumerate(piece_lengths(n, k), 1):
             end = start + plen
             missing = word[:start] + word[end:]
-            if len(missing) > PAYLOAD_LIMIT:
+            size = len(missing)
+            if size > PAYLOAD_LIMIT:
                 raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {word[:32]!r}")
             key = word[start:end]
             ref = refs.get(key)
             if ref is None:
                 ref = refs[key] = len(staged)
                 staged.append([])
-            staged[ref].append((pos, missing))
+            staged[ref].append((pos, size, missing))
             start = end
 
     if substitutions is not None and len(substitutions):
-        coded = iter(substitutions.encode_many([e for entries in staged for _, e in entries]))
+        coded = iter(substitutions.encode_many([e for entries in staged for _, _, e in entries]))
         for entries in staged:
-            entries[:] = [(pos, next(coded)) for pos, _ in entries]
+            # zip stops at the end of entries before drawing from coded.
+            entries[:] = [(pos, len(c), c) for (pos, _, _), c in zip(entries, coded)]
 
-    # Entries within a region are laid out shortest first so scans can skip
-    # ahead to the wanted length and stop as soon as entries get longer.
+    # Sorted as staged, entries are grouped into regions by key position and
+    # laid out shortest first within a region, so scans can skip ahead to the
+    # wanted length and stop as soon as entries get longer.
+    keys = list(refs)
     lists: list[bytes] = []
     for ref, entries in enumerate(staged):
-        if k == 1:
-            # Missing suffixes (key position 1) form the first region.
-            if len(entries) > LIST_ENTRY_LIMIT:
-                raise BuildError(
-                    f"list for key ref {ref} exceeds {LIST_ENTRY_LIMIT} entries; "
-                    "the region marker is a 16-bit index"
-                )
-            entries.sort(key=_by_region_then_size)
-            # Position-first order puts (1, ...) < (2,) <= (2, ...).
-            suffixes = bisect_left(entries, (2,))
-            marker = suffixes + 1 if suffixes < len(entries) else 0
-            buf = bytearray(marker.to_bytes(2, "little"))
-            for _, e in entries:
-                buf.append(len(e))
-                buf += e
-        else:
-            entries.sort(key=_by_size_then_position)
-            buf = bytearray()
-            for pos, e in entries:
-                buf.append(pos)
-                buf.append(len(e))
-                buf += e
+        if len(entries) > LIST_ENTRY_LIMIT:
+            raise BuildError(
+                f"list for key {keys[ref]!r} holds {len(entries)} entries, over {LIST_ENTRY_LIMIT}; "
+                "region markers are 16-bit entry indexes"
+            )
+        entries.sort()
+        buf = bytearray(2 * k)  # the markers of regions left empty stay 0
+        region = 1
+        for i, (pos, size, e) in enumerate(entries, 1):
+            if pos != region:  # entry i begins region pos
+                region = pos
+                buf[2 * pos - 4 : 2 * pos - 2] = i.to_bytes(2, "little")
+            buf.append(size)
+            buf += e
         buf.append(0)
         lists.append(bytes(buf))
 
-    table = ChainedHashTable.build(list(refs), hash_config)
+    table = ChainedHashTable.build(keys, hash_config)
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
     return SplitIndex(k, table, lists, side_sorted, substitutions, dictionary.stats())
 
-
-def _by_region_then_size(item: tuple[int, bytes]):
-    pos, entry = item
-    return pos, len(entry), entry
-
-
-def _by_size_then_position(item: tuple[int, bytes]):
-    pos, entry = item
-    return len(entry), pos, entry

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic            8 bytes  b"SPLITIDX"
-    version          u16      currently 1
+    version          u16      currently 2
     k                u8
     hash id          u8 length + ASCII name
     bucket count     u32
@@ -18,9 +18,10 @@ Layout (all integers little-endian):
     buckets          per bucket: u32 length + blob
     lists            u32 count, then per list: u32 length + blob
 
-Bucket and list blobs are stored verbatim (entries within a list region are
-shortest-first, as built), so a load/save cycle is byte-identical and loaded
-indexes answer queries exactly like the original.
+Bucket and list blobs are stored verbatim (lists in the region layout that
+``core`` describes, the same for every k), so a load/save cycle is
+byte-identical and loaded indexes answer queries exactly like the original.
+Version 2 introduced that layout for k > 1; version-1 files are rejected.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .hashing import ChainedHashTable, HashConfig
 from .qgrams import Substitution, SubstitutionList
 
 MAGIC = b"SPLITIDX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_index(index: SplitIndex, path) -> None:

@@ -18,6 +18,7 @@ from splitindex import (
     SubstitutionList,
     build_index,
     oracle_query,
+    piece_lengths,
     run_bench,
     split_word,
 )
@@ -25,39 +26,53 @@ from splitindex.core import LIST_ENTRY_LIMIT
 from splitindex.storage import index_to_bytes
 
 
-def entries_k1(blob):
-    """Parse a k=1 list blob into (marker, [payloads])."""
-    marker = blob[0] | blob[1] << 8
+def entries(blob, k):
+    """Parse a list blob into ([k region markers], [payloads])."""
+    markers = [blob[2 * j] | blob[2 * j + 1] << 8 for j in range(k)]
     out = []
-    o = 2
+    o = 2 * k
     while blob[o]:
         out.append(blob[o + 1 : o + 1 + blob[o]])
         o += blob[o] + 1
-    return marker, out
+    return markers, out
 
 
-def entries_positioned(blob):
-    """Parse a k>1 list blob into [(position, payload)]."""
+def regions(markers, payloads):
+    """The payloads of each of a list's k + 1 regions; a 0 marker is an empty region."""
+    starts = [1] + markers
     out = []
-    o = 0
-    while blob[o]:
-        ln = blob[o + 1]
-        out.append((blob[o], blob[o + 2 : o + 2 + ln]))
-        o += ln + 2
+    for j, first in enumerate(starts):
+        stop = next((m for m in starts[j + 1 :] if m), len(payloads) + 1)
+        out.append(payloads[first - 1 : stop - 1] if first else [])
     return out
 
 
 def test_list_layout_for_three_words():
     d = Dictionary([b"table", b"left", b"tablet"])
     idx = build_index(d, 1)
-    marker, entries = entries_k1(idx.lists[idx.table.lookup_list(b"tab")])
-    assert marker == 0  # only missing suffixes
-    assert set(entries) == {b"le", b"let"}
-    marker, entries = entries_k1(idx.lists[idx.table.lookup_list(b"le")])
-    assert marker == 2  # one suffix entry, then the prefixes
-    assert entries == [b"ft", b"tab"]
-    marker, entries = entries_k1(idx.lists[idx.table.lookup_list(b"ft")])
-    assert (marker, entries) == (1, [b"le"])
+    markers, payloads = entries(idx.lists[idx.table.lookup_list(b"tab")], 1)
+    assert markers == [0]  # only missing suffixes
+    assert set(payloads) == {b"le", b"let"}
+    markers, payloads = entries(idx.lists[idx.table.lookup_list(b"le")], 1)
+    assert markers == [2]  # one suffix entry, then the prefixes
+    assert payloads == [b"ft", b"tab"]
+    markers, payloads = entries(idx.lists[idx.table.lookup_list(b"ft")], 1)
+    assert (markers, payloads) == ([1], [b"le"])
+
+
+def test_k2_layout_with_an_empty_middle_region():
+    # b"ab" is the first piece of one word and the last of another, never
+    # the middle one: region 2 is empty and its marker is 0.
+    d = Dictionary([b"abcdef", b"ghijab"])
+    idx = build_index(d, 2)
+    blob = idx.lists[idx.table.lookup_list(b"ab")]
+    assert blob == b"\x00\x00\x02\x00" + b"\x04cdef" + b"\x04ghij" + b"\x00"
+    assert regions(*entries(blob, 2)) == [[b"cdef"], [], [b"ghij"]]
+    # A pattern keyed by b"ab" in the middle finds the empty region; reading
+    # region 3 in its place would wrongly rebuild b"ghabij".
+    assert idx.query(b"ghabij") == idx.query(b"ghabix") == []
+    assert idx.query(b"abcdxf") == [b"abcdef"]
+    assert idx.query(b"gxijab") == [b"ghijab"]
 
 
 def test_query_examples():
@@ -126,12 +141,16 @@ def test_oversized_missing_piece_names_word():
 
 
 def test_marker_overflow_is_a_build_error():
-    # 65536 distinct prefixes all sharing the suffix piece b"zz"
+    # 65536 distinct prefixes all sharing the last piece: b"zz" for k = 1,
+    # b"z" for k = 2 (a 5-byte word splits 3 + 2, or 2 + 2 + 1).
     words = [bytes((a, b, c)) + b"zz" for a in range(64, 104) for b in range(64, 104) for c in range(64, 105)]
     words = words[: LIST_ENTRY_LIMIT + 1]
     assert len(words) == LIST_ENTRY_LIMIT + 1
-    with pytest.raises(BuildError):
-        build_index(Dictionary(words), 1)
+    d = Dictionary(words)
+    for k, key in ((1, b"zz"), (2, b"z")):
+        with pytest.raises(BuildError) as err:
+            build_index(d, k)
+        assert repr(key) in str(err.value) and str(LIST_ENTRY_LIMIT + 1) in str(err.value)
 
 
 def test_exactly_k_plus_one_entries_per_eligible_word():
@@ -164,12 +183,12 @@ def test_builds_are_byte_identical():
 # SHA-256 of index_to_bytes for the dictionary below, with and without
 # GOLDEN_SUBS; any change to the list or file layout changes these.
 GOLDEN_DIGESTS = {
-    (1, False): "4d82f06f838ecad7676b575b4a60f0fd6ab2513d07d7f6edde4a039b7cd23d11",
-    (1, True): "c630b7d6f98959c3a07c747b733116e4b1891bf5c9d9773ed69ee2cdbfb6e1be",
-    (2, False): "046eef0cf26276e08f83d9efb037710b6645c7f26f9739b080a2ad0ddf5df651",
-    (2, True): "c4d2f4b6586707d909ce3274bda0c3ffedc3a2c477070a7d4941cf0ea6ffda5b",
-    (3, False): "91b838db7543a7b8135d49ea3ecb4ae422b69a72a1ce2f2508086112f3b134fd",
-    (3, True): "a0abdefc53213f709818a8688daf902ec5062367a5440b4820cefd04e9938be4",
+    (1, False): "c19711d2fbf48cd6234d43fe865de1057c9560c62e2e067a4f874e8e8263cdc8",
+    (1, True): "27ef8781462c972f66afb3d3368f2925e2ad4043d1201487dd7b82d53f9c2d63",
+    (2, False): "9079d67307f8448e8ba93d03c4f525427a636903da5f0582d11691231d4655f7",
+    (2, True): "da21630cd1520dd044437e26e8aa097ecd5138b620d83797109ff3cc50f3ea88",
+    (3, False): "ef7a2d65e3e40c0c8d1394c83dd4d333d93c6843acfbfddb0e25acc5daa3d78c",
+    (3, True): "bacb17bc554f39ae87f122dea996ab8020e957c0179f07d9adb95f6eff6727af",
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
 
@@ -189,31 +208,36 @@ def test_duplicate_words_do_not_duplicate_entries():
 
 
 def test_region_correctness_matches_full_scan():
+    for k in (1, 2, 3):
+        _region_correctness_matches_full_scan(k)
+
+
+def _region_correctness_matches_full_scan(k):
     # Interpreting every entry through its own region and fully verifying the
     # rebuilt word must give the same answers as the region-pruned search.
-    rng = random.Random(8)
+    rng = random.Random(8 + k)
     for trial in range(30):
         d = Dictionary(random_words(rng, rng.randint(1, 200), rng.choice((4, 26)), max_len=16))
-        idx = build_index(d, 1)
+        idx = build_index(d, k)
         for _ in range(25):
             w = d.words[rng.randrange(d.word_count)]
             p = bytearray(w)
-            for _ in range(rng.randint(0, 2)):
+            for _ in range(rng.randint(0, k + 1)):
                 p[rng.randrange(len(p))] = rng.choice(b"abcdefghijklmnopqrstuvwxyz")
             p = bytes(p)
-            if len(p) < 2:
+            if len(p) <= k:
                 continue
-            b = len(split_word(p, 1)[0])
             full = set()
-            for key in (p[:b], p[b:]):
+            for key in set(split_word(p, k)):
                 ref = idx.table.lookup_list(key)
                 if ref is None:
                     continue
-                marker, entries = entries_k1(idx.lists[ref])
-                for i, e in enumerate(entries, start=1):
-                    word = e + key if marker and i >= marker else key + e
-                    if len(word) == len(p) and sum(x != y for x, y in zip(word, p)) <= 1:
-                        full.add(word)
+                for r, payloads in enumerate(regions(*entries(idx.lists[ref], k))):
+                    for e in payloads:
+                        cut = sum(piece_lengths(len(key) + len(e), k)[:r])
+                        word = e[:cut] + key + e[cut:]
+                        if len(word) == len(p) and sum(x != y for x, y in zip(word, p)) <= k:
+                            full.add(word)
             assert sorted(full) == idx.query(p)
 
 
@@ -255,63 +279,76 @@ def test_query_equals_oracle(data):
 
 
 def test_long_runs_match_the_oracle():
-    # The list of b"keyyy" holds runs of over 16 entries: missing suffixes
-    # of 4 and 5 bytes, then missing prefixes of 5 and 6 bytes, so the last
-    # suffix run and the first prefix run share one length and stride and
-    # only the region bound tells them apart.  Payloads over an
-    # alphabet holding the length bytes make the pattern's halves occur at
-    # misaligned offsets, inside one entry or straddling two.  The 3-byte
-    # words keyed by b"ke" and the 2-byte words keyed by b"e" leave a
-    # one-byte missing piece (an empty left half) on either side.
-    rng = random.Random(15)
-    key = b"keyyy"
-    alpha = b"ab\x04\x05"
-    words = [key + bytes(rng.choices(alpha, k=n)) for n in (4, 5) for _ in range(40)]
-    words += [bytes(rng.choices(alpha, k=n)) + key for n in (5, 6) for _ in range(40)]
-    words += [b"ke" + bytes([c]) for c in b"abcdefghijklmnopqrst"]
-    words += [bytes([c]) + b"e" for c in b"abcdefghijklmnopqrst"]
+    for k in (1, 2, 3):
+        _long_runs_match_the_oracle(k)
+
+
+def _long_runs_match_the_oracle(k):
+    # The list of b"key" holds runs of over 16 entries in every region, of
+    # two lengths each.  Where a region's longer length is also valid in the
+    # next region, that region starts with it, so the two runs share one
+    # length and stride and only the region bound tells them apart (regions
+    # 1 and 2 at every k).  Payloads over an alphabet holding the length bytes make the
+    # sub-pieces occur at misaligned offsets, inside one entry or straddling
+    # two.  The (k + 1)-byte words keyed by b"e" in their first or last piece
+    # leave a missing part of k bytes (need <= k) on either side.
+    rng = random.Random(15 + k)
+    key = b"key"
+    valid = [[n for n in range(len(key) + k, 40) if piece_lengths(n, k)[r] == len(key)] for r in range(k + 1)]
+    chosen = []
+    for r, lengths in enumerate(valid):
+        prev = chosen[-1][-1] if chosen else None
+        chosen.append([prev] + [n for n in lengths if n > prev][:1] if prev in lengths else lengths[:2])
+    assert chosen[1][0] == chosen[0][-1]
+    alpha = b"ab" + bytes(sorted({n - len(key) for lengths in chosen for n in lengths}))
+
+    def with_key(payload, r, piece=key):
+        cut = sum(piece_lengths(len(payload) + len(piece), k)[:r])
+        return payload[:cut] + piece + payload[cut:]
+
+    def payloads(symbols, n, count=20):
+        """``count`` distinct random payloads of ``n`` symbols, sorted."""
+        drawn = set()
+        while len(drawn) < count:
+            drawn.add(bytes(rng.choices(symbols, k=n)))
+        return sorted(drawn)
+
+    words = [with_key(e, r) for r, lengths in enumerate(chosen) for n in lengths for e in payloads(alpha, n - len(key))]
+    words += [with_key(e, r, b"e") for r in (0, k) for e in payloads(b"abcdefghijklmnopqrst", k)]
     d = Dictionary(words)
-    idx = build_index(d, 1)
+    idx = build_index(d, k)
     blob = idx.lists[idx.table.lookup_list(key)]
-    marker, entries = entries_k1(blob)
-    runs = [[len(e) for e in entries[: marker - 1]].count(n) for n in (4, 5)]
-    runs += [[len(e) for e in entries[marker - 1 :]].count(n) for n in (5, 6)]
+    markers, payloads = entries(blob, k)
+    by_region = regions(markers, payloads)
+    runs = [[len(e) for e in by_region[r]].count(n - len(key)) for r, lengths in enumerate(chosen) for n in lengths]
     assert min(runs) > 16
-    for short in (b"ke", b"e"):
-        assert len(entries_k1(idx.lists[idx.table.lookup_list(short)])[1]) > 16
+    short = regions(*entries(idx.lists[idx.table.lookup_list(b"e")], k))
+    assert min(len(short[0]), len(short[k])) > 16
 
     patterns = set()
-    # Every window of the list as the missing piece, aligned or not.
-    for n in (4, 5, 6):
-        for j in range(2, len(blob) - n):
-            patterns.update((key + blob[j : j + n], blob[j : j + n] + key))
-    # Stored words with no mismatch, one, and one in each half of either
-    # piece; the short words also with their first or last byte replaced.
+    # Every window of the list as the missing part, aligned or not.
+    for r, lengths in enumerate(chosen):
+        for n in lengths:
+            need = n - len(key)
+            patterns.update(with_key(blob[j : j + need], r) for j in range(2 * k, len(blob) - need))
+    # Stored words with no mismatch and with 1..k+1 mismatches; the short
+    # words also with their first or last byte replaced.
     for w in d.words:
         patterns.add(w)
-        b = len(split_word(w, 1)[0])
-        for lo, hi in ((0, b), (b, len(w))):
-            half = lo + (hi - lo) // 2
-            i = rng.randrange(lo, hi)
-            j = rng.randrange(lo, half) if half > lo else None
-            m = rng.randrange(half, hi)
-            one = bytearray(w)
-            one[i] ^= 1
-            patterns.add(bytes(one))
-            if j is not None:
-                two = bytearray(w)
-                two[j] ^= 1
-                two[m] ^= 1
-                patterns.add(bytes(two))
-        if len(w) <= 3:
+        for m in range(1, k + 2):
+            p = bytearray(w)
+            for i in rng.sample(range(len(w)), min(m, len(w))):
+                p[i] ^= 1
+            patterns.add(bytes(p))
+        if len(w) == k + 1:
             patterns.update(w[:-1] + bytes([c]) for c in b"az\x01")
             patterns.update(bytes([c]) + w[1:] for c in b"az\x01")
 
     patterns = tuple(sorted(patterns))
     for p in patterns:
-        assert idx.query(p) == oracle_query(d, p, 1), p
+        assert idx.query(p) == oracle_query(d, p, k), p
     report = run_bench(idx, QuerySet(patterns, "long runs"))
-    assert report.verifications == sum(expected_verifications(d, p, 1) for p in patterns)
+    assert report.verifications == sum(expected_verifications(d, p, k) for p in patterns)
 
 
 def test_length_filter_never_drops_matches():

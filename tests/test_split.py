@@ -1,4 +1,4 @@
-"""Piece arithmetic, word splitting, Hamming check, and reconstruction."""
+"""Piece arithmetic, word splitting, and the Hamming check."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from splitindex import (
     ConfigError,
-    CorruptListError,
     WordTooShortError,
     hamming_at_most,
     piece_lengths,
-    reconstruct,
     split_word,
 )
 
@@ -96,34 +94,3 @@ def test_hamming_matches_direct_count(a, limit):
     direct = sum(x != y for x, y in zip(a, b))
     assert hamming_at_most(a, b, limit) == (direct <= limit)
 
-
-def test_reconstruct_examples():
-    assert reconstruct(b"cd", b"abe", 2, 2, 5) == b"abcde"
-    assert reconstruct(b"a", b"bc", 1, 2, 3) == b"abc"
-
-
-def test_reconstruct_rejects_empty_remainder():
-    with pytest.raises(CorruptListError):
-        reconstruct(b"abc", b"", 1, 2, 3)
-
-
-def test_reconstruct_rejects_bad_position_and_totals():
-    with pytest.raises(CorruptListError):
-        reconstruct(b"ab", b"cde", 4, 2, 5)
-    with pytest.raises(CorruptListError):
-        reconstruct(b"ab", b"cde", 1, 2, 9)
-    with pytest.raises(CorruptListError):
-        reconstruct(b"abc", b"de", 2, 2, 5)  # piece 2 of length-5, k=2 is 2 bytes
-    with pytest.raises(ConfigError):
-        reconstruct(b"a", b"b", 1, 1, 2)
-
-
-@given(st.binary(min_size=3, max_size=50), st.integers(2, 4))
-@settings(max_examples=200)
-def test_reconstruct_inverts_splitting(word, k):
-    if len(word) < k + 1:
-        return
-    pieces = split_word(word, k)
-    for pos in range(1, k + 2):
-        blob = b"".join(p for i, p in enumerate(pieces) if i != pos - 1)
-        assert reconstruct(pieces[pos - 1], blob, pos, k, len(word)) == word

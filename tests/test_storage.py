@@ -63,7 +63,16 @@ def test_version_mismatch_names_both_versions():
     bad = blob[:8] + (7).to_bytes(2, "little") + blob[10:]
     with pytest.raises(VersionMismatchError) as err:
         index_from_bytes(bad)
-    assert "7" in str(err.value) and "1" in str(err.value)
+    assert "7" in str(err.value) and "2" in str(err.value)
+
+
+def test_version_1_file_is_rejected():
+    # Version 1 laid k = 1 lists out as version 2 does, so a k = 1 file with
+    # its version field set to 1 is byte for byte what version 1 wrote.
+    blob = index_to_bytes(build_index(Dictionary([b"table", b"left", b"tablet"]), 1))
+    assert blob[8:10] == (2).to_bytes(2, "little")
+    with pytest.raises(VersionMismatchError, match="version 1, this reader supports 2"):
+        index_from_bytes(blob[:8] + (1).to_bytes(2, "little") + blob[10:])
 
 
 def test_truncation_detected_at_every_cut(tmp_path):
