@@ -13,7 +13,6 @@ from .core import (
     ListStats,
     SplitIndex,
     build_index,
-    hamming_at_most,
     piece_lengths,
     split_word,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "compression_ratio",
     "extract_kmers",
     "gen_noisy_queries",
-    "hamming_at_most",
     "load_index",
     "load_misspellings",
     "load_substitutions",

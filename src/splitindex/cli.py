@@ -14,7 +14,7 @@ from .bench import BenchReport, run_bench, sweep
 from .core import build_index
 from .datasets import gen_noisy_queries, load_misspellings, load_wordlist
 from .errors import SplitIndexError
-from .hashing import HASH_FUNCTIONS, HashConfig
+from .hashing import DEFAULT_HASH, HASH_FUNCTIONS, HashConfig
 from .qgrams import POLICIES, mine_substitutions, save_substitutions
 from .storage import load_index, save_index
 
@@ -34,10 +34,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_build_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=1, help="mismatch budget (default 1)")
-    p.add_argument("--hash", default="xxhash", choices=sorted(HASH_FUNCTIONS),
-                   help="hash function id (default xxhash)")
-    p.add_argument("--max-lf", type=float, default=2.0,
-                   help="maximum hash table load factor (default 2.0)")
+    p.add_argument("--hash", default=DEFAULT_HASH, choices=sorted(HASH_FUNCTIONS),
+                   help="hash function id (default %(default)s)")
+    p.add_argument("--max-lf", type=float, default=HashConfig().max_load_factor,
+                   help="maximum hash table load factor (default %(default)s)")
     p.add_argument("--compress", default="none", choices=_COMPRESS_CHOICES,
                    help="substitution coding policy (default none)")
     p.add_argument("--limit", type=int, default=100,

@@ -65,25 +65,6 @@ def split_word(word: bytes, k: int) -> tuple[bytes, ...]:
     return tuple(pieces)
 
 
-def hamming_at_most(a: bytes, b: bytes, limit: int) -> bool:
-    """True iff equal-length ``a`` and ``b`` differ in at most ``limit`` positions.
-
-    Iterates with an early exit; unequal lengths are a contract violation
-    (callers filter by length first).
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if a == b:
-        return limit >= 0
-    m = 0
-    for x, y in zip(a, b):
-        if x != y:
-            m += 1
-            if m > limit:
-                return False
-    return True
-
-
 @lru_cache(maxsize=1024)  # queries ask for few distinct lengths
 def _plan(length: int, k: int) -> tuple[tuple, ...]:
     """Search plan for a ``length``-byte pattern, one tuple per piece r >= 0.

@@ -6,8 +6,7 @@ reference to its piece list always sit next to each other.  It is built once
 from the final key set and is immutable afterwards.  List references are
 dense integers, the position of each key in the key list the table is built
 from; the caller owns whatever storage they index.  The bucket count is the
-smallest power-of-two multiple of ``initial_bucket_count`` with
-``key count <= bucket count * max_load_factor``.
+smallest power of two with ``key count <= bucket count * max_load_factor``.
 
 All hash functions are seedless (fixed internal constants), return 64-bit
 values, and produce identical output on every platform.
@@ -140,24 +139,21 @@ _slow_hash_warned = False
 
 @dataclass(frozen=True)
 class HashConfig:
-    """Table tuning knobs.
+    """Table tuning knobs: the hash function and the maximum load factor.
 
     ``max_load_factor`` is keys per bucket and may exceed 1.0 because
-    collisions chain; the bucket count is always a power of two.
+    collisions chain; the bucket count is the smallest power of two that
+    keeps the load within it.
     """
 
     function_id: str = DEFAULT_HASH
     max_load_factor: float = 2.0
-    initial_bucket_count: int = 16
 
     def __post_init__(self) -> None:
         if self.function_id not in HASH_FUNCTIONS:
             raise ConfigError(f"unknown hash function {self.function_id!r}; known: {sorted(HASH_FUNCTIONS)}")
         if not self.max_load_factor > 0:
             raise ConfigError(f"max_load_factor must be > 0, got {self.max_load_factor}")
-        n = self.initial_bucket_count
-        if n < 1 or n & (n - 1):
-            raise ConfigError(f"initial_bucket_count must be a power of two, got {n}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +172,8 @@ class ChainedHashTable:
 
     Built once by ``build`` from the final key set, or loaded from a file, and
     never changed afterwards, so it is safe to read from many threads.  The
-    bucket count is the smallest power-of-two multiple of
-    ``initial_bucket_count`` that holds every key within ``max_load_factor``
-    keys per bucket.
+    bucket count is the smallest power of two that holds every key within
+    ``max_load_factor`` keys per bucket.
     """
 
     __slots__ = ("config", "_fn", "_buckets", "_mask", "_count")
@@ -207,7 +202,7 @@ class ChainedHashTable:
         Keys are distinct; each bucket holds its keys in ref order.
         """
         config = config or HashConfig()
-        n = config.initial_bucket_count
+        n = 1
         # n is a power of two, so n * max_load_factor is exact.
         while len(keys) > n * config.max_load_factor:
             n *= 2

@@ -180,24 +180,52 @@ def test_builds_are_byte_identical():
         assert a == b
 
 
-# SHA-256 of index_to_bytes for the dictionary below, with and without
-# GOLDEN_SUBS; any change to the list or file layout changes these.
+# SHA-256 digests for the dictionary below, with and without GOLDEN_SUBS:
+# of index_to_bytes, of the joined list blobs and of the joined bucket blobs.
+# Any change to the file layout changes the first; the other two pin the list
+# and bucket layout on their own, so a change to the file format alone leaves
+# them as they are.
 GOLDEN_DIGESTS = {
-    (1, False): "c19711d2fbf48cd6234d43fe865de1057c9560c62e2e067a4f874e8e8263cdc8",
-    (1, True): "27ef8781462c972f66afb3d3368f2925e2ad4043d1201487dd7b82d53f9c2d63",
-    (2, False): "9079d67307f8448e8ba93d03c4f525427a636903da5f0582d11691231d4655f7",
-    (2, True): "da21630cd1520dd044437e26e8aa097ecd5138b620d83797109ff3cc50f3ea88",
-    (3, False): "ef7a2d65e3e40c0c8d1394c83dd4d333d93c6843acfbfddb0e25acc5daa3d78c",
-    (3, True): "bacb17bc554f39ae87f122dea996ab8020e957c0179f07d9adb95f6eff6727af",
+    (1, False): (
+        "a5f6073847763f198ffbd5c0891b71347881ef14df99c75b9dc4992c288f3301",
+        "0927345e8ad51dfa2bb1393aca744851fca56a748dbd12968eec1f6711fc018f",
+        "e62727d5a44f91b11d40f1f45ac1df040f6f144121e8bdc14ce277b3b1b99f35",
+    ),
+    (1, True): (
+        "04a9c7c94faebe4b0e3e35717ccad12b540991322a4ac09414625048bd25ac05",
+        "844747c929a2a3d8ebc33c4173844dd4e4b0bd3838a405fc1011383f0d0a151b",
+        "e62727d5a44f91b11d40f1f45ac1df040f6f144121e8bdc14ce277b3b1b99f35",
+    ),
+    (2, False): (
+        "acc7a431532c4ae1e37a2c3d9efc5d89341357bb8eda4778b941f91821c1fe25",
+        "377a154bfdc8e09ba125e2cc8f5c82f63feface80abb9dde2e0a0869d8ac4c37",
+        "115c60ae4254bd777cfcf3173d00adf91c0a74b3d3662ca05bc71da7e97d3f0a",
+    ),
+    (2, True): (
+        "84cb8a7f6001176877cc1e3e1aec8074f4ff5ceb788d043fc65f46ca4ba98014",
+        "deacc41caf72025ac92c265e39611460ab6f41d72575ee57e9d209eeae3cc488",
+        "115c60ae4254bd777cfcf3173d00adf91c0a74b3d3662ca05bc71da7e97d3f0a",
+    ),
+    (3, False): (
+        "2ccc9590f357ac09c89bf7e00bcf04f352e466872697a79c0c60c5483d049fc1",
+        "b05b56705f460a2ea598af4f60c7abf5abeea806672b2319ce2de9a805a17d42",
+        "c8093048556d30cd3336da7db58cf6b6d6acdfe85bdc697c296cd177fe1cd550",
+    ),
+    (3, True): (
+        "57a557a266ca33c715274502c28cc889b4a8243ccfac286460be3571a207d1b7",
+        "c865279ab3b20fe2c9242fa63dafff9035f1806869ac6700017909d53c54fa1d",
+        "c8093048556d30cd3336da7db58cf6b6d6acdfe85bdc697c296cd177fe1cd550",
+    ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
 
 
 def test_layout_is_pinned():
     d = Dictionary(english_words(6000, seed=5) + [b"a", b"ab", b"abc", b"x"])
-    for (k, coded), digest in GOLDEN_DIGESTS.items():
+    for (k, coded), digests in GOLDEN_DIGESTS.items():
         idx = build_index(d, k, substitutions=GOLDEN_SUBS if coded else None)
-        assert hashlib.sha256(index_to_bytes(idx)).hexdigest() == digest, (k, coded)
+        parts = (index_to_bytes(idx), b"".join(idx.lists), b"".join(idx.table.buckets))
+        assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (k, coded)
 
 
 def test_duplicate_words_do_not_duplicate_entries():

@@ -83,10 +83,9 @@ def test_unknown_function_id():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        HashConfig(max_load_factor=0)
-    with pytest.raises(ConfigError):
-        HashConfig(initial_bucket_count=12)
+    for lf in (0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            HashConfig(max_load_factor=lf)
 
 
 def test_build_and_lookup():
@@ -100,28 +99,30 @@ def test_build_and_lookup():
 
 
 def test_bucket_count_at_load_factor_boundary():
-    cfg = HashConfig(initial_bucket_count=2, max_load_factor=2.0)
+    cfg = HashConfig(max_load_factor=2.0)
     keys = [b"k%d" % i for i in range(5)]
+    assert ChainedHashTable.build([], cfg).bucket_count == 1
+    assert ChainedHashTable.build(keys[:2], cfg).bucket_count == 1  # 2 keys / 1 bucket = max LF exactly
+    assert ChainedHashTable.build(keys[:3], cfg).bucket_count == 2
     assert ChainedHashTable.build(keys[:4], cfg).bucket_count == 2  # 4 keys / 2 buckets = max LF exactly
     t = ChainedHashTable.build(keys, cfg)  # 5/2 would exceed 2.0
     assert t.bucket_count == 4
     assert t.key_count == 5
 
 
-@given(st.integers(0, 3000), st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.sampled_from([1, 2, 16]))
+@given(st.integers(0, 3000), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
 @settings(max_examples=40, deadline=None)
-def test_bucket_count_is_smallest_power_of_two_multiple(n, lf, initial):
-    cfg = HashConfig(max_load_factor=lf, initial_bucket_count=initial)
+def test_bucket_count_is_smallest_power_of_two_multiple(n, lf):
+    cfg = HashConfig(max_load_factor=lf)
     b = ChainedHashTable.build([b"%d" % i for i in range(n)], cfg).bucket_count
-    doublings = b // initial
-    assert b % initial == 0 and doublings & (doublings - 1) == 0
+    assert b >= 1 and b & (b - 1) == 0
     assert n <= b * lf
-    assert b == initial or n > b // 2 * lf
+    assert b == 1 or n > b // 2 * lf
 
 
 def test_lookup_of_many_keys():
     keys = [b"key-%d" % i for i in range(100)]
-    t = ChainedHashTable.build(keys, HashConfig(initial_bucket_count=2))
+    t = ChainedHashTable.build(keys)
     assert t.bucket_count == 64
     for ref, key in enumerate(keys):  # refs are dense, in key order
         assert t.lookup_list(key) == ref
@@ -133,16 +134,16 @@ def test_load_factor_never_exceeds_max():
     keys = [b"%d" % i for i in range(200)]
     for lf in (0.5, 1.0, 2.0, 3.0):
         for n in range(0, 201, 5):
-            t = ChainedHashTable.build(keys[:n], HashConfig(max_load_factor=lf, initial_bucket_count=2))
+            t = ChainedHashTable.build(keys[:n], HashConfig(max_load_factor=lf))
             assert t.key_count / t.bucket_count <= lf
 
 
 def test_bucket_stats():
     s = ChainedHashTable.build([]).bucket_stats()
     assert s.mean_chain == 0 and s.max_chain == 0
-    cfg = HashConfig(initial_bucket_count=2, max_load_factor=10.0)
+    cfg = HashConfig(max_load_factor=10.0)
     t2 = ChainedHashTable.build([b"x%d" % i for i in range(4)], cfg)
-    assert t2.bucket_stats().mean_chain == 2.0
+    assert t2.bucket_count == 1 and t2.bucket_stats().mean_chain == 4.0
 
 
 @given(st.integers(0, 3000), st.integers(0, 2**32))

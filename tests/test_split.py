@@ -1,4 +1,4 @@
-"""Piece arithmetic, word splitting, and the Hamming check."""
+"""Piece arithmetic and word splitting."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from splitindex import (
     ConfigError,
     WordTooShortError,
-    hamming_at_most,
     piece_lengths,
     split_word,
 )
@@ -65,32 +64,3 @@ def test_split_concatenates_back(word, k):
     pieces = split_word(word, k)
     assert b"".join(pieces) == word
     assert all(pieces)
-
-
-def test_hamming_examples():
-    assert hamming_at_most(b"table", b"table", 0)
-    assert hamming_at_most(b"table", b"cable", 1)
-    assert not hamming_at_most(b"table", b"cable", 0)
-    # five mismatching positions
-    assert not hamming_at_most(b"abbac", b"baxcy", 2)
-
-
-def test_hamming_rejects_unequal_lengths():
-    with pytest.raises(ValueError):
-        hamming_at_most(b"ab", b"abc", 1)
-
-
-@given(st.binary(min_size=0, max_size=40), st.integers(0, 5))
-@settings(max_examples=200)
-def test_hamming_matches_direct_count(a, limit):
-    import random
-
-    rng = random.Random(len(a) * 31 + limit)
-    b = bytearray(a)
-    for i in range(len(b)):
-        if rng.random() < 0.3:
-            b[i] = rng.randrange(256)
-    b = bytes(b)
-    direct = sum(x != y for x, y in zip(a, b))
-    assert hamming_at_most(a, b, limit) == (direct <= limit)
-

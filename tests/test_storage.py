@@ -1,6 +1,8 @@
 """Index file round trips and malformed-file handling."""
 
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -9,6 +11,7 @@ from corpora import random_words
 from splitindex import (
     BadMagicError,
     Dictionary,
+    SplitIndexError,
     StorageError,
     TruncatedIndexError,
     VersionMismatchError,
@@ -63,16 +66,25 @@ def test_version_mismatch_names_both_versions():
     bad = blob[:8] + (7).to_bytes(2, "little") + blob[10:]
     with pytest.raises(VersionMismatchError) as err:
         index_from_bytes(bad)
-    assert "7" in str(err.value) and "2" in str(err.value)
+    assert "7" in str(err.value) and "3" in str(err.value)
 
 
-def test_version_1_file_is_rejected():
-    # Version 1 laid k = 1 lists out as version 2 does, so a k = 1 file with
-    # its version field set to 1 is byte for byte what version 1 wrote.
-    blob = index_to_bytes(build_index(Dictionary([b"table", b"left", b"tablet"]), 1))
-    assert blob[8:10] == (2).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 1, this reader supports 2"):
-        index_from_bytes(blob[:8] + (1).to_bytes(2, "little") + blob[10:])
+# A k = 1 index of b"table", b"left", b"tablet" as format version 2 wrote it.
+VERSION_2_FILE = bytes.fromhex(
+    "53504c4954494458020001067878686173681000000000000000000000401000"
+    "0000040000000f00000000000000030000000000000006000000000000000700"
+    "0000026c65010000000000000000000000080000000374616200000000000000"
+    "0000000000000000000000000007000000026674020000000000000000000000"
+    "00000000000000000000000008000000036c6574030000000000000004000000"
+    "0a0000000000026c65036c6574000a0000000200026674037461620006000000"
+    "0100026c65000700000001000374616200"
+)
+
+
+def test_version_2_file_is_rejected():
+    assert VERSION_2_FILE[8:10] == (2).to_bytes(2, "little")
+    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 3"):
+        index_from_bytes(VERSION_2_FILE)
 
 
 def test_truncation_detected_at_every_cut(tmp_path):
@@ -106,3 +118,38 @@ def test_zero_k_is_storage_error():
     assert blob[at] == 1
     with pytest.raises(StorageError, match="got 0"):
         index_from_bytes(blob[:at] + b"\x00" + blob[at + 1 :])
+
+
+def test_flipped_list_byte_fails_the_checksum():
+    idx = build_index(Dictionary([b"table", b"left", b"tablet", b"cable"]), 1)
+    blob = bytearray(index_to_bytes(idx))
+    longest = max(idx.lists, key=len)
+    at = blob.rindex(longest, 0, len(blob) - 4) + len(longest) // 2
+    blob[at] ^= 0x20
+    with pytest.raises(StorageError, match="checksum"):
+        index_from_bytes(bytes(blob))
+
+
+def test_empty_substitution_rule_is_storage_error():
+    blob = index_to_bytes(build_index(Dictionary([b"table", b"left"]), 1))
+    at = 8 + 2 + 1 + 1 + 6 + 8 + 18 + 4  # header, then the empty side-table section
+    assert blob[at : at + 4] == struct.pack("<I", 0)  # no substitution rules
+    body = blob[:at] + struct.pack("<II", 1, 0) + blob[at + 4 : -4]
+    with pytest.raises(StorageError, match="empty substitution rule"):
+        index_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_corrupted_files_fail_at_load():
+    rng = random.Random(61)
+    blobs = []
+    for k in (1, 2):
+        for coded in (False, True):
+            d = Dictionary(random_words(rng, 250, 8) + [b"a", b"ab"])
+            subs = mine_substitutions(d, "mixed", 20) if coded else None
+            blobs.append(index_to_bytes(build_index(d, k, substitutions=subs)))
+    for case in range(1200):
+        blob = bytearray(blobs[case % len(blobs)])
+        for at in rng.sample(range(len(blob)), rng.randint(1, 3)):
+            blob[at] ^= rng.randrange(1, 256)
+        with pytest.raises(SplitIndexError):
+            index_from_bytes(bytes(blob))
