@@ -14,7 +14,7 @@ from .bench import BenchReport, run_bench, sweep
 from .core import build_index
 from .datasets import gen_noisy_queries, load_misspellings, load_wordlist
 from .errors import SplitIndexError
-from .hashing import DEFAULT_HASH, HASH_FUNCTIONS, HashConfig
+from .hashing import DEFAULT_HASH, HASH_FUNCTIONS, MIN_LOAD_FACTOR, HashConfig
 from .qgrams import POLICIES, mine_substitutions, save_substitutions
 from .storage import load_index, save_index
 
@@ -37,7 +37,8 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hash", default=DEFAULT_HASH, choices=sorted(HASH_FUNCTIONS),
                    help="hash function id (default %(default)s)")
     p.add_argument("--max-lf", type=float, default=HashConfig().max_load_factor,
-                   help="maximum hash table load factor (default %(default)s)")
+                   help=f"maximum hash table load factor, at least {MIN_LOAD_FACTOR} "
+                        "(default %(default)s)")
     p.add_argument("--compress", default="none", choices=_COMPRESS_CHOICES,
                    help="substitution coding policy (default none)")
     p.add_argument("--limit", type=int, default=100,
@@ -84,7 +85,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="benchmark across a parameter grid")
     p.add_argument("dimension", choices=("hash", "load_factor", "k", "compression"))
     p.add_argument("--grid", required=True,
-                   help="comma-separated grid values, e.g. 1,2,3 or xxhash,fnv1a")
+                   help="comma-separated grid values, e.g. 1,2,3 or crc32,fnv1a")
     p.add_argument("--dict", required=True, dest="dict_path", metavar="PATH")
     _add_build_flags(p)
     _add_query_source_flags(p)

@@ -8,13 +8,16 @@ dense integers, the position of each key in the key list the table is built
 from; the caller owns whatever storage they index.  The bucket count is the
 smallest power of two with ``key count <= bucket count * max_load_factor``.
 
-All hash functions are seedless (fixed internal constants), return 64-bit
-values, and produce identical output on every platform.
+All hash functions are seedless (fixed internal constants) and produce
+identical output on every platform, in every process, so a saved table can be
+probed after a load.  ``crc32`` returns 32-bit values and the others 64-bit
+values; a bucket is picked by the low bits, so bucket counts stop at 2**32.
 """
 
 from __future__ import annotations
 
 import logging
+import zlib
 from dataclasses import dataclass
 
 from .errors import BuildError, ConfigError
@@ -125,13 +128,22 @@ except ImportError:  # pragma: no cover
     _xxh64_c = None
 
 HASH_FUNCTIONS = {
+    # zlib.crc32 runs in C on every install, so it is the default; "xxhash"
+    # stays for files built with it.
+    "crc32": zlib.crc32,
     "xxhash": _xxh64_c or xxhash64,
     "fnv1": fnv1_64,
     "fnv1a": fnv1a_64,
     "sdbm": sdbm_64,
 }
 
-DEFAULT_HASH = "xxhash"
+DEFAULT_HASH = "crc32"
+
+# The smallest max_load_factor accepted: it keeps the bucket count below eight
+# times the key count, so a typo cannot ask for billions of buckets.
+MIN_LOAD_FACTOR = 0.25
+# The most buckets a table may have: the narrowest hash, crc32, has 32 bits.
+MAX_BUCKETS = 2**32
 
 # Set once the first table hashing with the pure-Python xxhash64 has said so.
 _slow_hash_warned = False
@@ -141,9 +153,9 @@ _slow_hash_warned = False
 class HashConfig:
     """Table tuning knobs: the hash function and the maximum load factor.
 
-    ``max_load_factor`` is keys per bucket and may exceed 1.0 because
-    collisions chain; the bucket count is the smallest power of two that
-    keeps the load within it.
+    ``max_load_factor`` is keys per bucket, at least ``MIN_LOAD_FACTOR``, and
+    may exceed 1.0 because collisions chain; the bucket count is the smallest
+    power of two that keeps the load within it.
     """
 
     function_id: str = DEFAULT_HASH
@@ -152,8 +164,19 @@ class HashConfig:
     def __post_init__(self) -> None:
         if self.function_id not in HASH_FUNCTIONS:
             raise ConfigError(f"unknown hash function {self.function_id!r}; known: {sorted(HASH_FUNCTIONS)}")
-        if not self.max_load_factor > 0:
-            raise ConfigError(f"max_load_factor must be > 0, got {self.max_load_factor}")
+        if not self.max_load_factor >= MIN_LOAD_FACTOR:
+            raise ConfigError(f"max_load_factor must be >= {MIN_LOAD_FACTOR}, got {self.max_load_factor}")
+
+
+def _bucket_count(key_count: int, max_load_factor: float) -> int:
+    """Smallest power of two holding ``key_count`` keys within the load factor."""
+    n = 1
+    # n is a power of two, so n * max_load_factor is exact.
+    while key_count > n * max_load_factor:
+        n *= 2
+    if n > MAX_BUCKETS:
+        raise BuildError(f"{key_count} keys need {n} buckets, more than the {MAX_BUCKETS} a 32-bit hash addresses")
+    return n
 
 
 @dataclass(frozen=True)
@@ -202,10 +225,7 @@ class ChainedHashTable:
         Keys are distinct; each bucket holds its keys in ref order.
         """
         config = config or HashConfig()
-        n = 1
-        # n is a power of two, so n * max_load_factor is exact.
-        while len(keys) > n * config.max_load_factor:
-            n *= 2
+        n = _bucket_count(len(keys), config.max_load_factor)
         buckets = [bytearray() for _ in range(n)]
         fn = HASH_FUNCTIONS[config.function_id]
         mask = n - 1

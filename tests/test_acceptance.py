@@ -196,12 +196,12 @@ def test_criterion_7_compression_effect(tmp_path_factory):
 def test_criterion_8_hash_invariance(english_dictionary, english_queries):
     with criterion(8, "hash choice changes speed only"):
         queries = type(english_queries)(english_queries.patterns[:800], "subset")
-        reports = sweep("hash", ["xxhash", "fnv1", "fnv1a", "sdbm"], english_dictionary, queries)
+        reports = sweep("hash", ["crc32", "xxhash", "fnv1", "fnv1a", "sdbm"], english_dictionary, queries)
         assert len({r.matches_found for r in reports}) == 1
         means = [r.bucket_mean_chain for r in reports]
         assert max(means) <= min(means) * 1.05
         nonempty = []
-        for fid in ("xxhash", "fnv1", "fnv1a", "sdbm"):
+        for fid in ("crc32", "xxhash", "fnv1", "fnv1a", "sdbm"):
             idx = build_index(english_dictionary, 1, hash_config=HashConfig(function_id=fid))
             nonempty.append(idx.table.bucket_stats().nonempty_mean_chain)
         print(f"  nonempty mean chains {[round(v, 4) for v in nonempty]}")

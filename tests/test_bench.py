@@ -121,8 +121,9 @@ def test_sweep_rejects_bad_grids(small_world):
     d, queries = small_world
     with pytest.raises(ConfigError):
         sweep("hash", ["xxhash", "md5"], d, queries)
-    with pytest.raises(ConfigError):
-        sweep("load_factor", [0.0], d, queries)
+    for lf in (0.0, 1e-6):  # 1e-6 would ask for billions of buckets
+        with pytest.raises(ConfigError, match=str(lf)):
+            sweep("load_factor", [lf], d, queries)
     with pytest.raises(ConfigError):
         sweep("k", [0], d, queries)
     with pytest.raises(ConfigError):

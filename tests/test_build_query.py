@@ -14,6 +14,7 @@ from splitindex import (
     BuildError,
     ConfigError,
     Dictionary,
+    HashConfig,
     QuerySet,
     SubstitutionList,
     build_index,
@@ -180,41 +181,71 @@ def test_builds_are_byte_identical():
         assert a == b
 
 
-# SHA-256 digests for the dictionary below, with and without GOLDEN_SUBS:
-# of index_to_bytes, of the joined list blobs and of the joined bucket blobs.
-# Any change to the file layout changes the first; the other two pin the list
-# and bucket layout on their own, so a change to the file format alone leaves
-# them as they are.
+# SHA-256 digests for the dictionary below, per hash id, with and without
+# GOLDEN_SUBS: of index_to_bytes, of the joined list blobs and of the joined
+# bucket blobs.  Any change to the file layout changes the first; the other two
+# pin the list and bucket layout on their own, so a change to the file format
+# alone leaves them as they are.  The hash id moves buckets, never lists.
 GOLDEN_DIGESTS = {
-    (1, False): (
+    ("xxhash", 1, False): (
         "a5f6073847763f198ffbd5c0891b71347881ef14df99c75b9dc4992c288f3301",
         "0927345e8ad51dfa2bb1393aca744851fca56a748dbd12968eec1f6711fc018f",
         "e62727d5a44f91b11d40f1f45ac1df040f6f144121e8bdc14ce277b3b1b99f35",
     ),
-    (1, True): (
+    ("xxhash", 1, True): (
         "04a9c7c94faebe4b0e3e35717ccad12b540991322a4ac09414625048bd25ac05",
         "844747c929a2a3d8ebc33c4173844dd4e4b0bd3838a405fc1011383f0d0a151b",
         "e62727d5a44f91b11d40f1f45ac1df040f6f144121e8bdc14ce277b3b1b99f35",
     ),
-    (2, False): (
+    ("xxhash", 2, False): (
         "acc7a431532c4ae1e37a2c3d9efc5d89341357bb8eda4778b941f91821c1fe25",
         "377a154bfdc8e09ba125e2cc8f5c82f63feface80abb9dde2e0a0869d8ac4c37",
         "115c60ae4254bd777cfcf3173d00adf91c0a74b3d3662ca05bc71da7e97d3f0a",
     ),
-    (2, True): (
+    ("xxhash", 2, True): (
         "84cb8a7f6001176877cc1e3e1aec8074f4ff5ceb788d043fc65f46ca4ba98014",
         "deacc41caf72025ac92c265e39611460ab6f41d72575ee57e9d209eeae3cc488",
         "115c60ae4254bd777cfcf3173d00adf91c0a74b3d3662ca05bc71da7e97d3f0a",
     ),
-    (3, False): (
+    ("xxhash", 3, False): (
         "2ccc9590f357ac09c89bf7e00bcf04f352e466872697a79c0c60c5483d049fc1",
         "b05b56705f460a2ea598af4f60c7abf5abeea806672b2319ce2de9a805a17d42",
         "c8093048556d30cd3336da7db58cf6b6d6acdfe85bdc697c296cd177fe1cd550",
     ),
-    (3, True): (
+    ("xxhash", 3, True): (
         "57a557a266ca33c715274502c28cc889b4a8243ccfac286460be3571a207d1b7",
         "c865279ab3b20fe2c9242fa63dafff9035f1806869ac6700017909d53c54fa1d",
         "c8093048556d30cd3336da7db58cf6b6d6acdfe85bdc697c296cd177fe1cd550",
+    ),
+    ("crc32", 1, False): (
+        "484776c241f6add8f7245333365ef7d419ee06f51b511920a02f9fc607e20db9",
+        "0927345e8ad51dfa2bb1393aca744851fca56a748dbd12968eec1f6711fc018f",
+        "0499971abb820c0620f17a569f27a37ffcc4e3819b7ab1be2f39f19f9408b8fc",
+    ),
+    ("crc32", 1, True): (
+        "72a3149f98223057068c7552fd7c7b0d8e8ff3b84deed6c8208b240311463b94",
+        "844747c929a2a3d8ebc33c4173844dd4e4b0bd3838a405fc1011383f0d0a151b",
+        "0499971abb820c0620f17a569f27a37ffcc4e3819b7ab1be2f39f19f9408b8fc",
+    ),
+    ("crc32", 2, False): (
+        "89072a1a56c3057f8129c92e3515322031b084b68010eae59abed3996b23ba1a",
+        "377a154bfdc8e09ba125e2cc8f5c82f63feface80abb9dde2e0a0869d8ac4c37",
+        "bc1083f6a1b07fc0561211ad84bfd21c60cb182f3521bf0524d4460be455a1f2",
+    ),
+    ("crc32", 2, True): (
+        "cea306a978cbcf53d3cb92adbafab8d5168cc682e47bbcf60d21d6f7a3a9dfaa",
+        "deacc41caf72025ac92c265e39611460ab6f41d72575ee57e9d209eeae3cc488",
+        "bc1083f6a1b07fc0561211ad84bfd21c60cb182f3521bf0524d4460be455a1f2",
+    ),
+    ("crc32", 3, False): (
+        "3517f505fccbb70339a8706da550001a4951ef04094270b0862ed0d52093c98c",
+        "b05b56705f460a2ea598af4f60c7abf5abeea806672b2319ce2de9a805a17d42",
+        "9c6489b2b3fa6001a75617ff284b292ffdf62f2185111a6098f8568e1226093b",
+    ),
+    ("crc32", 3, True): (
+        "877bdc15cbc814197211b202f70fb74e5f09ed0dea079c783d88af6979eca112",
+        "c865279ab3b20fe2c9242fa63dafff9035f1806869ac6700017909d53c54fa1d",
+        "9c6489b2b3fa6001a75617ff284b292ffdf62f2185111a6098f8568e1226093b",
     ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
@@ -222,10 +253,11 @@ GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"ti
 
 def test_layout_is_pinned():
     d = Dictionary(english_words(6000, seed=5) + [b"a", b"ab", b"abc", b"x"])
-    for (k, coded), digests in GOLDEN_DIGESTS.items():
-        idx = build_index(d, k, substitutions=GOLDEN_SUBS if coded else None)
+    for (fid, k, coded), digests in GOLDEN_DIGESTS.items():
+        idx = build_index(d, k, hash_config=HashConfig(function_id=fid),
+                          substitutions=GOLDEN_SUBS if coded else None)
         parts = (index_to_bytes(idx), b"".join(idx.lists), b"".join(idx.table.buckets))
-        assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (k, coded)
+        assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
 
 
 def test_duplicate_words_do_not_duplicate_entries():

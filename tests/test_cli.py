@@ -38,6 +38,17 @@ def test_build_then_query(tmp_path, wordfile, capsys):
     assert out.splitlines() == ["table"]
 
 
+def test_build_hash_and_load_factor_flags(tmp_path, wordfile, capsys):
+    idx = tmp_path / "idx.bin"
+    for fid in ("crc32", "xxhash"):
+        code, _, _ = run(capsys, "build", "--dict", str(wordfile), "--hash", fid, "--out", str(idx))
+        assert code == 0
+        code, out, _ = run(capsys, "query", "--index", str(idx), "tavle")
+        assert (code, out.splitlines()) == (0, ["table"])
+    code, _, err = run(capsys, "build", "--dict", str(wordfile), "--max-lf", "1e-6", "--out", str(idx))
+    assert code == 2 and "1e-06" in err
+
+
 def test_query_builds_on_the_fly(wordfile, capsys):
     code, out, _ = run(capsys, "query", "--dict", str(wordfile), "--k", "1", "stome")
     assert code == 0

@@ -41,6 +41,27 @@ XXH64_VECTORS = [
 ]
 
 
+# Published CRC-32 (IEEE 802.3) values; "123456789" is the standard check.
+CRC32_VECTORS = [
+    (b"", 0x00000000),
+    (b"a", 0xE8B7BE43),
+    (b"tab", 0x73E3430C),
+    (b"123456789", 0xCBF43926),
+]
+
+XXHASH = HashConfig(function_id="xxhash")
+
+
+@pytest.mark.parametrize("data,expected", CRC32_VECTORS)
+def test_crc32_vectors(data, expected):
+    assert HASH_FUNCTIONS["crc32"](data) == expected
+
+
+def test_crc32_is_the_default():
+    assert hashing.DEFAULT_HASH == "crc32" == HashConfig().function_id
+    assert ChainedHashTable.build([b"tab"]).config.function_id == "crc32"
+
+
 @pytest.mark.parametrize("data,expected", XXH64_VECTORS)
 def test_xxhash64_vectors(data, expected):
     assert xxhash64(data) == expected
@@ -70,14 +91,14 @@ def test_fnv1_and_sdbm_definitions():
 
 
 def test_hash_determinism_and_empty():
-    for fid in ("xxhash", "fnv1", "fnv1a", "sdbm"):
+    for fid in ("crc32", "xxhash", "fnv1", "fnv1a", "sdbm"):
         fn = HASH_FUNCTIONS[fid]
         assert fn(b"tab") == fn(b"tab")
         fn(b"")  # boundary input hashes without error
 
 
 def test_unknown_function_id():
-    for name in ("md5", "crc32"):
+    for name in ("md5", "crc64"):
         with pytest.raises(ConfigError, match=name):
             HashConfig(function_id=name)
 
@@ -86,6 +107,17 @@ def test_config_validation():
     for lf in (0, -1.0, float("nan")):
         with pytest.raises(ConfigError):
             HashConfig(max_load_factor=lf)
+
+
+def test_tiny_load_factor_and_huge_bucket_count_are_rejected():
+    # Both checks run before a single bucket is allocated.
+    for lf in (1e-6, 0.2499):
+        with pytest.raises(ConfigError, match=str(lf)):
+            HashConfig(max_load_factor=lf)
+    assert HashConfig(max_load_factor=hashing.MIN_LOAD_FACTOR).max_load_factor == 0.25
+    assert hashing._bucket_count(2**30, 0.25) == 2**32
+    with pytest.raises(BuildError, match=str(2**33)):
+        hashing._bucket_count(2**30 + 1, 0.25)
 
 
 def test_build_and_lookup():
@@ -178,13 +210,14 @@ def test_pure_python_xxhash_warns_once(monkeypatch, caplog):
     caplog.set_level(logging.WARNING, logger="splitindex.hashing")
     monkeypatch.setattr(hashing, "_slow_hash_warned", False)
     monkeypatch.setitem(HASH_FUNCTIONS, "xxhash", lambda data: xxhash64(data))
-    ChainedHashTable.build([b"a"])  # a C-backed stand-in says nothing
+    ChainedHashTable.build([b"a"], XXHASH)  # a C-backed stand-in says nothing
     ChainedHashTable.build([b"a"], HashConfig(function_id="fnv1"))
+    ChainedHashTable.build([b"a"])
     assert not caplog.records
 
     monkeypatch.setitem(HASH_FUNCTIONS, "xxhash", xxhash64)
-    blob = index_to_bytes(build_index(Dictionary([b"table"]), 1))
-    ChainedHashTable.build([b"b"])
+    blob = index_to_bytes(build_index(Dictionary([b"table"]), 1, hash_config=XXHASH))
+    ChainedHashTable.build([b"b"], XXHASH)
     assert len(caplog.records) == 1
     record = caplog.records[0]
     assert record.name == "splitindex.hashing" and record.levelno == logging.WARNING

@@ -1,5 +1,6 @@
 """Index file round trips and malformed-file handling."""
 
+import logging
 import random
 import struct
 import zlib
@@ -9,15 +10,20 @@ import pytest
 from corpora import random_words
 
 from splitindex import (
+    HASH_FUNCTIONS,
     BadMagicError,
     Dictionary,
+    HashConfig,
     SplitIndexError,
     StorageError,
     TruncatedIndexError,
     VersionMismatchError,
     build_index,
+    gen_noisy_queries,
+    hashing,
     load_index,
     mine_substitutions,
+    oracle_query,
     save_index,
 )
 from splitindex.storage import index_from_bytes, index_to_bytes
@@ -107,8 +113,8 @@ def test_trailing_garbage_rejected():
 def test_non_ascii_hash_id_is_storage_error():
     blob = index_to_bytes(build_index(Dictionary([b"table"]), 1))
     at = 8 + 2 + 1 + 1  # magic, version, k, hash id length
-    assert blob[at : at + 6] == b"xxhash"
-    with pytest.raises(StorageError, match=r"\\xc3xhash"):
+    assert blob[at : at + 5] == b"crc32"
+    with pytest.raises(StorageError, match=r"\\xc3rc32"):
         index_from_bytes(blob[:at] + b"\xc3" + blob[at + 1 :])
 
 
@@ -132,7 +138,8 @@ def test_flipped_list_byte_fails_the_checksum():
 
 def test_empty_substitution_rule_is_storage_error():
     blob = index_to_bytes(build_index(Dictionary([b"table", b"left"]), 1))
-    at = 8 + 2 + 1 + 1 + 6 + 8 + 18 + 4  # header, then the empty side-table section
+    id_len = blob[8 + 2 + 1]  # after magic, version, k
+    at = 8 + 2 + 1 + 1 + id_len + 8 + 18 + 4  # header, then the empty side-table section
     assert blob[at : at + 4] == struct.pack("<I", 0)  # no substitution rules
     body = blob[:at] + struct.pack("<II", 1, 0) + blob[at + 4 : -4]
     with pytest.raises(StorageError, match="empty substitution rule"):
@@ -153,3 +160,30 @@ def test_corrupted_files_fail_at_load():
             blob[at] ^= rng.randrange(1, 256)
         with pytest.raises(SplitIndexError):
             index_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_xxhash_files_still_load_and_answer(tmp_path, monkeypatch, caplog, k):
+    # Files written when xxhash was the default keep their hash id; loading one
+    # hashes with xxhash (here the pure-Python fallback) and warns for it alone.
+    caplog.set_level(logging.WARNING, logger="splitindex.hashing")
+    monkeypatch.setitem(HASH_FUNCTIONS, "xxhash", hashing.xxhash64)
+    rng = random.Random(30 + k)
+    d = Dictionary(random_words(rng, 500, 26) + [b"a", b"ab"])
+    xx_path, crc_path = tmp_path / "xx.bin", tmp_path / "crc.bin"
+    save_index(build_index(d, k, hash_config=HashConfig(function_id="xxhash")), xx_path)
+    save_index(build_index(d, k), crc_path)
+
+    monkeypatch.setattr(hashing, "_slow_hash_warned", False)
+    caplog.clear()
+    crc = load_index(crc_path)
+    assert not caplog.records
+    xx = load_index(xx_path)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "xxhash64" in caplog.records[0].getMessage()
+
+    assert (xx.table.config.function_id, crc.table.config.function_id) == ("xxhash", "crc32")
+    assert index_to_bytes(xx) == xx_path.read_bytes()
+    assert xx.lists == crc.lists and xx.size_bytes() == crc.size_bytes()
+    for p in gen_noisy_queries(d, 150, seed=k).patterns + (b"a", b"zz"):
+        assert xx.query(p) == crc.query(p) == oracle_query(d, p, k)
