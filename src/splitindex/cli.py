@@ -45,10 +45,17 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
                    help="maximum mined substitution rules (default 100)")
 
 
+def _add_index_source_flags(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--index", help="load a saved index")
+    source.add_argument("--dict", dest="dict_path", metavar="PATH", help="or build one on the fly")
+
+
 def _add_query_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--queries", help="misspellings file (wrong->right lines)")
-    p.add_argument("--gen-queries", type=int, metavar="N",
-                   help="generate N noisy queries from the dictionary")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--queries", help="misspellings file (wrong->right lines)")
+    source.add_argument("--gen-queries", type=int, metavar="N",
+                        help="generate N noisy queries from the dictionary")
     p.add_argument("--seed", type=int, default=1, help="seed for --gen-queries (default 1)")
 
 
@@ -69,14 +76,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output index file")
 
     p = sub.add_parser("query", help="print matching words, one per line")
-    p.add_argument("--index", help="load a saved index")
-    p.add_argument("--dict", dest="dict_path", metavar="PATH", help="or build one on the fly")
+    _add_index_source_flags(p)
     _add_build_flags(p)
     p.add_argument("patterns", nargs="+", help="query patterns (UTF-8 encoded)")
 
     p = sub.add_parser("bench", help="time a query workload")
-    p.add_argument("--index", help="load a saved index")
-    p.add_argument("--dict", dest="dict_path", metavar="PATH", help="or build one on the fly")
+    _add_index_source_flags(p)
     _add_build_flags(p)
     _add_query_source_flags(p)
     _add_report_flags(p)
@@ -111,15 +116,11 @@ def _build_from_args(args):
 
 
 def _load_queries(args, dictionary):
-    if args.queries and args.gen_queries:
-        raise SystemExit(_usage(args, "--queries and --gen-queries are mutually exclusive"))
-    if args.queries:
+    if args.queries is not None:
         return load_misspellings(args.queries)
-    if args.gen_queries:
-        if dictionary is None:
-            raise SystemExit(_usage(args, "--gen-queries needs --dict"))
-        return gen_noisy_queries(dictionary, args.gen_queries, args.seed)
-    raise SystemExit(_usage(args, "one of --queries or --gen-queries is required"))
+    if dictionary is None:
+        raise SystemExit(_usage(args, "--gen-queries needs --dict"))
+    return gen_noisy_queries(dictionary, args.gen_queries, args.seed)
 
 
 def _usage(args, message) -> int:
@@ -156,9 +157,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if bool(args.index) == bool(args.dict_path):
-        return _usage(args, "exactly one of --index or --dict is required")
-    if args.index:
+    if args.index is not None:
         index = load_index(args.index)
     else:
         _, index = _build_from_args(args)
@@ -171,12 +170,10 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if bool(args.index) == bool(args.dict_path):
-        return _usage(args, "exactly one of --index or --dict is required")
     dictionary = None
-    if args.index:
+    if args.index is not None:
         index = load_index(args.index)
-        compression = "loaded" if index.subs is not None and len(index.subs) else "none"
+        compression = "loaded" if index.subs else "none"
     else:
         dictionary, index = _build_from_args(args)
         compression = args.compress

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import BuildError, ConfigError, WordTooShortError
+from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
 from .hashing import ChainedHashTable, HashConfig
 from .qgrams import SubstitutionList
 
@@ -192,9 +192,9 @@ class SplitIndex:
         self.table = table
         self.lists = lists
         self.side_table = side_table
-        self.subs = subs
+        self.subs = subs or None  # no coding is None, never an empty list
         self.source_stats = source_stats
-        self._decode = subs.decode if subs is not None and len(subs) else None
+        self._decode = subs.decode if subs else None
 
     # -- queries ---------------------------------------------------------
 
@@ -233,81 +233,87 @@ class SplitIndex:
         decode = self._decode
         ifb = int.from_bytes
         verified = 0
-        for start, end, need, passes, mark, nexts in _plan(n, k):
-            key = pattern[start:end]
-            ref = lookup(key)
-            if ref is None:
-                continue
-            blob = lists[ref]
-            # Region r + 1 starts at marker r (at the first entry for r = 0)
-            # and holds the entries up to the next region that has any, or up
-            # to the terminator, which ends any walk early.
-            o = 2 * k
-            if mark < 0:
-                first = 1
-            else:
-                first = blob[mark] | blob[mark + 1] << 8
-                if not first:
+        # Reading past a list, or a ref past the lists, means a damaged file.
+        try:
+            for start, end, need, passes, mark, nexts in _plan(n, k):
+                key = pattern[start:end]
+                ref = lookup(key)
+                if ref is None:
                     continue
-                for _ in range(first - 1):  # hop over the earlier regions
-                    o += blob[o] + 1
-            left = LIST_ENTRY_LIMIT + 1
-            for m in nexts:
-                nxt = blob[m] | blob[m + 1] << 8
-                if nxt:
-                    left = nxt - first
-                    break
-            if decode is not None:
-                rest = pattern[:start] + pattern[end:]
-                rint = ifb(rest, "little")
-                # Stored lengths are coded, but decoding never shrinks, so
-                # entries longer than the wanted piece cannot decode to it.
-                while left:
-                    ln = blob[o]
-                    if ln == 0 or ln > need:
-                        break
-                    e = decode(blob[o + 1 : o + 1 + ln])
-                    if len(e) == need:
-                        verified += 1
-                        if (ifb(e, "little") ^ rint).to_bytes(need, "little").count(0) >= need - k:
-                            out.add(e[:start] + key + e[start:])
-                    o += ln + 1
-                    left -= 1
-                continue
-            o, count = _find_run(blob, o, left, need)
-            if not count:
-                continue
-            verified += count
-            # The run's entries lie at a fixed stride from o to stop.  lrest is
-            # the entry the pattern would match exactly, length byte included.
-            # Each pass searches one of its sub-pieces, the first with the
-            # length byte in front, and counts a hit only at its entry's own
-            # offset; a misaligned one resumes the search at the next entry.
-            # When the first sub-piece is empty (need <= k), every entry is a
-            # hit of that pass, the only one then made.
-            lrest = blob[o : o + 1] + pattern[:start] + pattern[end:]
-            lint = ifb(lrest, "little")
-            step = need + 1
-            least = step - k  # the fewest zero bytes in the xor of a match
-            stop = o + count * step
-            find = blob.find
-            for x, y in passes:
-                probe = lrest[x:y]
-                base = o + x
-                h = find(probe, base, stop)
-                while h >= 0:
-                    off = (h - base) % step
-                    if off:
-                        h = find(probe, h + step - off, stop)
+                blob = lists[ref]
+                # Region r + 1 starts at marker r (at the first entry for r = 0)
+                # and holds the entries up to the next region that has any, or up
+                # to the terminator, which ends any walk early.
+                o = 2 * k
+                if mark < 0:
+                    first = 1
+                else:
+                    first = blob[mark] | blob[mark + 1] << 8
+                    if not first:
                         continue
-                    e = h - x  # the entry, from its length byte on
-                    v = ifb(blob[e : e + step], "little") ^ lint
-                    if not v:  # the pattern itself
-                        out.add(pattern)
-                    elif v.to_bytes(step, "little").count(0) >= least:
-                        e += 1
-                        out.add(blob[e : e + start] + key + blob[e + start : e + need])
-                    h = find(probe, h + step, stop)
+                    for _ in range(first - 1):  # hop over the earlier regions
+                        o += blob[o] + 1
+                left = LIST_ENTRY_LIMIT + 1
+                for m in nexts:
+                    nxt = blob[m] | blob[m + 1] << 8
+                    if nxt:
+                        left = nxt - first
+                        break
+                if left < 0:  # a negative count would never run out
+                    raise CorruptListError(f"region markers out of order for key {key!r}")
+                if decode is not None:
+                    rest = pattern[:start] + pattern[end:]
+                    rint = ifb(rest, "little")
+                    # Stored lengths are coded, but decoding never shrinks, so
+                    # entries longer than the wanted piece cannot decode to it.
+                    while left:
+                        ln = blob[o]
+                        if ln == 0 or ln > need:
+                            break
+                        e = decode(blob[o + 1 : o + 1 + ln])
+                        if len(e) == need:
+                            verified += 1
+                            if (ifb(e, "little") ^ rint).to_bytes(need, "little").count(0) >= need - k:
+                                out.add(e[:start] + key + e[start:])
+                        o += ln + 1
+                        left -= 1
+                    continue
+                o, count = _find_run(blob, o, left, need)
+                if not count:
+                    continue
+                verified += count
+                # The run's entries lie at a fixed stride from o to stop.  lrest is
+                # the entry the pattern would match exactly, length byte included.
+                # Each pass searches one of its sub-pieces, the first with the
+                # length byte in front, and counts a hit only at its entry's own
+                # offset; a misaligned one resumes the search at the next entry.
+                # When the first sub-piece is empty (need <= k), every entry is a
+                # hit of that pass, the only one then made.
+                lrest = blob[o : o + 1] + pattern[:start] + pattern[end:]
+                lint = ifb(lrest, "little")
+                step = need + 1
+                least = step - k  # the fewest zero bytes in the xor of a match
+                stop = o + count * step
+                find = blob.find
+                for x, y in passes:
+                    probe = lrest[x:y]
+                    base = o + x
+                    h = find(probe, base, stop)
+                    while h >= 0:
+                        off = (h - base) % step
+                        if off:
+                            h = find(probe, h + step - off, stop)
+                            continue
+                        e = h - x  # the entry, from its length byte on
+                        v = ifb(blob[e : e + step], "little") ^ lint
+                        if not v:  # the pattern itself
+                            out.add(pattern)
+                        elif v.to_bytes(step, "little").count(0) >= least:
+                            e += 1
+                            out.add(blob[e : e + start] + key + blob[e + start : e + need])
+                        h = find(probe, h + step, stop)
+        except IndexError:
+            raise CorruptListError(f"index data for key {key!r} is corrupt") from None
         return verified
 
     # -- stats and sizes ---------------------------------------------------
@@ -344,7 +350,7 @@ class SplitIndex:
         deliberately excluded.
         """
         side = sum(1 + len(w) for group in self.side_table.values() for w in group)
-        subs = sum(1 + len(s.gram) for s in self.subs) if self.subs is not None else 0
+        subs = sum(1 + len(s.gram) for s in self.subs or ())
         parts = {
             "directory": 8 * self.table.bucket_count,
             "buckets": self.table.content_bytes(),
@@ -369,8 +375,9 @@ def build_index(
     """Build a split index for ``dictionary`` with mismatch budget ``k``.
 
     Words of length <= k go to a side table keyed by length; every other word
-    contributes exactly k+1 list entries, one per piece.  With
-    ``substitutions`` given, list payloads are stored substitution-coded.
+    contributes exactly k+1 list entries, one per piece.  With non-empty
+    ``substitutions``, list payloads are stored substitution-coded; None and
+    an empty list both mean no coding, and the index's ``subs`` is then None.
 
     Raises BuildError when a word's stored complement would not fit an 8-bit
     length tag, or when a list outgrows the 16-bit region markers.
@@ -405,7 +412,7 @@ def build_index(
             staged[ref].append((pos, size, missing))
             start = end
 
-    if substitutions is not None and len(substitutions):
+    if substitutions:
         coded = iter(substitutions.encode_many([e for entries in staged for _, _, e in entries]))
         for entries in staged:
             # zip stops at the end of entries before drawing from coded.

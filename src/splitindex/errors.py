@@ -18,7 +18,7 @@ class WordTooShortError(SplitIndexError):
 
 
 class CorruptListError(SplitIndexError):
-    """Stored list data is inconsistent with the piece-boundary arithmetic."""
+    """A query ran past a list or its bucket named no list: the loaded data is damaged."""
 
 
 class CodecError(SplitIndexError):

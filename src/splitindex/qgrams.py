@@ -1,14 +1,15 @@
 """Frequent q-gram substitution coding for list payloads.
 
 Short, frequent substrings (q in 2..4) of the indexed words are replaced by
-single spare byte values.  Mined lists always use codes 128..255, which never
-occur in the ASCII-only corpora this applies to; hand-built lists may choose
-other code bytes as long as encoding input never contains them.
+single code bytes.  A byte is *plain* for a list when it is below 128 and not
+one of the list's codes.  Codes may be any byte value (mined lists use
+128..255); grams and encoding input must be plain.
 
 Encoding applies entries in list order -- longest q-grams first -- each as a
-left-to-right non-overlapping replacement.  Because a replacement leaves a
-code byte between its neighbours, no new occurrence of a plain q-gram can
-appear, so decoding is a single byte-wise expansion and round-trips exactly.
+left-to-right non-overlapping replacement.  The round trip holds because
+grams are plain: a code byte left by one replacement can be part of no later
+gram, so every code in the output stands for exactly its own gram and every
+plain byte for itself, and decoding is a single byte-wise table lookup.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ class SubstitutionList:
     """Ordered substitution rules, longest grams first, then highest savings.
 
     Construction re-sorts the given entries into that canonical order, checks
-    that grams are 2..4 bytes of values < 128, and that grams and codes are
-    unique.  An empty list is valid and encodes as the identity.
+    that grams are 2..4 plain bytes and that grams and codes are unique.  An
+    empty list is valid and encodes as the identity.
     """
 
-    __slots__ = ("entries", "_code_set", "_ascii_codes", "_decode_map", "_pairs")
+    __slots__ = ("entries", "_plain", "_table", "_pairs")
 
     def __init__(self, entries: Iterable[Substitution | tuple[bytes, int]] = ()):
         normalized = []
@@ -62,8 +63,6 @@ class SubstitutionList:
             sub = item if isinstance(item, Substitution) else Substitution(item[0], item[1])
             if not GRAM_MIN <= len(sub.gram) <= GRAM_MAX:
                 raise CodecError(f"q-gram length must be {GRAM_MIN}..{GRAM_MAX}, got {sub.gram!r}")
-            if max(sub.gram) >= 128:
-                raise CodecError(f"q-gram bytes must be < 128, got {sub.gram!r}")
             if not 0 <= sub.code <= 255:
                 raise CodecError(f"code must be a single byte value, got {sub.code}")
             normalized.append(sub)
@@ -76,12 +75,15 @@ class SubstitutionList:
         normalized.sort(key=lambda s: (-len(s.gram), -s.savings))
         self.entries: tuple[Substitution, ...] = tuple(normalized)
         self._pairs = tuple((s.gram, bytes((s.code,))) for s in self.entries)
-        self._code_set = frozenset(s.code for s in self.entries)
-        self._ascii_codes = bytes(sorted(c for c in self._code_set if c < 128))
-        decode_map: list[bytes | None] = [None] * 256
+        self._plain = bytes(range(128)).translate(None, bytes(s.code for s in self.entries))
+        # What each byte decodes to: a plain byte itself, a code its gram.
+        table: list[bytes | None] = [None] * 256
+        for c in self._plain:
+            table[c] = bytes([c])  # the interpreter's shared one-byte object
         for s in self.entries:
-            decode_map[s.code] = s.gram
-        self._decode_map = decode_map
+            self._check_plain(s.gram)
+            table[s.code] = s.gram
+        self._table = table
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -95,11 +97,12 @@ class SubstitutionList:
         return [(s.gram, s.code) for s in self] == [(s.gram, s.code) for s in other]
 
     def _check_plain(self, word: bytes) -> None:
-        if word and max(word) >= 128:
-            raise CodecError(f"cannot encode byte >= 128 in {word[:32]!r}")
-        for c in self._ascii_codes:
-            if c in word:
-                raise CodecError(f"input contains reserved code byte {c}: {word[:32]!r}")
+        bad = word.translate(None, self._plain)
+        if bad:
+            raise CodecError(
+                f"byte {bad[0]} in {word[:32]!r} is not plain: "
+                "grams and input must be below 128 and not a code of the list"
+            )
 
     def encode(self, word: bytes) -> bytes:
         """Replace listed q-grams by their codes; never longer than the input."""
@@ -109,31 +112,26 @@ class SubstitutionList:
         return word
 
     def encode_many(self, words: list[bytes]) -> list[bytes]:
-        """Encode a batch in one pass over a joined buffer."""
-        for w in words:
-            self._check_plain(w)
-        if not words:
-            return []
-        if _SEPARATOR in self._code_set:
+        """Encode a batch in one pass over a buffer joined by the separator."""
+        if not words or self._table[_SEPARATOR] is not None:  # the separator is a code
             return [self.encode(w) for w in words]
-        joined = bytes((_SEPARATOR,)).join(words)
+        sep = bytes((_SEPARATOR,))
+        joined = sep.join(words)
+        if joined.translate(None, self._plain) != sep * (len(words) - 1):
+            for w in words:  # name the word that is not plain
+                self._check_plain(w)
         for gram, code in self._pairs:
             joined = joined.replace(gram, code)
-        return joined.split(bytes((_SEPARATOR,)))
+        return joined.split(sep)
 
     def decode(self, encoded: bytes) -> bytes:
         """Expand code bytes back to their q-grams; unknown codes are corrupt data."""
-        table = self._decode_map
-        out = bytearray()
-        for c in encoded:
-            g = table[c]
-            if g is not None:
-                out += g
-            elif c < 128:
-                out.append(c)
-            else:
-                raise CodecError(f"unknown code byte {c} in encoded data")
-        return bytes(out)
+        table = self._table
+        try:
+            return b"".join([table[c] for c in encoded])
+        except TypeError:  # joined a None: a byte that is neither plain nor a code
+            bad = next(c for c in encoded if table[c] is None)
+            raise CodecError(f"unknown code byte {bad} in encoded data") from None
 
 
 def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> SubstitutionList:
@@ -158,7 +156,7 @@ def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> S
     limit = min(limit, CODE_SPACE - 1)  # 0xFF stays an internal separator
 
     for w in dictionary.words:
-        if w and max(w) >= 128:
+        if not w.isascii():
             raise CodecError(f"compression unavailable: byte >= 128 in word {w[:32]!r}")
     if not dictionary.words:
         return SubstitutionList()

@@ -64,7 +64,7 @@ def index_to_bytes(index: SplitIndex) -> bytes:
     cfg = index.table.config
     name = cfg.function_id.encode("ascii")
     st = index.source_stats
-    subs = index.subs.entries if index.subs is not None else ()
+    subs = index.subs or ()
     body = b"".join((
         MAGIC,
         struct.pack("<HBB", FORMAT_VERSION, index.k, len(name)),
@@ -140,7 +140,7 @@ def index_from_bytes(data: bytes) -> SplitIndex:
 
     if not all(rules):
         raise StorageError("empty substitution rule")
-    subs = SubstitutionList([Substitution(r[1:], r[0]) for r in rules]) if rules else None
+    subs = SubstitutionList([Substitution(r[1:], r[0]) for r in rules])
     side: dict[int, list[bytes]] = {}
     for w in side_words:
         side.setdefault(len(w), []).append(w)

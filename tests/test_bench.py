@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,14 @@ def test_report_serializes_with_fixed_keys(small_world):
     assert payload["index_bytes"] == build_index(d, 1).size_bytes()
     tsv = report.tsv_row().split("\t")
     assert len(tsv) == len(REPORT_FIELDS)
+
+
+def test_report_fields_are_the_readme_keys():
+    # REPORT_FIELDS comes from BenchReport's fields; the README lists the keys
+    # users rely on, so the two orders must agree.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("## Benchmark report keys", 1)[1].split("\n\n")[1]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == REPORT_FIELDS
 
 
 def test_index_bytes_is_recomputable(small_world):

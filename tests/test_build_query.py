@@ -301,8 +301,10 @@ def _region_correctness_matches_full_scan(k):
             assert sorted(full) == idx.query(p)
 
 
-# Grams over a..d, so coding rewrites payloads at either alphabet size drawn.
+# Grams over a..d, so coding rewrites payloads at either alphabet size drawn;
+# ASCII_SUBS codes the same grams with ASCII bytes outside a..z.
 SUBS = SubstitutionList([(b"ab", 128), (b"ca", 129), (b"bcd", 130), (b"aaaa", 131)])
+ASCII_SUBS = SubstitutionList([(b"ab", ord("#")), (b"ca", ord("0")), (b"bcd", ord("Z")), (b"aaaa", ord("~"))])
 
 
 def expected_verifications(d, pattern, k):
@@ -328,7 +330,7 @@ def test_query_equals_oracle(data):
             lambda w: bytes(alpha[b % sigma] for b in w)), min_size=1, max_size=80)
     )
     k = data.draw(st.sampled_from((1, 2, 3)))
-    subs = data.draw(st.sampled_from((None, SUBS)))
+    subs = data.draw(st.sampled_from((None, SUBS, ASCII_SUBS)))
     d = Dictionary(words)
     idx = build_index(d, k, substitutions=subs)
     pattern = data.draw(st.binary(min_size=1, max_size=32).map(

@@ -116,6 +116,20 @@ def test_bench_requires_query_source(wordfile, capsys):
     assert code == 1
 
 
+def test_query_sources_are_checked(wordfile, misspellings, tmp_path, capsys):
+    both = ("--queries", str(misspellings), "--gen-queries", "5")
+    code, _, err = run(capsys, "bench", "--dict", str(wordfile), *both)
+    assert code == 1 and "not allowed with" in err
+    code, _, err = run(capsys, "sweep", "k", "--grid", "1", "--dict", str(wordfile))
+    assert code == 1 and "--queries" in err
+    idx = tmp_path / "idx.bin"
+    assert run(capsys, "build", "--dict", str(wordfile), "--out", str(idx))[0] == 0
+    code, _, err = run(capsys, "bench", "--index", str(idx), "--gen-queries", "5")
+    assert code == 1 and "--gen-queries needs --dict" in err
+    code, out, _ = run(capsys, "bench", "--index", str(idx), "--queries", str(misspellings))
+    assert code == 0 and json.loads(out)["compression"] == "none"
+
+
 def test_sweep_k_reports(wordfile, misspellings, capsys):
     code, out, _ = run(
         capsys, "sweep", "k", "--grid", "1,2", "--dict", str(wordfile),

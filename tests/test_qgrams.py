@@ -1,6 +1,7 @@
 """Substitution coding: worked example, mining, ordering, round trips."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,9 @@ def test_encode_rejects_high_bytes_and_code_collisions():
         subs.encode(b"caf\xe9")
     with pytest.raises(CodecError):
         subs.encode(b"a#b")  # '#' is claimed as a code byte by this list
+    for bad in (b"a#b", b"caf\xe9", b"x\xff"):  # a batch names its bad word
+        with pytest.raises(CodecError, match=re.escape(repr(bad))):
+            subs.encode_many([b"table", bad, b"chair"])
 
 
 def test_decode_rejects_unknown_codes():
@@ -85,6 +89,22 @@ def test_substitution_list_validation():
         SubstitutionList([(b"ab", 128), (b"cd", 128)])  # duplicate code
     with pytest.raises(CodecError):
         SubstitutionList([(b"\xc3\xa9", 128)])  # gram bytes must be < 128
+
+
+def test_gram_containing_a_code_byte_is_rejected():
+    # b"abc" would encode to code 200, which decodes to b"#c": the round trip
+    # breaks and coded indexes miss matches, so such a list cannot be made.
+    for rules in ([(b"ab", ord("#")), (b"#c", 200)], [(b"ab", ord("a"))]):
+        with pytest.raises(CodecError, match="not plain"):
+            SubstitutionList(rules)
+
+
+def test_separator_as_a_code_still_encodes_each_word():
+    subs = SubstitutionList([(b"ab", 0xFF), (b"cd", ord("#"))])
+    assert subs.encode_many([b"abcd", b"xab"]) == [b"\xff#", b"x\xff"]
+    assert subs.encode_many([]) == []
+    with pytest.raises(CodecError):
+        subs.encode_many([b"ok", b"x#"])
 
 
 def test_mine_first_pick_on_repetitive_corpus():

@@ -4,6 +4,7 @@ import logging
 import random
 import struct
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -12,10 +13,13 @@ from corpora import random_words
 from splitindex import (
     HASH_FUNCTIONS,
     BadMagicError,
+    CodecError,
+    CorruptListError,
     Dictionary,
     HashConfig,
     SplitIndexError,
     StorageError,
+    SubstitutionList,
     TruncatedIndexError,
     VersionMismatchError,
     build_index,
@@ -48,9 +52,13 @@ def test_save_load_query_equivalence(tmp_path, k, compressed):
 def test_save_load_save_is_byte_identical(tmp_path):
     rng = random.Random(33)
     d = Dictionary(random_words(rng, 300, 26) + [b"a", b"z"])
-    idx = build_index(d, 2, substitutions=mine_substitutions(d, "2gram", 10))
-    blob = index_to_bytes(idx)
-    assert index_to_bytes(index_from_bytes(blob)) == blob
+    for subs in (mine_substitutions(d, "2gram", 10), SubstitutionList()):
+        idx = build_index(d, 2, substitutions=subs)
+        blob = index_to_bytes(idx)
+        again = index_from_bytes(blob)
+        assert index_to_bytes(again) == blob
+        if not subs:  # no coding is None on every path
+            assert idx.subs is None and again.subs is None
 
 
 def test_side_table_survives_round_trip():
@@ -136,14 +144,29 @@ def test_flipped_list_byte_fails_the_checksum():
         index_from_bytes(bytes(blob))
 
 
-def test_empty_substitution_rule_is_storage_error():
-    blob = index_to_bytes(build_index(Dictionary([b"table", b"left"]), 1))
+def with_rules(blob, rules):
+    """``blob``, a file without coding and without short words, carrying
+    ``rules`` (code byte, then gram) as its rule section, with a valid checksum."""
     id_len = blob[8 + 2 + 1]  # after magic, version, k
     at = 8 + 2 + 1 + 1 + id_len + 8 + 18 + 4  # header, then the empty side-table section
     assert blob[at : at + 4] == struct.pack("<I", 0)  # no substitution rules
-    body = blob[:at] + struct.pack("<II", 1, 0) + blob[at + 4 : -4]
+    section = struct.pack(f"<{len(rules) + 1}I", len(rules), *map(len, rules)) + b"".join(rules)
+    body = blob[:at] + section + blob[at + 4 : -4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_empty_substitution_rule_is_storage_error():
+    blob = index_to_bytes(build_index(Dictionary([b"table", b"left"]), 1))
     with pytest.raises(StorageError, match="empty substitution rule"):
-        index_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        index_from_bytes(with_rules(blob, [b""]))
+
+
+def test_rule_with_a_code_byte_in_its_gram_fails_at_load():
+    # Code 200's gram holds '#', another rule's code: b"abc" would encode to
+    # b"\xc8" and decode to b"#c".  Only the rule check can refuse the file.
+    blob = index_to_bytes(build_index(Dictionary([b"abcxyz", b"abcxyq"]), 1))
+    with pytest.raises(CodecError, match="not plain"):
+        index_from_bytes(with_rules(blob, [b"#ab", b"\xc8#c"]))
 
 
 def test_corrupted_files_fail_at_load():
@@ -187,3 +210,46 @@ def test_xxhash_files_still_load_and_answer(tmp_path, monkeypatch, caplog, k):
     assert xx.lists == crc.lists and xx.size_bytes() == crc.size_bytes()
     for p in gen_noisy_queries(d, 150, seed=k).patterns + (b"a", b"zz"):
         assert xx.query(p) == crc.query(p) == oracle_query(d, p, k)
+
+
+def test_resealed_corrupted_files_raise_only_package_errors():
+    # Bytes flipped in the bucket and list sections, with the checksum
+    # recomputed, so the damage gets past the load checks.  Load and queries
+    # may then raise only SplitIndexError subclasses; a damaged list that
+    # still answers (wrongly) is not caught here.
+    rng = random.Random(62)
+    cases = []
+    for k in (1, 2):
+        for coded in (False, True):
+            d = Dictionary(random_words(rng, 250, 8) + [b"a", b"ab"])
+            subs = mine_substitutions(d, "mixed", 20) if coded else None
+            idx = build_index(d, k, substitutions=subs)
+            blob = index_to_bytes(idx)
+            tail = sum(len(b) + 4 for b in idx.table.buckets + idx.lists) + 8
+            cases.append((blob, len(blob) - 4 - tail, d.words + gen_noisy_queries(d, 50, seed=k).patterns))
+    raised = Counter()
+    for case in range(1500):
+        blob, start, patterns = cases[case % len(cases)]
+        body = bytearray(blob[:-4])
+        for at in rng.sample(range(start, len(body)), rng.randint(1, 3)):
+            body[at] ^= rng.randrange(1, 256)
+        data = bytes(body) + struct.pack("<I", zlib.crc32(body))
+        try:
+            idx = index_from_bytes(data)
+            for p in patterns:
+                idx.query(p)
+        except SplitIndexError as err:
+            raised[type(err)] += 1
+    assert raised[CorruptListError] and raised[CodecError] and raised[TruncatedIndexError]
+
+
+def test_region_markers_out_of_order_are_corrupt():
+    d = Dictionary([b"abcdef", b"ghabij", b"gxabij", b"ghijab", b"gyijab"])
+    idx = build_index(d, 2)
+    ref = idx.table.lookup_list(b"ab")
+    blob = bytearray(idx.lists[ref])
+    assert blob[:4] == b"\x02\x00\x04\x00"  # region 2 starts at entry 2, region 3 at 4
+    blob[2] = 1  # region 3 before region 2: a negative entry count
+    idx.lists[ref] = bytes(blob)
+    with pytest.raises(CorruptListError, match="b'ab'"):
+        idx.query(b"ghabiz")
