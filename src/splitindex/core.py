@@ -6,7 +6,7 @@ one piece (pigeonhole), so each piece serves as a hash-table key whose list
 holds the rest of the word.  Verification then runs a plain Hamming check on
 the few surviving candidates.
 
-List layout (one contiguous blob per key, the same for every k):
+List layout (one blob per key, the same for every k):
 ``[k region markers, u16 LE each][entry ...][0x00]`` where an entry is
 ``[length u8 >= 1][payload]`` and the payload is the concatenation of the
 word's other k pieces.  Entries are grouped into regions by the key's piece
@@ -17,6 +17,11 @@ region 1 starts at the first entry.  A list holds at most
 total length at query time.
 
 Payloads may be substitution-coded (see ``qgrams``); keys never are.
+
+All lists sit back to back in one ``Arena`` (see ``hashing``), and a query
+reads them at absolute offsets, never past the end of the list it walks:
+a walk, hop or run that would cross a list's terminator raises
+``CorruptListError``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import ChainedHashTable, HashConfig
+from .hashing import Arena, ChainedHashTable, HashConfig
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # entry lengths are single bytes; 0 terminates a list
@@ -88,30 +93,41 @@ def _plan(length: int, k: int) -> tuple[tuple, ...]:
     return tuple(plan)
 
 
-def _find_run(blob: bytes, o: int, left: int, need: int) -> tuple[int, int]:
+def _find_run(data: bytes, o: int, left: int, need: int, end: int) -> tuple[int, int]:
     """Offset and entry count of the run of ``need``-byte entries in a region.
 
     The region's remaining entries start at offset ``o``, at most ``left`` of
-    them, shortest first; the count is 0 when none has that length.  Entries
-    of one length lie at a fixed stride, so a run of two or more is counted
-    in C from a strided slice of its length bytes, bounded by the region, and
-    skipping shorter entries costs one step per distinct length rather than
-    one per entry.
+    them, shortest first, in a list that ends at ``end``; the count is 0 when
+    none has that length.  Entries of one length lie at a fixed stride, so a
+    run of two or more is counted in C from a strided slice of its length
+    bytes, bounded by the region and the list, and skipping shorter entries
+    costs one step per distinct length rather than one per entry.  A walk
+    or run that reaches the list's end raises IndexError, as a read past the
+    whole arena would; the caller reports both as a corrupt list.
     """
-    while left:
-        ln = blob[o]
+    while left and o < end:
+        ln = data[o]
         if ln == 0 or ln > need:
             break
         step = ln + 1
-        if blob[o + step] == ln:
-            lengths = blob[o : o + left * step : step]
+        if data[o + step] == ln:
+            stop = o + left * step
+            lengths = data[o : stop if stop < end else end : step]
             run = len(lengths) - len(lengths.lstrip(lengths[:1]))
         else:
             run = 1
+        after = o + run * step
         if ln == need:
+            if after >= end:
+                raise IndexError("entry run crosses the end of its list")
             return o, run
-        o += run * step
+        o = after
         left -= run
+    # The terminator is the list's last byte: only a walk that ran over it
+    # (or a hop over earlier regions that did) ends at or past ``end``.  Past
+    # it a strided slice would be empty and the walk would stop advancing.
+    if o >= end:
+        raise IndexError("entry walk crosses the end of its list")
     return o, 0
 
 
@@ -183,7 +199,7 @@ class SplitIndex:
         self,
         k: int,
         table: ChainedHashTable,
-        lists: list[bytes],
+        lists: Arena,
         side_table: dict[int, tuple[bytes, ...]],
         subs: SubstitutionList | None,
         source_stats: DictionaryStats,
@@ -229,33 +245,42 @@ class SplitIndex:
         # them exactly, so each sub-piece is searched in C with bytes.find and
         # only its hits are compared, through one integer xor.
         lookup = self.table.lookup_list
-        lists = self.lists
+        data = self.lists.data
+        starts = self.lists.starts
         decode = self._decode
         ifb = int.from_bytes
         verified = 0
         # Reading past a list, or a ref past the lists, means a damaged file.
+        # The list of ``ref`` spans data[begin:limit], its terminator last.  A
+        # hop or walk crosses that only through a damaged length byte; it is
+        # checked once, where it stops, and the words it found go with the
+        # error.  Offsets into the arena are large ints, a new object each, so
+        # every sum is computed once.
         try:
             for start, end, need, passes, mark, nexts in _plan(n, k):
                 key = pattern[start:end]
                 ref = lookup(key)
                 if ref is None:
                     continue
-                blob = lists[ref]
+                begin = starts[ref]
+                limit = starts[ref + 1]
                 # Region r + 1 starts at marker r (at the first entry for r = 0)
                 # and holds the entries up to the next region that has any, or up
                 # to the terminator, which ends any walk early.
-                o = 2 * k
+                o = begin + 2 * k
                 if mark < 0:
                     first = 1
                 else:
-                    first = blob[mark] | blob[mark + 1] << 8
+                    at = begin + mark
+                    first = data[at] | data[at + 1] << 8
                     if not first:
                         continue
                     for _ in range(first - 1):  # hop over the earlier regions
-                        o += blob[o] + 1
+                        o += data[o] + 1
                 left = LIST_ENTRY_LIMIT + 1
                 for m in nexts:
-                    nxt = blob[m] | blob[m + 1] << 8
+                    at = begin + m
+                    nxt = data[at] | data[at + 1] << 8
                     if nxt:
                         left = nxt - first
                         break
@@ -267,18 +292,21 @@ class SplitIndex:
                     # Stored lengths are coded, but decoding never shrinks, so
                     # entries longer than the wanted piece cannot decode to it.
                     while left:
-                        ln = blob[o]
+                        ln = data[o]
                         if ln == 0 or ln > need:
                             break
-                        e = decode(blob[o + 1 : o + 1 + ln])
+                        p = o + 1
+                        o = p + ln
+                        e = decode(data[p:o])
                         if len(e) == need:
                             verified += 1
                             if (ifb(e, "little") ^ rint).to_bytes(need, "little").count(0) >= need - k:
                                 out.add(e[:start] + key + e[start:])
-                        o += ln + 1
                         left -= 1
+                    if o >= limit:
+                        raise CorruptListError(f"an entry of the list for key {key!r} crosses its end")
                     continue
-                o, count = _find_run(blob, o, left, need)
+                o, count = _find_run(data, o, left, need, limit)
                 if not count:
                     continue
                 verified += count
@@ -289,12 +317,12 @@ class SplitIndex:
                 # offset; a misaligned one resumes the search at the next entry.
                 # When the first sub-piece is empty (need <= k), every entry is a
                 # hit of that pass, the only one then made.
-                lrest = blob[o : o + 1] + pattern[:start] + pattern[end:]
+                lrest = data[o : o + 1] + pattern[:start] + pattern[end:]
                 lint = ifb(lrest, "little")
                 step = need + 1
                 least = step - k  # the fewest zero bytes in the xor of a match
                 stop = o + count * step
-                find = blob.find
+                find = data.find
                 for x, y in passes:
                     probe = lrest[x:y]
                     base = o + x
@@ -305,12 +333,12 @@ class SplitIndex:
                             h = find(probe, h + step - off, stop)
                             continue
                         e = h - x  # the entry, from its length byte on
-                        v = ifb(blob[e : e + step], "little") ^ lint
+                        v = ifb(data[e : e + step], "little") ^ lint
                         if not v:  # the pattern itself
                             out.add(pattern)
                         elif v.to_bytes(step, "little").count(0) >= least:
                             e += 1
-                            out.add(blob[e : e + start] + key + blob[e + start : e + need])
+                            out.add(data[e : e + start] + key + data[e + start : e + need])
                         h = find(probe, h + step, stop)
         except IndexError:
             raise CorruptListError(f"index data for key {key!r} is corrupt") from None
@@ -323,10 +351,11 @@ class SplitIndex:
         total = 0
         payload = 0
         worst = 0
-        for blob in self.lists:
-            o = 2 * self.k
+        data = self.lists.data
+        for base in self.lists.starts[:-1]:
+            o = base + 2 * self.k
             c = 0
-            while ln := blob[o]:
+            while ln := data[o]:
                 o += ln + 1
                 c += 1
                 payload += ln
@@ -354,7 +383,7 @@ class SplitIndex:
         parts = {
             "directory": 8 * self.table.bucket_count,
             "buckets": self.table.content_bytes(),
-            "lists": sum(len(b) for b in self.lists),
+            "lists": len(self.lists.data),
             "side_table": side,
             "substitutions": subs,
         }
@@ -388,7 +417,7 @@ def build_index(
         raise ConfigError(f"mismatch budget is limited to 255, got {k}")
     side: dict[int, list[bytes]] = {}
     # Growable per-list (key position, payload length, payload) staging,
-    # written out as contiguous blobs once every entry of a list is known.
+    # written out into one arena once every entry of a list is known.
     # A key's ref is the order in which it was first seen.
     refs: dict[bytes, int] = {}
     staged: list[list[tuple[int, int, bytes]]] = []
@@ -422,7 +451,9 @@ def build_index(
     # laid out shortest first within a region, so scans can skip ahead to the
     # wanted length and stop as soon as entries get longer.
     keys = list(refs)
-    lists: list[bytes] = []
+    buf = bytearray()
+    ends = [0]
+    markers = bytes(2 * k)  # the markers of regions left empty stay 0
     for ref, entries in enumerate(staged):
         if len(entries) > LIST_ENTRY_LIMIT:
             raise BuildError(
@@ -430,16 +461,18 @@ def build_index(
                 "region markers are 16-bit entry indexes"
             )
         entries.sort()
-        buf = bytearray(2 * k)  # the markers of regions left empty stay 0
+        at = len(buf)
+        buf += markers
         region = 1
         for i, (pos, size, e) in enumerate(entries, 1):
             if pos != region:  # entry i begins region pos
                 region = pos
-                buf[2 * pos - 4 : 2 * pos - 2] = i.to_bytes(2, "little")
+                buf[at + 2 * pos - 4 : at + 2 * pos - 2] = i.to_bytes(2, "little")
             buf.append(size)
             buf += e
         buf.append(0)
-        lists.append(bytes(buf))
+        ends.append(len(buf))
+    lists = Arena(bytes(buf), ends)
 
     table = ChainedHashTable.build(keys, hash_config)
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}

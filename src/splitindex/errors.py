@@ -18,7 +18,7 @@ class WordTooShortError(SplitIndexError):
 
 
 class CorruptListError(SplitIndexError):
-    """A query ran past a list or its bucket named no list: the loaded data is damaged."""
+    """A query read past its list or bucket, or a bucket named no list: the loaded data is damaged."""
 
 
 class CodecError(SplitIndexError):

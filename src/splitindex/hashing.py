@@ -1,6 +1,11 @@
-"""String hash functions and a compact chained hash table.
+"""String hash functions, a compact chained hash table, and the arena type.
 
-The table keeps each bucket as one contiguous byte blob of
+An ``Arena`` holds a sequence of byte blobs back to back in one ``bytes``
+object, with an ``array('I')`` of n + 1 start offsets; blob ``i`` is
+``data[starts[i]:starts[i + 1]]``.  The table's buckets and the index's
+lists are each one arena, in memory as in the file.
+
+The table keeps each bucket as one blob of
 ``[key length u8][key bytes][list ref u32 LE]`` records, so a key and the
 reference to its piece list always sit next to each other.  It is built once
 from the final key set and is immutable afterwards.  List references are
@@ -18,9 +23,12 @@ from __future__ import annotations
 
 import logging
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
+from typing import Iterable, Iterator
 
-from .errors import BuildError, ConfigError
+from .errors import BuildError, ConfigError, CorruptListError
 
 log = logging.getLogger(__name__)
 
@@ -179,6 +187,50 @@ def _bucket_count(key_count: int, max_load_factor: float) -> int:
     return n
 
 
+# Arena offsets are u32, so an arena holds fewer bytes than this.
+ARENA_LIMIT = 2**32
+
+
+class Arena:
+    """Read-only sequence of byte blobs stored back to back in ``data``.
+
+    ``starts`` holds the n + 1 offsets at which blobs begin, the last one
+    ``len(data)``, as an ``array('I')``.  Indexing returns a fresh ``bytes``
+    slice; hot paths read ``data`` at absolute offsets instead.
+    """
+
+    __slots__ = ("data", "starts")
+
+    def __init__(self, data: bytes, starts: Iterable[int]):
+        if len(data) >= ARENA_LIMIT:
+            raise BuildError(f"{len(data)} bytes in one arena, over the {ARENA_LIMIT - 1} its u32 offsets address")
+        self.data = data
+        self.starts = starts if isinstance(starts, array) else array("I", starts)
+
+    @classmethod
+    def join(cls, blobs: list) -> "Arena":
+        return cls(b"".join(blobs), accumulate(map(len, blobs), initial=0))
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i: int) -> bytes:
+        i = range(len(self))[i]  # a negative index counts from the end
+        s = self.starts
+        return self.data[s[i] : s[i + 1]]
+
+    def __iter__(self) -> Iterator[bytes]:
+        data = self.data
+        return (data[a:b] for a, b in pairwise(self.starts))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Arena):
+            return NotImplemented
+        return self.data == other.data and self.starts == other.starts
+
+    __hash__ = None
+
+
 @dataclass(frozen=True)
 class BucketStats:
     bucket_count: int
@@ -199,15 +251,17 @@ class ChainedHashTable:
     ``max_load_factor`` keys per bucket.
     """
 
-    __slots__ = ("config", "_fn", "_buckets", "_mask", "_count")
+    __slots__ = ("config", "_fn", "_buckets", "_data", "_starts", "_mask", "_count")
 
-    def __init__(self, buckets: list[bytes], config: HashConfig, key_count: int):
+    def __init__(self, buckets: Arena, config: HashConfig, key_count: int):
         n = len(buckets)
         if n < 1 or n & (n - 1):
             raise ConfigError(f"bucket count must be a power of two, got {n}")
         self.config = config
         self._fn = HASH_FUNCTIONS[config.function_id]
         self._buckets = buckets
+        self._data = buckets.data
+        self._starts = buckets.starts
         self._mask = n - 1
         self._count = key_count
         global _slow_hash_warned
@@ -236,7 +290,7 @@ class ChainedHashTable:
             bucket.append(len(key))
             bucket += key
             bucket += ref.to_bytes(4, "little")
-        return cls([bytes(b) for b in buckets], config, len(keys))
+        return cls(Arena.join(buckets), config, len(keys))
 
     @property
     def key_count(self) -> int:
@@ -247,32 +301,45 @@ class ChainedHashTable:
         return len(self._buckets)
 
     @property
-    def buckets(self) -> list[bytes]:
+    def buckets(self) -> Arena:
         return self._buckets
 
     def lookup_list(self, key: bytes) -> int | None:
-        """Reference of the list installed for ``key``, or None."""
-        blob = self._buckets[self._fn(key) & self._mask]
+        """Reference of the list installed for ``key``, or None.
+
+        Raises CorruptListError when a record runs past its bucket's end.
+        """
+        h = self._fn(key) & self._mask
+        starts = self._starts
+        data = self._data
+        o = starts[h]
+        end = starts[h + 1]
         kl = len(key)
-        o = 0
-        n = len(blob)
-        while o < n:
-            el = blob[o]
-            if el == kl and blob[o + 1 : o + 1 + kl] == key:
-                p = o + 1 + kl
-                return int.from_bytes(blob[p : p + 4], "little")
-            o += el + 5
+        # Offsets here are large ints, each one a new object: every sum is
+        # computed once.
+        while o < end:
+            el = data[o]
+            o += 1
+            if el == kl:
+                p = o + kl
+                if data[o:p] == key:
+                    o = p + 4
+                    if o > end:
+                        break
+                    return int.from_bytes(data[p:o], "little")
+            o += el + 4
+        if o != end:
+            raise CorruptListError(f"bucket {h} holds a record that runs past its end")
         return None
 
     def chain_lengths(self) -> list[int]:
         """Number of keys stored in each bucket, in bucket order."""
+        data = self._data
         out = []
-        for blob in self._buckets:
-            o = 0
-            n = len(blob)
+        for o, end in pairwise(self._starts):
             c = 0
-            while o < n:
-                o += blob[o] + 5
+            while o < end:
+                o += data[o] + 5
                 c += 1
             out.append(c)
         return out
@@ -293,4 +360,4 @@ class ChainedHashTable:
 
     def content_bytes(self) -> int:
         """Total bytes held in bucket blobs (keys, length tags, references)."""
-        return sum(len(b) for b in self._buckets)
+        return len(self._data)

@@ -17,18 +17,28 @@ Layout (all integers little-endian):
     checksum         u32 zlib.crc32 of every byte before it
 
 A section is ``u32 n``, then ``n`` u32 blob lengths, then the ``n`` blobs
-concatenated.  Bucket and list blobs are stored verbatim (lists in the region
-layout that ``core`` describes, the same for every k), so a load/save cycle is
-byte-identical and loaded indexes answer queries exactly like the original.
+concatenated.  It loads as an ``Arena`` (see ``hashing``): one slice of the
+file for the blobs, and their start offsets accumulated from the lengths.
+The bucket and list arenas are kept as loaded and written back unchanged
+(lists in the region layout that ``core`` describes, the same for every k),
+so a load/save cycle is byte-identical and loaded indexes answer queries
+exactly like the original.
+
 The checksum is verified on every load, after the header and section checks;
-files of any other version, versions 1 and 2 included, are rejected.
+files of any other version, versions 1 and 2 included, are rejected.  Then
+every list must hold at least its k region markers and a terminator, and end
+with that terminator, or the load raises ``StorageError`` naming the list.
+Entries are not checked at load; a query that would read past its list
+raises ``CorruptListError``.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from itertools import accumulate, pairwise
+from array import array
+
+import numpy as np
 
 from .core import DictionaryStats, SplitIndex
 from .errors import (
@@ -37,7 +47,7 @@ from .errors import (
     TruncatedIndexError,
     VersionMismatchError,
 )
-from .hashing import ChainedHashTable, HashConfig
+from .hashing import ARENA_LIMIT, Arena, ChainedHashTable, HashConfig
 from .qgrams import Substitution, SubstitutionList
 
 MAGIC = b"SPLITIDX"
@@ -56,8 +66,9 @@ def load_index(path) -> SplitIndex:
         return index_from_bytes(fh.read())
 
 
-def _section(blobs: list[bytes]) -> bytes:
-    return struct.pack(f"<{len(blobs) + 1}I", len(blobs), *map(len, blobs)) + b"".join(blobs)
+def _section(blobs: Arena) -> bytes:
+    lengths = np.diff(np.frombuffer(blobs.starts, dtype=np.uint32)).astype("<u4")
+    return struct.pack("<I", len(blobs)) + lengths.tobytes() + blobs.data
 
 
 def index_to_bytes(index: SplitIndex) -> bytes:
@@ -70,8 +81,8 @@ def index_to_bytes(index: SplitIndex) -> bytes:
         struct.pack("<HBB", FORMAT_VERSION, index.k, len(name)),
         name,
         struct.pack("<dQQH", cfg.max_load_factor, st.total_bytes, st.word_count, st.alphabet_size),
-        _section([w for n in sorted(index.side_table) for w in index.side_table[n]]),
-        _section([bytes((s.code,)) + s.gram for s in subs]),
+        _section(Arena.join([w for n in sorted(index.side_table) for w in index.side_table[n]])),
+        _section(Arena.join([bytes((s.code,)) + s.gram for s in subs])),
         _section(index.table.buckets),
         _section(index.lists),
     ))
@@ -100,12 +111,31 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def section(self) -> list[bytes]:
+    def section(self) -> Arena:
         (n,) = self.unpack("<I")
-        bounds = list(accumulate(self.unpack(f"<{n}I"), initial=self.pos))
-        self._move(bounds[-1])
-        data = self.data
-        return [data[a:b] for a, b in pairwise(bounds)]
+        # Summed in 64 bits: damaged lengths may add up past 2**32.
+        ends = np.cumsum(np.frombuffer(self.take(4 * n), dtype="<u4"), dtype=np.uint64)
+        size = int(ends[-1]) if n else 0
+        data = self.take(size)
+        if size >= ARENA_LIMIT:
+            raise StorageError(f"a section of {size} bytes, over the {ARENA_LIMIT - 1} its u32 offsets address")
+        starts = array("I", bytes(4))
+        starts.frombytes(ends.astype(np.uint32).tobytes())
+        return Arena(data, starts)
+
+
+def _check_lists(lists: Arena, k: int) -> None:
+    """Raise StorageError for the first list too short for its k markers and
+    terminator, or not ending with the terminator byte 0."""
+    starts = np.frombuffer(lists.starts, dtype=np.uint32)
+    sizes = np.diff(starts)
+    short = np.flatnonzero(sizes < 2 * k + 1)
+    if short.size:
+        ref = short[0]
+        raise StorageError(f"list {ref} holds {sizes[ref]} bytes, fewer than {2 * k + 1} for {k} region markers and a terminator")
+    unended = np.flatnonzero(np.frombuffer(lists.data, dtype=np.uint8)[starts[1:] - 1])
+    if unended.size:
+        raise StorageError(f"list {unended[0]} does not end with the terminator byte 0")
 
 
 def index_from_bytes(data: bytes) -> SplitIndex:
@@ -138,6 +168,7 @@ def index_from_bytes(data: bytes) -> SplitIndex:
             f"checksum mismatch: file stores {stored:#010x}, data gives {computed:#010x}"
         )
 
+    _check_lists(lists, k)
     if not all(rules):
         raise StorageError("empty substitution rule")
     subs = SubstitutionList([Substitution(r[1:], r[0]) for r in rules])

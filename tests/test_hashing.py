@@ -17,7 +17,7 @@ from splitindex import (
     build_index,
     hashing,
 )
-from splitindex.hashing import fnv1_64, fnv1a_64, sdbm_64, xxhash64
+from splitindex.hashing import Arena, fnv1_64, fnv1a_64, sdbm_64, xxhash64
 from splitindex.storage import index_from_bytes, index_to_bytes
 
 # Frozen against the canonical C implementation (xxh64, seed 0).
@@ -204,6 +204,20 @@ def test_buckets_are_bytes_after_build_and_load():
     for t in (ChainedHashTable.build([b"a", b"b"]), idx.table, loaded.table):
         assert t.buckets and all(type(b) is bytes for b in t.buckets)
     assert loaded.table.lookup_list(b"tab") == idx.table.lookup_list(b"tab") is not None
+
+
+def test_arena_is_a_read_only_sequence_of_its_blobs():
+    blobs = [b"a", b"", b"bc"]
+    arena = Arena.join(blobs)
+    assert (arena.data, list(arena.starts)) == (b"abc", [0, 1, 1, 3])
+    assert len(arena) == 3 and list(arena) == blobs
+    assert [arena[i] for i in range(-3, 3)] == blobs + blobs
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            arena[i]
+    with pytest.raises(TypeError):
+        arena[0] = b"x"
+    assert arena == Arena.join([bytearray(b) for b in blobs]) != Arena.join([b"ab", b"c", b""])
 
 
 def test_pure_python_xxhash_warns_once(monkeypatch, caplog):

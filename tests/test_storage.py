@@ -1,8 +1,10 @@
 """Index file round trips and malformed-file handling."""
 
+import gc
 import logging
 import random
 import struct
+import tracemalloc
 import zlib
 from collections import Counter
 
@@ -225,7 +227,7 @@ def test_resealed_corrupted_files_raise_only_package_errors():
             subs = mine_substitutions(d, "mixed", 20) if coded else None
             idx = build_index(d, k, substitutions=subs)
             blob = index_to_bytes(idx)
-            tail = sum(len(b) + 4 for b in idx.table.buckets + idx.lists) + 8
+            tail = sum(len(b) + 4 for b in (*idx.table.buckets, *idx.lists)) + 8
             cases.append((blob, len(blob) - 4 - tail, d.words + gen_noisy_queries(d, 50, seed=k).patterns))
     raised = Counter()
     for case in range(1500):
@@ -243,13 +245,151 @@ def test_resealed_corrupted_files_raise_only_package_errors():
     assert raised[CorruptListError] and raised[CodecError] and raised[TruncatedIndexError]
 
 
+def arena_offsets(idx):
+    """Offsets in ``index_to_bytes(idx)`` of the bucket arena and the list arena."""
+    lists = len(index_to_bytes(idx)) - 4 - len(idx.lists.data)
+    return lists - 4 * len(idx.lists) - 4 - len(idx.table.buckets.data), lists
+
+
+def resealed(idx, changes):
+    """The file of ``idx`` with ``changes[at]`` written at each offset ``at``
+    and the checksum recomputed."""
+    body = bytearray(index_to_bytes(idx)[:-4])
+    for at, value in changes.items():
+        body[at : at + len(value)] = value
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
 def test_region_markers_out_of_order_are_corrupt():
     d = Dictionary([b"abcdef", b"ghabij", b"gxabij", b"ghijab", b"gyijab"])
     idx = build_index(d, 2)
     ref = idx.table.lookup_list(b"ab")
     blob = bytearray(idx.lists[ref])
     assert blob[:4] == b"\x02\x00\x04\x00"  # region 2 starts at entry 2, region 3 at 4
-    blob[2] = 1  # region 3 before region 2: a negative entry count
-    idx.lists[ref] = bytes(blob)
+    # Region 3 before region 2: a negative entry count.
+    idx = index_from_bytes(resealed(idx, {arena_offsets(idx)[1] + idx.lists.starts[ref] + 2: b"\x01"}))
     with pytest.raises(CorruptListError, match="b'ab'"):
         idx.query(b"ghabiz")
+
+
+def test_hop_past_its_list_does_not_answer_from_the_next():
+    idx = build_index(Dictionary([b"abxy", b"cdab"]), 1)
+    a, b = idx.table.lookup_list(b"ab"), idx.table.lookup_list(b"xy")
+    assert (a + 1, idx.lists[a], idx.lists[b]) == (b, b"\x02\x00\x02xy\x02cd\x00", b"\x01\x00\x02ab\x00")
+    assert idx.query(b"xbab") == []
+    # The hop over region 1 of "ab" lands in the next list: on its entry
+    # b"ab", which would read as b"abab", one mismatch from the pattern, or
+    # on a zero marker byte, which would end the walk without a word.
+    at = arena_offsets(idx)[1] + idx.lists.starts[a] + 2
+    for length in (9, 8):
+        damaged = index_from_bytes(resealed(idx, {at: bytes((length,))}))
+        with pytest.raises(CorruptListError, match="b'ab'"):
+            damaged.query(b"xbab")
+
+
+def test_hop_far_past_its_list_is_corrupt():
+    idx = build_index(Dictionary([b"pqrs", b"uvpq", b"xya", b"xyb"]), 1)
+    a, c = idx.table.lookup_list(b"pq"), idx.table.lookup_list(b"xy")
+    assert idx.lists[a] == b"\x02\x00\x02rs\x02uv\x00" and idx.lists[c] == b"\x00\x00\x01a\x01b\x00"
+    # The hop lands two lists on, on two 1-byte entries in a row, where a
+    # strided slice bounded by the end of "pq" is empty.
+    length = idx.lists.starts[c] + 2 - (idx.lists.starts[a] + 3)
+    damaged = index_from_bytes(resealed(idx, {arena_offsets(idx)[1] + idx.lists.starts[a] + 2: bytes((length,))}))
+    with pytest.raises(CorruptListError, match="b'pq'"):
+        damaged.query(b"xxpq")
+
+
+@pytest.mark.parametrize("coded", [False, True])
+def test_run_past_its_list_is_corrupt(coded):
+    subs = SubstitutionList([(b"zz", 200)]) if coded else None
+    idx = build_index(Dictionary([b"abcxy", b"pqrst"]), 1, substitutions=subs)
+    ref = idx.table.lookup_list(b"abc")
+    assert idx.lists[ref] == b"\x00\x00\x02xy\x00"
+    # The entry b"xy" grows over the terminator: b"abcxy\x00" would match.
+    at = arena_offsets(idx)[1] + idx.lists.starts[ref] + 2
+    damaged = index_from_bytes(resealed(idx, {at: b"\x03"}))
+    with pytest.raises(CorruptListError, match="b'abc'"):
+        damaged.query(b"abcxy\x00")
+
+
+def test_walk_past_its_list_is_corrupt():
+    idx = build_index(Dictionary([b"abcde"]), 2)
+    ref = idx.table.lookup_list(b"ab")
+    assert idx.lists[ref] == b"\x00\x00\x00\x00\x03cde\x00"
+    # The shorter entry that the walk skips now ends on the terminator, so
+    # the walk goes on into the next list and finds no 5-byte entry there.
+    at = arena_offsets(idx)[1] + idx.lists.starts[ref] + 4
+    damaged = index_from_bytes(resealed(idx, {at: b"\x04"}))
+    with pytest.raises(CorruptListError, match="b'ab'"):
+        damaged.query(b"abcdexx")
+
+
+def test_bucket_record_past_its_bucket_is_corrupt():
+    idx = build_index(Dictionary([b"abxy"]), 1)
+    assert len(idx.table.buckets) == 1 and idx.table.buckets[0] == b"\x02ab\x00\x00\x00\x00\x02xy\x01\x00\x00\x00"
+    damaged = index_from_bytes(resealed(idx, {arena_offsets(idx)[0] + 7: b"\x03"}))
+    assert damaged.table.lookup_list(b"ab") == 0
+    # A miss walks over the grown record to past the bucket's end; the key
+    # b"xy\x01", which the damage made, has its ref past that end.
+    for key in (b"zz", b"xy\x01"):
+        with pytest.raises(CorruptListError, match="bucket 0"):
+            damaged.table.lookup_list(key)
+    with pytest.raises(CorruptListError):
+        damaged.query(b"zzzz")
+
+
+def test_ref_past_the_last_list_is_corrupt():
+    idx = build_index(Dictionary([b"abxy"]), 1)
+    at = arena_offsets(idx)[0] + 3  # the ref of b"ab"
+    damaged = index_from_bytes(resealed(idx, {at: bytes((len(idx.lists),))}))
+    with pytest.raises(CorruptListError, match="b'ab'"):
+        damaged.query(b"abxy")
+
+
+def list_lengths(idx, lengths):
+    """Changes that rewrite the list section's length array to ``lengths``."""
+    at = arena_offsets(idx)[1] - 4 * len(idx.lists)
+    return {at: struct.pack(f"<{len(lengths)}I", *lengths)}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_list_shorter_than_markers_and_terminator_fails_at_load(k):
+    idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), k)
+    sizes = [len(b) for b in idx.lists]
+    # List 1 gives its bytes but 2k to list 2; the arena stays as it was.
+    sizes[1:3] = [2 * k, sizes[1] + sizes[2] - 2 * k]
+    with pytest.raises(StorageError, match=f"list 1 holds {2 * k} bytes, fewer than {2 * k + 1}"):
+        index_from_bytes(resealed(idx, list_lengths(idx, sizes)))
+
+
+def test_list_lengths_adding_up_past_32_bits_are_a_cut_file():
+    idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1)
+    sizes = [len(b) for b in idx.lists]
+    # The same total modulo 2**32, but 2**32 bytes more than the file holds.
+    sizes[1:3] = [2**32 - 1, sizes[1] + sizes[2] + 1]
+    with pytest.raises(TruncatedIndexError):
+        index_from_bytes(resealed(idx, list_lengths(idx, sizes)))
+
+
+def test_list_without_its_terminator_fails_at_load():
+    idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1)
+    sizes = [len(b) for b in idx.lists]
+    sizes[1:3] = [sizes[1] - 1, sizes[2] + 1]  # list 1 now ends in a payload byte
+    with pytest.raises(StorageError, match="list 1 does not end with the terminator"):
+        index_from_bytes(resealed(idx, list_lengths(idx, sizes)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_loaded_heap_is_close_to_the_file_size(k):
+    # The bucket and list sections load as two arenas with u32 offsets, not
+    # as one object per blob.
+    data = index_to_bytes(build_index(Dictionary(random_words(random.Random(5), 20_000, 26)), k))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        idx = index_from_bytes(data)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert idx.lists.data and held <= 1.25 * len(data), held / len(data)
