@@ -3,7 +3,9 @@
 import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,13 @@ from splitindex import (
     run_bench,
     split_word,
 )
+from splitindex import core
 from splitindex.core import LIST_ENTRY_LIMIT
-from splitindex.storage import index_to_bytes
+from splitindex.storage import index_from_bytes, index_to_bytes
+
+# MATRIX_RUN values that send every run at k >= 2 to one kernel: 1 to the
+# matrix, LIST_ENTRY_LIMIT + 1 to the bytes.find passes.
+BOTH_KERNELS = (1, LIST_ENTRY_LIMIT + 1)
 
 
 def entries(blob, k):
@@ -335,9 +342,11 @@ def test_query_equals_oracle(data):
     idx = build_index(d, k, substitutions=subs)
     pattern = data.draw(st.binary(min_size=1, max_size=32).map(
         lambda w: bytes(alpha[b % sigma] for b in w)))
-    assert idx.query(pattern) == oracle_query(d, pattern, k)
-    report = run_bench(idx, QuerySet((pattern,), "drawn"))
-    assert report.verifications == expected_verifications(d, pattern, k)
+    for matrix_run in BOTH_KERNELS:
+        with patch.object(core, "MATRIX_RUN", matrix_run):
+            assert idx.query(pattern) == oracle_query(d, pattern, k)
+            report = run_bench(idx, QuerySet((pattern,), "drawn"))
+        assert report.verifications == expected_verifications(d, pattern, k)
 
 
 def test_long_runs_match_the_oracle():
@@ -407,10 +416,47 @@ def _long_runs_match_the_oracle(k):
             patterns.update(bytes([c]) + w[1:] for c in b"az\x01")
 
     patterns = tuple(sorted(patterns))
-    for p in patterns:
-        assert idx.query(p) == oracle_query(d, p, k), p
-    report = run_bench(idx, QuerySet(patterns, "long runs"))
-    assert report.verifications == sum(expected_verifications(d, p, k) for p in patterns)
+    expected = [oracle_query(d, p, k) for p in patterns]
+    verifications = sum(expected_verifications(d, p, k) for p in patterns)
+    for matrix_run in BOTH_KERNELS:
+        with patch.object(core, "MATRIX_RUN", matrix_run):
+            for p, want in zip(patterns, expected):
+                assert idx.query(p) == want, (matrix_run, p)
+            report = run_bench(idx, QuerySet(patterns, "long runs"))
+        assert report.verifications == verifications, matrix_run
+
+
+def test_run_of_the_shipped_threshold_matches_the_oracle():
+    # Without patching, a k = 2 run of at least MATRIX_RUN entries goes
+    # through the matrix kernel, which reads the list arena through a view.
+    k = 2
+    rng = random.Random(21)
+    drawn = set()
+    while len(drawn) < 2 * core.MATRIX_RUN:
+        drawn.add(bytes(rng.choices(b"abcd", k=6)))
+    words = sorted(b"key" + e for e in drawn)
+    words += [b"kez" + e for e in sorted(drawn)[:10]]  # keyed elsewhere, one byte off the key
+    d = Dictionary(words)
+    built = build_index(d, k)
+    for idx in (built, index_from_bytes(index_to_bytes(built))):
+        assert np.shares_memory(idx._view, np.frombuffer(idx.lists.data, dtype=np.uint8))
+        payloads = regions(*entries(idx.lists[idx.table.lookup_list(b"key")], k))[0]
+        assert [len(e) for e in payloads].count(6) >= core.MATRIX_RUN
+
+        patterns = set()
+        for w in d.words:
+            patterns.add(w)
+            for m in (k, k + 1):  # in the key, the rest or both
+                for _ in range(4):
+                    p = bytearray(w)
+                    for i in rng.sample(range(len(w)), m):
+                        p[i] ^= rng.choice((1, 2, 3))
+                    patterns.add(bytes(p))
+        patterns = tuple(sorted(patterns))
+        for p in patterns:
+            assert idx.query(p) == oracle_query(d, p, k), p
+        report = run_bench(idx, QuerySet(patterns, "one long run"))
+        assert report.verifications == sum(expected_verifications(d, p, k) for p in patterns)
 
 
 def test_length_filter_never_drops_matches():
@@ -451,9 +497,13 @@ def test_arbitrary_byte_values_survive_the_layout():
 def test_concurrent_readers_match_sequential():
     rng = random.Random(11)
     d = Dictionary(random_words(rng, 800, 8))
-    idx = build_index(d, 1)
     patterns = [bytes(rng.choices(b"abcdefgh", k=rng.randint(1, 30))) for _ in range(600)]
-    sequential = [idx.query(p) for p in patterns]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent = list(pool.map(idx.query, patterns))
-    assert concurrent == sequential
+    # At k = 2 every run goes through the matrix kernel, so the threads share
+    # reads of the arena's numpy view.
+    for k, matrix_run in ((1, core.MATRIX_RUN), (2, 1)):
+        idx = build_index(d, k)
+        with patch.object(core, "MATRIX_RUN", matrix_run):
+            sequential = [idx.query(p) for p in patterns]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                concurrent = list(pool.map(idx.query, patterns))
+        assert concurrent == sequential, k

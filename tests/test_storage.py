@@ -7,6 +7,7 @@ import struct
 import tracemalloc
 import zlib
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 
@@ -32,6 +33,7 @@ from splitindex import (
     oracle_query,
     save_index,
 )
+from splitindex import core
 from splitindex.storage import index_from_bytes, index_to_bytes
 
 
@@ -218,7 +220,8 @@ def test_resealed_corrupted_files_raise_only_package_errors():
     # Bytes flipped in the bucket and list sections, with the checksum
     # recomputed, so the damage gets past the load checks.  Load and queries
     # may then raise only SplitIndexError subclasses; a damaged list that
-    # still answers (wrongly) is not caught here.
+    # still answers (wrongly) is not caught here.  The uncoded k = 2 index is
+    # a case twice, the second time with every run verified as a matrix.
     rng = random.Random(62)
     cases = []
     for k in (1, 2):
@@ -228,18 +231,22 @@ def test_resealed_corrupted_files_raise_only_package_errors():
             idx = build_index(d, k, substitutions=subs)
             blob = index_to_bytes(idx)
             tail = sum(len(b) + 4 for b in (*idx.table.buckets, *idx.lists)) + 8
-            cases.append((blob, len(blob) - 4 - tail, d.words + gen_noisy_queries(d, 50, seed=k).patterns))
+            case = (blob, len(blob) - 4 - tail, d.words + gen_noisy_queries(d, 50, seed=k).patterns)
+            cases.append(case + (core.MATRIX_RUN,))
+            if k == 2 and not coded:
+                cases.append(case + (1,))
     raised = Counter()
     for case in range(1500):
-        blob, start, patterns = cases[case % len(cases)]
+        blob, start, patterns, matrix_run = cases[case % len(cases)]
         body = bytearray(blob[:-4])
         for at in rng.sample(range(start, len(body)), rng.randint(1, 3)):
             body[at] ^= rng.randrange(1, 256)
         data = bytes(body) + struct.pack("<I", zlib.crc32(body))
         try:
             idx = index_from_bytes(data)
-            for p in patterns:
-                idx.query(p)
+            with patch.object(core, "MATRIX_RUN", matrix_run):
+                for p in patterns:
+                    idx.query(p)
         except SplitIndexError as err:
             raised[type(err)] += 1
     assert raised[CorruptListError] and raised[CodecError] and raised[TruncatedIndexError]
@@ -310,6 +317,18 @@ def test_run_past_its_list_is_corrupt(coded):
     damaged = index_from_bytes(resealed(idx, {at: b"\x03"}))
     with pytest.raises(CorruptListError, match="b'abc'"):
         damaged.query(b"abcxy\x00")
+
+
+def test_run_past_its_list_is_corrupt_in_the_matrix():
+    idx = build_index(Dictionary([b"abcxyz", b"pqrstu"]), 2)
+    ref = idx.table.lookup_list(b"ab")
+    assert idx.lists[ref] == b"\x00\x00\x00\x00\x04cxyz\x00" and ref + 1 < len(idx.lists)
+    # The entry b"cxyz" grows over the terminator: as a matrix row it would
+    # match b"abcxyz\x00" exactly.
+    at = arena_offsets(idx)[1] + idx.lists.starts[ref] + 4
+    damaged = index_from_bytes(resealed(idx, {at: b"\x05"}))
+    with patch.object(core, "MATRIX_RUN", 1), pytest.raises(CorruptListError, match="b'ab'"):
+        damaged.query(b"abcxyz\x00")
 
 
 def test_walk_past_its_list_is_corrupt():
