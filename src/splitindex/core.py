@@ -18,7 +18,7 @@ total length at query time.
 
 A query verifies the run of entries of its wanted length with one of two
 kernels.  At k >= 2, a run of at least ``MATRIX_RUN`` entries is compared
-with the pattern as one uint8 matrix over a numpy view of the list arena,
+with the pattern as one uint8 matrix over a numpy view of the bucket arena,
 each entry once; shorter runs, and every run at k = 1, are searched with
 ``bytes.find`` for exact sub-pieces of the pattern, and only the aligned hits
 are verified.  The threshold, 64, was measured on the english k = 2
@@ -27,10 +27,12 @@ the median query.
 
 Payloads may be substitution-coded (see ``qgrams``); keys never are.
 
-All lists sit back to back in one ``Arena`` (see ``hashing``), and a query
-reads them at absolute offsets, never past the end of the list it walks:
-a walk, hop or run that would cross a list's terminator raises
-``CorruptListError``.
+Each list sits in the hash table's bucket arena, right after its key (see
+``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
+reads it at absolute offsets, never past the end of the list it walks: a
+list shorter than its markers and terminator or not ending in the
+terminator, and a walk, hop or run that would cross a list's terminator,
+raise ``CorruptListError``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import Arena, ChainedHashTable, HashConfig
+from .hashing import ChainedHashTable, HashConfig
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # entry lengths are single bytes; 0 terminates a list
@@ -212,19 +214,18 @@ class SplitIndex:
         self,
         k: int,
         table: ChainedHashTable,
-        lists: Arena,
         side_table: dict[int, tuple[bytes, ...]],
         subs: SubstitutionList | None,
         source_stats: DictionaryStats,
     ):
         self.k = k
         self.table = table
-        self.lists = lists
+        self.lists = table.buckets.data  # every list sits in its bucket record
         self.side_table = side_table
         self.subs = subs or None  # no coding is None, never an empty list
         self.source_stats = source_stats
         self._decode = subs.decode if subs else None
-        self._view = np.frombuffer(lists.data, dtype=np.uint8)  # the list arena, not a copy
+        self._view = np.frombuffer(self.lists, dtype=np.uint8)  # the arena, not a copy
 
     # -- queries ---------------------------------------------------------
 
@@ -264,27 +265,30 @@ class SplitIndex:
         # one of them exactly, so each sub-piece is searched in C with
         # bytes.find and only its hits are compared, through one integer xor.
         lookup = self.table.lookup_list
-        data = self.lists.data
-        starts = self.lists.starts
+        data = self.lists
+        shortest = 2 * k + 1  # k markers and the terminator
         decode = self._decode
         view = self._view
         matrix = MATRIX_RUN if k > 1 else LIST_ENTRY_LIMIT + 1
         ifb = int.from_bytes
         verified = 0
-        # Reading past a list, or a ref past the lists, means a damaged file.
-        # The list of ``ref`` spans data[begin:limit], its terminator last.  A
-        # hop or walk crosses that only through a damaged length byte; it is
-        # checked once, where it stops, and the words it found go with the
-        # error.  Offsets into the arena are large ints, a new object each, so
-        # every sum is computed once.
+        # Reading past a list means a damaged file.  The list of ``key`` spans
+        # data[begin:limit], its terminator last, which is checked on every
+        # hit.  A hop or walk crosses that only through a damaged length byte;
+        # it is checked once, where it stops, and the words it found go with
+        # the error.  Offsets into the arena are large ints, a new object
+        # each, so every sum is computed once.
         try:
             for start, end, need, passes, mark, nexts in _plan(n, k):
                 key = pattern[start:end]
-                ref = lookup(key)
-                if ref is None:
+                span = lookup(key)
+                if span is None:
                     continue
-                begin = starts[ref]
-                limit = starts[ref + 1]
+                begin = span.start
+                limit = span.stop
+                if limit - begin < shortest or data[limit - 1]:
+                    raise CorruptListError(f"the list for key {key!r} holds {limit - begin} bytes, "
+                                           f"not its {k} region markers, entries and terminator byte 0")
                 # Region r + 1 starts at marker r (at the first entry for r = 0)
                 # and holds the entries up to the next region that has any, or up
                 # to the terminator, which ends any walk early.
@@ -377,21 +381,22 @@ class SplitIndex:
 
     def list_stats(self) -> ListStats:
         """Entry counts and stored payload bytes across all piece lists."""
+        count = 0
         total = 0
         payload = 0
         worst = 0
-        data = self.lists.data
-        for base in self.lists.starts[:-1]:
-            o = base + 2 * self.k
+        data = self.lists
+        for _, _, begin, end in self.table.records():
+            o = begin + 2 * self.k
             c = 0
-            while ln := data[o]:
+            while o < end and (ln := data[o]):
                 o += ln + 1
                 c += 1
                 payload += ln
+            count += 1
             total += c
             if c > worst:
                 worst = c
-        count = len(self.lists)
         return ListStats(
             list_count=count,
             entry_count=total,
@@ -403,16 +408,18 @@ class SplitIndex:
     def size_breakdown(self) -> dict[str, int]:
         """Exact byte sizes of every stored component.
 
-        ``directory`` charges one 8-byte slot per bucket; everything else is
-        the literal length of the stored blobs.  Allocator overhead is
-        deliberately excluded.
+        ``directory`` charges one 8-byte slot per bucket; ``buckets`` counts
+        the record headers (key length byte, key, list length) and ``lists``
+        the list bytes after them; everything else is the literal length of
+        the stored blobs.  Allocator overhead is deliberately excluded.
         """
         side = sum(1 + len(w) for group in self.side_table.values() for w in group)
         subs = sum(1 + len(s.gram) for s in self.subs or ())
+        lists = sum(end - begin for _, _, begin, end in self.table.records())
         parts = {
             "directory": 8 * self.table.bucket_count,
-            "buckets": self.table.content_bytes(),
-            "lists": len(self.lists.data),
+            "buckets": len(self.lists) - lists,
+            "lists": lists,
             "side_table": side,
             "substitutions": subs,
         }
@@ -445,11 +452,10 @@ def build_index(
     if k > 255:
         raise ConfigError(f"mismatch budget is limited to 255, got {k}")
     side: dict[int, list[bytes]] = {}
-    # Growable per-list (key position, payload length, payload) staging,
-    # written out into one arena once every entry of a list is known.
-    # A key's ref is the order in which it was first seen.
-    refs: dict[bytes, int] = {}
-    staged: list[list[tuple[int, int, bytes]]] = []
+    # Growable per-key (key position, payload length, payload) staging, in
+    # the order keys are first seen, written out once every entry of a list
+    # is known.
+    staged: dict[bytes, list[tuple[int, int, bytes]]] = {}
     for word in dictionary.words:
         n = len(word)
         if n <= k:
@@ -463,47 +469,42 @@ def build_index(
             if size > PAYLOAD_LIMIT:
                 raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {word[:32]!r}")
             key = word[start:end]
-            ref = refs.get(key)
-            if ref is None:
-                ref = refs[key] = len(staged)
-                staged.append([])
-            staged[ref].append((pos, size, missing))
+            entries = staged.get(key)
+            if entries is None:
+                entries = staged[key] = []
+            entries.append((pos, size, missing))
             start = end
 
     if substitutions:
-        coded = iter(substitutions.encode_many([e for entries in staged for _, _, e in entries]))
-        for entries in staged:
+        coded = iter(substitutions.encode_many([e for entries in staged.values() for _, _, e in entries]))
+        for entries in staged.values():
             # zip stops at the end of entries before drawing from coded.
             entries[:] = [(pos, len(c), c) for (pos, _, _), c in zip(entries, coded)]
 
     # Sorted as staged, entries are grouped into regions by key position and
     # laid out shortest first within a region, so scans can skip ahead to the
     # wanted length and stop as soon as entries get longer.
-    keys = list(refs)
-    buf = bytearray()
-    ends = [0]
+    lists = {}
     markers = bytes(2 * k)  # the markers of regions left empty stay 0
-    for ref, entries in enumerate(staged):
+    for key, entries in staged.items():
         if len(entries) > LIST_ENTRY_LIMIT:
             raise BuildError(
-                f"list for key {keys[ref]!r} holds {len(entries)} entries, over {LIST_ENTRY_LIMIT}; "
+                f"list for key {key!r} holds {len(entries)} entries, over {LIST_ENTRY_LIMIT}; "
                 "region markers are 16-bit entry indexes"
             )
         entries.sort()
-        at = len(buf)
-        buf += markers
+        buf = bytearray(markers)
         region = 1
         for i, (pos, size, e) in enumerate(entries, 1):
             if pos != region:  # entry i begins region pos
                 region = pos
-                buf[at + 2 * pos - 4 : at + 2 * pos - 2] = i.to_bytes(2, "little")
+                buf[2 * pos - 4 : 2 * pos - 2] = i.to_bytes(2, "little")
             buf.append(size)
             buf += e
         buf.append(0)
-        ends.append(len(buf))
-    lists = Arena(bytes(buf), ends)
+        lists[key] = buf
 
-    table = ChainedHashTable.build(keys, hash_config)
+    table = ChainedHashTable.build(lists, hash_config)
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
-    return SplitIndex(k, table, lists, side_sorted, substitutions, dictionary.stats())
+    return SplitIndex(k, table, side_sorted, substitutions, dictionary.stats())
 

@@ -2,23 +2,24 @@
 
 An ``Arena`` holds a sequence of byte blobs back to back in one ``bytes``
 object, with an ``array('I')`` of n + 1 start offsets; blob ``i`` is
-``data[starts[i]:starts[i + 1]]``.  The table's buckets and the index's
-lists are each one arena, in memory as in the file.
+``data[starts[i]:starts[i + 1]]``.  The table's buckets are one arena, in
+memory as in the file.
 
 The table keeps each bucket as one blob of
-``[key length u8][key bytes][list ref u32 LE]`` records, so a key and the
-reference to its piece list always sit next to each other.  It is built once
-from the final key set and is immutable afterwards.  List references are
-dense integers, the position of each key in the key list the table is built
-from; the caller owns whatever storage they index.  The bucket count is the
-smallest power of two with ``key count <= bucket count * max_load_factor``.
+``[key length u8][key bytes][list length, LEB128][list bytes]`` records, so
+a key's list sits right after it.  ``lookup_list`` returns where that list
+lies in the arena's bytes, and ``records`` walks every record; both raise
+``CorruptListError`` for a record, a list length or a list that runs past
+its bucket's end, and a list length takes at most ``LENGTH_BYTES`` bytes.
+The table is built once from the final key set and is immutable afterwards.
+The bucket count is the smallest power of two with
+``key count <= bucket count * max_load_factor``.
 
 All hash functions are seedless (fixed internal constants) and produce
 identical output on every platform, in every process, so a saved table can be
 probed after a load.  ``crc32`` returns 32-bit values and the others 64-bit
 values; a bucket is picked by the low bits, so bucket counts stop at 2**32.
 """
-
 from __future__ import annotations
 
 import logging
@@ -242,8 +243,42 @@ class BucketStats:
     nonempty_mean_chain: float
 
 
+# A list length takes at most this many LEB128 bytes, 28 bits: a list holds
+# at most 65535 entries of at most 256 bytes, so it is under 2**25 bytes.
+LENGTH_BYTES = 4
+
+
+def _length_bytes(n: int) -> bytes:
+    """``n`` as LEB128: 7 bits a byte, low bits first, the high bit set on
+    every byte but the last."""
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def _read_length(data: bytes, o: int, end: int, bucket: int) -> tuple[int, int]:
+    """The LEB128 list length at ``data[o]`` and the offset after it.
+
+    Raises CorruptListError naming the bucket for a length that crosses the
+    bucket's ``end`` or takes more than ``LENGTH_BYTES`` bytes.
+    """
+    n = 0
+    for shift in range(0, 7 * LENGTH_BYTES, 7):
+        if o >= end:
+            raise CorruptListError(f"bucket {bucket} holds a list length that runs past its end")
+        b = data[o]
+        o += 1
+        n |= (b & 0x7F) << shift
+        if b < 0x80:
+            return n, o
+    raise CorruptListError(f"bucket {bucket} holds a list length of more than {LENGTH_BYTES} bytes")
+
+
 class ChainedHashTable:
-    """Chained hash table mapping byte keys to dense integer list references.
+    """Chained hash table mapping byte keys to the byte lists stored after them.
 
     Built once by ``build`` from the final key set, or loaded from a file, and
     never changed afterwards, so it is safe to read from many threads.  The
@@ -251,9 +286,9 @@ class ChainedHashTable:
     ``max_load_factor`` keys per bucket.
     """
 
-    __slots__ = ("config", "_fn", "_buckets", "_data", "_starts", "_mask", "_count")
+    __slots__ = ("config", "_fn", "_buckets", "_data", "_starts", "_mask")
 
-    def __init__(self, buckets: Arena, config: HashConfig, key_count: int):
+    def __init__(self, buckets: Arena, config: HashConfig):
         n = len(buckets)
         if n < 1 or n & (n - 1):
             raise ConfigError(f"bucket count must be a power of two, got {n}")
@@ -263,7 +298,6 @@ class ChainedHashTable:
         self._data = buckets.data
         self._starts = buckets.starts
         self._mask = n - 1
-        self._count = key_count
         global _slow_hash_warned
         if self._fn is xxhash64 and not _slow_hash_warned:
             _slow_hash_warned = True
@@ -273,28 +307,29 @@ class ChainedHashTable:
             )
 
     @classmethod
-    def build(cls, keys: list[bytes], config: HashConfig | None = None) -> "ChainedHashTable":
-        """Lay out a table whose key ``keys[i]`` refers to list ``i``.
+    def build(cls, lists: dict[bytes, bytes], config: HashConfig | None = None) -> "ChainedHashTable":
+        """Lay out a table that stores ``lists[key]`` right after each key.
 
-        Keys are distinct; each bucket holds its keys in ref order.
+        Each bucket holds its keys in the dict's order.
         """
         config = config or HashConfig()
-        n = _bucket_count(len(keys), config.max_load_factor)
+        n = _bucket_count(len(lists), config.max_load_factor)
         buckets = [bytearray() for _ in range(n)]
         fn = HASH_FUNCTIONS[config.function_id]
         mask = n - 1
-        for ref, key in enumerate(keys):
+        for key, blob in lists.items():
             if len(key) > 255:
                 raise BuildError(f"key longer than 255 bytes: {key[:16]!r}...")
             bucket = buckets[fn(key) & mask]
             bucket.append(len(key))
             bucket += key
-            bucket += ref.to_bytes(4, "little")
-        return cls(Arena.join(buckets), config, len(keys))
+            bucket += _length_bytes(len(blob))
+            bucket += blob
+        return cls(Arena.join(buckets), config)
 
     @property
     def key_count(self) -> int:
-        return self._count
+        return sum(self.chain_lengths())
 
     @property
     def bucket_count(self) -> int:
@@ -304,8 +339,8 @@ class ChainedHashTable:
     def buckets(self) -> Arena:
         return self._buckets
 
-    def lookup_list(self, key: bytes) -> int | None:
-        """Reference of the list installed for ``key``, or None.
+    def lookup_list(self, key: bytes) -> slice | None:
+        """Where the list stored for ``key`` lies in ``buckets.data``, or None.
 
         Raises CorruptListError when a record runs past its bucket's end.
         """
@@ -315,49 +350,70 @@ class ChainedHashTable:
         o = starts[h]
         end = starts[h + 1]
         kl = len(key)
-        # Offsets here are large ints, each one a new object: every sum is
-        # computed once.
+        # Offsets here are large ints, each one a new object, so a record
+        # costs two sums: p, the offset of its list length's last byte, and
+        # the next record's offset.  Most lists are shorter than 128 bytes,
+        # so their length is one byte, and nearly all the others shorter
+        # than 16384, two bytes; longer ones go to _read_length.
         while o < end:
             el = data[o]
-            o += 1
-            if el == kl:
-                p = o + kl
-                if data[o:p] == key:
-                    o = p + 4
-                    if o > end:
-                        break
-                    return int.from_bytes(data[p:o], "little")
-            o += el + 4
+            p = o + (el + 1)
+            if p >= end:
+                break
+            n = data[p]
+            if n > 0x7F:
+                p += 1
+                if p < end and (b := data[p]) < 0x80:
+                    n = n & 0x7F | b << 7
+                else:
+                    n, p = _read_length(data, p - 1, end, h)
+                    p -= 1
+            if el == kl and data.startswith(key, o + 1):
+                p += 1
+                n += p
+                if n > end:
+                    raise CorruptListError(f"the list for key {key!r} runs past the end of bucket {h}")
+                return slice(p, n)
+            o = p + (n + 1)
         if o != end:
             raise CorruptListError(f"bucket {h} holds a record that runs past its end")
         return None
 
+    def records(self) -> Iterator[tuple[int, bytes, int, int]]:
+        """``(bucket, key, begin, end)`` of every record, in arena order;
+        the key's list is ``buckets.data[begin:end]``.
+
+        Raises CorruptListError naming the bucket for a record that runs
+        past its bucket's end.
+        """
+        data = self._data
+        for h, (o, end) in enumerate(pairwise(self._starts)):
+            while o < end:
+                p = o + 1 + data[o]
+                key = data[o + 1 : p]
+                n, q = _read_length(data, p, end, h)
+                if (o := q + n) > end:
+                    raise CorruptListError(f"bucket {h} holds a record that runs past its end")
+                yield h, key, q, o
+
     def chain_lengths(self) -> list[int]:
         """Number of keys stored in each bucket, in bucket order."""
-        data = self._data
-        out = []
-        for o, end in pairwise(self._starts):
-            c = 0
-            while o < end:
-                o += data[o] + 5
-                c += 1
-            out.append(c)
+        out = [0] * len(self._buckets)
+        for h, _, _, _ in self.records():
+            out[h] += 1
         return out
 
     def bucket_stats(self) -> BucketStats:
         lengths = self.chain_lengths()
         buckets = len(lengths)
+        keys = sum(lengths)
         nonempty = [c for c in lengths if c]
         return BucketStats(
             bucket_count=buckets,
-            key_count=self._count,
-            load_factor=self._count / buckets,
-            mean_chain=self._count / buckets,
+            key_count=keys,
+            load_factor=keys / buckets,
+            mean_chain=keys / buckets,
             max_chain=max(lengths) if lengths else 0,
             nonempty_buckets=len(nonempty),
             nonempty_mean_chain=(sum(nonempty) / len(nonempty)) if nonempty else 0.0,
         )
-
-    def content_bytes(self) -> int:
-        """Total bytes held in bucket blobs (keys, length tags, references)."""
-        return len(self._data)

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic            8 bytes  b"SPLITIDX"
-    version          u16      currently 3
+    version          u16      currently 4
     k                u8
     hash id          u8 length + ASCII name
     max load factor  f64
@@ -11,25 +11,22 @@ Layout (all integers little-endian):
     side table       section, one blob per word (sorted by length, then bytes)
     substitutions    section, one blob per rule: code byte, then gram,
                      in applied order
-    buckets          section, one blob per bucket; its count is the bucket count
-    lists            section, one blob per list in ref order; its count is
-                     the table's key count
+    buckets          section, one blob per bucket; its count is the bucket
+                     count, and each key's list sits in its bucket record
     checksum         u32 zlib.crc32 of every byte before it
 
 A section is ``u32 n``, then ``n`` u32 blob lengths, then the ``n`` blobs
 concatenated.  It loads as an ``Arena`` (see ``hashing``): one slice of the
 file for the blobs, and their start offsets accumulated from the lengths.
-The bucket and list arenas are kept as loaded and written back unchanged
-(lists in the region layout that ``core`` describes, the same for every k),
-so a load/save cycle is byte-identical and loaded indexes answer queries
-exactly like the original.
+The bucket arena is kept as loaded and written back unchanged (its records
+as ``hashing`` describes, its lists in the region layout that ``core``
+describes, the same for every k), so a load/save cycle is byte-identical
+and loaded indexes answer queries exactly like the original.
 
 The checksum is verified on every load, after the header and section checks;
-files of any other version, versions 1 and 2 included, are rejected.  Then
-every list must hold at least its k region markers and a terminator, and end
-with that terminator, or the load raises ``StorageError`` naming the list.
-Entries are not checked at load; a query that would read past its list
-raises ``CorruptListError``.
+files of any other version, versions 1 to 3 included, are rejected.  Records
+and lists are not walked at load: the probe and the search check the ones
+they read, and raise ``CorruptListError`` for those that are damaged.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .hashing import ARENA_LIMIT, Arena, ChainedHashTable, HashConfig
 from .qgrams import Substitution, SubstitutionList
 
 MAGIC = b"SPLITIDX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def save_index(index: SplitIndex, path) -> None:
@@ -84,7 +81,6 @@ def index_to_bytes(index: SplitIndex) -> bytes:
         _section(Arena.join([w for n in sorted(index.side_table) for w in index.side_table[n]])),
         _section(Arena.join([bytes((s.code,)) + s.gram for s in subs])),
         _section(index.table.buckets),
-        _section(index.lists),
     ))
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -124,20 +120,6 @@ class _Cursor:
         return Arena(data, starts)
 
 
-def _check_lists(lists: Arena, k: int) -> None:
-    """Raise StorageError for the first list too short for its k markers and
-    terminator, or not ending with the terminator byte 0."""
-    starts = np.frombuffer(lists.starts, dtype=np.uint32)
-    sizes = np.diff(starts)
-    short = np.flatnonzero(sizes < 2 * k + 1)
-    if short.size:
-        ref = short[0]
-        raise StorageError(f"list {ref} holds {sizes[ref]} bytes, fewer than {2 * k + 1} for {k} region markers and a terminator")
-    unended = np.flatnonzero(np.frombuffer(lists.data, dtype=np.uint8)[starts[1:] - 1])
-    if unended.size:
-        raise StorageError(f"list {unended[0]} does not end with the terminator byte 0")
-
-
 def index_from_bytes(data: bytes) -> SplitIndex:
     cur = _Cursor(data)
     if cur.take(len(MAGIC)) != MAGIC:
@@ -157,7 +139,6 @@ def index_from_bytes(data: bytes) -> SplitIndex:
     side_words = cur.section()
     rules = cur.section()
     buckets = cur.section()
-    lists = cur.section()
     end = cur.pos
     (stored,) = cur.unpack("<I")
     if cur.pos != len(data):
@@ -168,7 +149,6 @@ def index_from_bytes(data: bytes) -> SplitIndex:
             f"checksum mismatch: file stores {stored:#010x}, data gives {computed:#010x}"
         )
 
-    _check_lists(lists, k)
     if not all(rules):
         raise StorageError("empty substitution rule")
     subs = SubstitutionList([Substitution(r[1:], r[0]) for r in rules])
@@ -176,7 +156,7 @@ def index_from_bytes(data: bytes) -> SplitIndex:
     for w in side_words:
         side.setdefault(len(w), []).append(w)
     config = HashConfig(function_id=name.decode("ascii"), max_load_factor=max_lf)
-    table = ChainedHashTable(buckets, config, len(lists))
+    table = ChainedHashTable(buckets, config)
     stats = DictionaryStats(total_bytes, word_count, alphabet_size)
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
-    return SplitIndex(k, table, lists, side_sorted, subs, stats)
+    return SplitIndex(k, table, side_sorted, subs, stats)

@@ -26,7 +26,8 @@ from splitindex import (
     split_word,
 )
 from splitindex import core
-from splitindex.core import LIST_ENTRY_LIMIT
+from splitindex.core import LIST_ENTRY_LIMIT, ListStats
+from splitindex.hashing import BucketStats
 from splitindex.storage import index_from_bytes, index_to_bytes
 
 # MATRIX_RUN values that send every run at k >= 2 to one kernel: 1 to the
@@ -189,70 +190,71 @@ def test_builds_are_byte_identical():
 
 
 # SHA-256 digests for the dictionary below, per hash id, with and without
-# GOLDEN_SUBS: of index_to_bytes, of the joined list blobs and of the joined
-# bucket blobs.  Any change to the file layout changes the first; the other two
-# pin the list and bucket layout on their own, so a change to the file format
-# alone leaves them as they are.  The hash id moves buckets, never lists.
+# GOLDEN_SUBS: of index_to_bytes, of the list blobs joined in the order their
+# keys are first seen, and of the joined bucket blobs.  Any change to the file
+# layout changes the first; the other two pin the list and bucket layout on
+# their own, so a change to the file format alone leaves them as they are.
+# The hash id moves buckets, never lists.
 GOLDEN_DIGESTS = {
     ("xxhash", 1, False): (
-        "a5f6073847763f198ffbd5c0891b71347881ef14df99c75b9dc4992c288f3301",
+        "a08c251f1b38eda86ed46cf555629079fd73533d8cbd7fe225989cd592a8b4a0",
         "0927345e8ad51dfa2bb1393aca744851fca56a748dbd12968eec1f6711fc018f",
-        "e62727d5a44f91b11d40f1f45ac1df040f6f144121e8bdc14ce277b3b1b99f35",
+        "5036b9ad65517290bf91fc81f028864d40e1807e33a6a292995a874f22903f92",
     ),
     ("xxhash", 1, True): (
-        "04a9c7c94faebe4b0e3e35717ccad12b540991322a4ac09414625048bd25ac05",
+        "4f26f407f717846de52a593080e7725521ee0f343d86f438e15d76ab9807e4aa",
         "844747c929a2a3d8ebc33c4173844dd4e4b0bd3838a405fc1011383f0d0a151b",
-        "e62727d5a44f91b11d40f1f45ac1df040f6f144121e8bdc14ce277b3b1b99f35",
+        "c348c0893f2aa633bf33b3a3f4fa0d0af16ac35800e19a80cefd81ded3c44c85",
     ),
     ("xxhash", 2, False): (
-        "acc7a431532c4ae1e37a2c3d9efc5d89341357bb8eda4778b941f91821c1fe25",
+        "28dbfc3d5e6ce8a4f85d6720e339f6539ace19276198cdf4b404b5e5052d12d8",
         "377a154bfdc8e09ba125e2cc8f5c82f63feface80abb9dde2e0a0869d8ac4c37",
-        "115c60ae4254bd777cfcf3173d00adf91c0a74b3d3662ca05bc71da7e97d3f0a",
+        "cf1cd4623b3fc55fdc01fccd8389786f7bbda7e149f47ca0fbf2ab780a8cc1c6",
     ),
     ("xxhash", 2, True): (
-        "84cb8a7f6001176877cc1e3e1aec8074f4ff5ceb788d043fc65f46ca4ba98014",
+        "1b745d6f8ffa083ff7e7d1e56a94fec8a28df9740903c92be13673057b593253",
         "deacc41caf72025ac92c265e39611460ab6f41d72575ee57e9d209eeae3cc488",
-        "115c60ae4254bd777cfcf3173d00adf91c0a74b3d3662ca05bc71da7e97d3f0a",
+        "e258f39b49a2e6eb9e2d405cb73da976bcdd5576f25901e2ec79bbe131ee16d4",
     ),
     ("xxhash", 3, False): (
-        "2ccc9590f357ac09c89bf7e00bcf04f352e466872697a79c0c60c5483d049fc1",
+        "88d5d03c35edb4f11630a50ae36c82bcbc47184b490bab60b6e2d8dbc56120d0",
         "b05b56705f460a2ea598af4f60c7abf5abeea806672b2319ce2de9a805a17d42",
-        "c8093048556d30cd3336da7db58cf6b6d6acdfe85bdc697c296cd177fe1cd550",
+        "2248a24ed859ac2cfef8dbb06dc807809c41d3050daa9335d9a87204849934c4",
     ),
     ("xxhash", 3, True): (
-        "57a557a266ca33c715274502c28cc889b4a8243ccfac286460be3571a207d1b7",
+        "9fd04ced301c7a2a06e477ff474ae60307a40f26d8edd227286a22fbdd529e0f",
         "c865279ab3b20fe2c9242fa63dafff9035f1806869ac6700017909d53c54fa1d",
-        "c8093048556d30cd3336da7db58cf6b6d6acdfe85bdc697c296cd177fe1cd550",
+        "456d7e783ff3086d00fb0face9f6a492b2850759261a2463f28c970050904103",
     ),
     ("crc32", 1, False): (
-        "484776c241f6add8f7245333365ef7d419ee06f51b511920a02f9fc607e20db9",
+        "60303e8855bf0eb7afe0f35a25095958dad02b60b5cfb65da1d6c7246aa67545",
         "0927345e8ad51dfa2bb1393aca744851fca56a748dbd12968eec1f6711fc018f",
-        "0499971abb820c0620f17a569f27a37ffcc4e3819b7ab1be2f39f19f9408b8fc",
+        "3688c1c8af232619044fe0d9d64eeaa6d19a85288cf6d40432e0d7bfa2aaeb43",
     ),
     ("crc32", 1, True): (
-        "72a3149f98223057068c7552fd7c7b0d8e8ff3b84deed6c8208b240311463b94",
+        "918d9fb0376ce44700b876abd612ddc2fa185ff1c364810c0f283de76081f8f3",
         "844747c929a2a3d8ebc33c4173844dd4e4b0bd3838a405fc1011383f0d0a151b",
-        "0499971abb820c0620f17a569f27a37ffcc4e3819b7ab1be2f39f19f9408b8fc",
+        "9153c780c095ed00c06bbb8f59cfa7dc0eff90b40f5f942055ff5e2db293a8ae",
     ),
     ("crc32", 2, False): (
-        "89072a1a56c3057f8129c92e3515322031b084b68010eae59abed3996b23ba1a",
+        "56d9f2a2ed48bfed112d31c0a6c76cc8196886ff8af365cdad2d0b960d1e5c97",
         "377a154bfdc8e09ba125e2cc8f5c82f63feface80abb9dde2e0a0869d8ac4c37",
-        "bc1083f6a1b07fc0561211ad84bfd21c60cb182f3521bf0524d4460be455a1f2",
+        "25a6f6c6cba4357cdf794267921fcaa04a8bf4525a0a84894eec0ce2d7921b28",
     ),
     ("crc32", 2, True): (
-        "cea306a978cbcf53d3cb92adbafab8d5168cc682e47bbcf60d21d6f7a3a9dfaa",
+        "c6d8650c6178f80a90ba7f86a0cbdbb5a0c88657141c231ab76db4bddbec9618",
         "deacc41caf72025ac92c265e39611460ab6f41d72575ee57e9d209eeae3cc488",
-        "bc1083f6a1b07fc0561211ad84bfd21c60cb182f3521bf0524d4460be455a1f2",
+        "fc4e82d926f354d242aa70e9c3431ba4e82a0adeb6a6222de01ddf3d1b9ed2da",
     ),
     ("crc32", 3, False): (
-        "3517f505fccbb70339a8706da550001a4951ef04094270b0862ed0d52093c98c",
+        "a3c2fbbd10fa612caac776e89f40e9aacfbb073c65c0c626c5d1515f07c30767",
         "b05b56705f460a2ea598af4f60c7abf5abeea806672b2319ce2de9a805a17d42",
-        "9c6489b2b3fa6001a75617ff284b292ffdf62f2185111a6098f8568e1226093b",
+        "de1575128d2592d9c914797906b78939fef80fcb61222404576fe93e73a108fc",
     ),
     ("crc32", 3, True): (
-        "877bdc15cbc814197211b202f70fb74e5f09ed0dea079c783d88af6979eca112",
+        "261008c914423ad41982b119a957cc7609a367fc045e1df325153199932d527a",
         "c865279ab3b20fe2c9242fa63dafff9035f1806869ac6700017909d53c54fa1d",
-        "9c6489b2b3fa6001a75617ff284b292ffdf62f2185111a6098f8568e1226093b",
+        "eecd20d4293409dc9d259f2a4e64da018b62b0aa891547eb8d7d5e8860d9fa81",
     ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
@@ -263,8 +265,48 @@ def test_layout_is_pinned():
     for (fid, k, coded), digests in GOLDEN_DIGESTS.items():
         idx = build_index(d, k, hash_config=HashConfig(function_id=fid),
                           substitutions=GOLDEN_SUBS if coded else None)
-        parts = (index_to_bytes(idx), b"".join(idx.lists), b"".join(idx.table.buckets))
+        # The lists in the order their keys are first seen, which format
+        # version 3 stored them in.
+        keys = dict.fromkeys(piece for w in d.words if len(w) > k for piece in split_word(w, k))
+        lists = b"".join(idx.lists[idx.table.lookup_list(key)] for key in keys)
+        parts = (index_to_bytes(idx), lists, b"".join(idx.table.buckets))
         assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
+
+
+# list_stats() and bucket_stats() of the GOLDEN dictionary at k = 1 and 2,
+# without coding, as format version 3 gave them: storing the lists inside the
+# bucket records moves no list and no key.
+GOLDEN_STATS = {
+    1: (
+        ListStats(list_count=1128, entry_count=1298, mean_entries=1298 / 1128, max_entries=8, payload_bytes=6007),
+        BucketStats(bucket_count=1024, key_count=1128, load_factor=1128 / 1024, mean_chain=1128 / 1024,
+                    max_chain=5, nonempty_buckets=697, nonempty_mean_chain=1128 / 697),
+    ),
+    2: (
+        ListStats(list_count=1166, entry_count=1938, mean_entries=1938 / 1166, max_entries=20, payload_bytes=12002),
+        BucketStats(bucket_count=1024, key_count=1166, load_factor=1166 / 1024, mean_chain=1166 / 1024,
+                    max_chain=6, nonempty_buckets=678, nonempty_mean_chain=1166 / 678),
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lists_slice_by_lookup_list_and_stats_are_stable(k):
+    # What the benchmark's traced pass reads: index.lists[lookup_list(piece)]
+    # is that piece's list, as bytes, and a miss is None.
+    d = Dictionary(english_words(6000, seed=5) + [b"a", b"ab", b"abc", b"x"])
+    idx = build_index(d, k)
+    for w in d.words[:300]:
+        if len(w) <= k:
+            continue
+        pieces = split_word(w, k)
+        for r, piece in enumerate(pieces):
+            blob = idx.lists[idx.table.lookup_list(piece)]
+            markers, payloads = entries(blob, k)
+            assert type(blob) is bytes and len(blob) == 2 * k + sum(1 + len(e) for e in payloads) + 1
+            assert b"".join(pieces[:r] + pieces[r + 1 :]) in regions(markers, payloads)[r]
+    assert idx.table.lookup_list(b"\xff\xfe") is None
+    assert (idx.list_stats(), idx.table.bucket_stats()) == GOLDEN_STATS[k]
 
 
 def test_duplicate_words_do_not_duplicate_entries():
@@ -428,7 +470,7 @@ def _long_runs_match_the_oracle(k):
 
 def test_run_of_the_shipped_threshold_matches_the_oracle():
     # Without patching, a k = 2 run of at least MATRIX_RUN entries goes
-    # through the matrix kernel, which reads the list arena through a view.
+    # through the matrix kernel, which reads the bucket arena through a view.
     k = 2
     rng = random.Random(21)
     drawn = set()
@@ -439,7 +481,7 @@ def test_run_of_the_shipped_threshold_matches_the_oracle():
     d = Dictionary(words)
     built = build_index(d, k)
     for idx in (built, index_from_bytes(index_to_bytes(built))):
-        assert np.shares_memory(idx._view, np.frombuffer(idx.lists.data, dtype=np.uint8))
+        assert np.shares_memory(idx._view, np.frombuffer(idx.lists, dtype=np.uint8))
         payloads = regions(*entries(idx.lists[idx.table.lookup_list(b"key")], k))[0]
         assert [len(e) for e in payloads].count(6) >= core.MATRIX_RUN
 

@@ -20,6 +20,11 @@ from splitindex import (
 from splitindex.hashing import Arena, fnv1_64, fnv1a_64, sdbm_64, xxhash64
 from splitindex.storage import index_from_bytes, index_to_bytes
 
+def table(keys, config=None):
+    """A table storing a list of its own bytes after each of ``keys``."""
+    return ChainedHashTable.build({key: b"list of " + key for key in keys}, config)
+
+
 # Frozen against the canonical C implementation (xxh64, seed 0).
 XXH64_VECTORS = [
     (b"", 0xEF46DB3751D8E999),
@@ -59,7 +64,7 @@ def test_crc32_vectors(data, expected):
 
 def test_crc32_is_the_default():
     assert hashing.DEFAULT_HASH == "crc32" == HashConfig().function_id
-    assert ChainedHashTable.build([b"tab"]).config.function_id == "crc32"
+    assert table([b"tab"]).config.function_id == "crc32"
 
 
 @pytest.mark.parametrize("data,expected", XXH64_VECTORS)
@@ -121,23 +126,24 @@ def test_tiny_load_factor_and_huge_bucket_count_are_rejected():
 
 
 def test_build_and_lookup():
-    t = ChainedHashTable.build([b"tab", b"le"])
-    assert t.lookup_list(b"tab") == 0 and t.lookup_list(b"le") == 1
+    t = table([b"tab", b"le"])
+    for key in (b"tab", b"le"):
+        assert t.buckets.data[t.lookup_list(key)] == b"list of " + key
     assert t.key_count == 2
     assert t.lookup_list(b"zzz") is None
-    assert ChainedHashTable.build([]).lookup_list(b"tab") is None
+    assert table([]).lookup_list(b"tab") is None
     with pytest.raises(BuildError, match="255"):
-        ChainedHashTable.build([b"x" * 256])
+        table([b"x" * 256])
 
 
 def test_bucket_count_at_load_factor_boundary():
     cfg = HashConfig(max_load_factor=2.0)
     keys = [b"k%d" % i for i in range(5)]
-    assert ChainedHashTable.build([], cfg).bucket_count == 1
-    assert ChainedHashTable.build(keys[:2], cfg).bucket_count == 1  # 2 keys / 1 bucket = max LF exactly
-    assert ChainedHashTable.build(keys[:3], cfg).bucket_count == 2
-    assert ChainedHashTable.build(keys[:4], cfg).bucket_count == 2  # 4 keys / 2 buckets = max LF exactly
-    t = ChainedHashTable.build(keys, cfg)  # 5/2 would exceed 2.0
+    assert table([], cfg).bucket_count == 1
+    assert table(keys[:2], cfg).bucket_count == 1  # 2 keys / 1 bucket = max LF exactly
+    assert table(keys[:3], cfg).bucket_count == 2
+    assert table(keys[:4], cfg).bucket_count == 2  # 4 keys / 2 buckets = max LF exactly
+    t = table(keys, cfg)  # 5/2 would exceed 2.0
     assert t.bucket_count == 4
     assert t.key_count == 5
 
@@ -146,7 +152,7 @@ def test_bucket_count_at_load_factor_boundary():
 @settings(max_examples=40, deadline=None)
 def test_bucket_count_is_smallest_power_of_two_multiple(n, lf):
     cfg = HashConfig(max_load_factor=lf)
-    b = ChainedHashTable.build([b"%d" % i for i in range(n)], cfg).bucket_count
+    b = table([b"%d" % i for i in range(n)], cfg).bucket_count
     assert b >= 1 and b & (b - 1) == 0
     assert n <= b * lf
     assert b == 1 or n > b // 2 * lf
@@ -154,10 +160,10 @@ def test_bucket_count_is_smallest_power_of_two_multiple(n, lf):
 
 def test_lookup_of_many_keys():
     keys = [b"key-%d" % i for i in range(100)]
-    t = ChainedHashTable.build(keys)
+    t = table(keys)
     assert t.bucket_count == 64
-    for ref, key in enumerate(keys):  # refs are dense, in key order
-        assert t.lookup_list(key) == ref
+    for key in keys:
+        assert t.buckets.data[t.lookup_list(key)] == b"list of " + key
     assert t.key_count == len(keys)
     assert t.lookup_list(b"key-100") is None
 
@@ -166,15 +172,15 @@ def test_load_factor_never_exceeds_max():
     keys = [b"%d" % i for i in range(200)]
     for lf in (0.5, 1.0, 2.0, 3.0):
         for n in range(0, 201, 5):
-            t = ChainedHashTable.build(keys[:n], HashConfig(max_load_factor=lf))
+            t = table(keys[:n], HashConfig(max_load_factor=lf))
             assert t.key_count / t.bucket_count <= lf
 
 
 def test_bucket_stats():
-    s = ChainedHashTable.build([]).bucket_stats()
+    s = table([]).bucket_stats()
     assert s.mean_chain == 0 and s.max_chain == 0
     cfg = HashConfig(max_load_factor=10.0)
-    t2 = ChainedHashTable.build([b"x%d" % i for i in range(4)], cfg)
+    t2 = table([b"x%d" % i for i in range(4)], cfg)
     assert t2.bucket_count == 1 and t2.bucket_stats().mean_chain == 4.0
 
 
@@ -183,7 +189,7 @@ def test_bucket_stats():
 def test_bucket_stats_mean_is_exact(n, seed):
     rng = random.Random(seed)
     keys = {bytes(rng.choices(b"abcdef", k=rng.randint(1, 12))) for _ in range(n)}
-    t = ChainedHashTable.build(list(keys))
+    t = table(list(keys))
     s = t.bucket_stats()
     lengths = t.chain_lengths()
     assert s.key_count == len(keys) == sum(lengths)
@@ -192,7 +198,7 @@ def test_bucket_stats_mean_is_exact(n, seed):
 
 
 def test_bucket_stats_mean_exact_at_ten_thousand_keys():
-    t = ChainedHashTable.build([b"key-%d" % i for i in range(10_000)])
+    t = table([b"key-%d" % i for i in range(10_000)])
     s = t.bucket_stats()
     assert s.key_count == 10_000 == sum(t.chain_lengths())
     assert s.mean_chain == 10_000 / s.bucket_count
@@ -201,7 +207,7 @@ def test_bucket_stats_mean_exact_at_ten_thousand_keys():
 def test_buckets_are_bytes_after_build_and_load():
     idx = build_index(Dictionary([b"table", b"left", b"a"]), 1)
     loaded = index_from_bytes(index_to_bytes(idx))
-    for t in (ChainedHashTable.build([b"a", b"b"]), idx.table, loaded.table):
+    for t in (table([b"a", b"b"]), idx.table, loaded.table):
         assert t.buckets and all(type(b) is bytes for b in t.buckets)
     assert loaded.table.lookup_list(b"tab") == idx.table.lookup_list(b"tab") is not None
 
@@ -224,14 +230,14 @@ def test_pure_python_xxhash_warns_once(monkeypatch, caplog):
     caplog.set_level(logging.WARNING, logger="splitindex.hashing")
     monkeypatch.setattr(hashing, "_slow_hash_warned", False)
     monkeypatch.setitem(HASH_FUNCTIONS, "xxhash", lambda data: xxhash64(data))
-    ChainedHashTable.build([b"a"], XXHASH)  # a C-backed stand-in says nothing
-    ChainedHashTable.build([b"a"], HashConfig(function_id="fnv1"))
-    ChainedHashTable.build([b"a"])
+    table([b"a"], XXHASH)  # a C-backed stand-in says nothing
+    table([b"a"], HashConfig(function_id="fnv1"))
+    table([b"a"])
     assert not caplog.records
 
     monkeypatch.setitem(HASH_FUNCTIONS, "xxhash", xxhash64)
     blob = index_to_bytes(build_index(Dictionary([b"table"]), 1, hash_config=XXHASH))
-    ChainedHashTable.build([b"b"], XXHASH)
+    table([b"b"], XXHASH)
     assert len(caplog.records) == 1
     record = caplog.records[0]
     assert record.name == "splitindex.hashing" and record.levelno == logging.WARNING

@@ -7,9 +7,12 @@ import struct
 import tracemalloc
 import zlib
 from collections import Counter
+from itertools import islice, product
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpora import random_words
 
@@ -32,6 +35,7 @@ from splitindex import (
     mine_substitutions,
     oracle_query,
     save_index,
+    split_word,
 )
 from splitindex import core
 from splitindex.storage import index_from_bytes, index_to_bytes
@@ -84,7 +88,7 @@ def test_version_mismatch_names_both_versions():
     bad = blob[:8] + (7).to_bytes(2, "little") + blob[10:]
     with pytest.raises(VersionMismatchError) as err:
         index_from_bytes(bad)
-    assert "7" in str(err.value) and "3" in str(err.value)
+    assert "7" in str(err.value) and "4" in str(err.value)
 
 
 # A k = 1 index of b"table", b"left", b"tablet" as format version 2 wrote it.
@@ -101,8 +105,25 @@ VERSION_2_FILE = bytes.fromhex(
 
 def test_version_2_file_is_rejected():
     assert VERSION_2_FILE[8:10] == (2).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 3"):
+    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 4"):
         index_from_bytes(VERSION_2_FILE)
+
+
+# The same index as format version 3 wrote it: lists in their own section,
+# reached through a u32 ref in each bucket record.
+VERSION_3_FILE = bytes.fromhex(
+    "53504c495449445803000105637263333200000000000000400f000000000000"
+    "0003000000000000000600000000000000000002000000080000001600000003"
+    "74616200000000026c650100000002667402000000036c657403000000040000"
+    "000a0000000a00000006000000070000000000026c65036c6574000200026674"
+    "03746162000100026c6500010003746162006da9e756"
+)
+
+
+def test_version_3_file_is_rejected():
+    assert VERSION_3_FILE[8:10] == (3).to_bytes(2, "little")
+    with pytest.raises(VersionMismatchError, match="version 3, this reader supports 4"):
+        index_from_bytes(VERSION_3_FILE)
 
 
 def test_truncation_detected_at_every_cut(tmp_path):
@@ -141,7 +162,7 @@ def test_zero_k_is_storage_error():
 def test_flipped_list_byte_fails_the_checksum():
     idx = build_index(Dictionary([b"table", b"left", b"tablet", b"cable"]), 1)
     blob = bytearray(index_to_bytes(idx))
-    longest = max(idx.lists, key=len)
+    longest = max((idx.lists[b:e] for _, _, b, e in idx.table.records()), key=len)
     at = blob.rindex(longest, 0, len(blob) - 4) + len(longest) // 2
     blob[at] ^= 0x20
     with pytest.raises(StorageError, match="checksum"):
@@ -189,6 +210,11 @@ def test_corrupted_files_fail_at_load():
             index_from_bytes(bytes(blob))
 
 
+def lists_by_key(idx):
+    """Each key's list, read through the record walker."""
+    return {key: idx.lists[b:e] for _, key, b, e in idx.table.records()}
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_xxhash_files_still_load_and_answer(tmp_path, monkeypatch, caplog, k):
     # Files written when xxhash was the default keep their hash id; loading one
@@ -211,13 +237,13 @@ def test_xxhash_files_still_load_and_answer(tmp_path, monkeypatch, caplog, k):
 
     assert (xx.table.config.function_id, crc.table.config.function_id) == ("xxhash", "crc32")
     assert index_to_bytes(xx) == xx_path.read_bytes()
-    assert xx.lists == crc.lists and xx.size_bytes() == crc.size_bytes()
+    assert lists_by_key(xx) == lists_by_key(crc) and xx.size_bytes() == crc.size_bytes()
     for p in gen_noisy_queries(d, 150, seed=k).patterns + (b"a", b"zz"):
         assert xx.query(p) == crc.query(p) == oracle_query(d, p, k)
 
 
 def test_resealed_corrupted_files_raise_only_package_errors():
-    # Bytes flipped in the bucket and list sections, with the checksum
+    # Bytes flipped in the bucket section, lists included, with the checksum
     # recomputed, so the damage gets past the load checks.  Load and queries
     # may then raise only SplitIndexError subclasses; a damaged list that
     # still answers (wrongly) is not caught here.  The uncoded k = 2 index is
@@ -230,7 +256,7 @@ def test_resealed_corrupted_files_raise_only_package_errors():
             subs = mine_substitutions(d, "mixed", 20) if coded else None
             idx = build_index(d, k, substitutions=subs)
             blob = index_to_bytes(idx)
-            tail = sum(len(b) + 4 for b in (*idx.table.buckets, *idx.lists)) + 8
+            tail = len(idx.lists) + 4 * idx.table.bucket_count + 4
             case = (blob, len(blob) - 4 - tail, d.words + gen_noisy_queries(d, 50, seed=k).patterns)
             cases.append(case + (core.MATRIX_RUN,))
             if k == 2 and not coded:
@@ -252,10 +278,9 @@ def test_resealed_corrupted_files_raise_only_package_errors():
     assert raised[CorruptListError] and raised[CodecError] and raised[TruncatedIndexError]
 
 
-def arena_offsets(idx):
-    """Offsets in ``index_to_bytes(idx)`` of the bucket arena and the list arena."""
-    lists = len(index_to_bytes(idx)) - 4 - len(idx.lists.data)
-    return lists - 4 * len(idx.lists) - 4 - len(idx.table.buckets.data), lists
+def arena_offset(idx):
+    """Offset in ``index_to_bytes(idx)`` of the bucket arena, which holds the lists."""
+    return len(index_to_bytes(idx)) - 4 - len(idx.lists)
 
 
 def resealed(idx, changes):
@@ -270,138 +295,178 @@ def resealed(idx, changes):
 def test_region_markers_out_of_order_are_corrupt():
     d = Dictionary([b"abcdef", b"ghabij", b"gxabij", b"ghijab", b"gyijab"])
     idx = build_index(d, 2)
-    ref = idx.table.lookup_list(b"ab")
-    blob = bytearray(idx.lists[ref])
-    assert blob[:4] == b"\x02\x00\x04\x00"  # region 2 starts at entry 2, region 3 at 4
+    at = idx.table.lookup_list(b"ab")
+    assert idx.lists[at][:4] == b"\x02\x00\x04\x00"  # region 2 starts at entry 2, region 3 at 4
     # Region 3 before region 2: a negative entry count.
-    idx = index_from_bytes(resealed(idx, {arena_offsets(idx)[1] + idx.lists.starts[ref] + 2: b"\x01"}))
+    idx = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x01"}))
     with pytest.raises(CorruptListError, match="b'ab'"):
         idx.query(b"ghabiz")
 
 
 def test_hop_past_its_list_does_not_answer_from_the_next():
     idx = build_index(Dictionary([b"abxy", b"cdab"]), 1)
-    a, b = idx.table.lookup_list(b"ab"), idx.table.lookup_list(b"xy")
-    assert (a + 1, idx.lists[a], idx.lists[b]) == (b, b"\x02\x00\x02xy\x02cd\x00", b"\x01\x00\x02ab\x00")
+    a = idx.table.lookup_list(b"ab")
+    assert idx.lists[a] == b"\x02\x00\x02xy\x02cd\x00"
+    assert idx.lists[a.stop : a.stop + 10] == b"\x02xy\x06" + b"\x01\x00\x02ab\x00"  # the record of b"xy"
     assert idx.query(b"xbab") == []
-    # The hop over region 1 of "ab" lands in the next list: on its entry
-    # b"ab", which would read as b"abab", one mismatch from the pattern, or
-    # on a zero marker byte, which would end the walk without a word.
-    at = arena_offsets(idx)[1] + idx.lists.starts[a] + 2
-    for length in (9, 8):
-        damaged = index_from_bytes(resealed(idx, {at: bytes((length,))}))
+    # The hop over region 1 of "ab" lands in the next record: on its list's
+    # entry b"ab", which would read as b"abab", one mismatch from the
+    # pattern, or on a zero marker byte, which would end the walk without a
+    # word.
+    at = arena_offset(idx) + a.start + 2
+    for land in (a.stop + 6, a.stop + 5):
+        damaged = index_from_bytes(resealed(idx, {at: bytes((land - a.start - 3,))}))
         with pytest.raises(CorruptListError, match="b'ab'"):
             damaged.query(b"xbab")
 
 
 def test_hop_far_past_its_list_is_corrupt():
-    idx = build_index(Dictionary([b"pqrs", b"uvpq", b"xya", b"xyb"]), 1)
-    a, c = idx.table.lookup_list(b"pq"), idx.table.lookup_list(b"xy")
+    idx = build_index(Dictionary([b"abrs", b"uvab", b"xya", b"xyb"]), 1)
+    a, c = idx.table.lookup_list(b"ab"), idx.table.lookup_list(b"xy")
     assert idx.lists[a] == b"\x02\x00\x02rs\x02uv\x00" and idx.lists[c] == b"\x00\x00\x01a\x01b\x00"
-    # The hop lands two lists on, on two 1-byte entries in a row, where a
-    # strided slice bounded by the end of "pq" is empty.
-    length = idx.lists.starts[c] + 2 - (idx.lists.starts[a] + 3)
-    damaged = index_from_bytes(resealed(idx, {arena_offsets(idx)[1] + idx.lists.starts[a] + 2: bytes((length,))}))
-    with pytest.raises(CorruptListError, match="b'pq'"):
-        damaged.query(b"xxpq")
+    # The hop lands in a later bucket, on two 1-byte entries in a row, where
+    # a strided slice bounded by the end of "ab" is empty.
+    length = c.start + 2 - (a.start + 3)
+    assert 0 < length < 256
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + a.start + 2: bytes((length,))}))
+    with pytest.raises(CorruptListError, match="b'ab'"):
+        damaged.query(b"xxab")
 
 
 @pytest.mark.parametrize("coded", [False, True])
 def test_run_past_its_list_is_corrupt(coded):
     subs = SubstitutionList([(b"zz", 200)]) if coded else None
     idx = build_index(Dictionary([b"abcxy", b"pqrst"]), 1, substitutions=subs)
-    ref = idx.table.lookup_list(b"abc")
-    assert idx.lists[ref] == b"\x00\x00\x02xy\x00"
+    at = idx.table.lookup_list(b"abc")
+    assert idx.lists[at] == b"\x00\x00\x02xy\x00"
     # The entry b"xy" grows over the terminator: b"abcxy\x00" would match.
-    at = arena_offsets(idx)[1] + idx.lists.starts[ref] + 2
-    damaged = index_from_bytes(resealed(idx, {at: b"\x03"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x03"}))
     with pytest.raises(CorruptListError, match="b'abc'"):
         damaged.query(b"abcxy\x00")
 
 
 def test_run_past_its_list_is_corrupt_in_the_matrix():
     idx = build_index(Dictionary([b"abcxyz", b"pqrstu"]), 2)
-    ref = idx.table.lookup_list(b"ab")
-    assert idx.lists[ref] == b"\x00\x00\x00\x00\x04cxyz\x00" and ref + 1 < len(idx.lists)
+    at = idx.table.lookup_list(b"ab")
+    assert idx.lists[at] == b"\x00\x00\x00\x00\x04cxyz\x00" and at.stop < len(idx.lists)
     # The entry b"cxyz" grows over the terminator: as a matrix row it would
     # match b"abcxyz\x00" exactly.
-    at = arena_offsets(idx)[1] + idx.lists.starts[ref] + 4
-    damaged = index_from_bytes(resealed(idx, {at: b"\x05"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 4: b"\x05"}))
     with patch.object(core, "MATRIX_RUN", 1), pytest.raises(CorruptListError, match="b'ab'"):
         damaged.query(b"abcxyz\x00")
 
 
 def test_walk_past_its_list_is_corrupt():
-    idx = build_index(Dictionary([b"abcde"]), 2)
-    ref = idx.table.lookup_list(b"ab")
-    assert idx.lists[ref] == b"\x00\x00\x00\x00\x03cde\x00"
+    idx = build_index(Dictionary([b"abcde", b"qqqqq"]), 2)
+    at = idx.table.lookup_list(b"ab")
+    assert idx.lists[at] == b"\x00\x00\x00\x00\x03cde\x00" and at.stop < len(idx.lists)
     # The shorter entry that the walk skips now ends on the terminator, so
-    # the walk goes on into the next list and finds no 5-byte entry there.
-    at = arena_offsets(idx)[1] + idx.lists.starts[ref] + 4
-    damaged = index_from_bytes(resealed(idx, {at: b"\x04"}))
+    # the walk goes on into the next record and finds no 5-byte entry there.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 4: b"\x04"}))
     with pytest.raises(CorruptListError, match="b'ab'"):
         damaged.query(b"abcdexx")
 
 
+# Two buckets: b"cd" alone in bucket 0, then b"ab" and b"xy" in bucket 1.
+TWO_BUCKETS = [b"\x02cd\x06" + b"\x00\x00\x02ab\x00", b"\x02ab\x09" + b"\x02\x00\x02xy\x02cd\x00" + b"\x02xy\x06" + b"\x01\x00\x02ab\x00"]
+
+
+def two_buckets():
+    idx = build_index(Dictionary([b"abxy", b"cdab"]), 1)
+    assert list(idx.table.buckets) == TWO_BUCKETS
+    return idx
+
+
 def test_bucket_record_past_its_bucket_is_corrupt():
-    idx = build_index(Dictionary([b"abxy"]), 1)
-    assert len(idx.table.buckets) == 1 and idx.table.buckets[0] == b"\x02ab\x00\x00\x00\x00\x02xy\x01\x00\x00\x00"
-    damaged = index_from_bytes(resealed(idx, {arena_offsets(idx)[0] + 7: b"\x03"}))
-    assert damaged.table.lookup_list(b"ab") == 0
-    # A miss walks over the grown record to past the bucket's end; the key
-    # b"xy\x01", which the damage made, has its ref past that end.
-    for key in (b"zz", b"xy\x01"):
-        with pytest.raises(CorruptListError, match="bucket 0"):
-            damaged.table.lookup_list(key)
-    with pytest.raises(CorruptListError):
+    idx = two_buckets()
+    # The key length of b"xy" grows past the end of bucket 1, where the
+    # arena ends too: a miss walks over it, and b"ab", before it, still hits.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 23: b"\x09"}))
+    assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x02\x00\x02xy\x02cd\x00"
+    with pytest.raises(CorruptListError, match="bucket 1"):
+        damaged.table.lookup_list(b"zz")
+    with pytest.raises(CorruptListError, match="bucket 1"):
         damaged.query(b"zzzz")
 
 
-def test_ref_past_the_last_list_is_corrupt():
-    idx = build_index(Dictionary([b"abxy"]), 1)
-    at = arena_offsets(idx)[0] + 3  # the ref of b"ab"
-    damaged = index_from_bytes(resealed(idx, {at: bytes((len(idx.lists),))}))
-    with pytest.raises(CorruptListError, match="b'ab'"):
-        damaged.query(b"abxy")
+def test_list_past_its_bucket_is_corrupt():
+    idx = two_buckets()
+    # The list of b"cd" grows by a byte, into bucket 1.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x07"}))
+    with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
+        damaged.table.lookup_list(b"cd")
+    with pytest.raises(CorruptListError, match="b'cd'"):
+        damaged.query(b"cdab")
+    # A miss in bucket 0 walks over the grown list to past the bucket's end.
+    miss = next(key for key in (b"k%d" % i for i in range(100)) if HASH_FUNCTIONS["crc32"](key) & 1 == 0)
+    with pytest.raises(CorruptListError, match="bucket 0 holds a record that runs past its end"):
+        damaged.table.lookup_list(miss)
 
 
-def list_lengths(idx, lengths):
-    """Changes that rewrite the list section's length array to ``lengths``."""
-    at = arena_offsets(idx)[1] - 4 * len(idx.lists)
-    return {at: struct.pack(f"<{len(lengths)}I", *lengths)}
+def test_list_length_past_its_bucket_is_corrupt():
+    idx = two_buckets()
+    # The key of b"cd" grows over its list, so that the list length is the
+    # bucket's last byte; it carries on (0x80) into bucket 1.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x08", arena_offset(idx) + 9: b"\x80"}))
+    with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
+        damaged.table.lookup_list(b"cd")
+
+
+def test_list_length_of_more_than_four_bytes_is_corrupt():
+    idx = two_buckets()
+    at = arena_offset(idx) + 10 + 3  # the list length of b"ab", in bucket 1
+    damaged = index_from_bytes(resealed(idx, {at: b"\x80\x80\x80\x80\x01"}))
+    with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 4 bytes"):
+        damaged.table.lookup_list(b"ab")
+    # Four bytes are read: 0x0FFFFFFF is the longest length stored.
+    assert hashing._read_length(b"\xff\xff\xff\x7f", 0, 4, 0) == (2**28 - 1, 4)
+
+
+def first_record(idx):
+    """The key, list offset and list end of the arena's first record, the
+    first of its bucket."""
+    _, key, begin, end = next(idx.table.records())
+    return key, begin, end
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_list_shorter_than_markers_and_terminator_fails_at_load(k):
+def test_list_shorter_than_markers_and_terminator_is_corrupt(k):
     idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), k)
-    sizes = [len(b) for b in idx.lists]
-    # List 1 gives its bytes but 2k to list 2; the arena stays as it was.
-    sizes[1:3] = [2 * k, sizes[1] + sizes[2] - 2 * k]
-    with pytest.raises(StorageError, match=f"list 1 holds {2 * k} bytes, fewer than {2 * k + 1}"):
-        index_from_bytes(resealed(idx, list_lengths(idx, sizes)))
+    key, begin, end = first_record(idx)
+    assert end - begin < 0x80  # its list length is one byte, just before it
+    # The list gives up all but its k markers; the bytes after them no
+    # longer parse, but the lookup stops at its key.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin - 1: bytes((2 * k,))}))
+    word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, k))
+    with pytest.raises(CorruptListError, match=f"list for key {key!r} holds {2 * k} bytes"):
+        damaged.query(word)
 
 
-def test_list_lengths_adding_up_past_32_bits_are_a_cut_file():
+def test_list_without_its_terminator_is_corrupt():
     idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1)
-    sizes = [len(b) for b in idx.lists]
+    key, begin, end = first_record(idx)
+    # The list now ends in a payload byte.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin - 1: bytes((end - begin - 1,))}))
+    word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, 1))
+    with pytest.raises(CorruptListError, match=f"list for key {key!r} .* terminator byte 0"):
+        damaged.query(word)
+
+
+def test_bucket_lengths_adding_up_past_32_bits_are_a_cut_file():
+    idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1)
+    sizes = [len(b) for b in idx.table.buckets]
+    assert len(sizes) >= 2
     # The same total modulo 2**32, but 2**32 bytes more than the file holds.
-    sizes[1:3] = [2**32 - 1, sizes[1] + sizes[2] + 1]
+    sizes[0:2] = [2**32 - 1, sizes[0] + sizes[1] + 1]
+    at = arena_offset(idx) - 4 * len(sizes)
     with pytest.raises(TruncatedIndexError):
-        index_from_bytes(resealed(idx, list_lengths(idx, sizes)))
-
-
-def test_list_without_its_terminator_fails_at_load():
-    idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1)
-    sizes = [len(b) for b in idx.lists]
-    sizes[1:3] = [sizes[1] - 1, sizes[2] + 1]  # list 1 now ends in a payload byte
-    with pytest.raises(StorageError, match="list 1 does not end with the terminator"):
-        index_from_bytes(resealed(idx, list_lengths(idx, sizes)))
+        index_from_bytes(resealed(idx, {at: struct.pack(f"<{len(sizes)}I", *sizes)}))
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_loaded_heap_is_close_to_the_file_size(k):
-    # The bucket and list sections load as two arenas with u32 offsets, not
-    # as one object per blob.
+    # The bucket section, which holds the lists, loads as one arena with u32
+    # offsets, not as one object per blob.
     data = index_to_bytes(build_index(Dictionary(random_words(random.Random(5), 20_000, 26)), k))
     gc.collect()
     tracemalloc.start()
@@ -411,4 +476,52 @@ def test_loaded_heap_is_close_to_the_file_size(k):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert idx.lists.data and held <= 1.25 * len(data), held / len(data)
+    assert idx.lists and held <= 1.25 * len(data), held / len(data)
+
+
+@pytest.mark.parametrize(
+    "size,length",
+    [(127, b"\x7f"), (128, b"\x80\x01"), (16383, b"\xff\x7f"), (16384, b"\x80\x80\x01")],
+)
+def test_lists_round_trip_at_every_list_length_width(size, length):
+    # At k = 1 every word below is keyed by its first piece, b"abcde": a
+    # 10-byte word stores a 6-byte entry in that list, a 9-byte one a 5-byte
+    # entry, after the 2 marker bytes and before the terminator.
+    fives = next(n for n in range(6) if (size - 3 - 5 * n) % 6 == 0)
+    sixes = (size - 3 - 5 * fives) // 6
+    tails = [bytes(t) for t in islice(product(b"fghijklmnopqrstu", repeat=5), sixes)]
+    tails += [bytes(t) for t in islice(product(b"vwxyz", repeat=4), fives)]
+    d = Dictionary([b"abcde" + t for t in tails])
+    idx = build_index(d, 1)
+    at = idx.table.lookup_list(b"abcde")
+    assert at.stop - at.start == size
+    assert idx.lists[at.start - len(length) - 6 : at.start] == b"\x05abcde" + length
+    blob = index_to_bytes(idx)
+    loaded = index_from_bytes(blob)
+    assert index_to_bytes(loaded) == blob
+    assert loaded.lists[loaded.table.lookup_list(b"abcde")] == idx.lists[at]
+    rng = random.Random(size)
+    patterns = rng.sample(d.words, 20) + list(gen_noisy_queries(d, 150, seed=size).patterns)
+    for p in patterns:
+        assert loaded.query(p) == oracle_query(d, p, 1)
+
+
+RANDOM_SUBS = SubstitutionList([(b"ab", 128), (b"ca", 129), (b"bcd", 130), (b"aaaa", 131)])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_random_indexes_round_trip_and_answer_as_the_oracle(data):
+    sigma = data.draw(st.sampled_from((2, 4, 26)))
+    alpha = bytes(range(97, 97 + sigma))
+    spell = lambda w: bytes(alpha[b % sigma] for b in w)  # noqa: E731
+    words = data.draw(st.lists(st.binary(min_size=1, max_size=30).map(spell), min_size=1, max_size=120))
+    k = data.draw(st.sampled_from((1, 2, 3)))
+    subs = data.draw(st.sampled_from((None, RANDOM_SUBS)))
+    d = Dictionary(words)
+    blob = index_to_bytes(build_index(d, k, substitutions=subs))
+    loaded = index_from_bytes(blob)
+    assert index_to_bytes(loaded) == blob
+    patterns = data.draw(st.lists(st.binary(min_size=1, max_size=32).map(spell), max_size=10))
+    for p in patterns + list(d.words[:10]):
+        assert loaded.query(p) == oracle_query(d, p, k)
