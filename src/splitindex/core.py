@@ -7,14 +7,13 @@ holds the rest of the word.  Verification then runs a plain Hamming check on
 the few surviving candidates.
 
 List layout (one blob per key, the same for every k):
-``[k region markers, u16 LE each][entry ...][0x00]`` where an entry is
-``[length u8 >= 1][payload]`` and the payload is the concatenation of the
-word's other k pieces.  Entries are grouped into regions by the key's piece
-position 1..k+1, and sorted shortest first within a region.  Marker j is the
-1-based entry index at which region j+1 begins, 0 when that region is empty;
-region 1 starts at the first entry.  A list holds at most
-``LIST_ENTRY_LIMIT`` entries.  Piece boundaries are recomputed from the
-total length at query time.
+``[byte lengths of regions 1..k, LEB128 each][region 1]...[region k + 1]``,
+where a region is a run of entries ``[length u8 >= 1][payload]`` and the
+payload is the concatenation of the word's other k pieces.  Entries are
+grouped into regions by the key's piece position 1..k+1, and sorted
+shortest first within a region; region k + 1 runs to the list's end, which
+its bucket record gives.  Piece boundaries are recomputed from the total
+length at query time.
 
 A query verifies the run of entries of its wanted length with one of two
 kernels.  At k >= 2, a run of at least ``MATRIX_RUN`` entries is compared
@@ -29,10 +28,9 @@ Payloads may be substitution-coded (see ``qgrams``); keys never are.
 
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
-reads it at absolute offsets, never past the end of the list it walks: a
-list shorter than its markers and terminator or not ending in the
-terminator, and a walk, hop or run that would cross a list's terminator,
-raise ``CorruptListError``.
+reads it at absolute offsets, never past the end of the region it walks:
+region lengths that run past their list, a zero entry length, and a walk or
+run that would cross its region's end raise ``CorruptListError``.
 """
 
 from __future__ import annotations
@@ -44,11 +42,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import ChainedHashTable, HashConfig
+from .hashing import ARENA_LIMIT, ChainedHashTable, HashConfig, _length_bytes, _read_length
 from .qgrams import SubstitutionList
 
-PAYLOAD_LIMIT = 255  # entry lengths are single bytes; 0 terminates a list
-LIST_ENTRY_LIMIT = 0xFFFF  # region markers are 16-bit entry indexes
+PAYLOAD_LIMIT = 255  # entry lengths are single bytes, from 1 up
 MATRIX_RUN = 64  # at k >= 2, the fewest entries in a run verified as one matrix
 
 
@@ -59,8 +56,8 @@ def piece_lengths(length: int, k: int) -> tuple[int, ...]:
     Pieces 1..k share a common length, round-half-up of ``length / (k+1)``;
     the last piece takes the remainder.  When that rounding would leave the
     last piece empty, the common length drops to ``(length - 1) // k`` so
-    every piece stays non-empty (a zero length byte would read as the list
-    terminator).
+    every piece stays non-empty: a key is never empty, and neither is a
+    stored payload, whose length byte is at least 1.
     """
     if k < 1:
         raise ConfigError(f"mismatch budget must be >= 1, got {k}")
@@ -88,13 +85,12 @@ def split_word(word: bytes, k: int) -> tuple[bytes, ...]:
 def _plan(length: int, k: int) -> tuple[tuple, ...]:
     """Search plan for a ``length``-byte pattern, one tuple per piece r >= 0.
 
-    A tuple holds the piece's start and end in the pattern; ``need``, the
-    length of the rest of the pattern; the (start, end) of each sub-piece to
-    search, as offsets into that rest with its length byte in front; the list
-    offset of marker r, or -1 for r = 0; and the offsets of the markers after
-    it.  The rest is cut into k + 1 sub-pieces at ``need * j // (k + 1)``.
-    The first keeps the length byte, and when it holds nothing else
-    (need <= k) it is the only one searched.
+    A tuple holds r; the piece's start and end in the pattern; ``need``, the
+    length of the rest of the pattern; and the (start, end) of each sub-piece
+    to search, as offsets into that rest with its length byte in front.  The
+    rest is cut into k + 1 sub-pieces at ``need * j // (k + 1)``.  The first
+    keeps the length byte, and when it holds nothing else (need <= k) it is
+    the only one searched.
     """
     plan = []
     start = 0
@@ -102,46 +98,64 @@ def _plan(length: int, k: int) -> tuple[tuple, ...]:
         need = length - plen
         cuts = [0] + [1 + need * j // (k + 1) for j in range(1, k + 2)]
         passes = tuple(zip(cuts, cuts[1:])) if cuts[1] > 1 else ((0, 1),)
-        plan.append((start, start + plen, need, passes, 2 * r - 2, tuple(range(2 * r, 2 * k, 2))))
+        plan.append((r, start, start + plen, need, passes))
         start += plen
     return tuple(plan)
 
 
-def _find_run(data: bytes, o: int, left: int, need: int, end: int) -> tuple[int, int]:
+def _region(data: bytes, begin: int, end: int, r: int, k: int, key: bytes) -> tuple[int, int]:
+    """Start and end offsets of region r + 1 of the list ``data[begin:end]``.
+
+    Raises CorruptListError naming ``key`` when the region lengths that open
+    the list run past its end.
+    """
+    o = begin
+    lo = 0
+    for j in range(k):
+        if o < end and (n := data[o]) < 0x80:  # nearly every region is under 128 bytes
+            o += 1
+        else:
+            n, o = _read_length(data, o, end, key)
+        if j < r:
+            lo += n
+        elif j == r:
+            size = n
+    lo += o
+    hi = lo + size if r < k else end
+    if not lo <= hi <= end:
+        raise CorruptListError(f"the region lengths of the list for key {key!r} run past its end")
+    return lo, hi
+
+
+def _find_run(data: bytes, o: int, stop: int, need: int) -> tuple[int, int]:
     """Offset and entry count of the run of ``need``-byte entries in a region.
 
-    The region's remaining entries start at offset ``o``, at most ``left`` of
-    them, shortest first, in a list that ends at ``end``; the count is 0 when
-    none has that length.  Entries of one length lie at a fixed stride, so a
-    run of two or more is counted in C from a strided slice of its length
-    bytes, bounded by the region and the list, and skipping shorter entries
-    costs one step per distinct length rather than one per entry.  A walk
-    or run that reaches the list's end raises IndexError, as a read past the
-    whole arena would; the caller reports both as a corrupt list.
+    The region's entries lie from offset ``o`` to ``stop``, shortest first;
+    the count is 0 when none has that length.  Entries of one length lie at
+    a fixed stride, so a run of two or more is counted in C from a strided
+    slice of its length bytes, and skipping shorter entries costs one step
+    per distinct length rather than one per entry.  A zero entry length, or
+    a run that crosses ``stop``, raises IndexError, which the caller reports
+    as a corrupt list.
     """
-    while left and o < end:
+    while o < stop:
         ln = data[o]
-        if ln == 0 or ln > need:
+        if ln > need:
             break
+        if not ln:
+            raise IndexError("an entry of length 0")
         step = ln + 1
-        if data[o + step] == ln:
-            stop = o + left * step
-            lengths = data[o : stop if stop < end else end : step]
+        if o + step < stop and data[o + step] == ln:
+            lengths = data[o:stop:step]
             run = len(lengths) - len(lengths.lstrip(lengths[:1]))
         else:
             run = 1
         after = o + run * step
+        if after > stop:
+            raise IndexError("entry run crosses the end of its region")
         if ln == need:
-            if after >= end:
-                raise IndexError("entry run crosses the end of its list")
             return o, run
         o = after
-        left -= run
-    # The terminator is the list's last byte: only a walk that ran over it
-    # (or a hop over earlier regions that did) ends at or past ``end``.  Past
-    # it a strided slice would be empty and the walk would stop advancing.
-    if o >= end:
-        raise IndexError("entry walk crosses the end of its list")
     return o, 0
 
 
@@ -252,74 +266,43 @@ class SplitIndex:
             out.update(self.side_table.get(n, ()))
             return 0
         # Piece r >= 0 of the pattern keys a list whose region r + 1 holds
-        # the other pieces of the words that share it.  ``_find_run`` skips the region's
-        # shorter entries a run at a time and counts the run of the wanted
-        # length, every entry of which counts as verified.  One of two kernels
-        # then checks the run.  At k >= 2, a run of at least MATRIX_RUN
-        # entries is viewed as a (count, need + 1) byte matrix over the arena
-        # and compared with the pattern's rest in one numpy pass, each entry
-        # once; below 64 entries (measured against 8 to 128 on the english
-        # k = 2 benchmark) numpy's fixed cost per run outweighs the saving.
-        # Otherwise the pigeonhole step applies again: the rest of the pattern
-        # is cut into k + 1 sub-pieces, and a word within k mismatches matches
-        # one of them exactly, so each sub-piece is searched in C with
-        # bytes.find and only its hits are compared, through one integer xor.
+        # the other pieces of the words that share it.  ``_region`` bounds
+        # that region, and ``_find_run`` skips its shorter entries a run at a
+        # time and counts the run of the wanted length, every entry of which
+        # counts as verified.  One of the two kernels the module describes
+        # then checks the run: the matrix, or the pigeonhole step again, where
+        # a word within k mismatches matches one of the k + 1 sub-pieces of
+        # the pattern's rest exactly, so only the hits of bytes.find on them
+        # are compared, through one integer xor.
         lookup = self.table.lookup_list
         data = self.lists
-        shortest = 2 * k + 1  # k markers and the terminator
         decode = self._decode
         view = self._view
-        matrix = MATRIX_RUN if k > 1 else LIST_ENTRY_LIMIT + 1
+        matrix = MATRIX_RUN if k > 1 else ARENA_LIMIT  # no run holds that many entries
         ifb = int.from_bytes
         verified = 0
-        # Reading past a list means a damaged file.  The list of ``key`` spans
-        # data[begin:limit], its terminator last, which is checked on every
-        # hit.  A hop or walk crosses that only through a damaged length byte;
-        # it is checked once, where it stops, and the words it found go with
-        # the error.  Offsets into the arena are large ints, a new object
-        # each, so every sum is computed once.
+        # Reading past a region means a damaged file.  A walk or run crosses
+        # its region's end only through a damaged length byte; it is checked
+        # once, where it stops, and the words it found go with the error.
+        # Offsets into the arena are large ints, a new object each, so every
+        # sum is computed once.
         try:
-            for start, end, need, passes, mark, nexts in _plan(n, k):
+            for r, start, end, need, passes in _plan(n, k):
                 key = pattern[start:end]
                 span = lookup(key)
                 if span is None:
                     continue
-                begin = span.start
-                limit = span.stop
-                if limit - begin < shortest or data[limit - 1]:
-                    raise CorruptListError(f"the list for key {key!r} holds {limit - begin} bytes, "
-                                           f"not its {k} region markers, entries and terminator byte 0")
-                # Region r + 1 starts at marker r (at the first entry for r = 0)
-                # and holds the entries up to the next region that has any, or up
-                # to the terminator, which ends any walk early.
-                o = begin + 2 * k
-                if mark < 0:
-                    first = 1
-                else:
-                    at = begin + mark
-                    first = data[at] | data[at + 1] << 8
-                    if not first:
-                        continue
-                    for _ in range(first - 1):  # hop over the earlier regions
-                        o += data[o] + 1
-                left = LIST_ENTRY_LIMIT + 1
-                for m in nexts:
-                    at = begin + m
-                    nxt = data[at] | data[at + 1] << 8
-                    if nxt:
-                        left = nxt - first
-                        break
-                if left < 0:  # a negative count would never run out
-                    raise CorruptListError(f"region markers out of order for key {key!r}")
+                o, hi = _region(data, span.start, span.stop, r, k, key)
                 if decode is not None:
-                    rest = pattern[:start] + pattern[end:]
-                    rint = ifb(rest, "little")
+                    rint = ifb(pattern[:start] + pattern[end:], "little")
                     # Stored lengths are coded, but decoding never shrinks, so
                     # entries longer than the wanted piece cannot decode to it.
-                    while left:
+                    while o < hi:
                         ln = data[o]
-                        if ln == 0 or ln > need:
+                        if ln > need:
                             break
+                        if not ln:
+                            raise IndexError("an entry of length 0")
                         p = o + 1
                         o = p + ln
                         e = decode(data[p:o])
@@ -327,17 +310,16 @@ class SplitIndex:
                             verified += 1
                             if (ifb(e, "little") ^ rint).to_bytes(need, "little").count(0) >= need - k:
                                 out.add(e[:start] + key + e[start:])
-                        left -= 1
-                    if o >= limit:
-                        raise CorruptListError(f"an entry of the list for key {key!r} crosses its end")
+                    if o > hi:
+                        raise CorruptListError(f"an entry of the list for key {key!r} crosses its region's end")
                     continue
-                o, count = _find_run(data, o, left, need, limit)
+                o, count = _find_run(data, o, hi, need)
                 if not count:
                     continue
                 verified += count
                 # The run's entries lie at a fixed stride from o to stop, which
-                # _find_run has checked lies inside the list.  lrest is the entry
-                # the pattern would match exactly, length byte included.
+                # _find_run has checked lies inside the region.  lrest is the
+                # entry the pattern would match exactly, length byte included.
                 lrest = data[o : o + 1] + pattern[:start] + pattern[end:]
                 step = need + 1
                 stop = o + count * step
@@ -386,10 +368,11 @@ class SplitIndex:
         payload = 0
         worst = 0
         data = self.lists
-        for _, _, begin, end in self.table.records():
-            o = begin + 2 * self.k
+        for _, key, begin, end in self.table.records():
+            o = _region(data, begin, end, 0, self.k, key)[0]
             c = 0
-            while o < end and (ln := data[o]):
+            while o < end:
+                ln = data[o]
                 o += ln + 1
                 c += 1
                 payload += ln
@@ -445,7 +428,7 @@ def build_index(
     an empty list both mean no coding, and the index's ``subs`` is then None.
 
     Raises BuildError when a word's stored complement would not fit an 8-bit
-    length tag, or when a list outgrows the 16-bit region markers.
+    length tag.
     """
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"mismatch budget must be an integer >= 1, got {k!r}")
@@ -483,25 +466,33 @@ def build_index(
 
     # Sorted as staged, entries are grouped into regions by key position and
     # laid out shortest first within a region, so scans can skip ahead to the
-    # wanted length and stop as soon as entries get longer.
+    # wanted length and stop as soon as entries get longer.  A region's byte
+    # length goes into one of the k bytes that open its list as it ends; a
+    # list with a region of 128 bytes or more gets LEB128 lengths after.
     lists = {}
-    markers = bytes(2 * k)  # the markers of regions left empty stay 0
     for key, entries in staged.items():
-        if len(entries) > LIST_ENTRY_LIMIT:
-            raise BuildError(
-                f"list for key {key!r} holds {len(entries)} entries, over {LIST_ENTRY_LIMIT}; "
-                "region markers are 16-bit entry indexes"
-            )
         entries.sort()
-        buf = bytearray(markers)
-        region = 1
-        for i, (pos, size, e) in enumerate(entries, 1):
-            if pos != region:  # entry i begins region pos
-                region = pos
-                buf[2 * pos - 4 : 2 * pos - 2] = i.to_bytes(2, "little")
+        buf = bytearray(k)  # empty regions keep length 0
+        wide = {}  # region -> byte length, for regions of 128 bytes or more
+        region, mark = 1, k
+        for pos, size, e in entries:
+            if pos != region:  # region ``region`` ends here
+                n = len(buf) - mark
+                if n < 0x80:
+                    buf[region - 1] = n
+                else:
+                    wide[region] = n
+                region, mark = pos, len(buf)
             buf.append(size)
             buf += e
-        buf.append(0)
+        if region <= k:
+            n = len(buf) - mark
+            if n < 0x80:
+                buf[region - 1] = n
+            else:
+                wide[region] = n
+        if wide:
+            buf[:k] = b"".join(_length_bytes(wide.get(j, buf[j - 1])) for j in range(1, k + 1))
         lists[key] = buf
 
     table = ChainedHashTable.build(lists, hash_config)

@@ -10,7 +10,7 @@ class ConfigError(SplitIndexError):
 
 
 class BuildError(SplitIndexError):
-    """Index construction rejected the input (oversized piece, marker overflow)."""
+    """Index construction rejected the input (oversized piece or key, too many buckets, an arena over 4 GiB)."""
 
 
 class WordTooShortError(SplitIndexError):
@@ -18,7 +18,7 @@ class WordTooShortError(SplitIndexError):
 
 
 class CorruptListError(SplitIndexError):
-    """A query read past its list or bucket, or a bucket named no list: the loaded data is damaged."""
+    """A query read past its region, list or bucket: the loaded data is damaged."""
 
 
 class CodecError(SplitIndexError):

@@ -10,7 +10,8 @@ The table keeps each bucket as one blob of
 a key's list sits right after it.  ``lookup_list`` returns where that list
 lies in the arena's bytes, and ``records`` walks every record; both raise
 ``CorruptListError`` for a record, a list length or a list that runs past
-its bucket's end, and a list length takes at most ``LENGTH_BYTES`` bytes.
+its bucket's end, and a list length takes at most ``LENGTH_BYTES`` bytes,
+as do the region lengths that open each list (see ``core``).
 The table is built once from the final key set and is immutable afterwards.
 The bucket count is the smallest power of two with
 ``key count <= bucket count * max_load_factor``.
@@ -243,9 +244,9 @@ class BucketStats:
     nonempty_mean_chain: float
 
 
-# A list length takes at most this many LEB128 bytes, 28 bits: a list holds
-# at most 65535 entries of at most 256 bytes, so it is under 2**25 bytes.
-LENGTH_BYTES = 4
+# A list or region length takes at most this many LEB128 bytes, 35 bits: both
+# lie inside one arena, which holds fewer than ARENA_LIMIT = 2**32 bytes.
+LENGTH_BYTES = 5
 
 
 def _length_bytes(n: int) -> bytes:
@@ -259,22 +260,25 @@ def _length_bytes(n: int) -> bytes:
     return bytes(out)
 
 
-def _read_length(data: bytes, o: int, end: int, bucket: int) -> tuple[int, int]:
-    """The LEB128 list length at ``data[o]`` and the offset after it.
+def _read_length(data: bytes, o: int, end: int, owner: int | bytes) -> tuple[int, int]:
+    """The LEB128 length at ``data[o]`` and the offset after it.
 
-    Raises CorruptListError naming the bucket for a length that crosses the
-    bucket's ``end`` or takes more than ``LENGTH_BYTES`` bytes.
+    Raises CorruptListError for a length that crosses ``end`` or takes more
+    than ``LENGTH_BYTES`` bytes, naming ``owner``: the bucket of a list
+    length, or the key of a region length.
     """
     n = 0
     for shift in range(0, 7 * LENGTH_BYTES, 7):
         if o >= end:
-            raise CorruptListError(f"bucket {bucket} holds a list length that runs past its end")
+            break
         b = data[o]
         o += 1
         n |= (b & 0x7F) << shift
         if b < 0x80:
             return n, o
-    raise CorruptListError(f"bucket {bucket} holds a list length of more than {LENGTH_BYTES} bytes")
+    what = f"bucket {owner} holds a list" if isinstance(owner, int) else f"the list for key {owner!r} holds a region"
+    raise CorruptListError(f"{what} length that runs past its end" if o >= end else
+                           f"{what} length of more than {LENGTH_BYTES} bytes")
 
 
 class ChainedHashTable:

@@ -26,57 +26,64 @@ from splitindex import (
     split_word,
 )
 from splitindex import core
-from splitindex.core import LIST_ENTRY_LIMIT, ListStats
-from splitindex.hashing import BucketStats
+from splitindex.core import ListStats
+from splitindex.hashing import ARENA_LIMIT, BucketStats, _length_bytes, _read_length
 from splitindex.storage import index_from_bytes, index_to_bytes
 
 # MATRIX_RUN values that send every run at k >= 2 to one kernel: 1 to the
-# matrix, LIST_ENTRY_LIMIT + 1 to the bytes.find passes.
-BOTH_KERNELS = (1, LIST_ENTRY_LIMIT + 1)
+# matrix, ARENA_LIMIT, more entries than an arena holds, to the bytes.find
+# passes.
+BOTH_KERNELS = (1, ARENA_LIMIT)
 
 
 def entries(blob, k):
-    """Parse a list blob into ([k region markers], [payloads])."""
-    markers = [blob[2 * j] | blob[2 * j + 1] << 8 for j in range(k)]
+    """Parse a list blob into ([byte lengths of regions 1..k], [payloads])."""
+    sizes = []
+    o = 0
+    for _ in range(k):
+        n, o = _read_length(blob, o, len(blob), b"")
+        sizes.append(n)
     out = []
-    o = 2 * k
-    while blob[o]:
+    while o < len(blob):
         out.append(blob[o + 1 : o + 1 + blob[o]])
         o += blob[o] + 1
-    return markers, out
+    return sizes, out
 
 
-def regions(markers, payloads):
-    """The payloads of each of a list's k + 1 regions; a 0 marker is an empty region."""
-    starts = [1] + markers
-    out = []
-    for j, first in enumerate(starts):
-        stop = next((m for m in starts[j + 1 :] if m), len(payloads) + 1)
-        out.append(payloads[first - 1 : stop - 1] if first else [])
+def regions(blob, k):
+    """The payloads of each of a list's k + 1 regions."""
+    sizes, payloads = entries(blob, k)
+    out = [[] for _ in range(k + 1)]
+    r = 0
+    left = sizes + [len(blob)]  # the last region runs to the list's end
+    for e in payloads:
+        while left[r] <= 0:
+            r += 1
+        out[r].append(e)
+        left[r] -= 1 + len(e)
     return out
 
 
 def test_list_layout_for_three_words():
     d = Dictionary([b"table", b"left", b"tablet"])
     idx = build_index(d, 1)
-    markers, payloads = entries(idx.lists[idx.table.lookup_list(b"tab")], 1)
-    assert markers == [0]  # only missing suffixes
-    assert set(payloads) == {b"le", b"let"}
-    markers, payloads = entries(idx.lists[idx.table.lookup_list(b"le")], 1)
-    assert markers == [2]  # one suffix entry, then the prefixes
-    assert payloads == [b"ft", b"tab"]
-    markers, payloads = entries(idx.lists[idx.table.lookup_list(b"ft")], 1)
-    assert (markers, payloads) == ([1], [b"le"])
+    blob = idx.lists[idx.table.lookup_list(b"tab")]
+    assert regions(blob, 1) == [[b"le", b"let"], []]  # only missing suffixes
+    assert entries(blob, 1) == ([7], [b"le", b"let"])
+    blob = idx.lists[idx.table.lookup_list(b"le")]
+    assert entries(blob, 1) == ([3], [b"ft", b"tab"])  # one suffix entry, then the prefixes
+    blob = idx.lists[idx.table.lookup_list(b"ft")]
+    assert entries(blob, 1) == ([0], [b"le"])
 
 
 def test_k2_layout_with_an_empty_middle_region():
     # b"ab" is the first piece of one word and the last of another, never
-    # the middle one: region 2 is empty and its marker is 0.
+    # the middle one: region 2 is empty and its length is 0.
     d = Dictionary([b"abcdef", b"ghijab"])
     idx = build_index(d, 2)
     blob = idx.lists[idx.table.lookup_list(b"ab")]
-    assert blob == b"\x00\x00\x02\x00" + b"\x04cdef" + b"\x04ghij" + b"\x00"
-    assert regions(*entries(blob, 2)) == [[b"cdef"], [], [b"ghij"]]
+    assert blob == b"\x05\x00" + b"\x04cdef" + b"\x04ghij"
+    assert regions(blob, 2) == [[b"cdef"], [], [b"ghij"]]
     # A pattern keyed by b"ab" in the middle finds the empty region; reading
     # region 3 in its place would wrongly rebuild b"ghabij".
     assert idx.query(b"ghabij") == idx.query(b"ghabix") == []
@@ -149,17 +156,20 @@ def test_oversized_missing_piece_names_word():
     assert "xxxx" in str(err.value)
 
 
-def test_marker_overflow_is_a_build_error():
+def test_list_of_65536_entries_builds_and_answers():
     # 65536 distinct prefixes all sharing the last piece: b"zz" for k = 1,
-    # b"z" for k = 2 (a 5-byte word splits 3 + 2, or 2 + 2 + 1).
+    # b"z" for k = 2 (a 5-byte word splits 3 + 2, or 2 + 2 + 1).  A list has
+    # no entry limit: its regions are bounded by byte lengths.
     words = [bytes((a, b, c)) + b"zz" for a in range(64, 104) for b in range(64, 104) for c in range(64, 105)]
-    words = words[: LIST_ENTRY_LIMIT + 1]
-    assert len(words) == LIST_ENTRY_LIMIT + 1
-    d = Dictionary(words)
+    d = Dictionary(words[: 0xFFFF + 1])
+    rng = random.Random(16)
+    patterns = rng.sample(d.words, 10) + [b"@@@zz", b"ABCzq", b"ABCqz", b"xyzzz", b"@@@@@"]
     for k, key in ((1, b"zz"), (2, b"z")):
-        with pytest.raises(BuildError) as err:
-            build_index(d, k)
-        assert repr(key) in str(err.value) and str(LIST_ENTRY_LIMIT + 1) in str(err.value)
+        idx = build_index(d, k)
+        assert len(regions(idx.lists[idx.table.lookup_list(key)], k)[k]) == 0xFFFF + 1
+        assert idx.list_stats().max_entries == 0xFFFF + 1
+        for p in patterns:
+            assert idx.query(p) == oracle_query(d, p, k), (k, p)
 
 
 def test_exactly_k_plus_one_entries_per_eligible_word():
@@ -197,64 +207,64 @@ def test_builds_are_byte_identical():
 # The hash id moves buckets, never lists.
 GOLDEN_DIGESTS = {
     ("xxhash", 1, False): (
-        "a08c251f1b38eda86ed46cf555629079fd73533d8cbd7fe225989cd592a8b4a0",
-        "0927345e8ad51dfa2bb1393aca744851fca56a748dbd12968eec1f6711fc018f",
-        "5036b9ad65517290bf91fc81f028864d40e1807e33a6a292995a874f22903f92",
+        "0387007d1d67cc03e5da015636c611cb6f27fb593f8f604cc45ec2edf3fbe8c7",
+        "bbd21120fbb015452f56f51e0805a0a41e9d84e5efec137da4f57981ede53ea7",
+        "38c29880e8946c4c96baf5354ed866645dd68b130a3b60d0ddf8eea5c6e1e4ca",
     ),
     ("xxhash", 1, True): (
-        "4f26f407f717846de52a593080e7725521ee0f343d86f438e15d76ab9807e4aa",
-        "844747c929a2a3d8ebc33c4173844dd4e4b0bd3838a405fc1011383f0d0a151b",
-        "c348c0893f2aa633bf33b3a3f4fa0d0af16ac35800e19a80cefd81ded3c44c85",
+        "c08cf5f76bc70a813facd49c82baf5a1405ba5256e8f0496bce70b8eccdae32f",
+        "0e5f998933921c5b16afca3f3e75d92d820dac2acad0c4ba8f1384815b3234d9",
+        "9cd7e2b9b4abd63e396a5e2a4f41d7eb0d02ac507d64316750cdfa73e4eb4fee",
     ),
     ("xxhash", 2, False): (
-        "28dbfc3d5e6ce8a4f85d6720e339f6539ace19276198cdf4b404b5e5052d12d8",
-        "377a154bfdc8e09ba125e2cc8f5c82f63feface80abb9dde2e0a0869d8ac4c37",
-        "cf1cd4623b3fc55fdc01fccd8389786f7bbda7e149f47ca0fbf2ab780a8cc1c6",
+        "e5b5396f6bc7822687a26f1511a0eb397ad834d25c96620023b9762ee801fddc",
+        "8ab7c813fbca36add301124d9799600822ebb2b5d9d5788e657b3892cf36dfa9",
+        "cdda8f93f48f2aa38021d6e14ef4b804905301f31d8a36b5792cf472f6eef281",
     ),
     ("xxhash", 2, True): (
-        "1b745d6f8ffa083ff7e7d1e56a94fec8a28df9740903c92be13673057b593253",
-        "deacc41caf72025ac92c265e39611460ab6f41d72575ee57e9d209eeae3cc488",
-        "e258f39b49a2e6eb9e2d405cb73da976bcdd5576f25901e2ec79bbe131ee16d4",
+        "d885652aa6ffefad38bbefff61175c26d7d5d857672ef693c9807ebd1249fdeb",
+        "77da74b008eea9d12e0c9a5e62ef02a75730a664c6c4defbee7cee336821e1d7",
+        "e27f68724fd854fb9f08004696361ffdd5cf242a365589b3912d5c96be33a020",
     ),
     ("xxhash", 3, False): (
-        "88d5d03c35edb4f11630a50ae36c82bcbc47184b490bab60b6e2d8dbc56120d0",
-        "b05b56705f460a2ea598af4f60c7abf5abeea806672b2319ce2de9a805a17d42",
-        "2248a24ed859ac2cfef8dbb06dc807809c41d3050daa9335d9a87204849934c4",
+        "82605901c354494c1ccf96dfc9366ee42abeaf0fee6245fa0902dfa2a8c70992",
+        "631cb43be8b665e8e4bc5666a3854b66d11da9794c896a4b00b6a573e4ccab13",
+        "01381731919c51f82c966cf8b4723e6dd5163cc1f95ab6b43b5dcaaa568d3e65",
     ),
     ("xxhash", 3, True): (
-        "9fd04ced301c7a2a06e477ff474ae60307a40f26d8edd227286a22fbdd529e0f",
-        "c865279ab3b20fe2c9242fa63dafff9035f1806869ac6700017909d53c54fa1d",
-        "456d7e783ff3086d00fb0face9f6a492b2850759261a2463f28c970050904103",
+        "4c72c1b6082b90e7429ea57e92101dd47eee14a62cbce6c396a56e69d4b6a658",
+        "8f8d96f1556496a1bf87bd8b308daba96a6a1d745281ffed8bc5b74b6a01c30b",
+        "45dd88b41eb6377aa70b1dc78be07138b4c9360296486911b9c34ce458c82298",
     ),
     ("crc32", 1, False): (
-        "60303e8855bf0eb7afe0f35a25095958dad02b60b5cfb65da1d6c7246aa67545",
-        "0927345e8ad51dfa2bb1393aca744851fca56a748dbd12968eec1f6711fc018f",
-        "3688c1c8af232619044fe0d9d64eeaa6d19a85288cf6d40432e0d7bfa2aaeb43",
+        "fa93370b2759c1e7d9a5fb0c463095b12ba3cfac8451478e09660c60b78ac6a5",
+        "bbd21120fbb015452f56f51e0805a0a41e9d84e5efec137da4f57981ede53ea7",
+        "f223f80ae62d870708f21d60799c56f8d82db4bfb195331852e63b9528e8d140",
     ),
     ("crc32", 1, True): (
-        "918d9fb0376ce44700b876abd612ddc2fa185ff1c364810c0f283de76081f8f3",
-        "844747c929a2a3d8ebc33c4173844dd4e4b0bd3838a405fc1011383f0d0a151b",
-        "9153c780c095ed00c06bbb8f59cfa7dc0eff90b40f5f942055ff5e2db293a8ae",
+        "e684e4f4d958d6c502a8b30fdbe9d476f56e5def3537481256bca7d06dad9b4d",
+        "0e5f998933921c5b16afca3f3e75d92d820dac2acad0c4ba8f1384815b3234d9",
+        "a4e76f8c855c7ff3f80b1132552b888acfc2ed2dc7e97919bd70e87ca6f3f3b9",
     ),
     ("crc32", 2, False): (
-        "56d9f2a2ed48bfed112d31c0a6c76cc8196886ff8af365cdad2d0b960d1e5c97",
-        "377a154bfdc8e09ba125e2cc8f5c82f63feface80abb9dde2e0a0869d8ac4c37",
-        "25a6f6c6cba4357cdf794267921fcaa04a8bf4525a0a84894eec0ce2d7921b28",
+        "b15ac6b98cd9badb2da548251f549cef3920d20e2056df8eae83543030e8e3a9",
+        "8ab7c813fbca36add301124d9799600822ebb2b5d9d5788e657b3892cf36dfa9",
+        "7fe7afc6e61a6ebf8eec6686d32a7b78613dcd62cb2e91cc0cd194df75c61f5c",
     ),
     ("crc32", 2, True): (
-        "c6d8650c6178f80a90ba7f86a0cbdbb5a0c88657141c231ab76db4bddbec9618",
-        "deacc41caf72025ac92c265e39611460ab6f41d72575ee57e9d209eeae3cc488",
-        "fc4e82d926f354d242aa70e9c3431ba4e82a0adeb6a6222de01ddf3d1b9ed2da",
+        "8904dd8231fa921300d0331ebd0f00fc28288782865b093c6dd4d4c8532e4ce6",
+        "77da74b008eea9d12e0c9a5e62ef02a75730a664c6c4defbee7cee336821e1d7",
+        "8d59a42706c01455d5c6d1f3046ca45683b864f822c132a7d6135f78136ec688",
     ),
     ("crc32", 3, False): (
-        "a3c2fbbd10fa612caac776e89f40e9aacfbb073c65c0c626c5d1515f07c30767",
-        "b05b56705f460a2ea598af4f60c7abf5abeea806672b2319ce2de9a805a17d42",
-        "de1575128d2592d9c914797906b78939fef80fcb61222404576fe93e73a108fc",
+        "75d76d62b16c02729de09e425ed3e98dcf038d93cb68c66ca2c87cea8fb622a6",
+        "631cb43be8b665e8e4bc5666a3854b66d11da9794c896a4b00b6a573e4ccab13",
+        "1162bb39563556b60d834bbd3660aa6dd5335718725dd065ac528133bbdcfdf9",
     ),
     ("crc32", 3, True): (
-        "261008c914423ad41982b119a957cc7609a367fc045e1df325153199932d527a",
-        "c865279ab3b20fe2c9242fa63dafff9035f1806869ac6700017909d53c54fa1d",
-        "eecd20d4293409dc9d259f2a4e64da018b62b0aa891547eb8d7d5e8860d9fa81",
+        "03637730c0997a7be4a7ade89e94af46902c308b1a241932250aebce915baa51",
+        "8f8d96f1556496a1bf87bd8b308daba96a6a1d745281ffed8bc5b74b6a01c30b",
+        "31800fc59913dab6694cbcd9a702828502240ba7220c282b79f6a5eff49e9c3c",
     ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
@@ -275,7 +285,8 @@ def test_layout_is_pinned():
 
 # list_stats() and bucket_stats() of the GOLDEN dictionary at k = 1 and 2,
 # without coding, as format version 3 gave them: storing the lists inside the
-# bucket records moves no list and no key.
+# bucket records (version 4) and bounding regions by byte lengths (version 5)
+# move no entry and no key.
 GOLDEN_STATS = {
     1: (
         ListStats(list_count=1128, entry_count=1298, mean_entries=1298 / 1128, max_entries=8, payload_bytes=6007),
@@ -302,9 +313,10 @@ def test_lists_slice_by_lookup_list_and_stats_are_stable(k):
         pieces = split_word(w, k)
         for r, piece in enumerate(pieces):
             blob = idx.lists[idx.table.lookup_list(piece)]
-            markers, payloads = entries(blob, k)
-            assert type(blob) is bytes and len(blob) == 2 * k + sum(1 + len(e) for e in payloads) + 1
-            assert b"".join(pieces[:r] + pieces[r + 1 :]) in regions(markers, payloads)[r]
+            sizes, payloads = entries(blob, k)
+            head = sum(len(_length_bytes(n)) for n in sizes)
+            assert type(blob) is bytes and len(blob) == head + sum(1 + len(e) for e in payloads)
+            assert b"".join(pieces[:r] + pieces[r + 1 :]) in regions(blob, k)[r]
     assert idx.table.lookup_list(b"\xff\xfe") is None
     assert (idx.list_stats(), idx.table.bucket_stats()) == GOLDEN_STATS[k]
 
@@ -341,7 +353,7 @@ def _region_correctness_matches_full_scan(k):
                 ref = idx.table.lookup_list(key)
                 if ref is None:
                     continue
-                for r, payloads in enumerate(regions(*entries(idx.lists[ref], k))):
+                for r, payloads in enumerate(regions(idx.lists[ref], k)):
                     for e in payloads:
                         cut = sum(piece_lengths(len(key) + len(e), k)[:r])
                         word = e[:cut] + key + e[cut:]
@@ -431,11 +443,10 @@ def _long_runs_match_the_oracle(k):
     d = Dictionary(words)
     idx = build_index(d, k)
     blob = idx.lists[idx.table.lookup_list(key)]
-    markers, payloads = entries(blob, k)
-    by_region = regions(markers, payloads)
+    by_region = regions(blob, k)
     runs = [[len(e) for e in by_region[r]].count(n - len(key)) for r, lengths in enumerate(chosen) for n in lengths]
     assert min(runs) > 16
-    short = regions(*entries(idx.lists[idx.table.lookup_list(b"e")], k))
+    short = regions(idx.lists[idx.table.lookup_list(b"e")], k)
     assert min(len(short[0]), len(short[k])) > 16
 
     patterns = set()
@@ -443,7 +454,7 @@ def _long_runs_match_the_oracle(k):
     for r, lengths in enumerate(chosen):
         for n in lengths:
             need = n - len(key)
-            patterns.update(with_key(blob[j : j + need], r) for j in range(2 * k, len(blob) - need))
+            patterns.update(with_key(blob[j : j + need], r) for j in range(k, len(blob) - need + 1))
     # Stored words with no mismatch and with 1..k+1 mismatches; the short
     # words also with their first or last byte replaced.
     for w in d.words:
@@ -482,7 +493,7 @@ def test_run_of_the_shipped_threshold_matches_the_oracle():
     built = build_index(d, k)
     for idx in (built, index_from_bytes(index_to_bytes(built))):
         assert np.shares_memory(idx._view, np.frombuffer(idx.lists, dtype=np.uint8))
-        payloads = regions(*entries(idx.lists[idx.table.lookup_list(b"key")], k))[0]
+        payloads = regions(idx.lists[idx.table.lookup_list(b"key")], k)[0]
         assert [len(e) for e in payloads].count(6) >= core.MATRIX_RUN
 
         patterns = set()
@@ -523,7 +534,7 @@ def test_any_indexed_word_is_its_own_match():
 
 
 def test_arbitrary_byte_values_survive_the_layout():
-    # 0x00 only terminates a list at entry boundaries; payload bytes are free.
+    # Only entry lengths must be at least 1; payload bytes are free.
     rng = random.Random(12)
     words = [bytes(rng.choices(range(256), k=rng.randint(1, 20))) for _ in range(300)]
     d = Dictionary(words)

@@ -7,6 +7,7 @@ import struct
 import tracemalloc
 import zlib
 from collections import Counter
+from functools import cache
 from itertools import islice, product
 from unittest.mock import patch
 
@@ -34,6 +35,7 @@ from splitindex import (
     load_index,
     mine_substitutions,
     oracle_query,
+    piece_lengths,
     save_index,
     split_word,
 )
@@ -88,7 +90,7 @@ def test_version_mismatch_names_both_versions():
     bad = blob[:8] + (7).to_bytes(2, "little") + blob[10:]
     with pytest.raises(VersionMismatchError) as err:
         index_from_bytes(bad)
-    assert "7" in str(err.value) and "4" in str(err.value)
+    assert "7" in str(err.value) and "5" in str(err.value)
 
 
 # A k = 1 index of b"table", b"left", b"tablet" as format version 2 wrote it.
@@ -105,7 +107,7 @@ VERSION_2_FILE = bytes.fromhex(
 
 def test_version_2_file_is_rejected():
     assert VERSION_2_FILE[8:10] == (2).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 4"):
+    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 5"):
         index_from_bytes(VERSION_2_FILE)
 
 
@@ -122,8 +124,24 @@ VERSION_3_FILE = bytes.fromhex(
 
 def test_version_3_file_is_rejected():
     assert VERSION_3_FILE[8:10] == (3).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 3, this reader supports 4"):
+    with pytest.raises(VersionMismatchError, match="version 3, this reader supports 5"):
         index_from_bytes(VERSION_3_FILE)
+
+
+# The same index as format version 4 wrote it: each list after its key in the
+# bucket record, opening with k u16 region markers and ending in a 0 byte.
+VERSION_4_FILE = bytes.fromhex(
+    "53504c495449445804000105637263333200000000000000400f000000000000"
+    "00030000000000000006000000000000000000020000000f0000002400000003"
+    "7461620a0000026c65036c657400026c650a0200026674037461620002667406"
+    "0100026c6500036c65740701000374616200e40589d9"
+)
+
+
+def test_version_4_file_is_rejected():
+    assert VERSION_4_FILE[8:10] == (4).to_bytes(2, "little")
+    with pytest.raises(VersionMismatchError, match="version 4, this reader supports 5"):
+        index_from_bytes(VERSION_4_FILE)
 
 
 def test_truncation_detected_at_every_cut(tmp_path):
@@ -292,45 +310,33 @@ def resealed(idx, changes):
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
-def test_region_markers_out_of_order_are_corrupt():
+def test_region_length_past_its_list_is_corrupt():
     d = Dictionary([b"abcdef", b"ghabij", b"gxabij", b"ghijab", b"gyijab"])
     idx = build_index(d, 2)
     at = idx.table.lookup_list(b"ab")
-    assert idx.lists[at][:4] == b"\x02\x00\x04\x00"  # region 2 starts at entry 2, region 3 at 4
-    # Region 3 before region 2: a negative entry count.
-    idx = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x01"}))
-    with pytest.raises(CorruptListError, match="b'ab'"):
-        idx.query(b"ghabiz")
+    # Regions 1 and 2 hold 5 and 10 bytes; region 3 runs to the list's end.
+    assert idx.lists[at] == b"\x05\x0a" + b"\x04cdef" + b"\x04ghij\x04gxij" + b"\x04ghij\x04gyij"
+    assert idx.query(b"abcdxf") == [b"abcdef"]
+    # A region length grown past the list's end moves the end of its own
+    # region, or the start of a later one, out of the list; each query is
+    # keyed by b"ab" in region 1, 2 or 3.
+    for length_at, pattern in ((0, b"abcdxf"), (1, b"ghabiz"), (1, b"gzijab"), (0, b"gzijab")):
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + length_at: b"\x7f"}))
+        with pytest.raises(CorruptListError, match="region lengths of the list for key b'ab' run past its end"):
+            damaged.query(pattern)
 
 
-def test_hop_past_its_list_does_not_answer_from_the_next():
+def test_run_past_its_region_does_not_answer_from_the_next():
     idx = build_index(Dictionary([b"abxy", b"cdab"]), 1)
     a = idx.table.lookup_list(b"ab")
-    assert idx.lists[a] == b"\x02\x00\x02xy\x02cd\x00"
-    assert idx.lists[a.stop : a.stop + 10] == b"\x02xy\x06" + b"\x01\x00\x02ab\x00"  # the record of b"xy"
-    assert idx.query(b"xbab") == []
-    # The hop over region 1 of "ab" lands in the next record: on its list's
-    # entry b"ab", which would read as b"abab", one mismatch from the
-    # pattern, or on a zero marker byte, which would end the walk without a
-    # word.
-    at = arena_offset(idx) + a.start + 2
-    for land in (a.stop + 6, a.stop + 5):
-        damaged = index_from_bytes(resealed(idx, {at: bytes((land - a.start - 3,))}))
-        with pytest.raises(CorruptListError, match="b'ab'"):
-            damaged.query(b"xbab")
-
-
-def test_hop_far_past_its_list_is_corrupt():
-    idx = build_index(Dictionary([b"abrs", b"uvab", b"xya", b"xyb"]), 1)
-    a, c = idx.table.lookup_list(b"ab"), idx.table.lookup_list(b"xy")
-    assert idx.lists[a] == b"\x02\x00\x02rs\x02uv\x00" and idx.lists[c] == b"\x00\x00\x01a\x01b\x00"
-    # The hop lands in a later bucket, on two 1-byte entries in a row, where
-    # a strided slice bounded by the end of "ab" is empty.
-    length = c.start + 2 - (a.start + 3)
-    assert 0 < length < 256
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + a.start + 2: bytes((length,))}))
+    assert idx.lists[a] == b"\x03\x02xy" + b"\x02cd"
+    # Read as a region 1 entry, region 2's b"cd" would rebuild b"abcd".
+    assert idx.query(b"abcd") == []
+    # Region 1 now ends inside b"cd": the run of 2-byte entries crosses its
+    # end, rather than answering from region 2.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + a.start: b"\x04"}))
     with pytest.raises(CorruptListError, match="b'ab'"):
-        damaged.query(b"xxab")
+        damaged.query(b"abcd")
 
 
 @pytest.mark.parametrize("coded", [False, True])
@@ -338,37 +344,38 @@ def test_run_past_its_list_is_corrupt(coded):
     subs = SubstitutionList([(b"zz", 200)]) if coded else None
     idx = build_index(Dictionary([b"abcxy", b"pqrst"]), 1, substitutions=subs)
     at = idx.table.lookup_list(b"abc")
-    assert idx.lists[at] == b"\x00\x00\x02xy\x00"
-    # The entry b"xy" grows over the terminator: b"abcxy\x00" would match.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x03"}))
+    assert idx.lists[at] == b"\x03\x02xy" and at.stop < len(idx.lists)
+    # The entry b"xy" grows over the list's end by a byte, which the
+    # pattern's last byte matches.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 1: b"\x03"}))
     with pytest.raises(CorruptListError, match="b'abc'"):
-        damaged.query(b"abcxy\x00")
+        damaged.query(b"abcxy" + idx.lists[at.stop : at.stop + 1])
 
 
 def test_run_past_its_list_is_corrupt_in_the_matrix():
     idx = build_index(Dictionary([b"abcxyz", b"pqrstu"]), 2)
     at = idx.table.lookup_list(b"ab")
-    assert idx.lists[at] == b"\x00\x00\x00\x00\x04cxyz\x00" and at.stop < len(idx.lists)
-    # The entry b"cxyz" grows over the terminator: as a matrix row it would
-    # match b"abcxyz\x00" exactly.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 4: b"\x05"}))
+    assert idx.lists[at] == b"\x05\x00\x04cxyz" and at.stop < len(idx.lists)
+    # The entry b"cxyz" grows over the list's end: as a matrix row it would
+    # match the pattern exactly.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x05"}))
     with patch.object(core, "MATRIX_RUN", 1), pytest.raises(CorruptListError, match="b'ab'"):
-        damaged.query(b"abcxyz\x00")
+        damaged.query(b"abcxyz" + idx.lists[at.stop : at.stop + 1])
 
 
 def test_walk_past_its_list_is_corrupt():
     idx = build_index(Dictionary([b"abcde", b"qqqqq"]), 2)
     at = idx.table.lookup_list(b"ab")
-    assert idx.lists[at] == b"\x00\x00\x00\x00\x03cde\x00" and at.stop < len(idx.lists)
-    # The shorter entry that the walk skips now ends on the terminator, so
-    # the walk goes on into the next record and finds no 5-byte entry there.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 4: b"\x04"}))
+    assert idx.lists[at] == b"\x04\x00\x03cde" and at.stop < len(idx.lists)
+    # The shorter entry that the walk skips now ends past the list, in the
+    # next record.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x04"}))
     with pytest.raises(CorruptListError, match="b'ab'"):
         damaged.query(b"abcdexx")
 
 
 # Two buckets: b"cd" alone in bucket 0, then b"ab" and b"xy" in bucket 1.
-TWO_BUCKETS = [b"\x02cd\x06" + b"\x00\x00\x02ab\x00", b"\x02ab\x09" + b"\x02\x00\x02xy\x02cd\x00" + b"\x02xy\x06" + b"\x01\x00\x02ab\x00"]
+TWO_BUCKETS = [b"\x02cd\x04" + b"\x03\x02ab", b"\x02ab\x07" + b"\x03\x02xy\x02cd" + b"\x02xy\x04" + b"\x00\x02ab"]
 
 
 def two_buckets():
@@ -381,8 +388,8 @@ def test_bucket_record_past_its_bucket_is_corrupt():
     idx = two_buckets()
     # The key length of b"xy" grows past the end of bucket 1, where the
     # arena ends too: a miss walks over it, and b"ab", before it, still hits.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 23: b"\x09"}))
-    assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x02\x00\x02xy\x02cd\x00"
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 19: b"\x09"}))
+    assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x03\x02xy\x02cd"
     with pytest.raises(CorruptListError, match="bucket 1"):
         damaged.table.lookup_list(b"zz")
     with pytest.raises(CorruptListError, match="bucket 1"):
@@ -392,7 +399,7 @@ def test_bucket_record_past_its_bucket_is_corrupt():
 def test_list_past_its_bucket_is_corrupt():
     idx = two_buckets()
     # The list of b"cd" grows by a byte, into bucket 1.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x07"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x05"}))
     with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
         damaged.table.lookup_list(b"cd")
     with pytest.raises(CorruptListError, match="b'cd'"):
@@ -407,19 +414,25 @@ def test_list_length_past_its_bucket_is_corrupt():
     idx = two_buckets()
     # The key of b"cd" grows over its list, so that the list length is the
     # bucket's last byte; it carries on (0x80) into bucket 1.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x08", arena_offset(idx) + 9: b"\x80"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x06", arena_offset(idx) + 7: b"\x80"}))
     with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
         damaged.table.lookup_list(b"cd")
 
 
-def test_list_length_of_more_than_four_bytes_is_corrupt():
+def test_length_of_more_than_five_bytes_is_corrupt():
     idx = two_buckets()
-    at = arena_offset(idx) + 10 + 3  # the list length of b"ab", in bucket 1
-    damaged = index_from_bytes(resealed(idx, {at: b"\x80\x80\x80\x80\x01"}))
-    with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 4 bytes"):
+    at = arena_offset(idx) + 8 + 3  # the list length of b"ab", in bucket 1
+    damaged = index_from_bytes(resealed(idx, {at: b"\x80\x80\x80\x80\x80\x01"}))
+    with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 5 bytes"):
         damaged.table.lookup_list(b"ab")
-    # Four bytes are read: 0x0FFFFFFF is the longest length stored.
-    assert hashing._read_length(b"\xff\xff\xff\x7f", 0, 4, 0) == (2**28 - 1, 4)
+    # The same for the region length that opens the list of b"ab".
+    damaged = index_from_bytes(resealed(idx, {at + 1: b"\x80\x80\x80\x80\x80\x01"}))
+    with pytest.raises(CorruptListError, match="list for key b'ab' holds a region length of more than 5 bytes"):
+        damaged.query(b"abxy")
+    # Five bytes are read: 2**35 - 1 is the longest length stored, more than
+    # an arena, under 2**32 bytes, can hold.
+    assert hashing._read_length(b"\xff\xff\xff\xff\x7f", 0, 5, 0) == (2**35 - 1, 5)
+    assert hashing.LENGTH_BYTES * 7 >= (hashing.ARENA_LIMIT - 1).bit_length()
 
 
 def first_record(idx):
@@ -430,26 +443,28 @@ def first_record(idx):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_list_shorter_than_markers_and_terminator_is_corrupt(k):
+def test_list_shorter_than_its_region_lengths_is_corrupt(k):
     idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), k)
     key, begin, end = first_record(idx)
     assert end - begin < 0x80  # its list length is one byte, just before it
-    # The list gives up all but its k markers; the bytes after them no
-    # longer parse, but the lookup stops at its key.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin - 1: bytes((2 * k,))}))
+    # The list keeps k - 1 bytes, too few for its k region lengths; the
+    # bytes after them no longer parse, but the lookup stops at its key.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin - 1: bytes((k - 1,))}))
     word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, k))
-    with pytest.raises(CorruptListError, match=f"list for key {key!r} holds {2 * k} bytes"):
+    with pytest.raises(CorruptListError, match=f"list for key {key!r} holds a region length that runs past its end"):
         damaged.query(word)
 
 
-def test_list_without_its_terminator_is_corrupt():
-    idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1)
-    key, begin, end = first_record(idx)
-    # The list now ends in a payload byte.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin - 1: bytes((end - begin - 1,))}))
-    word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, 1))
-    with pytest.raises(CorruptListError, match=f"list for key {key!r} .* terminator byte 0"):
-        damaged.query(word)
+def test_zero_entry_length_is_corrupt():
+    for coded in (False, True):
+        subs = SubstitutionList([(b"zz", 200)]) if coded else None
+        idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1, substitutions=subs)
+        key, begin, end = first_record(idx)
+        assert idx.lists[begin + 1] == 3  # the first entry's length, after one region length
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin + 1: b"\x00"}))
+        word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, 1))
+        with pytest.raises(CorruptListError, match=f"key {key!r}"):
+            damaged.query(word)
 
 
 def test_bucket_lengths_adding_up_past_32_bits_are_a_cut_file():
@@ -486,9 +501,10 @@ def test_loaded_heap_is_close_to_the_file_size(k):
 def test_lists_round_trip_at_every_list_length_width(size, length):
     # At k = 1 every word below is keyed by its first piece, b"abcde": a
     # 10-byte word stores a 6-byte entry in that list, a 9-byte one a 5-byte
-    # entry, after the 2 marker bytes and before the terminator.
-    fives = next(n for n in range(6) if (size - 3 - 5 * n) % 6 == 0)
-    sixes = (size - 3 - 5 * fives) // 6
+    # entry, all in region 1, after its length.
+    head = next(h for h in (1, 2, 3) if size - h < 128**h)
+    fives = next(n for n in range(6) if (size - head - 5 * n) % 6 == 0)
+    sixes = (size - head - 5 * fives) // 6
     tails = [bytes(t) for t in islice(product(b"fghijklmnopqrstu", repeat=5), sixes)]
     tails += [bytes(t) for t in islice(product(b"vwxyz", repeat=4), fives)]
     d = Dictionary([b"abcde" + t for t in tails])
@@ -504,6 +520,59 @@ def test_lists_round_trip_at_every_list_length_width(size, length):
     patterns = rng.sample(d.words, 20) + list(gen_noisy_queries(d, 150, seed=size).patterns)
     for p in patterns:
         assert loaded.query(p) == oracle_query(d, p, 1)
+
+
+WIDTH_SUBS = SubstitutionList([(b"fg", 200), (b"hi", 201)])
+
+
+@cache
+def entries_keyed_by(key, r, k, coded):
+    """Words that keep ``key`` as their piece r, by the size of the entry each
+    stores (length byte and payload, coded with WIDTH_SUBS or not)."""
+    out = {}
+    for n in range(len(key) + 1, 12):
+        lengths = piece_lengths(n, k)
+        if lengths[r] != len(key):
+            continue
+        cut = sum(lengths[:r])
+        for t in islice(product(b"fghijklm", repeat=n - len(key)), 20_000):
+            t = bytes(t)
+            out.setdefault(1 + len(WIDTH_SUBS.encode(t) if coded else t), []).append(t[:cut] + key + t[cut:])
+    return out
+
+
+def region_words(key, r, k, size, coded):
+    """Words whose entries fill region r + 1 of the list of ``key`` with
+    exactly ``size`` bytes, from entries of two sizes in a row, a and a + 1."""
+    pool = entries_keyed_by(key, r, k, coded)
+    a = min(a for a in pool if min(len(pool[a]), len(pool.get(a + 1, ()))) > size // a)
+    longer = size % a  # size = a * shorter + (a + 1) * longer
+    shorter = (size - (a + 1) * longer) // a
+    assert shorter >= 0
+    return pool[a][:shorter] + pool[a + 1][:longer]
+
+
+@pytest.mark.parametrize("size", [0, 127, 128, 16383, 16384])
+def test_lists_round_trip_at_every_region_length_width(size):
+    # Region 1 of the list of ``key`` holds ``size`` bytes, so its length
+    # takes 1, 1, 2, 2 and 3 LEB128 bytes; each later region holds one entry,
+    # found through that length.
+    rng = random.Random(size)
+    for k, coded in product((1, 2), (False, True)):
+        key = b"keyab" if k == 1 else b"key"
+        words = region_words(key, 0, k, size, coded)
+        words += [min(entries_keyed_by(key, r, k, coded).items())[1][0] for r in range(1, k + 1)]
+        d = Dictionary(words)
+        idx = build_index(d, k, substitutions=WIDTH_SUBS if coded else None)
+        blob = idx.lists[idx.table.lookup_list(key)]
+        assert hashing._read_length(blob, 0, len(blob), key) == (size, len(hashing._length_bytes(size)))
+        assert idx.list_stats().entry_count == (k + 1) * len(d)
+        data = index_to_bytes(idx)
+        loaded = index_from_bytes(data)
+        assert index_to_bytes(loaded) == data
+        patterns = rng.sample(d.words, min(20, len(d.words))) + list(gen_noisy_queries(d, 100, seed=size).patterns)
+        for p in patterns:
+            assert loaded.query(p) == oracle_query(d, p, k), (k, coded, p)
 
 
 RANDOM_SUBS = SubstitutionList([(b"ab", 128), (b"ca", 129), (b"bcd", 130), (b"aaaa", 131)])
