@@ -310,20 +310,38 @@ def resealed(idx, changes):
     return bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
-def test_region_length_past_its_list_is_corrupt():
+def region_length_grown(idx, length_at):
+    """``idx`` loaded from its file with the list for b"ab" holding 0x7f at
+    region length ``length_at``, far past the list's end."""
+    at = idx.table.lookup_list(b"ab")
+    return index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + length_at: b"\x7f"}))
+
+
+def regions_idx():
     d = Dictionary([b"abcdef", b"ghabij", b"gxabij", b"ghijab", b"gyijab"])
     idx = build_index(d, 2)
-    at = idx.table.lookup_list(b"ab")
     # Regions 1 and 2 hold 5 and 10 bytes; region 3 runs to the list's end.
-    assert idx.lists[at] == b"\x05\x0a" + b"\x04cdef" + b"\x04ghij\x04gxij" + b"\x04ghij\x04gyij"
+    assert idx.lists[idx.table.lookup_list(b"ab")] == b"\x05\x0a" + b"\x04cdef" + b"\x04ghij\x04gxij" + b"\x04ghij\x04gyij"
     assert idx.query(b"abcdxf") == [b"abcdef"]
+    return idx
+
+
+def test_region_length_past_its_list_is_corrupt():
+    idx = regions_idx()
     # A region length grown past the list's end moves the end of its own
-    # region, or the start of a later one, out of the list; each query is
-    # keyed by b"ab" in region 1, 2 or 3.
-    for length_at, pattern in ((0, b"abcdxf"), (1, b"ghabiz"), (1, b"gzijab"), (0, b"gzijab")):
-        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + length_at: b"\x7f"}))
+    # region out of the list; each query is keyed by b"ab" in that region.
+    for length_at, pattern in ((0, b"abcdxf"), (1, b"ghabiz")):
         with pytest.raises(CorruptListError, match="region lengths of the list for key b'ab' run past its end"):
-            damaged.query(pattern)
+            region_length_grown(idx, length_at).query(pattern)
+
+
+def test_region_start_far_past_its_list_is_corrupt():
+    idx = regions_idx()
+    # A region length grown past the list's end moves the start of a later
+    # region far out of the list; each query is keyed by b"ab" in region 2 or 3.
+    for length_at, pattern in ((0, b"ghabiz"), (0, b"gzijab"), (1, b"gzijab")):
+        with pytest.raises(CorruptListError, match="region lengths of the list for key b'ab' run past its end"):
+            region_length_grown(idx, length_at).query(pattern)
 
 
 def test_run_past_its_region_does_not_answer_from_the_next():
