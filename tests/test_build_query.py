@@ -283,6 +283,90 @@ def test_layout_is_pinned():
         assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
 
 
+# Digests as in GOLDEN_DIGESTS for edge_words(k), without coding, and for its
+# ASCII translation with EDGE_SUBS, whose code 0xFF is the byte encode_many
+# joins payloads with, so that coding goes word by word.
+EDGE_DIGESTS = {
+    ("crc32", 1, False): (
+        "ab9a807a2525dafc8b4903874a660c9ae87e3158056ae7f658ebd9326da6221d",
+        "04abe669b7254c1ef5af63e1b6a10c5dad24cae56f0c9dd791a2f387c3acb401",
+        "296bfc5ec41794476558bd727160728b6b67cb7fdc5c5b74853cac84c6be8ec4",
+    ),
+    ("crc32", 2, False): (
+        "06050ce7685147358d2be114f23471bfa519437fc6f866dc49019645151a68f7",
+        "0378af9d11367d91ac7b67c1e29749f3697f734253c7bb3660f9ab3a47c49238",
+        "12326249df7cd0e0e10b1d68f03d544b1efd33f0ec77cb1a1ae83312533858d4",
+    ),
+    ("crc32", 3, False): (
+        "e177ce564236a1879a09c7d2f19661fee3ff657ce3a0f386178ce848249cba72",
+        "9de121da2ea6d7f54c236bb0a84affb61ffd34defdc260ebb8f50d7621b390ae",
+        "f5a96943fa3e9f14ac730bcc8337bce29ec937babf6a3ddfac4216737021ef4f",
+    ),
+    ("fnv1", 1, False): (
+        "295dd8dc25dd092633e568534b45915865ee69136a365cea06d79b1aea16925c",
+        "04abe669b7254c1ef5af63e1b6a10c5dad24cae56f0c9dd791a2f387c3acb401",
+        "0709a3947a9f85c29ce3956cae1044e760538872d86e5fe7bf8462c7b55c0554",
+    ),
+    ("fnv1", 2, False): (
+        "63969d3d97ea4cf7a5f8a7262e74db696fa8e59dd44b4f91493be3fee723e722",
+        "0378af9d11367d91ac7b67c1e29749f3697f734253c7bb3660f9ab3a47c49238",
+        "2461f6e9fb780711bd54245b8bcabc521162141c8687b4bbe47ce2aaa6cbc0ac",
+    ),
+    ("fnv1", 3, False): (
+        "b0172a711a57d08b1165942794f42ed503e21a84486e2d2b1474fdc6b7696c00",
+        "9de121da2ea6d7f54c236bb0a84affb61ffd34defdc260ebb8f50d7621b390ae",
+        "1e041c1f253d31693e377cef085a3f018d3f932ba99f2eb99f22692d699214e5",
+    ),
+    ("crc32", 2, True): (
+        "0ba9f9f37541e94f01ad7fd378085ac6cc09805cf8a3f67fef42a048958905e0",
+        "7bb57ec09573d6776db69a649c7d253658d919959f0a591cb76ab5f95fa5c96a",
+        "315ae0d2cd3ff9b49dfea6284658eb18c5ba881a0ebb4aad5f93be579bcee38b",
+    ),
+}
+EDGE_SUBS = SubstitutionList([(b"ing", 0xFF), (b"er", 0x80), (b"gi", 0x81)])
+EDGE_SYMBOLS = b"\x00\x7f\x80\xffa"
+EDGE_ASCII = bytes.maketrans(EDGE_SYMBOLS, b"inger")
+
+
+def edge_words(k):
+    """Words over the bytes 0x00, 0x7F, 0x80, 0xFF and b"a".
+
+    Short random words give side-table words and keys shared by words of
+    different lengths at different positions; 2400 words sharing their first
+    7 bytes give a list of over 16 kB, and 300 sharing their last 5 a second
+    long region; one word has payloads of exactly 255 bytes at this k.
+    """
+    rng = random.Random(17)
+    words = [bytes(rng.choices(EDGE_SYMBOLS, k=rng.randint(1, 12))) for _ in range(1500)]
+    words += [EDGE_SYMBOLS + b"a\x00" + bytes(rng.choices(EDGE_SYMBOLS, k=7)) for _ in range(2400)]
+    words += [bytes(rng.choices(EDGE_SYMBOLS, k=7)) + EDGE_SYMBOLS[::-1] for _ in range(300)]
+    words.append(bytes(rng.choices(EDGE_SYMBOLS, k={1: 510, 2: 382, 3: 340}[k])))
+    return words
+
+
+def test_edge_layout_is_pinned():
+    for (fid, k, coded), digests in EDGE_DIGESTS.items():
+        words = edge_words(k)
+        d = Dictionary([w.translate(EDGE_ASCII) for w in words] if coded else words)
+        idx = build_index(d, k, hash_config=HashConfig(function_id=fid), substitutions=EDGE_SUBS if coded else None)
+        keys = dict.fromkeys(piece for w in d.words if len(w) > k for piece in split_word(w, k))
+        lists = b"".join(idx.lists[idx.table.lookup_list(key)] for key in keys)
+        parts = (index_to_bytes(idx), lists, b"".join(idx.table.buckets))
+        assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
+        # The edges are there: a list length of 3 LEB128 bytes, a region of
+        # 128 bytes or more after the first, a 255-byte payload, a key whose
+        # entries come from two word lengths in two regions, and side words.
+        decode = idx.subs.decode if coded else bytes
+        blobs = {key: idx.lists[begin:end] for _, key, begin, end in idx.table.records()}
+        split = {key: regions(blob, k) for key, blob in blobs.items()}
+        assert max(map(len, blobs.values())) >= 16384
+        assert any(sum(1 + len(e) for e in by[r]) >= 128 for by in split.values() for r in range(1, k + 1))
+        assert max(len(decode(e)) for by in split.values() for es in by for e in es) == 255
+        mixed = [{(r, len(key) + len(decode(e))) for r, es in enumerate(by) for e in es} for key, by in split.items()]
+        assert any(r != q and n != m for pairs in mixed for r, n in pairs for q, m in pairs)
+        assert idx.side_table
+
+
 # list_stats() and bucket_stats() of the GOLDEN dictionary at k = 1 and 2,
 # without coding, as format version 3 gave them: storing the lists inside the
 # bucket records (version 4) and bounding regions by byte lengths (version 5)
