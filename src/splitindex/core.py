@@ -26,6 +26,15 @@ the median query.
 
 Payloads may be substitution-coded (see ``qgrams``); keys never are.
 
+The build runs in numpy batches.  Words of one length share their piece
+bounds, so they form one uint8 matrix, and the keys and payloads of one key
+position are column slices of it.  Sorts merge equal keys, rank each key by
+the step at which entering the pieces one at a time in dictionary order
+would first meet it, and order each list's entries; numpy then copies the
+lists, and the table its records, into place.  Python steps once per batch
+and once per distinct key, and the bytes are those of the one-at-a-time
+build.
+
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
 reads it at absolute offsets, never past the end of the region it walks:
@@ -42,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import ARENA_LIMIT, ChainedHashTable, HashConfig, _length_bytes, _read_length
+from .hashing import ARENA_LIMIT, ChainedHashTable, HashConfig, _gather, _length_bytes, _read_length
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # entry lengths are single bytes, from 1 up
@@ -234,7 +243,7 @@ class SplitIndex:
     ):
         self.k = k
         self.table = table
-        self.lists = table.buckets.data  # every list sits in its bucket record
+        self.lists = table.data  # every list sits in its bucket record
         self.side_table = side_table
         self.subs = subs or None  # no coding is None, never an empty list
         self.source_stats = source_stats
@@ -413,6 +422,22 @@ class SplitIndex:
         return self.size_breakdown()["total"]
 
 
+def _row_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order that sorts the rows of a uint8 matrix as byte strings, and
+    the rows as big-endian u64 columns, which compare as the rows do."""
+    count, width = rows.shape
+    packed = np.zeros((count, -(-width // 8) * 8), np.uint8)
+    packed[:, :width] = rows
+    packed = packed.view(">u8").astype(np.uint64)
+    return np.argsort(packed[:, 0]) if packed.shape[1] == 1 else np.lexsort(packed.T[::-1]), packed
+
+
+def _runs(values: np.ndarray) -> list[np.ndarray]:
+    """Indices of ``values`` grouped by value, ascending; ascending within a group."""
+    order = np.argsort(values, kind="stable")
+    return [run for run in np.split(order, np.flatnonzero(np.diff(values[order])) + 1) if len(run)]
+
+
 def build_index(
     dictionary: Dictionary,
     k: int,
@@ -427,75 +452,142 @@ def build_index(
     ``substitutions``, list payloads are stored substitution-coded; None and
     an empty list both mean no coding, and the index's ``subs`` is then None.
 
+    The entries are made in numpy batches, one per word length and key
+    position (see ``_lists``), and Python steps once per batch and once per
+    distinct key; coded builds also hand every payload to ``encode_many``.
+    The index is the same, byte for byte, as one built by entering the
+    words' pieces one at a time in dictionary order.
+
     Raises BuildError when a word's stored complement would not fit an 8-bit
-    length tag.
+    length tag, naming the first such word in dictionary order.
     """
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"mismatch budget must be an integer >= 1, got {k!r}")
     if k > 255:
         raise ConfigError(f"mismatch budget is limited to 255, got {k}")
-    side: dict[int, list[bytes]] = {}
-    # Growable per-key (key position, payload length, payload) staging, in
-    # the order keys are first seen, written out once every entry of a list
-    # is known.
-    staged: dict[bytes, list[tuple[int, int, bytes]]] = {}
-    for word in dictionary.words:
-        n = len(word)
+    words = dictionary.words
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    side = {}
+    groups = []  # (indices of the words of one length over k, their piece lengths)
+    for run in _runs(lengths):
+        n = int(lengths[run[0]])
         if n <= k:
-            side.setdefault(n, []).append(word)
-            continue
+            side[n] = tuple(sorted(map(words.__getitem__, run.tolist())))
+        else:
+            groups.append((run, piece_lengths(n, k)))
+    oversized = [run[0] for run, pieces in groups if sum(pieces) - min(pieces) > PAYLOAD_LIMIT]
+    if oversized:
+        raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {words[min(oversized)][:32]!r}")
+    keys, lists, sizes = _lists(words, lengths, groups, k, substitutions)
+    table = ChainedHashTable.build(keys, lists, sizes, hash_config)
+    return SplitIndex(k, table, side, substitutions, dictionary.stats())
+
+
+def _lists(
+    words: tuple[bytes, ...],
+    lengths: np.ndarray,
+    groups: list[tuple[np.ndarray, tuple[int, ...]]],
+    k: int,
+    substitutions: SubstitutionList | None,
+) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+    """The distinct keys in the order they are first seen, their lists back
+    to back as a uint8 array, and the byte length of each list."""
+    if not groups:
+        return [], np.zeros(0, np.uint8), np.zeros(0, np.int64)
+    flat = np.frombuffer(b"".join(words), np.uint8)
+    offsets = np.cumsum(lengths) - lengths
+    # One block of entries per (word length, key position).  Entry rows are
+    # numbered block by block; a row is the payload's length byte, then the
+    # payload.  Entering piece r of word i is step i * (k + 1) + r.
+    keyed = {}  # key length -> [(key rows, entering step, entry numbers)]
+    blocks = []
+    positions = []
+    count = 0
+    for run, pieces in groups:
+        n = sum(pieces)
+        matrix = flat[offsets[run, None] + np.arange(n)]
         start = 0
-        for pos, plen in enumerate(piece_lengths(n, k), 1):
+        for r, plen in enumerate(pieces):
             end = start + plen
-            missing = word[:start] + word[end:]
-            size = len(missing)
-            if size > PAYLOAD_LIMIT:
-                raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {word[:32]!r}")
-            key = word[start:end]
-            entries = staged.get(key)
-            if entries is None:
-                entries = staged[key] = []
-            entries.append((pos, size, missing))
+            block = np.empty((len(run), n - plen + 1), np.uint8)
+            block[:, 0] = n - plen
+            block[:, 1 : start + 1] = matrix[:, :start]
+            block[:, start + 1 :] = matrix[:, end:]
+            keyed.setdefault(plen, []).append((matrix[:, start:end], run * (k + 1) + r, np.arange(count, count + len(run))))
+            blocks.append(block)
+            positions.append(np.full(len(run), r))
+            count += len(run)
             start = end
-
+    position = np.concatenate(positions)
     if substitutions:
-        coded = iter(substitutions.encode_many([e for entries in staged.values() for _, _, e in entries]))
-        for entries in staged.values():
-            # zip stops at the end of entries before drawing from coded.
-            entries[:] = [(pos, len(c), c) for (pos, _, _), c in zip(entries, coded)]
+        payloads = []
+        for block in blocks:
+            width = block.shape[1] - 1
+            raw = block[:, 1:].tobytes()
+            payloads += [raw[i : i + width] for i in range(0, len(raw), width)]
+        coded = substitutions.encode_many(payloads)
+        sizes = np.fromiter(map(len, coded), np.int64, count)
+        # Each coded payload gets its length byte in front.
+        joined = np.concatenate((sizes.astype(np.uint8), np.frombuffer(b"".join(coded), np.uint8)))
+        starts = np.stack((np.arange(count), count + np.cumsum(sizes) - sizes), 1).ravel()
+        source = _gather(joined, starts, np.stack((np.ones(count, np.int64), sizes), 1).ravel())
+    else:
+        source = np.concatenate([block.ravel() for block in blocks])
+        sizes = np.concatenate([np.full(len(block), block.shape[1] - 1) for block in blocks])
+    entry_start = np.cumsum(sizes + 1) - sizes - 1
+    keys, entry_key = _merge_keys(keyed, count)
 
-    # Sorted as staged, entries are grouped into regions by key position and
-    # laid out shortest first within a region, so scans can skip ahead to the
-    # wanted length and stop as soon as entries get longer.  A region's byte
-    # length goes into one of the k bytes that open its list as it ends; a
-    # list with a region of 128 bytes or more gets LEB128 lengths after.
-    lists = {}
-    for key, entries in staged.items():
-        entries.sort()
-        buf = bytearray(k)  # empty regions keep length 0
-        wide = {}  # region -> byte length, for regions of 128 bytes or more
-        region, mark = 1, k
-        for pos, size, e in entries:
-            if pos != region:  # region ``region`` ends here
-                n = len(buf) - mark
-                if n < 0x80:
-                    buf[region - 1] = n
-                else:
-                    wide[region] = n
-                region, mark = pos, len(buf)
-            buf.append(size)
-            buf += e
-        if region <= k:
-            n = len(buf) - mark
-            if n < 0x80:
-                buf[region - 1] = n
-            else:
-                wide[region] = n
-        if wide:
-            buf[:k] = b"".join(_length_bytes(wide.get(j, buf[j - 1])) for j in range(1, k + 1))
-        lists[key] = buf
+    # A list holds its entries by key position, then stored length, then
+    # bytes, so scans can skip ahead to the wanted length and stop as soon as
+    # entries get longer.  Every entry is ranked in that order among all
+    # entries, one (position, length) class at a time, and then by its key.
+    rank = np.empty(count, np.int64)
+    done = 0
+    for run in _runs(position * 256 + sizes):
+        order, _ = _row_order(source[entry_start[run, None] + np.arange(1, sizes[run[0]] + 1)])
+        rank[run[order]] = np.arange(done, done + len(run))
+        done += len(run)
+    final = np.argsort(entry_key * count + rank)
 
-    table = ChainedHashTable.build(lists, hash_config)
-    side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
-    return SplitIndex(k, table, side_sorted, substitutions, dictionary.stats())
+    # Each list opens with the byte lengths of its regions 1..k, as LEB128.
+    key_count = len(keys)
+    region = np.bincount(entry_key * (k + 1) + position, sizes + 1, key_count * (k + 1)).astype(np.int64)
+    region = region.reshape(key_count, k + 1)
+    head, head_sizes = _length_bytes(region[:, :k].ravel())
+    head_sizes = head_sizes.reshape(key_count, k).sum(1)
+    entry_count = np.bincount(entry_key, minlength=key_count)
+    firsts = np.cumsum(entry_count) - entry_count  # where each list's entries begin in ``final``
+    starts = np.insert(entry_start[final] + len(head), firsts, np.cumsum(head_sizes) - head_sizes)
+    spans = np.insert(sizes[final] + 1, firsts, head_sizes)
+    return keys, _gather(np.concatenate((head, source)), starts, spans), head_sizes + region.sum(1)
 
+
+def _merge_keys(keyed: dict[int, list], count: int) -> tuple[list[bytes], np.ndarray]:
+    """The distinct keys in first-seen order, and each entry's key's place in it.
+
+    Equal keys are merged one key length at a time by sorting their rows.
+    A key is first seen at the step of its earliest entry, so keys in that
+    order are met in the order in which entering the pieces would meet them.
+    """
+    keys = []
+    seen = []
+    numbers = []
+    ids = []
+    for plen, batch in keyed.items():
+        rows = np.concatenate([key_rows for key_rows, _, _ in batch])
+        order, packed = _row_order(rows)
+        packed = packed[order]
+        new = np.ones(len(order), bool)
+        new[1:] = (packed[1:] != packed[:-1]).any(1)
+        firsts = np.flatnonzero(new)
+        numbers.append(np.concatenate([entries for _, _, entries in batch])[order])
+        ids.append(len(keys) + np.cumsum(new) - 1)
+        seen.append(np.minimum.reduceat(np.concatenate([steps for _, steps, _ in batch])[order], firsts))
+        raw = rows[order[firsts]].tobytes()
+        keys += [raw[i : i + plen] for i in range(0, len(raw), plen)]
+    by_seen = np.argsort(np.concatenate(seen))
+    place = np.empty(len(keys), np.int64)
+    place[by_seen] = np.arange(len(keys))
+    entry_key = np.empty(count, np.int64)
+    entry_key[np.concatenate(numbers)] = place[np.concatenate(ids)]
+    return [keys[i] for i in by_seen.tolist()], entry_key

@@ -1,14 +1,11 @@
-"""String hash functions, a compact chained hash table, and the arena type.
+"""String hash functions and a compact chained hash table.
 
-An ``Arena`` holds a sequence of byte blobs back to back in one ``bytes``
-object, with an ``array('I')`` of n + 1 start offsets; blob ``i`` is
-``data[starts[i]:starts[i + 1]]``.  The table's buckets are one arena, in
-memory as in the file.
-
-The table keeps each bucket as one blob of
-``[key length u8][key bytes][list length, LEB128][list bytes]`` records, so
-a key's list sits right after it.  ``lookup_list`` returns where that list
-lies in the arena's bytes, and ``records`` walks every record; both raise
+The table holds its buckets back to back in one ``bytes`` arena, ``data``,
+with an ``array('I')`` of n + 1 start offsets, ``starts``; bucket ``i`` is
+``data[starts[i]:starts[i + 1]]``, in memory as in the file.  Each bucket is
+a run of ``[key length u8][key bytes][list length, LEB128][list bytes]``
+records, so a key's list sits right after it.  ``lookup_list`` returns where
+that list lies in ``data``, and ``records`` walks every record; both raise
 ``CorruptListError`` for a record, a list length or a list that runs past
 its bucket's end, and a list length takes at most ``LENGTH_BYTES`` bytes,
 as do the region lengths that open each list (see ``core``).
@@ -27,8 +24,10 @@ import logging
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from typing import Iterable, Iterator
+from itertools import pairwise
+from typing import Iterator
+
+import numpy as np
 
 from .errors import BuildError, ConfigError, CorruptListError
 
@@ -189,48 +188,8 @@ def _bucket_count(key_count: int, max_load_factor: float) -> int:
     return n
 
 
-# Arena offsets are u32, so an arena holds fewer bytes than this.
+# Bucket offsets are u32, so the bucket arena holds fewer bytes than this.
 ARENA_LIMIT = 2**32
-
-
-class Arena:
-    """Read-only sequence of byte blobs stored back to back in ``data``.
-
-    ``starts`` holds the n + 1 offsets at which blobs begin, the last one
-    ``len(data)``, as an ``array('I')``.  Indexing returns a fresh ``bytes``
-    slice; hot paths read ``data`` at absolute offsets instead.
-    """
-
-    __slots__ = ("data", "starts")
-
-    def __init__(self, data: bytes, starts: Iterable[int]):
-        if len(data) >= ARENA_LIMIT:
-            raise BuildError(f"{len(data)} bytes in one arena, over the {ARENA_LIMIT - 1} its u32 offsets address")
-        self.data = data
-        self.starts = starts if isinstance(starts, array) else array("I", starts)
-
-    @classmethod
-    def join(cls, blobs: list) -> "Arena":
-        return cls(b"".join(blobs), accumulate(map(len, blobs), initial=0))
-
-    def __len__(self) -> int:
-        return len(self.starts) - 1
-
-    def __getitem__(self, i: int) -> bytes:
-        i = range(len(self))[i]  # a negative index counts from the end
-        s = self.starts
-        return self.data[s[i] : s[i + 1]]
-
-    def __iter__(self) -> Iterator[bytes]:
-        data = self.data
-        return (data[a:b] for a, b in pairwise(self.starts))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Arena):
-            return NotImplemented
-        return self.data == other.data and self.starts == other.starts
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -249,15 +208,29 @@ class BucketStats:
 LENGTH_BYTES = 5
 
 
-def _length_bytes(n: int) -> bytes:
-    """``n`` as LEB128: 7 bits a byte, low bits first, the high bit set on
-    every byte but the last."""
-    out = bytearray()
-    while n > 0x7F:
-        out.append(n & 0x7F | 0x80)
-        n >>= 7
-    out.append(n)
-    return bytes(out)
+def _length_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``values`` as LEB128, back to back, and the byte count of each.
+
+    LEB128 stores 7 bits a byte, low bits first, with the high bit set on
+    every byte but the last.
+    """
+    top = int(values.max()) if len(values) else 0
+    shifts = np.arange(0, 7 * max(1, -(-top.bit_length() // 7)), 7)
+    groups = values[:, None] >> shifts
+    sizes = 1 + (groups[:, 1:] > 0).sum(1)
+    groups &= 0x7F
+    groups |= (shifts < 7 * (sizes[:, None] - 1)) << 7
+    return groups[shifts < 7 * sizes[:, None]].astype(np.uint8), sizes
+
+
+def _gather(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The slices ``data[s : s + n]`` for every (s, n), back to back."""
+    at = np.cumsum(sizes) - sizes  # where each slice lands
+    # An int32 index takes half the memory of an int64 one, where it fits.
+    offset = np.int32 if max(len(data), int(sizes.sum())) < 2**31 else np.int64
+    index = np.repeat((starts - at).astype(offset), sizes)
+    index += np.arange(len(index), dtype=offset)
+    return data[index]
 
 
 def _read_length(data: bytes, o: int, end: int, owner: int | bytes) -> tuple[int, int]:
@@ -290,17 +263,16 @@ class ChainedHashTable:
     ``max_load_factor`` keys per bucket.
     """
 
-    __slots__ = ("config", "_fn", "_buckets", "_data", "_starts", "_mask")
+    __slots__ = ("config", "_data", "_starts", "_fn", "_mask")
 
-    def __init__(self, buckets: Arena, config: HashConfig):
-        n = len(buckets)
+    def __init__(self, data: bytes, starts: array, config: HashConfig):
+        n = len(starts) - 1
         if n < 1 or n & (n - 1):
             raise ConfigError(f"bucket count must be a power of two, got {n}")
         self.config = config
+        self._data = data
+        self._starts = starts
         self._fn = HASH_FUNCTIONS[config.function_id]
-        self._buckets = buckets
-        self._data = buckets.data
-        self._starts = buckets.starts
         self._mask = n - 1
         global _slow_hash_warned
         if self._fn is xxhash64 and not _slow_hash_warned:
@@ -311,25 +283,41 @@ class ChainedHashTable:
             )
 
     @classmethod
-    def build(cls, lists: dict[bytes, bytes], config: HashConfig | None = None) -> "ChainedHashTable":
-        """Lay out a table that stores ``lists[key]`` right after each key.
+    def build(cls, keys: list[bytes], lists, sizes, config: HashConfig | None = None) -> "ChainedHashTable":
+        """Lay out a table that stores each key's list right after the key.
 
-        Each bucket holds its keys in the dict's order.
+        ``lists`` holds the keys' lists back to back, as bytes or a uint8
+        array, and ``sizes`` their byte lengths, in the order of ``keys``;
+        each bucket holds its keys in that order.  Every key is hashed once,
+        one stable sort by bucket orders the records, and numpy copies them
+        into the arena part by part.
         """
         config = config or HashConfig()
-        n = _bucket_count(len(lists), config.max_load_factor)
-        buckets = [bytearray() for _ in range(n)]
+        count = len(keys)
+        n = _bucket_count(count, config.max_load_factor)
+        key_sizes = np.fromiter(map(len, keys), np.int64, count)
+        if count and key_sizes.max() > 255:
+            key = keys[int(np.argmax(key_sizes > 255))]
+            raise BuildError(f"key longer than 255 bytes: {key[:16]!r}...")
         fn = HASH_FUNCTIONS[config.function_id]
-        mask = n - 1
-        for key, blob in lists.items():
-            if len(key) > 255:
-                raise BuildError(f"key longer than 255 bytes: {key[:16]!r}...")
-            bucket = buckets[fn(key) & mask]
-            bucket.append(len(key))
-            bucket += key
-            bucket += _length_bytes(len(blob))
-            bucket += blob
-        return cls(Arena.join(buckets), config)
+        bucket = (np.fromiter(map(fn, keys), np.uint64, count) & np.uint64(n - 1)).astype(np.intp)
+        list_sizes = np.asarray(sizes, np.int64)
+        length_bytes, length_sizes = _length_bytes(list_sizes)
+        # A record's four parts, each taken from its own run of ``parts``.
+        parts = (key_sizes.astype(np.uint8), np.frombuffer(b"".join(keys), np.uint8),
+                 length_bytes, np.frombuffer(lists, np.uint8))
+        spans = np.stack((np.ones(count, np.int64), key_sizes, length_sizes, list_sizes))
+        base = np.cumsum([0] + [len(p) for p in parts[:-1]])
+        starts = np.cumsum(spans, 1) - spans + base[:, None]
+        records = spans.sum(0)
+        if records.sum() >= ARENA_LIMIT:
+            raise BuildError(f"{records.sum()} bytes of buckets, over the {ARENA_LIMIT - 1} their u32 offsets address")
+        order = np.argsort(bucket, kind="stable")
+        data = _gather(np.concatenate(parts), starts[:, order].T.ravel(), spans[:, order].T.ravel())
+        ends = np.cumsum(np.bincount(bucket, records, n).astype(np.int64))
+        bucket_starts = array("I", bytes(4))
+        bucket_starts.frombytes(ends.astype(np.uint32).tobytes())
+        return cls(data.tobytes(), bucket_starts, config)
 
     @property
     def key_count(self) -> int:
@@ -337,14 +325,21 @@ class ChainedHashTable:
 
     @property
     def bucket_count(self) -> int:
-        return len(self._buckets)
+        return len(self._starts) - 1
 
     @property
-    def buckets(self) -> Arena:
-        return self._buckets
+    def data(self) -> bytes:
+        """Every bucket's records, back to back."""
+        return self._data
+
+    @property
+    def starts(self) -> array:
+        """The ``array('I')`` of offsets in ``data`` at which buckets begin,
+        the last one ``len(data)``."""
+        return self._starts
 
     def lookup_list(self, key: bytes) -> slice | None:
-        """Where the list stored for ``key`` lies in ``buckets.data``, or None.
+        """Where the list stored for ``key`` lies in ``data``, or None.
 
         Raises CorruptListError when a record runs past its bucket's end.
         """
@@ -385,7 +380,7 @@ class ChainedHashTable:
 
     def records(self) -> Iterator[tuple[int, bytes, int, int]]:
         """``(bucket, key, begin, end)`` of every record, in arena order;
-        the key's list is ``buckets.data[begin:end]``.
+        the key's list is ``data[begin:end]``.
 
         Raises CorruptListError naming the bucket for a record that runs
         past its bucket's end.
@@ -402,7 +397,7 @@ class ChainedHashTable:
 
     def chain_lengths(self) -> list[int]:
         """Number of keys stored in each bucket, in bucket order."""
-        out = [0] * len(self._buckets)
+        out = [0] * self.bucket_count
         for h, _, _, _ in self.records():
             out[h] += 1
         return out

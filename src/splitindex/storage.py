@@ -16,9 +16,9 @@ Layout (all integers little-endian):
     checksum         u32 zlib.crc32 of every byte before it
 
 A section is ``u32 n``, then ``n`` u32 blob lengths, then the ``n`` blobs
-concatenated.  It loads as an ``Arena`` (see ``hashing``): one slice of the
-file for the blobs, and their start offsets accumulated from the lengths.
-The bucket arena is kept as loaded and written back unchanged (its records
+concatenated.  It loads as (data, starts): one slice of the file for the
+blobs, and an ``array('I')`` of their start offsets accumulated from the
+lengths.  The bucket arena is kept as loaded and written back unchanged (its records
 as ``hashing`` describes, its lists in the region layout that ``core``
 describes, the same for every k), so a load/save cycle is byte-identical
 and loaded indexes answer queries exactly like the original.
@@ -34,6 +34,7 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
+from itertools import pairwise
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     TruncatedIndexError,
     VersionMismatchError,
 )
-from .hashing import ARENA_LIMIT, Arena, ChainedHashTable, HashConfig
+from .hashing import ARENA_LIMIT, ChainedHashTable, HashConfig
 from .qgrams import Substitution, SubstitutionList
 
 MAGIC = b"SPLITIDX"
@@ -63,26 +64,30 @@ def load_index(path) -> SplitIndex:
         return index_from_bytes(fh.read())
 
 
-def _section(blobs: Arena) -> bytes:
-    lengths = np.diff(np.frombuffer(blobs.starts, dtype=np.uint32)).astype("<u4")
-    return struct.pack("<I", len(blobs)) + lengths.tobytes() + blobs.data
+def _section(data: bytes, lengths) -> bytes:
+    return struct.pack("<I", len(lengths)) + np.asarray(lengths, "<u4").tobytes() + data
 
 
 def index_to_bytes(index: SplitIndex) -> bytes:
     cfg = index.table.config
     name = cfg.function_id.encode("ascii")
     st = index.source_stats
-    subs = index.subs or ()
+    side = [w for n in sorted(index.side_table) for w in index.side_table[n]]
+    rules = [bytes((s.code,)) + s.gram for s in index.subs or ()]
     body = b"".join((
         MAGIC,
         struct.pack("<HBB", FORMAT_VERSION, index.k, len(name)),
         name,
         struct.pack("<dQQH", cfg.max_load_factor, st.total_bytes, st.word_count, st.alphabet_size),
-        _section(Arena.join([w for n in sorted(index.side_table) for w in index.side_table[n]])),
-        _section(Arena.join([bytes((s.code,)) + s.gram for s in subs])),
-        _section(index.table.buckets),
+        _section(b"".join(side), list(map(len, side))),
+        _section(b"".join(rules), list(map(len, rules))),
+        _section(index.table.data, np.diff(index.table.starts)),
     ))
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _blobs(data: bytes, starts: array) -> list[bytes]:
+    return [data[a:b] for a, b in pairwise(starts)]
 
 
 class _Cursor:
@@ -107,7 +112,7 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def section(self) -> Arena:
+    def section(self) -> tuple[bytes, array]:
         (n,) = self.unpack("<I")
         # Summed in 64 bits: damaged lengths may add up past 2**32.
         ends = np.cumsum(np.frombuffer(self.take(4 * n), dtype="<u4"), dtype=np.uint64)
@@ -117,7 +122,7 @@ class _Cursor:
             raise StorageError(f"a section of {size} bytes, over the {ARENA_LIMIT - 1} its u32 offsets address")
         starts = array("I", bytes(4))
         starts.frombytes(ends.astype(np.uint32).tobytes())
-        return Arena(data, starts)
+        return data, starts
 
 
 def index_from_bytes(data: bytes) -> SplitIndex:
@@ -136,8 +141,8 @@ def index_from_bytes(data: bytes) -> SplitIndex:
     if not name.isascii():
         raise StorageError(f"hash id must be ASCII, got {name!r}")
     max_lf, total_bytes, word_count, alphabet_size = cur.unpack("<dQQH")
-    side_words = cur.section()
-    rules = cur.section()
+    side_words = _blobs(*cur.section())
+    rules = _blobs(*cur.section())
     buckets = cur.section()
     end = cur.pos
     (stored,) = cur.unpack("<I")
@@ -156,7 +161,7 @@ def index_from_bytes(data: bytes) -> SplitIndex:
     for w in side_words:
         side.setdefault(len(w), []).append(w)
     config = HashConfig(function_id=name.decode("ascii"), max_load_factor=max_lf)
-    table = ChainedHashTable(buckets, config)
+    table = ChainedHashTable(*buckets, config)
     stats = DictionaryStats(total_bytes, word_count, alphabet_size)
     side_sorted = {n: tuple(sorted(group)) for n, group in side.items()}
     return SplitIndex(k, table, side_sorted, subs, stats)

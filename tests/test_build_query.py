@@ -1,8 +1,12 @@
 """Index construction and search against the brute-force scan."""
 
+import gc
 import hashlib
 import random
+import tracemalloc
+from array import array
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 from unittest.mock import patch
 
 import numpy as np
@@ -13,11 +17,14 @@ from hypothesis import strategies as st
 from corpora import english_words, random_words
 
 from splitindex import (
+    HASH_FUNCTIONS,
     BuildError,
+    ChainedHashTable,
     ConfigError,
     Dictionary,
     HashConfig,
     QuerySet,
+    SplitIndex,
     SubstitutionList,
     build_index,
     oracle_query,
@@ -25,7 +32,7 @@ from splitindex import (
     run_bench,
     split_word,
 )
-from splitindex import core
+from splitindex import core, hashing
 from splitindex.core import ListStats
 from splitindex.hashing import ARENA_LIMIT, BucketStats, _length_bytes, _read_length
 from splitindex.storage import index_from_bytes, index_to_bytes
@@ -156,6 +163,43 @@ def test_oversized_missing_piece_names_word():
     assert "xxxx" in str(err.value)
 
 
+def test_oversized_missing_piece_names_the_first_such_word():
+    # Words of one length are built together, but the error still names the
+    # first oversized word in dictionary order, here the longer one.
+    longer, shorter = b"L" * 600, b"S" * 520
+    with pytest.raises(BuildError, match="b'LLLL"):
+        build_index(Dictionary([b"fine", longer, b"also fine", shorter]), 1)
+    with pytest.raises(BuildError, match="b'SSSS"):
+        build_index(Dictionary([shorter, longer]), 1)
+
+
+def test_key_over_255_bytes_is_a_build_error():
+    # The 256-byte first piece of this word is too long a key, and also the
+    # payload stored under its second piece, which is what the error names:
+    # a piece over 255 bytes is part of the payload of every other piece.
+    assert piece_lengths(511, 1) == (256, 255)
+    with pytest.raises(BuildError, match="missing pieces exceed 255 bytes for word b'xxxx"):
+        build_index(Dictionary([b"x" * 511]), 1)
+
+
+def test_one_long_word_barely_moves_the_build_peak():
+    # Entries are built per word length, never padded to the longest word,
+    # so one 400-byte word adds under 10% to the build's peak memory.
+    words = english_words(200_000, seed=3)
+
+    def peak(d):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_index(d, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    long_word = bytes(random.Random(4).choices(b"abcdefghijklmnopqrstuvwxyz", k=400))
+    assert peak(Dictionary(words + [long_word])) < 1.1 * peak(Dictionary(words))
+
+
 def test_list_of_65536_entries_builds_and_answers():
     # 65536 distinct prefixes all sharing the last piece: b"zz" for k = 1,
     # b"z" for k = 2 (a 5-byte word splits 3 + 2, or 2 + 2 + 1).  A list has
@@ -279,7 +323,7 @@ def test_layout_is_pinned():
         # version 3 stored them in.
         keys = dict.fromkeys(piece for w in d.words if len(w) > k for piece in split_word(w, k))
         lists = b"".join(idx.lists[idx.table.lookup_list(key)] for key in keys)
-        parts = (index_to_bytes(idx), lists, b"".join(idx.table.buckets))
+        parts = (index_to_bytes(idx), lists, idx.table.data)
         assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
 
 
@@ -351,7 +395,7 @@ def test_edge_layout_is_pinned():
         idx = build_index(d, k, hash_config=HashConfig(function_id=fid), substitutions=EDGE_SUBS if coded else None)
         keys = dict.fromkeys(piece for w in d.words if len(w) > k for piece in split_word(w, k))
         lists = b"".join(idx.lists[idx.table.lookup_list(key)] for key in keys)
-        parts = (index_to_bytes(idx), lists, b"".join(idx.table.buckets))
+        parts = (index_to_bytes(idx), lists, idx.table.data)
         assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
         # The edges are there: a list length of 3 LEB128 bytes, a region of
         # 128 bytes or more after the first, a 255-byte payload, a key whose
@@ -365,6 +409,56 @@ def test_edge_layout_is_pinned():
         mixed = [{(r, len(key) + len(decode(e))) for r, es in enumerate(by) for e in es} for key, by in split.items()]
         assert any(r != q and n != m for pairs in mixed for r, n in pairs for q, m in pairs)
         assert idx.side_table
+
+
+def leb128(n):
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def reference_bytes(d, k, config, subs=None):
+    """index_to_bytes of the split index of ``d``, built by entering each
+    word's pieces one at a time: the oracle build_index must match."""
+    staged = {}
+    side = {}
+    for word in d.words:
+        if len(word) <= k:
+            side.setdefault(len(word), []).append(word)
+            continue
+        start = 0
+        for r, plen in enumerate(piece_lengths(len(word), k)):
+            rest = word[:start] + word[start + plen :]
+            staged.setdefault(word[start : start + plen], []).append((r, subs.encode(rest) if subs else rest))
+            start += plen
+    buckets = [b""] * hashing._bucket_count(len(staged), config.max_load_factor)
+    for key, stored in staged.items():
+        stored.sort(key=lambda entry: (entry[0], len(entry[1]), entry[1]))
+        by_region = [b"".join(bytes((len(e),)) + e for r, e in stored if r == j) for j in range(k + 1)]
+        blob = b"".join(map(leb128, map(len, by_region[:k]))) + b"".join(by_region)
+        buckets[HASH_FUNCTIONS[config.function_id](key) % len(buckets)] += bytes((len(key),)) + key + leb128(len(blob)) + blob
+    table = ChainedHashTable(b"".join(buckets), array("I", accumulate(map(len, buckets), initial=0)), config)
+    side = {n: tuple(sorted(group)) for n, group in side.items()}
+    return index_to_bytes(SplitIndex(k, table, side, subs, d.stats()))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_build_matches_the_reference_builder(data):
+    # Arbitrary bytes, or a few symbols so that keys repeat across word
+    # lengths and positions; coded words are ASCII, as coding requires.
+    subs = data.draw(st.sampled_from((None, GOLDEN_SUBS)))
+    alpha = data.draw(st.sampled_from((b"ab", b"tioneqrsg") + (() if subs else (None, b"\x00\x7f\x80\xff"))))
+    words = data.draw(st.lists(st.binary(min_size=1, max_size=60), max_size=60))
+    if alpha:
+        words = [bytes(alpha[b % len(alpha)] for b in w) for w in words]
+    k = data.draw(st.sampled_from((1, 2, 3)))
+    config = HashConfig(data.draw(st.sampled_from(("crc32", "fnv1", "xxhash"))), data.draw(st.sampled_from((0.25, 2.0))))
+    d = Dictionary(words)
+    assert index_to_bytes(build_index(d, k, hash_config=config, substitutions=subs)) == reference_bytes(d, k, config, subs)
 
 
 # list_stats() and bucket_stats() of the GOLDEN dictionary at k = 1 and 2,
@@ -398,7 +492,7 @@ def test_lists_slice_by_lookup_list_and_stats_are_stable(k):
         for r, piece in enumerate(pieces):
             blob = idx.lists[idx.table.lookup_list(piece)]
             sizes, payloads = entries(blob, k)
-            head = sum(len(_length_bytes(n)) for n in sizes)
+            head = int(_length_bytes(np.array(sizes))[1].sum())
             assert type(blob) is bytes and len(blob) == head + sum(1 + len(e) for e in payloads)
             assert b"".join(pieces[:r] + pieces[r + 1 :]) in regions(blob, k)[r]
     assert idx.table.lookup_list(b"\xff\xfe") is None

@@ -2,6 +2,7 @@
 
 import logging
 import random
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,13 @@ from splitindex import (
     build_index,
     hashing,
 )
-from splitindex.hashing import Arena, fnv1_64, fnv1a_64, sdbm_64, xxhash64
+from splitindex.hashing import fnv1_64, fnv1a_64, sdbm_64, xxhash64
 from splitindex.storage import index_from_bytes, index_to_bytes
 
 def table(keys, config=None):
     """A table storing a list of its own bytes after each of ``keys``."""
-    return ChainedHashTable.build({key: b"list of " + key for key in keys}, config)
+    lists = [b"list of " + key for key in keys]
+    return ChainedHashTable.build(keys, b"".join(lists), list(map(len, lists)), config)
 
 
 # Frozen against the canonical C implementation (xxh64, seed 0).
@@ -128,7 +130,7 @@ def test_tiny_load_factor_and_huge_bucket_count_are_rejected():
 def test_build_and_lookup():
     t = table([b"tab", b"le"])
     for key in (b"tab", b"le"):
-        assert t.buckets.data[t.lookup_list(key)] == b"list of " + key
+        assert t.data[t.lookup_list(key)] == b"list of " + key
     assert t.key_count == 2
     assert t.lookup_list(b"zzz") is None
     assert table([]).lookup_list(b"tab") is None
@@ -163,7 +165,7 @@ def test_lookup_of_many_keys():
     t = table(keys)
     assert t.bucket_count == 64
     for key in keys:
-        assert t.buckets.data[t.lookup_list(key)] == b"list of " + key
+        assert t.data[t.lookup_list(key)] == b"list of " + key
     assert t.key_count == len(keys)
     assert t.lookup_list(b"key-100") is None
 
@@ -208,22 +210,20 @@ def test_buckets_are_bytes_after_build_and_load():
     idx = build_index(Dictionary([b"table", b"left", b"a"]), 1)
     loaded = index_from_bytes(index_to_bytes(idx))
     for t in (table([b"a", b"b"]), idx.table, loaded.table):
-        assert t.buckets and all(type(b) is bytes for b in t.buckets)
+        assert type(t.data) is bytes and t.data
+        assert t.starts.typecode == "I" and t.starts[0] == 0 and t.starts[-1] == len(t.data)
     assert loaded.table.lookup_list(b"tab") == idx.table.lookup_list(b"tab") is not None
 
 
-def test_arena_is_a_read_only_sequence_of_its_blobs():
-    blobs = [b"a", b"", b"bc"]
-    arena = Arena.join(blobs)
-    assert (arena.data, list(arena.starts)) == (b"abc", [0, 1, 1, 3])
-    assert len(arena) == 3 and list(arena) == blobs
-    assert [arena[i] for i in range(-3, 3)] == blobs + blobs
-    for i in (3, -4):
-        with pytest.raises(IndexError):
-            arena[i]
-    with pytest.raises(TypeError):
-        arena[0] = b"x"
-    assert arena == Arena.join([bytearray(b) for b in blobs]) != Arena.join([b"ab", b"c", b""])
+def test_table_holds_its_buckets_as_data_and_starts():
+    keys = [b"a", b"bc", b"def", b"g"]
+    t = table(keys, HashConfig(max_load_factor=1.0))
+    assert len(t.starts) == t.bucket_count + 1 == 5
+    records = {key: bytes((len(key),)) + key + bytes((8 + len(key),)) + b"list of " + key for key in keys}
+    expected = [b"".join(records[key] for key in keys if HASH_FUNCTIONS["crc32"](key) & 3 == h) for h in range(4)]
+    assert [t.data[a:b] for a, b in pairwise(t.starts)] == expected
+    with pytest.raises(AttributeError):
+        t.data = b""
 
 
 def test_pure_python_xxhash_warns_once(monkeypatch, caplog):
