@@ -520,27 +520,19 @@ def _lists(
             start = end
     position = np.concatenate(positions)
     if substitutions:
-        payloads = []
-        for block in blocks:
-            width = block.shape[1] - 1
-            raw = block[:, 1:].tobytes()
-            payloads += [raw[i : i + width] for i in range(0, len(raw), width)]
-        coded = substitutions.encode_many(payloads)
-        sizes = np.fromiter(map(len, coded), np.int64, count)
-        # Each coded payload gets its length byte in front.
-        joined = np.concatenate((sizes.astype(np.uint8), np.frombuffer(b"".join(coded), np.uint8)))
-        starts = np.stack((np.arange(count), count + np.cumsum(sizes) - sizes), 1).ravel()
-        source = _gather(joined, starts, np.stack((np.ones(count, np.int64), sizes), 1).ravel())
+        source, sizes = _encoded(blocks, count, substitutions)
     else:
         source = np.concatenate([block.ravel() for block in blocks])
         sizes = np.concatenate([np.full(len(block), block.shape[1] - 1) for block in blocks])
     entry_start = np.cumsum(sizes + 1) - sizes - 1
     keys, entry_key = _merge_keys(keyed, count)
+    del blocks, keyed  # dropped before the copies below, which set the peak memory
 
     # A list holds its entries by key position, then stored length, then
     # bytes, so scans can skip ahead to the wanted length and stop as soon as
-    # entries get longer.  Every entry is ranked in that order among all
-    # entries, one (position, length) class at a time, and then by its key.
+    # entries get longer.  Entries are ranked in that order among all
+    # entries, one (position, length) class at a time; sorting by key, then
+    # rank, puts every list's entries in order, list after list.
     rank = np.empty(count, np.int64)
     done = 0
     for run in _runs(position * 256 + sizes):
@@ -548,6 +540,7 @@ def _lists(
         rank[run[order]] = np.arange(done, done + len(run))
         done += len(run)
     final = np.argsort(entry_key * count + rank)
+    del rank  # likewise
 
     # Each list opens with the byte lengths of its regions 1..k, as LEB128.
     key_count = len(keys)
@@ -562,12 +555,30 @@ def _lists(
     return keys, _gather(np.concatenate((head, source)), starts, spans), head_sizes + region.sum(1)
 
 
+def _encoded(blocks: list[np.ndarray], count: int, substitutions: SubstitutionList) -> tuple[np.ndarray, np.ndarray]:
+    """The entry rows of ``blocks`` with their payloads coded, back to back,
+    and the coded length of each payload."""
+    payloads = []
+    for block in blocks:
+        width = block.shape[1] - 1
+        raw = block[:, 1:].tobytes()
+        payloads += [raw[i : i + width] for i in range(0, len(raw), width)]
+    coded = substitutions.encode_many(payloads)
+    del payloads  # dropped before the copies below, which set the peak memory
+    sizes = np.fromiter(map(len, coded), np.int64, count)
+    # Each coded payload gets its length byte in front.
+    joined = np.concatenate((sizes.astype(np.uint8), np.frombuffer(b"".join(coded), np.uint8)))
+    starts = np.stack((np.arange(count), count + np.cumsum(sizes) - sizes), 1).ravel()
+    return _gather(joined, starts, np.stack((np.ones(count, np.int64), sizes), 1).ravel()), sizes
+
+
 def _merge_keys(keyed: dict[int, list], count: int) -> tuple[list[bytes], np.ndarray]:
     """The distinct keys in first-seen order, and each entry's key's place in it.
 
     Equal keys are merged one key length at a time by sorting their rows.
-    A key is first seen at the step of its earliest entry, so keys in that
-    order are met in the order in which entering the pieces would meet them.
+    A key is first seen at the step of its earliest entry: the order in which
+    entering the pieces one at a time would meet the keys, and so the order
+    of the records within each bucket.
     """
     keys = []
     seen = []

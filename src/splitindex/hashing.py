@@ -224,13 +224,14 @@ def _length_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gather(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The slices ``data[s : s + n]`` for every (s, n), back to back."""
-    at = np.cumsum(sizes) - sizes  # where each slice lands
+    """The slices ``data[s : s + n]`` for every (s, n), each n at least 1,
+    back to back."""
+    total = int(sizes.sum())
     # An int32 index takes half the memory of an int64 one, where it fits.
-    offset = np.int32 if max(len(data), int(sizes.sum())) < 2**31 else np.int64
-    index = np.repeat((starts - at).astype(offset), sizes)
-    index += np.arange(len(index), dtype=offset)
-    return data[index]
+    index = np.ones(total, np.int32 if max(len(data), total) < 2**31 else np.int64)
+    # The index steps by one within a slice and jumps where the next begins.
+    index[np.cumsum(sizes) - sizes] = starts - np.concatenate(([0], starts[:-1] + sizes[:-1] - 1))
+    return data[np.cumsum(index, dtype=index.dtype, out=index)]
 
 
 def _read_length(data: bytes, o: int, end: int, owner: int | bytes) -> tuple[int, int]:
