@@ -26,14 +26,14 @@ the median query.
 
 Payloads may be substitution-coded (see ``qgrams``); keys never are.
 
-The build runs in numpy batches.  Words of one length share their piece
-bounds, so they form one uint8 matrix, and the keys and payloads of one key
-position are column slices of it.  Sorts merge equal keys, rank each key by
-the step at which entering the pieces one at a time in dictionary order
-would first meet it, and order each list's entries; numpy then copies the
-lists, and the table its records, into place.  Python steps once per batch
-and once per distinct key, and the bytes are those of the one-at-a-time
-build.
+The build runs in numpy batches, one per key length.  Words of one length
+share their piece bounds, so the keys and payloads of one key position are
+column slices of them.  The entry rows of one key length are sorted once as
+byte strings, which merges equal keys and orders each list's entries, and
+each key is ranked by the step at which entering the pieces one at a time in
+dictionary order would first meet it; numpy then copies the lists, and the
+table its records, into place.  Python steps once per batch and once per
+distinct key, and the bytes are those of the one-at-a-time build.
 
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
@@ -371,7 +371,11 @@ class SplitIndex:
     # -- stats and sizes ---------------------------------------------------
 
     def list_stats(self) -> ListStats:
-        """Entry counts and stored payload bytes across all piece lists."""
+        """Entry counts and stored payload bytes across all piece lists.
+
+        Raises CorruptListError naming the key for a zero entry length or an
+        entry that runs past the end of its list.
+        """
         count = 0
         total = 0
         payload = 0
@@ -382,9 +386,13 @@ class SplitIndex:
             c = 0
             while o < end:
                 ln = data[o]
+                if not ln:
+                    raise CorruptListError(f"the list for key {key!r} holds an entry of length 0")
                 o += ln + 1
                 c += 1
                 payload += ln
+            if o > end:
+                raise CorruptListError(f"an entry of the list for key {key!r} runs past its end")
             count += 1
             total += c
             if c > worst:
@@ -422,16 +430,6 @@ class SplitIndex:
         return self.size_breakdown()["total"]
 
 
-def _row_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An order that sorts the rows of a uint8 matrix as byte strings, and
-    the rows as big-endian u64 columns, which compare as the rows do."""
-    count, width = rows.shape
-    packed = np.zeros((count, -(-width // 8) * 8), np.uint8)
-    packed[:, :width] = rows
-    packed = packed.view(">u8").astype(np.uint64)
-    return np.argsort(packed[:, 0]) if packed.shape[1] == 1 else np.lexsort(packed.T[::-1]), packed
-
-
 def _runs(values: np.ndarray) -> list[np.ndarray]:
     """Indices of ``values`` grouped by value, ascending; ascending within a group."""
     order = np.argsort(values, kind="stable")
@@ -452,8 +450,8 @@ def build_index(
     ``substitutions``, list payloads are stored substitution-coded; None and
     an empty list both mean no coding, and the index's ``subs`` is then None.
 
-    The entries are made in numpy batches, one per word length and key
-    position (see ``_lists``), and Python steps once per batch and once per
+    The entries are made in numpy batches, one per key length, each sorted
+    once (see ``_lists``), and Python steps once per batch and once per
     distinct key; coded builds also hand every payload to ``encode_many``.
     The index is the same, byte for byte, as one built by entering the
     words' pieces one at a time in dictionary order.
@@ -491,114 +489,74 @@ def _lists(
     substitutions: SubstitutionList | None,
 ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
     """The distinct keys in the order they are first seen, their lists back
-    to back as a uint8 array, and the byte length of each list."""
+    to back as a uint8 array, and the byte length of each list.
+
+    Each key length is one batch of entry rows, ``[key][position][stored
+    length][payload, padded to the batch's widest]``, sorted once as
+    byte strings.  The sort brings equal keys together and puts each key's
+    entries in list order: by position, so that they fall into regions, then
+    shortest first, so that scans can skip to the wanted length and stop as
+    soon as entries get longer, then by bytes.  What follows a payload never
+    decides the order: rows that agree up to its end hold the same key,
+    position and payload, which make the same word, so no two rows do.
+    """
     if not groups:
         return [], np.zeros(0, np.uint8), np.zeros(0, np.int64)
     flat = np.frombuffer(b"".join(words), np.uint8)
     offsets = np.cumsum(lengths) - lengths
-    # One block of entries per (word length, key position).  Entry rows are
-    # numbered block by block; a row is the payload's length byte, then the
-    # payload.  Entering piece r of word i is step i * (k + 1) + r.
-    keyed = {}  # key length -> [(key rows, entering step, entry numbers)]
-    blocks = []
-    positions = []
-    count = 0
+    batches = {}  # key length -> [(word indices, word length, key position, key start)]
     for run, pieces in groups:
-        n = sum(pieces)
-        matrix = flat[offsets[run, None] + np.arange(n)]
         start = 0
         for r, plen in enumerate(pieces):
-            end = start + plen
-            block = np.empty((len(run), n - plen + 1), np.uint8)
-            block[:, 0] = n - plen
-            block[:, 1 : start + 1] = matrix[:, :start]
-            block[:, start + 1 :] = matrix[:, end:]
-            keyed.setdefault(plen, []).append((matrix[:, start:end], run * (k + 1) + r, np.arange(count, count + len(run))))
-            blocks.append(block)
-            positions.append(np.full(len(run), r))
-            count += len(run)
-            start = end
-    position = np.concatenate(positions)
-    if substitutions:
-        source, sizes = _encoded(blocks, count, substitutions)
-    else:
-        source = np.concatenate([block.ravel() for block in blocks])
-        sizes = np.concatenate([np.full(len(block), block.shape[1] - 1) for block in blocks])
-    entry_start = np.cumsum(sizes + 1) - sizes - 1
-    keys, entry_key = _merge_keys(keyed, count)
-    del blocks, keyed  # dropped before the copies below, which set the peak memory
-
-    # A list holds its entries by key position, then stored length, then
-    # bytes, so scans can skip ahead to the wanted length and stop as soon as
-    # entries get longer.  Entries are ranked in that order among all
-    # entries, one (position, length) class at a time; sorting by key, then
-    # rank, puts every list's entries in order, list after list.
-    rank = np.empty(count, np.int64)
-    done = 0
-    for run in _runs(position * 256 + sizes):
-        order, _ = _row_order(source[entry_start[run, None] + np.arange(1, sizes[run[0]] + 1)])
-        rank[run[order]] = np.arange(done, done + len(run))
-        done += len(run)
-    final = np.argsort(entry_key * count + rank)
-    del rank  # likewise
-
-    # Each list opens with the byte lengths of its regions 1..k, as LEB128.
-    key_count = len(keys)
-    region = np.bincount(entry_key * (k + 1) + position, sizes + 1, key_count * (k + 1)).astype(np.int64)
-    region = region.reshape(key_count, k + 1)
-    head, head_sizes = _length_bytes(region[:, :k].ravel())
-    head_sizes = head_sizes.reshape(key_count, k).sum(1)
-    entry_count = np.bincount(entry_key, minlength=key_count)
-    firsts = np.cumsum(entry_count) - entry_count  # where each list's entries begin in ``final``
-    starts = np.insert(entry_start[final] + len(head), firsts, np.cumsum(head_sizes) - head_sizes)
-    spans = np.insert(sizes[final] + 1, firsts, head_sizes)
-    return keys, _gather(np.concatenate((head, source)), starts, spans), head_sizes + region.sum(1)
-
-
-def _encoded(blocks: list[np.ndarray], count: int, substitutions: SubstitutionList) -> tuple[np.ndarray, np.ndarray]:
-    """The entry rows of ``blocks`` with their payloads coded, back to back,
-    and the coded length of each payload."""
-    payloads = []
-    for block in blocks:
-        width = block.shape[1] - 1
-        raw = block[:, 1:].tobytes()
-        payloads += [raw[i : i + width] for i in range(0, len(raw), width)]
-    coded = substitutions.encode_many(payloads)
-    del payloads  # dropped before the copies below, which set the peak memory
-    sizes = np.fromiter(map(len, coded), np.int64, count)
-    # Each coded payload gets its length byte in front.
-    joined = np.concatenate((sizes.astype(np.uint8), np.frombuffer(b"".join(coded), np.uint8)))
-    starts = np.stack((np.arange(count), count + np.cumsum(sizes) - sizes), 1).ravel()
-    return _gather(joined, starts, np.stack((np.ones(count, np.int64), sizes), 1).ravel()), sizes
-
-
-def _merge_keys(keyed: dict[int, list], count: int) -> tuple[list[bytes], np.ndarray]:
-    """The distinct keys in first-seen order, and each entry's key's place in it.
-
-    Equal keys are merged one key length at a time by sorting their rows.
-    A key is first seen at the step of its earliest entry: the order in which
-    entering the pieces one at a time would meet the keys, and so the order
-    of the records within each bucket.
-    """
+            batches.setdefault(plen, []).append((run, sum(pieces), r, start))
+            start += plen
     keys = []
     seen = []
-    numbers = []
-    ids = []
-    for plen, batch in keyed.items():
-        rows = np.concatenate([key_rows for key_rows, _, _ in batch])
-        order, packed = _row_order(rows)
-        packed = packed[order]
-        new = np.ones(len(order), bool)
-        new[1:] = (packed[1:] != packed[:-1]).any(1)
+    regions = []
+    entries = []
+    for plen, parts in batches.items():
+        count = sum(len(run) for run, _, _, _ in parts)
+        width = max(n for _, n, _, _ in parts) - plen
+        rows = np.zeros((count, plen + 2 + width), np.uint8)
+        steps = np.empty(count, np.int64)  # entering piece r of word i is step i * (k + 1) + r
+        i = 0
+        for run, n, r, start in parts:
+            j = i + len(run)
+            cols = np.r_[start : start + plen, :start, start + plen : n]  # the key, then the rest
+            rows[i:j, np.r_[:plen, plen + 2 : n + 2]] = flat[offsets[run, None] + cols]
+            rows[i:j, plen] = r
+            rows[i:j, plen + 1] = n - plen
+            steps[i:j] = run * (k + 1) + r
+            i = j
+        if substitutions:  # coding never lengthens a payload, so the coded ones fit over the raw
+            raw = rows[:, plen + 2 :].tobytes()
+            sizes = rows[:, plen + 1].tolist()
+            coded = substitutions.encode_many([raw[a : a + s] for a, s in zip(range(0, len(raw), width), sizes)])
+            del raw, sizes
+            size = np.fromiter(map(len, coded), np.int64, count)
+            rows[:, plen + 1] = size
+            rows[:, plen + 2 :][np.arange(width) < size[:, None]] = np.frombuffer(b"".join(coded), np.uint8)
+            del coded  # dropped before the sort
+        order = np.lexsort(rows.T[::-1])  # by the first byte, then the second, ...
+        rows = rows[order]
+        new = np.ones(count, bool)
+        new[1:] = (rows[1:, :plen] != rows[:-1, :plen]).any(1)
         firsts = np.flatnonzero(new)
-        numbers.append(np.concatenate([entries for _, _, entries in batch])[order])
-        ids.append(len(keys) + np.cumsum(new) - 1)
-        seen.append(np.minimum.reduceat(np.concatenate([steps for _, steps, _ in batch])[order], firsts))
-        raw = rows[order[firsts]].tobytes()
+        seen.append(np.minimum.reduceat(steps[order], firsts))
+        raw = rows[firsts, :plen].tobytes()
         keys += [raw[i : i + plen] for i in range(0, len(raw), plen)]
+        size = rows[:, plen + 1].astype(np.int64)
+        region = np.bincount((np.cumsum(new) - 1) * (k + 1) + rows[:, plen], size + 1, len(firsts) * (k + 1))
+        regions.append(region.astype(np.int64).reshape(-1, k + 1))
+        entries.append(rows[:, plen + 1 :][np.arange(width + 1) < size[:, None] + 1])
+    region = np.concatenate(regions)
+    entries = np.concatenate(entries)
     by_seen = np.argsort(np.concatenate(seen))
-    place = np.empty(len(keys), np.int64)
-    place[by_seen] = np.arange(len(keys))
-    entry_key = np.empty(count, np.int64)
-    entry_key[np.concatenate(numbers)] = place[np.concatenate(ids)]
-    return [keys[i] for i in by_seen.tolist()], entry_key
+    # Each list opens with the byte lengths of its regions 1..k, as LEB128,
+    # then holds its key's entries, which lie back to back in ``entries``.
+    head, head_sizes = _length_bytes(region[:, :k].ravel())
+    spans = np.stack((head_sizes.reshape(-1, k).sum(1), region.sum(1)), 1)
+    starts = np.cumsum(spans, 0) - spans
+    starts[:, 1] += len(head)
+    lists = _gather(np.concatenate((head, entries)), starts[by_seen].ravel(), spans[by_seen].ravel())
+    return [keys[i] for i in by_seen.tolist()], lists, spans.sum(1)[by_seen]

@@ -321,10 +321,6 @@ class ChainedHashTable:
         return cls(data.tobytes(), bucket_starts, config)
 
     @property
-    def key_count(self) -> int:
-        return sum(self.chain_lengths())
-
-    @property
     def bucket_count(self) -> int:
         return len(self._starts) - 1
 

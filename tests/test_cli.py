@@ -1,10 +1,14 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import struct
+import zlib
 
 import pytest
 
+from splitindex import Dictionary, build_index
 from splitindex.cli import main
+from splitindex.storage import index_to_bytes
 
 
 @pytest.fixture()
@@ -85,6 +89,24 @@ def test_corrupt_index_is_data_error(tmp_path, capsys):
     bad.write_bytes(b"NOTANIDX" + b"\x00" * 20)
     code, _, err = run(capsys, "query", "--index", str(bad), "x")
     assert code == 2
+
+
+def test_bench_of_a_damaged_list_is_data_error(tmp_path, capsys):
+    # The length byte of b"xy", the last entry in the list for b"ab", is 0,
+    # in a file whose checksum is recomputed.  The query's search stops
+    # before it, and the report's walk over every list does not.
+    idx = build_index(Dictionary([b"abcd", b"abce", b"abxy"]), 1)
+    at = idx.table.lookup_list(b"ab")
+    body = bytearray(index_to_bytes(idx)[:-4])
+    xy = len(body) - len(idx.lists) + at.start + 7
+    assert body[xy : xy + 3] == b"\x02xy"
+    body[xy] = 0
+    damaged = tmp_path / "damaged.bin"
+    damaged.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    queries = tmp_path / "queries.txt"
+    queries.write_bytes(b"abcx->abcd\n")
+    code, out, err = run(capsys, "bench", "--index", str(damaged), "--queries", str(queries))
+    assert code == 2 and out == "" and "b'ab'" in err
 
 
 def test_bench_json_report(wordfile, misspellings, capsys):

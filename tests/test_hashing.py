@@ -131,7 +131,7 @@ def test_build_and_lookup():
     t = table([b"tab", b"le"])
     for key in (b"tab", b"le"):
         assert t.data[t.lookup_list(key)] == b"list of " + key
-    assert t.key_count == 2
+    assert t.bucket_stats().key_count == 2
     assert t.lookup_list(b"zzz") is None
     assert table([]).lookup_list(b"tab") is None
     with pytest.raises(BuildError, match="255"):
@@ -147,7 +147,7 @@ def test_bucket_count_at_load_factor_boundary():
     assert table(keys[:4], cfg).bucket_count == 2  # 4 keys / 2 buckets = max LF exactly
     t = table(keys, cfg)  # 5/2 would exceed 2.0
     assert t.bucket_count == 4
-    assert t.key_count == 5
+    assert t.bucket_stats().key_count == 5
 
 
 @given(st.integers(0, 3000), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
@@ -166,7 +166,7 @@ def test_lookup_of_many_keys():
     assert t.bucket_count == 64
     for key in keys:
         assert t.data[t.lookup_list(key)] == b"list of " + key
-    assert t.key_count == len(keys)
+    assert t.bucket_stats().key_count == len(keys)
     assert t.lookup_list(b"key-100") is None
 
 
@@ -175,7 +175,7 @@ def test_load_factor_never_exceeds_max():
     for lf in (0.5, 1.0, 2.0, 3.0):
         for n in range(0, 201, 5):
             t = table(keys[:n], HashConfig(max_load_factor=lf))
-            assert t.key_count / t.bucket_count <= lf
+            assert t.bucket_stats().key_count / t.bucket_count <= lf
 
 
 def test_bucket_stats():

@@ -41,6 +41,7 @@ from splitindex import (
     split_word,
 )
 from splitindex import core
+from splitindex.core import ListStats
 from splitindex.storage import index_from_bytes, index_to_bytes
 
 
@@ -484,6 +485,25 @@ def test_zero_entry_length_is_corrupt():
         word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, 1))
         with pytest.raises(CorruptListError, match=f"key {key!r}"):
             damaged.query(word)
+
+
+def damaged_xy(value):
+    """A k = 1 index of b"abcd", b"abce" and b"abxy", loaded from its file
+    with ``value`` as the length byte of b"xy", the last entry in the list
+    for b"ab"."""
+    idx = build_index(Dictionary([b"abcd", b"abce", b"abxy"]), 1)
+    at = idx.table.lookup_list(b"ab")
+    assert idx.lists[at] == b"\x09" + b"\x02cd\x02ce\x02xy"
+    return resealed(idx, {arena_offset(idx) + at.start + 7: value})
+
+
+def test_list_stats_of_a_damaged_list_is_corrupt():
+    assert index_from_bytes(damaged_xy(b"\x02")).list_stats() == ListStats(4, 6, 1.5, 3, 12)
+    # A zero length would count the payload's bytes as entries, and a length
+    # grown by one would count a byte of the next record as payload.
+    for value, what in ((b"\x00", "holds an entry of length 0"), (b"\x03", "runs past its end")):
+        with pytest.raises(CorruptListError, match=f"list for key b'ab' {what}"):
+            index_from_bytes(damaged_xy(value)).list_stats()
 
 
 def test_bucket_lengths_adding_up_past_32_bits_are_a_cut_file():
