@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bench import BenchReport, run_bench, sweep
+from .bench import SWEEP_DIMENSIONS, BenchReport, run_bench, sweep
 from .core import build_index
 from .datasets import gen_noisy_queries, load_misspellings, load_wordlist
 from .errors import SplitIndexError
@@ -88,7 +88,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep",
                        help="benchmark across a parameter grid")
-    p.add_argument("dimension", choices=("hash", "load_factor", "k", "compression"))
+    p.add_argument("dimension", choices=SWEEP_DIMENSIONS)
     p.add_argument("--grid", required=True,
                    help="comma-separated grid values, e.g. 1,2,3 or crc32,fnv1a")
     p.add_argument("--dict", required=True, dest="dict_path", metavar="PATH")
@@ -147,11 +147,10 @@ def _reports_text(reports: list[BenchReport], fmt: str) -> str:
 def _cmd_build(args) -> int:
     _, index = _build_from_args(args)
     save_index(index, args.out)
-    parts = index.size_breakdown()
     print(
         f"indexed {index.source_stats.word_count} words "
         f"({index.source_stats.total_bytes} bytes) with k={index.k}: "
-        f"{parts['total']} bytes -> {args.out}"
+        f"{index.size_bytes()} bytes -> {args.out}"
     )
     return 0
 

@@ -413,21 +413,21 @@ class SplitIndex:
         the list bytes after them; everything else is the literal length of
         the stored blobs.  Allocator overhead is deliberately excluded.
         """
-        side = sum(1 + len(w) for group in self.side_table.values() for w in group)
-        subs = sum(1 + len(s.gram) for s in self.subs or ())
         lists = sum(end - begin for _, _, begin, end in self.table.records())
-        parts = {
-            "directory": 8 * self.table.bucket_count,
-            "buckets": len(self.lists) - lists,
-            "lists": lists,
-            "side_table": side,
-            "substitutions": subs,
-        }
+        parts = {"buckets": len(self.lists) - lists, "lists": lists, **self._outside_arena()}
         parts["total"] = sum(parts.values())
         return parts
 
     def size_bytes(self) -> int:
-        return self.size_breakdown()["total"]
+        """``size_breakdown()["total"]``, without walking the records."""
+        return len(self.lists) + sum(self._outside_arena().values())
+
+    def _outside_arena(self) -> dict[str, int]:
+        return {
+            "directory": 8 * self.table.bucket_count,
+            "side_table": sum(1 + len(w) for group in self.side_table.values() for w in group),
+            "substitutions": sum(1 + len(s.gram) for s in self.subs or ()),
+        }
 
 
 def _runs(values: np.ndarray) -> list[np.ndarray]:

@@ -8,14 +8,18 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 from dataclasses import dataclass
 
 from .core import Dictionary
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 log = logging.getLogger(__name__)
 
 DNA_ALPHABET = b"ACGNT"  # the five symbols k-mer windows may contain
+# A maximal run of them; a repeat count of ``length`` could not stand in for the
+# window loop, since ``re`` refuses counts of 2**32 - 1 and above.
+_DNA_RUN = re.compile(b"[" + DNA_ALPHABET + b"]+")
 
 
 @dataclass(frozen=True)
@@ -30,19 +34,19 @@ class QuerySet:
         return len(self.patterns)
 
 
+def _lines(path) -> list[bytes]:
+    """The non-blank lines of a file, split at LF, without trailing CRs."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return [line for line in (part.rstrip(b"\r") for part in raw.split(b"\n")) if line]
+
+
 def load_wordlist(path) -> Dictionary:
     """Newline-separated words -> deduplicated Dictionary.
 
     Blank lines are skipped and CRLF endings are normalized.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    words = []
-    for line in raw.split(b"\n"):
-        line = line.rstrip(b"\r")
-        if line:
-            words.append(line)
-    return Dictionary(words)
+    return Dictionary(_lines(path))
 
 
 def load_misspellings(path) -> QuerySet:
@@ -51,14 +55,9 @@ def load_misspellings(path) -> QuerySet:
     Splitting happens at the first ``->``.  Lines without one (or with an
     empty left side) are skipped and counted in ``malformed_skipped``.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     patterns = []
     skipped = 0
-    for line in raw.split(b"\n"):
-        line = line.rstrip(b"\r")
-        if not line:
-            continue
+    for line in _lines(path):
         wrong, sep, _ = line.partition(b"->")
         if not sep or not wrong:
             skipped += 1
@@ -78,31 +77,17 @@ def extract_kmers(fasta_path, length: int = 20) -> Dictionary:
     """
     if length < 1:
         raise DataError(f"window length must be >= 1, got {length}")
-    with open(fasta_path, "rb") as fh:
-        raw = fh.read()
-    records: list[bytes] = []
-    current: list[bytes] = []
-    for line in raw.split(b"\n"):
-        line = line.rstrip(b"\r")
+    records: list[list[bytes]] = [[]]
+    for line in _lines(fasta_path):
         if line.startswith(b">"):
-            if current:
-                records.append(b"".join(current))
-                current = []
-        elif line:
-            current.append(line)
-    if current:
-        records.append(b"".join(current))
-
-    valid = frozenset(DNA_ALPHABET)
+            records.append([])
+        else:
+            records[-1].append(line)
     kmers: dict[bytes, None] = {}
-    for seq in records:
-        seq = seq.upper()
-        last_bad = -1
-        for i, b in enumerate(seq):
-            if b not in valid:
-                last_bad = i
-            if i >= length - 1 and last_bad <= i - length:
-                kmers[seq[i - length + 1 : i + 1]] = None
+    for record in records:
+        for run in _DNA_RUN.findall(b"".join(record).upper()):
+            for i in range(len(run) - length + 1):
+                kmers[run[i : i + length]] = None
     if not kmers:
         log.warning("%s: no usable sequence data", fasta_path)
         return Dictionary(())
@@ -125,7 +110,10 @@ def gen_noisy_queries(
     may equal the original, so the realized error count can be lower).
     Pattern length always equals the source word's length.  Uses a seeded
     Mersenne Twister, so a fixed seed reproduces the set byte for byte.
+    A negative ``count`` raises ConfigError.
     """
+    if count < 0:
+        raise ConfigError(f"query count must be >= 0, got {count}")
     if dictionary.word_count == 0:
         raise DataError("cannot generate queries from an empty dictionary")
     alpha = alphabet if alphabet is not None else dictionary.alphabet_bytes()

@@ -392,15 +392,10 @@ class ChainedHashTable:
                     raise CorruptListError(f"bucket {h} holds a record that runs past its end")
                 yield h, key, q, o
 
-    def chain_lengths(self) -> list[int]:
-        """Number of keys stored in each bucket, in bucket order."""
-        out = [0] * self.bucket_count
-        for h, _, _, _ in self.records():
-            out[h] += 1
-        return out
-
     def bucket_stats(self) -> BucketStats:
-        lengths = self.chain_lengths()
+        lengths = [0] * self.bucket_count
+        for h, _, _, _ in self.records():
+            lengths[h] += 1
         buckets = len(lengths)
         keys = sum(lengths)
         nonempty = [c for c in lengths if c]

@@ -457,7 +457,7 @@ def test_build_matches_the_reference_builder(data):
     words = data.draw(st.lists(st.binary(min_size=1, max_size=60), max_size=60))
     if alpha:
         words = [bytes(alpha[b % len(alpha)] for b in w) for w in words]
-    k = data.draw(st.sampled_from((1, 2, 3)))
+    k = data.draw(st.integers(1, 8))
     config = HashConfig(data.draw(st.sampled_from(("crc32", "fnv1", "xxhash"))), data.draw(st.sampled_from((0.25, 2.0))))
     d = Dictionary(words)
     assert index_to_bytes(build_index(d, k, hash_config=config, substitutions=subs)) == reference_bytes(d, k, config, subs)
@@ -570,7 +570,7 @@ def test_query_equals_oracle(data):
         st.lists(st.binary(min_size=1, max_size=30).map(
             lambda w: bytes(alpha[b % sigma] for b in w)), min_size=1, max_size=80)
     )
-    k = data.draw(st.sampled_from((1, 2, 3)))
+    k = data.draw(st.integers(1, 8))
     subs = data.draw(st.sampled_from((None, SUBS, ASCII_SUBS)))
     d = Dictionary(words)
     idx = build_index(d, k, substitutions=subs)

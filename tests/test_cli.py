@@ -148,6 +148,8 @@ def test_query_sources_are_checked(wordfile, misspellings, tmp_path, capsys):
     assert run(capsys, "build", "--dict", str(wordfile), "--out", str(idx))[0] == 0
     code, _, err = run(capsys, "bench", "--index", str(idx), "--gen-queries", "5")
     assert code == 1 and "--gen-queries needs --dict" in err
+    code, _, err = run(capsys, "bench", "--dict", str(wordfile), "--gen-queries", "-3")
+    assert code == 2 and "-3" in err
     code, out, _ = run(capsys, "bench", "--index", str(idx), "--queries", str(misspellings))
     assert code == 0 and json.loads(out)["compression"] == "none"
 

@@ -1,10 +1,14 @@
 """Wordlist/misspelling/FASTA ingestion, query generation, oracle behavior."""
 
+import logging
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from splitindex import (
+    ConfigError,
     DataError,
     Dictionary,
     extract_kmers,
@@ -32,9 +36,9 @@ def test_load_wordlist_empty_file(tmp_path):
 
 def test_load_wordlist_normalizes_crlf(tmp_path):
     p = tmp_path / "crlf.txt"
-    p.write_bytes(b"alpha\r\nbeta\r\n\r\ngamma\n")
+    p.write_bytes(b"alpha\r\nbeta\r\n\r\ngamma\ndelta\r\r\n")
     d = load_wordlist(p)
-    assert d.words == (b"alpha", b"beta", b"gamma")
+    assert d.words == (b"alpha", b"beta", b"gamma", b"delta")
     assert not any(b"\r" in w for w in d.words)
 
 
@@ -100,6 +104,60 @@ def test_extract_kmers_multiline_record(tmp_path):
     assert set(extract_kmers(p, 4).words) == {b"ACGT"}
 
 
+def extract_kmers_by_byte_scan(fasta_path, length):
+    """The per-byte window scan that ``extract_kmers`` replaced, kept as its reference."""
+    with open(fasta_path, "rb") as fh:
+        raw = fh.read()
+    records: list[bytes] = []
+    current: list[bytes] = []
+    for line in raw.split(b"\n"):
+        line = line.rstrip(b"\r")
+        if line.startswith(b">"):
+            if current:
+                records.append(b"".join(current))
+                current = []
+        elif line:
+            current.append(line)
+    if current:
+        records.append(b"".join(current))
+    valid = frozenset(b"ACGNT")
+    kmers: dict[bytes, None] = {}
+    for seq in records:
+        seq = seq.upper()
+        last_bad = -1
+        for i, b in enumerate(seq):
+            if b not in valid:
+                last_bad = i
+            if i >= length - 1 and last_bad <= i - length:
+                kmers[seq[i - length + 1 : i + 1]] = None
+    return tuple(kmers)
+
+
+# Headers, empty records and blank lines, sequence lines with lowercase bytes
+# and bytes outside ACGNT, joined by LF, CRLF and CR CR LF endings.
+fasta_lines = st.lists(st.one_of(
+    st.sampled_from((b">", b">rec", b"", b"\r")),
+    st.lists(st.sampled_from(b"ACGNTacgntXx-* "), max_size=30).map(bytes),
+), max_size=25)
+
+
+@given(fasta_lines, st.lists(st.sampled_from((b"\n", b"\r\n", b"\r\r\n")), min_size=25, max_size=25),
+       st.integers(1, 25))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_extract_kmers_equals_the_byte_scan(tmp_path, lines, endings, length):
+    p = tmp_path / "drawn.fa"
+    p.write_bytes(b"".join(line + end for line, end in zip(lines, endings)))
+    assert extract_kmers(p, length).words == extract_kmers_by_byte_scan(p, length)
+
+
+def test_extract_kmers_longer_than_every_run(tmp_path, caplog):
+    p = tmp_path / "toy.fa"
+    p.write_bytes(b">rec\nACGTACGT\n")
+    caplog.set_level(logging.WARNING, logger="splitindex.datasets")
+    assert extract_kmers(p, 2**32).word_count == 0
+    assert "no usable sequence data" in caplog.records[0].getMessage()
+
+
 def test_gen_noisy_queries_deterministic():
     rng = random.Random(1)
     d = Dictionary([bytes(rng.choices(b"ACGT", k=12)) for _ in range(50)])
@@ -124,6 +182,12 @@ def test_gen_noisy_queries_preserves_length_and_alphabet():
     lengths = {len(w) for w in d.words}
     assert all(len(p) in lengths for p in qs.patterns)
     assert all(set(p) <= set(b"ACGNT") for p in qs.patterns)
+
+
+def test_gen_noisy_queries_negative_count_names_it():
+    with pytest.raises(ConfigError, match="-3"):
+        gen_noisy_queries(Dictionary([b"abcd"]), -3, seed=1)
+    assert gen_noisy_queries(Dictionary([b"abcd"]), 0, seed=1).patterns == ()
 
 
 def test_gen_noisy_queries_empty_dictionary():

@@ -624,7 +624,7 @@ def test_random_indexes_round_trip_and_answer_as_the_oracle(data):
     alpha = bytes(range(97, 97 + sigma))
     spell = lambda w: bytes(alpha[b % sigma] for b in w)  # noqa: E731
     words = data.draw(st.lists(st.binary(min_size=1, max_size=30).map(spell), min_size=1, max_size=120))
-    k = data.draw(st.sampled_from((1, 2, 3)))
+    k = data.draw(st.integers(1, 8))
     subs = data.draw(st.sampled_from((None, RANDOM_SUBS)))
     d = Dictionary(words)
     blob = index_to_bytes(build_index(d, k, substitutions=subs))
