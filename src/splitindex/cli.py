@@ -32,16 +32,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+class _BuildFlag(argparse.Action):
+    # Stores the value and notes the flag, so that --index can refuse it.
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.build_flags += (self.option_strings[0],)
+
+
 def _add_build_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=1, help="mismatch budget (default 1)")
-    p.add_argument("--hash", default=DEFAULT_HASH, choices=sorted(HASH_FUNCTIONS),
+    p.set_defaults(build_flags=())
+    p.add_argument("--k", type=int, default=1, action=_BuildFlag, help="mismatch budget (default 1)")
+    p.add_argument("--hash", default=DEFAULT_HASH, choices=sorted(HASH_FUNCTIONS), action=_BuildFlag,
                    help="hash function id (default %(default)s)")
-    p.add_argument("--max-lf", type=float, default=HashConfig().max_load_factor,
+    p.add_argument("--max-lf", type=float, default=HashConfig().max_load_factor, action=_BuildFlag,
                    help=f"maximum hash table load factor, at least {MIN_LOAD_FACTOR} "
                         "(default %(default)s)")
-    p.add_argument("--compress", default="none", choices=_COMPRESS_CHOICES,
+    p.add_argument("--compress", default="none", choices=_COMPRESS_CHOICES, action=_BuildFlag,
                    help="substitution coding policy (default none)")
-    p.add_argument("--limit", type=int, default=100,
+    p.add_argument("--limit", type=int, default=100, action=_BuildFlag,
                    help="maximum mined substitution rules (default 100)")
 
 
@@ -115,6 +123,16 @@ def _build_from_args(args):
     return dictionary, index
 
 
+def _index_from_args(args):
+    """The dictionary (None when loaded) and the index of ``--index`` or
+    ``--dict``; a build flag given with ``--index`` is a usage error."""
+    if args.index is None:
+        return _build_from_args(args)
+    if args.build_flags:
+        raise SystemExit(_usage(args, f"{args.build_flags[0]} is a build flag and cannot go with --index"))
+    return None, load_index(args.index)
+
+
 def _load_queries(args, dictionary):
     if args.queries is not None:
         return load_misspellings(args.queries)
@@ -156,10 +174,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if args.index is not None:
-        index = load_index(args.index)
-    else:
-        _, index = _build_from_args(args)
+    _, index = _index_from_args(args)
     out = sys.stdout.buffer
     for pattern in args.patterns:
         for word in index.query(pattern.encode("utf-8")):
@@ -169,13 +184,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    dictionary = None
-    if args.index is not None:
-        index = load_index(args.index)
-        compression = "loaded" if index.subs else "none"
-    else:
-        dictionary, index = _build_from_args(args)
-        compression = args.compress
+    dictionary, index = _index_from_args(args)
+    compression = args.compress if args.index is None else "loaded" if index.subs else "none"
     queries = _load_queries(args, dictionary)
     report = run_bench(index, queries, args.reps, compression=compression)
     _emit(_reports_text([report], args.format), args.out)

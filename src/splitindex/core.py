@@ -29,11 +29,11 @@ Payloads may be substitution-coded (see ``qgrams``); keys never are.
 The build runs in numpy batches, one per key length.  Words of one length
 share their piece bounds, so the keys and payloads of one key position are
 column slices of them.  The entry rows of one key length are sorted once as
-byte strings, which merges equal keys and orders each list's entries, and
-each key is ranked by the step at which entering the pieces one at a time in
-dictionary order would first meet it; numpy then copies the lists, and the
-table its records, into place.  Python steps once per batch and once per
-distinct key, and the bytes are those of the one-at-a-time build.
+byte strings, which merges equal keys and orders each list's entries; numpy
+then copies the lists, and the table its records, into place.  Python steps
+once per batch and once per distinct key.  The keys come out in (key length,
+key bytes) order and every bucket keeps its records in that order, so the
+index depends on the set of words, not on their order.
 
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
@@ -405,29 +405,14 @@ class SplitIndex:
             payload_bytes=payload,
         )
 
-    def size_breakdown(self) -> dict[str, int]:
-        """Exact byte sizes of every stored component.
-
-        ``directory`` charges one 8-byte slot per bucket; ``buckets`` counts
-        the record headers (key length byte, key, list length) and ``lists``
-        the list bytes after them; everything else is the literal length of
-        the stored blobs.  Allocator overhead is deliberately excluded.
-        """
-        lists = sum(end - begin for _, _, begin, end in self.table.records())
-        parts = {"buckets": len(self.lists) - lists, "lists": lists, **self._outside_arena()}
-        parts["total"] = sum(parts.values())
-        return parts
-
     def size_bytes(self) -> int:
-        """``size_breakdown()["total"]``, without walking the records."""
-        return len(self.lists) + sum(self._outside_arena().values())
-
-    def _outside_arena(self) -> dict[str, int]:
-        return {
-            "directory": 8 * self.table.bucket_count,
-            "side_table": sum(1 + len(w) for group in self.side_table.values() for w in group),
-            "substitutions": sum(1 + len(s.gram) for s in self.subs or ()),
-        }
+        """Exact byte size of every stored component: an 8-byte directory
+        slot per bucket, the bucket arena (record headers and the lists in
+        them), and the side-table words and substitution rules, each with one
+        length byte.  Allocator overhead is deliberately excluded."""
+        side = sum(1 + len(w) for group in self.side_table.values() for w in group)
+        rules = sum(1 + len(s.gram) for s in self.subs or ())
+        return 8 * self.table.bucket_count + len(self.lists) + side + rules
 
 
 def _runs(values: np.ndarray) -> list[np.ndarray]:
@@ -453,8 +438,8 @@ def build_index(
     The entries are made in numpy batches, one per key length, each sorted
     once (see ``_lists``), and Python steps once per batch and once per
     distinct key; coded builds also hand every payload to ``encode_many``.
-    The index is the same, byte for byte, as one built by entering the
-    words' pieces one at a time in dictionary order.
+    Each bucket holds its records in (key length, key bytes) order, so the
+    index is the same, byte for byte, for every order of the same words.
 
     Raises BuildError when a word's stored complement would not fit an 8-bit
     length tag, naming the first such word in dictionary order.
@@ -488,8 +473,8 @@ def _lists(
     k: int,
     substitutions: SubstitutionList | None,
 ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
-    """The distinct keys in the order they are first seen, their lists back
-    to back as a uint8 array, and the byte length of each list.
+    """The distinct keys in (length, bytes) order, their lists back to back
+    as a uint8 array, and the byte length of each list.
 
     Each key length is one batch of entry rows, ``[key][position][stored
     length][payload, padded to the batch's widest]``, sorted once as
@@ -511,14 +496,12 @@ def _lists(
             batches.setdefault(plen, []).append((run, sum(pieces), r, start))
             start += plen
     keys = []
-    seen = []
     regions = []
     entries = []
-    for plen, parts in batches.items():
+    for plen, parts in sorted(batches.items()):
         count = sum(len(run) for run, _, _, _ in parts)
         width = max(n for _, n, _, _ in parts) - plen
         rows = np.zeros((count, plen + 2 + width), np.uint8)
-        steps = np.empty(count, np.int64)  # entering piece r of word i is step i * (k + 1) + r
         i = 0
         for run, n, r, start in parts:
             j = i + len(run)
@@ -526,7 +509,6 @@ def _lists(
             rows[i:j, np.r_[:plen, plen + 2 : n + 2]] = flat[offsets[run, None] + cols]
             rows[i:j, plen] = r
             rows[i:j, plen + 1] = n - plen
-            steps[i:j] = run * (k + 1) + r
             i = j
         if substitutions:  # coding never lengthens a payload, so the coded ones fit over the raw
             raw = rows[:, plen + 2 :].tobytes()
@@ -542,7 +524,6 @@ def _lists(
         new = np.ones(count, bool)
         new[1:] = (rows[1:, :plen] != rows[:-1, :plen]).any(1)
         firsts = np.flatnonzero(new)
-        seen.append(np.minimum.reduceat(steps[order], firsts))
         raw = rows[firsts, :plen].tobytes()
         keys += [raw[i : i + plen] for i in range(0, len(raw), plen)]
         size = rows[:, plen + 1].astype(np.int64)
@@ -551,12 +532,11 @@ def _lists(
         entries.append(rows[:, plen + 1 :][np.arange(width + 1) < size[:, None] + 1])
     region = np.concatenate(regions)
     entries = np.concatenate(entries)
-    by_seen = np.argsort(np.concatenate(seen))
     # Each list opens with the byte lengths of its regions 1..k, as LEB128,
     # then holds its key's entries, which lie back to back in ``entries``.
     head, head_sizes = _length_bytes(region[:, :k].ravel())
     spans = np.stack((head_sizes.reshape(-1, k).sum(1), region.sum(1)), 1)
     starts = np.cumsum(spans, 0) - spans
     starts[:, 1] += len(head)
-    lists = _gather(np.concatenate((head, entries)), starts[by_seen].ravel(), spans[by_seen].ravel())
-    return [keys[i] for i in by_seen.tolist()], lists, spans.sum(1)[by_seen]
+    lists = _gather(np.concatenate((head, entries)), starts.ravel(), spans.ravel())
+    return keys, lists, spans.sum(1)

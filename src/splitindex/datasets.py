@@ -20,6 +20,8 @@ DNA_ALPHABET = b"ACGNT"  # the five symbols k-mer windows may contain
 # A maximal run of them; a repeat count of ``length`` could not stand in for the
 # window loop, since ``re`` refuses counts of 2**32 - 1 and above.
 _DNA_RUN = re.compile(b"[" + DNA_ALPHABET + b"]+")
+MAX_ERRORS = 3  # the substitutions gen_noisy_queries tries per pattern
+ERROR_PROBABILITY = 0.5  # the chance that each one is made
 
 
 @dataclass(frozen=True)
@@ -98,22 +100,23 @@ def gen_noisy_queries(
     dictionary: Dictionary,
     count: int,
     seed: int,
-    max_errors: int = 3,
-    per_error_probability: float = 0.5,
     alphabet: bytes | None = None,
 ) -> QuerySet:
     """Patterns made by substituting random positions of sampled words.
 
-    Each pattern starts as a uniformly chosen word; then, up to
-    ``max_errors`` times, with the given probability one uniformly random
-    position is overwritten with a uniformly random alphabet symbol (which
-    may equal the original, so the realized error count can be lower).
-    Pattern length always equals the source word's length.  Uses a seeded
-    Mersenne Twister, so a fixed seed reproduces the set byte for byte.
-    A negative ``count`` raises ConfigError.
+    Each pattern starts as a uniformly chosen word; then, ``MAX_ERRORS``
+    times, with probability ``ERROR_PROBABILITY`` one uniformly random
+    position is overwritten with a uniformly random symbol of ``alphabet``,
+    by default the dictionary's (which may equal the original, so the
+    realized error count can be lower).  Pattern length always equals the
+    source word's length.  Uses a seeded Mersenne Twister, so a fixed seed
+    reproduces the set byte for byte.  A negative ``count`` or an empty
+    ``alphabet`` raises ConfigError.
     """
     if count < 0:
         raise ConfigError(f"query count must be >= 0, got {count}")
+    if alphabet is not None and not alphabet:
+        raise ConfigError(f"the query alphabet must hold a symbol, got alphabet={alphabet!r}")
     if dictionary.word_count == 0:
         raise DataError("cannot generate queries from an empty dictionary")
     alpha = alphabet if alphabet is not None else dictionary.alphabet_bytes()
@@ -124,13 +127,13 @@ def gen_noisy_queries(
     patterns = []
     for _ in range(count):
         w = words[rng.randrange(nwords)]
-        for _ in range(max_errors):
-            if rng.random() < per_error_probability:
+        for _ in range(MAX_ERRORS):
+            if rng.random() < ERROR_PROBABILITY:
                 pos = rng.randrange(len(w))
                 j = rng.randrange(nalpha)
                 w = w[:pos] + alpha[j : j + 1] + w[pos + 1 :]
         patterns.append(w)
-    prov = f"generated(seed={seed}, max_errors={max_errors}, per_error_probability={per_error_probability})"
+    prov = f"generated(seed={seed}, max_errors={MAX_ERRORS}, per_error_probability={ERROR_PROBABILITY})"
     return QuerySet(tuple(patterns), provenance=prov)
 
 

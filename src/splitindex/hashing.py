@@ -288,10 +288,10 @@ class ChainedHashTable:
         """Lay out a table that stores each key's list right after the key.
 
         ``lists`` holds the keys' lists back to back, as bytes or a uint8
-        array, and ``sizes`` their byte lengths, in the order of ``keys``;
-        each bucket holds its keys in that order.  Every key is hashed once,
-        one stable sort by bucket orders the records, and numpy copies them
-        into the arena part by part.
+        array, and ``sizes`` their byte lengths, in the order of ``keys``.
+        Every key is hashed once, one stable sort by bucket orders the
+        records, so each bucket holds its keys in the order of ``keys``, and
+        numpy copies them into the arena part by part.
         """
         config = config or HashConfig()
         count = len(keys)

@@ -16,6 +16,7 @@ from splitindex import (
     QuerySet,
     build_index,
     gen_noisy_queries,
+    mine_substitutions,
     oracle_query,
     run_bench,
     sweep,
@@ -88,11 +89,17 @@ def test_report_fields_are_the_readme_keys():
 
 
 def test_index_bytes_is_recomputable(small_world):
-    d, _ = small_world
-    idx = build_index(d, 2)
-    parts = idx.size_breakdown()
-    assert parts["total"] == sum(v for key, v in parts.items() if key != "total")
-    assert parts["total"] == idx.size_bytes()
+    # An 8-byte directory slot per bucket, the bucket arena, and the side
+    # words and substitution rules, each with a length byte.
+    d, queries = small_world
+    for subs in (None, mine_substitutions(d, "mixed", 20)):
+        idx = build_index(d, 2, substitutions=subs)
+        side = sum(1 + len(w) for group in idx.side_table.values() for w in group)
+        rules = sum(1 + len(rule.gram) for rule in subs or ())
+        expected = 8 * idx.table.bucket_count + len(idx.table.data) + side + rules
+        assert side and (rules or subs is None)
+        assert idx.size_bytes() == expected
+        assert run_bench(idx, queries).index_bytes == expected
 
 
 def test_k_sweep_sizes_strictly_increase(small_world):

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from itertools import accumulate
+from itertools import accumulate, product
 from unittest.mock import patch
 
 import numpy as np
@@ -235,12 +235,15 @@ def test_space_linearity_exact():
 
 
 def test_builds_are_byte_identical():
+    # The index depends on the set of words, not on their order.
     rng = random.Random(7)
     words = random_words(rng, 600, 26)
-    for k in (1, 2):
-        a = index_to_bytes(build_index(Dictionary(words), k))
-        b = index_to_bytes(build_index(Dictionary(list(words)), k))
-        assert a == b
+    shuffled = rng.sample(words, len(words))
+    for k, fid, subs in product((1, 2), ("crc32", "fnv1"), (None, GOLDEN_SUBS)):
+        config = HashConfig(function_id=fid)
+        a = index_to_bytes(build_index(Dictionary(words), k, hash_config=config, substitutions=subs))
+        b = index_to_bytes(build_index(Dictionary(shuffled), k, hash_config=config, substitutions=subs))
+        assert a == b, (k, fid, subs is not None)
 
 
 # SHA-256 digests for the dictionary below, per hash id, with and without
@@ -251,64 +254,64 @@ def test_builds_are_byte_identical():
 # The hash id moves buckets, never lists.
 GOLDEN_DIGESTS = {
     ("xxhash", 1, False): (
-        "0387007d1d67cc03e5da015636c611cb6f27fb593f8f604cc45ec2edf3fbe8c7",
+        "d483c6b767b265d962aa53d22eb6fc4068a9a0b9a6b548124741457f2975c0ee",
         "bbd21120fbb015452f56f51e0805a0a41e9d84e5efec137da4f57981ede53ea7",
-        "38c29880e8946c4c96baf5354ed866645dd68b130a3b60d0ddf8eea5c6e1e4ca",
+        "6bf78c5397f50b0549efabb21fdcb5c680a244fba684fe8434ff199821d8a372",
     ),
     ("xxhash", 1, True): (
-        "c08cf5f76bc70a813facd49c82baf5a1405ba5256e8f0496bce70b8eccdae32f",
+        "5079babf434d295e829882753c32e49f433171b45597fd143cbbdf0548b9c01e",
         "0e5f998933921c5b16afca3f3e75d92d820dac2acad0c4ba8f1384815b3234d9",
-        "9cd7e2b9b4abd63e396a5e2a4f41d7eb0d02ac507d64316750cdfa73e4eb4fee",
+        "44fc148a323a949abde97862898846b1a31e3ad9a85285e8b1acf2852d7b9e90",
     ),
     ("xxhash", 2, False): (
-        "e5b5396f6bc7822687a26f1511a0eb397ad834d25c96620023b9762ee801fddc",
+        "6e1304eb5c4b11bc6cfd063dedd14e0605662b9be048fe8315e26f83c20d21a0",
         "8ab7c813fbca36add301124d9799600822ebb2b5d9d5788e657b3892cf36dfa9",
-        "cdda8f93f48f2aa38021d6e14ef4b804905301f31d8a36b5792cf472f6eef281",
+        "3341814905ca176ee024e5ae413b80283910bc8cc11664d18edf33e3b2d0f2c0",
     ),
     ("xxhash", 2, True): (
-        "d885652aa6ffefad38bbefff61175c26d7d5d857672ef693c9807ebd1249fdeb",
+        "34bb548950727f063deb8ae3d753b894fc103600e677956570a022cccda6eb53",
         "77da74b008eea9d12e0c9a5e62ef02a75730a664c6c4defbee7cee336821e1d7",
-        "e27f68724fd854fb9f08004696361ffdd5cf242a365589b3912d5c96be33a020",
+        "3dac49e1d8b69ccffec4e8dfbcb06c9d601b2bcac66b046bda1e75035e637f33",
     ),
     ("xxhash", 3, False): (
-        "82605901c354494c1ccf96dfc9366ee42abeaf0fee6245fa0902dfa2a8c70992",
+        "29b375923e32bd6d32747905c6f0a0690639ee930ce54bb4ea54115c558e7b27",
         "631cb43be8b665e8e4bc5666a3854b66d11da9794c896a4b00b6a573e4ccab13",
-        "01381731919c51f82c966cf8b4723e6dd5163cc1f95ab6b43b5dcaaa568d3e65",
+        "fe653eae75098d4e1035303fd136c20305d870c90a738de9934ce04b1d636f6c",
     ),
     ("xxhash", 3, True): (
-        "4c72c1b6082b90e7429ea57e92101dd47eee14a62cbce6c396a56e69d4b6a658",
+        "5ed70bfdd944759fd0f30f8c010857e4c3370b3b731acaa6dd6e03219f58024c",
         "8f8d96f1556496a1bf87bd8b308daba96a6a1d745281ffed8bc5b74b6a01c30b",
-        "45dd88b41eb6377aa70b1dc78be07138b4c9360296486911b9c34ce458c82298",
+        "c5927cde74cb126e187668073283a344f8bbafc261269aeb5ff8aeca855de066",
     ),
     ("crc32", 1, False): (
-        "fa93370b2759c1e7d9a5fb0c463095b12ba3cfac8451478e09660c60b78ac6a5",
+        "374c75609fff0faa7f3339a80bb32f6891f52094b4bda5abc820ddf5b98faffb",
         "bbd21120fbb015452f56f51e0805a0a41e9d84e5efec137da4f57981ede53ea7",
-        "f223f80ae62d870708f21d60799c56f8d82db4bfb195331852e63b9528e8d140",
+        "a3ed5a0572182d4a1d36f246a1756527f711d551239b1da3b9c8ca49943181f4",
     ),
     ("crc32", 1, True): (
-        "e684e4f4d958d6c502a8b30fdbe9d476f56e5def3537481256bca7d06dad9b4d",
+        "950c0bcdcb819c4858bdb2b3422c8d7b1b024bef1da1ad9c90dfe48691f63827",
         "0e5f998933921c5b16afca3f3e75d92d820dac2acad0c4ba8f1384815b3234d9",
-        "a4e76f8c855c7ff3f80b1132552b888acfc2ed2dc7e97919bd70e87ca6f3f3b9",
+        "8d1d513ed86fd08d931d177539f96a4a472897c48ba852331fa5a0e5ae0acdc2",
     ),
     ("crc32", 2, False): (
-        "b15ac6b98cd9badb2da548251f549cef3920d20e2056df8eae83543030e8e3a9",
+        "ed2eb0b56184c08e308a05ec80652968728b217642adb1df1542bb75cea002d3",
         "8ab7c813fbca36add301124d9799600822ebb2b5d9d5788e657b3892cf36dfa9",
-        "7fe7afc6e61a6ebf8eec6686d32a7b78613dcd62cb2e91cc0cd194df75c61f5c",
+        "0943fc177fa64406c768329c82c49e5c6cd160650bc629a5bc006055fc0adcb9",
     ),
     ("crc32", 2, True): (
-        "8904dd8231fa921300d0331ebd0f00fc28288782865b093c6dd4d4c8532e4ce6",
+        "7d3e740644b801d8b1d702fdfe2c148140255c78fdf38a20848cc470d116da92",
         "77da74b008eea9d12e0c9a5e62ef02a75730a664c6c4defbee7cee336821e1d7",
-        "8d59a42706c01455d5c6d1f3046ca45683b864f822c132a7d6135f78136ec688",
+        "0e37ef236047cee40b2d37ceeb7f668f92a6f1cc3d736c0ed1414322d913f499",
     ),
     ("crc32", 3, False): (
-        "75d76d62b16c02729de09e425ed3e98dcf038d93cb68c66ca2c87cea8fb622a6",
+        "b9d7a9d0e2741fa2e41941fb8ca27f53020e50b52cc29e8424d29e073a0a0736",
         "631cb43be8b665e8e4bc5666a3854b66d11da9794c896a4b00b6a573e4ccab13",
-        "1162bb39563556b60d834bbd3660aa6dd5335718725dd065ac528133bbdcfdf9",
+        "fbe0b0fdff4dd4f6698c077bb1d99fa7fbd23108f3e811e7d14b55c5d942bcee",
     ),
     ("crc32", 3, True): (
-        "03637730c0997a7be4a7ade89e94af46902c308b1a241932250aebce915baa51",
+        "47fd375938363f44de9a689009f28dfc6d972473a7f87b1c74dbe9961a2fccbe",
         "8f8d96f1556496a1bf87bd8b308daba96a6a1d745281ffed8bc5b74b6a01c30b",
-        "31800fc59913dab6694cbcd9a702828502240ba7220c282b79f6a5eff49e9c3c",
+        "cbad726efb2076b505a92446b86fbaa525ff43e7912ec2e4d20641dbad696b60",
     ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
@@ -332,39 +335,39 @@ def test_layout_is_pinned():
 # joins payloads with, so that coding goes word by word.
 EDGE_DIGESTS = {
     ("crc32", 1, False): (
-        "ab9a807a2525dafc8b4903874a660c9ae87e3158056ae7f658ebd9326da6221d",
+        "2e5a11471e889bac52d9206ec3a10a0bc07fabe5f65a6a518a3831f113ee05d0",
         "04abe669b7254c1ef5af63e1b6a10c5dad24cae56f0c9dd791a2f387c3acb401",
-        "296bfc5ec41794476558bd727160728b6b67cb7fdc5c5b74853cac84c6be8ec4",
+        "77f3e473b90b583074eda0145f75b32078f4d510a501d523a086363f40770193",
     ),
     ("crc32", 2, False): (
-        "06050ce7685147358d2be114f23471bfa519437fc6f866dc49019645151a68f7",
+        "00a6d0b524029dfd3135d14baa5dad522ef0d7ec54a15b038496ad3b7f0578ad",
         "0378af9d11367d91ac7b67c1e29749f3697f734253c7bb3660f9ab3a47c49238",
-        "12326249df7cd0e0e10b1d68f03d544b1efd33f0ec77cb1a1ae83312533858d4",
+        "c7cb71d08c7b8214a2b2f198208e70710a1177db1db8856a9810825e0726374d",
     ),
     ("crc32", 3, False): (
-        "e177ce564236a1879a09c7d2f19661fee3ff657ce3a0f386178ce848249cba72",
+        "778ecee00547ef6846effccd4e26fae48573c9aae806915c8c34d1ed49377513",
         "9de121da2ea6d7f54c236bb0a84affb61ffd34defdc260ebb8f50d7621b390ae",
-        "f5a96943fa3e9f14ac730bcc8337bce29ec937babf6a3ddfac4216737021ef4f",
+        "a9f9111ce4e452e951b2e506099817a506d270bff95fcc425fe8ef62876c7c6e",
     ),
     ("fnv1", 1, False): (
-        "295dd8dc25dd092633e568534b45915865ee69136a365cea06d79b1aea16925c",
+        "d56fe70d22d3c511512cb8a88a0c292b21c29a1c36a99157c6752a004e08c25a",
         "04abe669b7254c1ef5af63e1b6a10c5dad24cae56f0c9dd791a2f387c3acb401",
-        "0709a3947a9f85c29ce3956cae1044e760538872d86e5fe7bf8462c7b55c0554",
+        "26df3f85b6ab091da346b6f1dd670ceebaebee3cff39fe34acccf9469752af66",
     ),
     ("fnv1", 2, False): (
-        "63969d3d97ea4cf7a5f8a7262e74db696fa8e59dd44b4f91493be3fee723e722",
+        "eb4c9b43fa9f067a54a16db372c2b32178b86de633c8eb404ac4337d561d1d92",
         "0378af9d11367d91ac7b67c1e29749f3697f734253c7bb3660f9ab3a47c49238",
-        "2461f6e9fb780711bd54245b8bcabc521162141c8687b4bbe47ce2aaa6cbc0ac",
+        "2ba6772080186ec3bf16a52131981cd985bcb4b6814956d3a20708e931090c44",
     ),
     ("fnv1", 3, False): (
-        "b0172a711a57d08b1165942794f42ed503e21a84486e2d2b1474fdc6b7696c00",
+        "4eb64b7f07b59b8b0a5fa56ac360096c113c65f61670cebbbb895dbec2e529ea",
         "9de121da2ea6d7f54c236bb0a84affb61ffd34defdc260ebb8f50d7621b390ae",
-        "1e041c1f253d31693e377cef085a3f018d3f932ba99f2eb99f22692d699214e5",
+        "e9ffa88906becf454a1f5e081157097329cd0d6695047574664ab50ffed9f7f8",
     ),
     ("crc32", 2, True): (
-        "0ba9f9f37541e94f01ad7fd378085ac6cc09805cf8a3f67fef42a048958905e0",
+        "85ec51be3887d33f5a9a24d7e56e42d843a63888d254db3521392e4d115b52ff",
         "7bb57ec09573d6776db69a649c7d253658d919959f0a591cb76ab5f95fa5c96a",
-        "315ae0d2cd3ff9b49dfea6284658eb18c5ba881a0ebb4aad5f93be579bcee38b",
+        "179296ea622d575fe6c9e41066ab415abc92426feb668a53a4510a43d29962ae",
     ),
 }
 EDGE_SUBS = SubstitutionList([(b"ing", 0xFF), (b"er", 0x80), (b"gi", 0x81)])
@@ -422,7 +425,8 @@ def leb128(n):
 
 def reference_bytes(d, k, config, subs=None):
     """index_to_bytes of the split index of ``d``, built by entering each
-    word's pieces one at a time: the oracle build_index must match."""
+    word's pieces one at a time and laying out the keys in (length, bytes)
+    order: the oracle build_index must match."""
     staged = {}
     side = {}
     for word in d.words:
@@ -435,7 +439,7 @@ def reference_bytes(d, k, config, subs=None):
             staged.setdefault(word[start : start + plen], []).append((r, subs.encode(rest) if subs else rest))
             start += plen
     buckets = [b""] * hashing._bucket_count(len(staged), config.max_load_factor)
-    for key, stored in staged.items():
+    for key, stored in sorted(staged.items(), key=lambda item: (len(item[0]), item[0])):
         stored.sort(key=lambda entry: (entry[0], len(entry[1]), entry[1]))
         by_region = [b"".join(bytes((len(e),)) + e for r, e in stored if r == j) for j in range(k + 1)]
         blob = b"".join(map(leb128, map(len, by_region[:k]))) + b"".join(by_region)

@@ -72,6 +72,24 @@ def test_query_needs_exactly_one_source(wordfile, capsys):
     assert code == 1
 
 
+def test_build_flags_with_a_loaded_index_are_usage_errors(tmp_path, misspellings, capsys):
+    # A loaded index keeps the k, hash, load factor and coding it was built
+    # with, so a build flag next to --index would be ignored.
+    words = tmp_path / "words3.txt"
+    words.write_bytes(b"table\nleft\ntablet\n")
+    idx = tmp_path / "words.idx"
+    assert run(capsys, "build", "--dict", str(words), "--k", "1", "--out", str(idx))[0] == 0
+    assert run(capsys, "query", "--dict", str(words), "--k", "2", "taxxe")[:2] == (0, "table\n")
+    flags = [("--k", "2"), ("--hash", "fnv1"), ("--max-lf", "0.5"), ("--compress", "mixed"), ("--limit", "5")]
+    for flag, value in flags:
+        code, out, err = run(capsys, "query", "--index", str(idx), flag, value, "taxxe")
+        assert (code, out) == (1, "") and flag in err, flag
+        code, out, err = run(capsys, "bench", "--index", str(idx), "--queries", str(misspellings), flag, value)
+        assert (code, out) == (1, "") and flag in err, flag
+    code, _, err = run(capsys, "query", "--index", str(idx), "--k", "1", "--comp", "none", "taxxe")
+    assert code == 1 and "--k" in err
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["build", "--dict"]) == 1
     capsys.readouterr()

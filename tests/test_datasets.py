@@ -167,12 +167,11 @@ def test_gen_noisy_queries_deterministic():
     assert a.patterns != gen_noisy_queries(d, 200, seed=10).patterns
 
 
-def test_gen_noisy_queries_zero_probability_returns_words():
-    d = Dictionary([b"abcd", b"efgh"])
-    qs = gen_noisy_queries(d, 50, seed=1, per_error_probability=0.0)
-    assert all(p in (b"abcd", b"efgh") for p in qs.patterns)
-    qs2 = gen_noisy_queries(d, 50, seed=1, max_errors=0)
-    assert all(p in (b"abcd", b"efgh") for p in qs2.patterns)
+def test_gen_noisy_queries_rejects_an_empty_alphabet():
+    # Rejected up front, not once a substitution is drawn: with count 0 none is.
+    for count in (0, 50):
+        with pytest.raises(ConfigError, match="alphabet=b''"):
+            gen_noisy_queries(Dictionary([b"abcd"]), count, seed=1, alphabet=b"")
 
 
 def test_gen_noisy_queries_preserves_length_and_alphabet():

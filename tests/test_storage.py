@@ -21,10 +21,12 @@ from corpora import random_words
 from splitindex import (
     HASH_FUNCTIONS,
     BadMagicError,
+    ChainedHashTable,
     CodecError,
     CorruptListError,
     Dictionary,
     HashConfig,
+    SplitIndex,
     SplitIndexError,
     StorageError,
     SubstitutionList,
@@ -57,7 +59,10 @@ def test_save_load_query_equivalence(tmp_path, k, compressed):
     patterns = [bytes(rng.choices(b"abcdefgh", k=rng.randint(1, 30))) for _ in range(400)]
     for p in patterns:
         assert loaded.query(p) == idx.query(p)
-    assert loaded.size_breakdown() == idx.size_breakdown()
+    side = sum(1 + len(w) for group in loaded.side_table.values() for w in group)
+    rules = sum(1 + len(rule.gram) for rule in subs or ())
+    expected = 8 * loaded.table.bucket_count + len(loaded.table.data) + side + rules
+    assert loaded.size_bytes() == idx.size_bytes() == expected
     assert loaded.list_stats() == idx.list_stats()
 
 
@@ -633,3 +638,30 @@ def test_random_indexes_round_trip_and_answer_as_the_oracle(data):
     patterns = data.draw(st.lists(st.binary(min_size=1, max_size=32).map(spell), max_size=10))
     for p in patterns + list(d.words[:10]):
         assert loaded.query(p) == oracle_query(d, p, k)
+
+
+def test_buckets_with_their_records_in_another_order_load_answer_and_resave():
+    # A build lays each bucket's records out in (key length, key bytes)
+    # order, but no reader depends on it: earlier format-v5 builds kept them
+    # in the order the keys were first met.  Here every bucket holds its
+    # records reversed.
+    rng = random.Random(44)
+    d = Dictionary(random_words(rng, 500, 4) + [b"a"])
+    patterns = list(d.words[:40]) + list(gen_noisy_queries(d, 200, seed=44).patterns)
+    for k, subs in product((1, 2), (None, RANDOM_SUBS)):
+        idx = build_index(d, k, substitutions=subs)
+        table = idx.table
+        records = [[] for _ in range(table.bucket_count)]
+        o = 0
+        for h, _, _, end in table.records():
+            records[h].append(table.data[o:end])
+            o = end
+        arena = b"".join(r for bucket in records for r in reversed(bucket))
+        assert arena != table.data and len(arena) == len(table.data)
+        flipped = ChainedHashTable(arena, table.starts, table.config)
+        blob = index_to_bytes(SplitIndex(k, flipped, idx.side_table, subs, idx.source_stats))
+        loaded = index_from_bytes(blob)
+        assert index_to_bytes(loaded) == blob
+        assert loaded.list_stats() == idx.list_stats()
+        for p in patterns:
+            assert loaded.query(p) == oracle_query(d, p, k), (k, subs is not None, p)
