@@ -113,7 +113,18 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The build flag that each sweep dimension's grid replaces.
+_SWEPT_FLAGS = {"k": "--k", "hash": "--hash", "load_factor": "--max-lf", "compression": "--compress"}
+
+
+def _check_limit(args, policies) -> None:
+    """``--limit`` bounds mined rules, so it needs a coding policy."""
+    if "--limit" in args.build_flags and all(p == "none" for p in policies):
+        raise SystemExit(_usage(args, "--limit needs a coding policy from --compress"))
+
+
 def _build_from_args(args):
+    _check_limit(args, [args.compress])
     dictionary = load_wordlist(args.dict_path)
     subs = None
     if args.compress != "none":
@@ -193,9 +204,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    swept = _SWEPT_FLAGS[args.dimension]
+    if swept in args.build_flags:
+        return _usage(args, f"{swept} is swept by --grid and cannot be given as well")
+    raw = [v for v in args.grid.split(",") if v]
+    _check_limit(args, raw if args.dimension == "compression" else [args.compress])
     dictionary = load_wordlist(args.dict_path)
     queries = _load_queries(args, dictionary)
-    raw = [v for v in args.grid.split(",") if v]
     if args.dimension == "k":
         grid = [int(v) for v in raw]
     elif args.dimension == "load_factor":

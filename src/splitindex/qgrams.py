@@ -10,6 +10,12 @@ left-to-right non-overlapping replacement.  The round trip holds because
 grams are plain: a code byte left by one replacement can be part of no later
 gram, so every code in the output stands for exactly its own gram and every
 plain byte for itself, and decoding is a single byte-wise table lookup.
+
+Mining is a greedy q-gram substitution: each round picks the gram whose
+non-overlapping replacement saves the most bytes.  The windows of the
+dictionary are counted once; after each pick only the windows that its
+replacements touch leave the counts, so the picks are exactly those of
+recounting the residual corpus every round.
 """
 
 from __future__ import annotations
@@ -137,11 +143,15 @@ class SubstitutionList:
 def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> SubstitutionList:
     """Pick up to ``limit`` q-grams that shrink the dictionary most.
 
-    Greedy selection: count candidate q-grams over the current residual
-    corpus, take the one whose non-overlapping replacement saves the most
-    bytes, apply it, and repeat.  Candidates come from the policy's q sizes;
-    ties prefer longer grams, then the lexicographically smallest.  Stops
-    early once no replacement saves anything.
+    Greedy selection: take the candidate q-gram whose non-overlapping
+    replacement in the current residual corpus saves the most bytes, apply
+    it, and repeat.  Candidates come from the policy's q sizes; ties prefer
+    longer grams, then the lexicographically smallest.  Stops early once no
+    replacement saves anything.  Every window is counted once, up front;
+    after each pick only the counts of the windows that the replaced bytes
+    touch change, so the picks are those of recounting the residual corpus
+    every round at the cost of one count plus work in proportion to the
+    replaced windows.
 
     The corpus must be pure ASCII (all bytes < 128); code bytes are assigned
     from 128 upward.  One byte value is reserved internally, so at most 127
@@ -155,82 +165,140 @@ def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> S
         raise ConfigError(f"limit must be >= 0, got {limit}")
     limit = min(limit, CODE_SPACE - 1)  # 0xFF stays an internal separator
 
-    for w in dictionary.words:
-        if not w.isascii():
-            raise CodecError(f"compression unavailable: byte >= 128 in word {w[:32]!r}")
-    if not dictionary.words:
+    # Separators around the corpus keep every window inside it.
+    sep = bytes((_SEPARATOR,))
+    pad = sep * (GRAM_MAX - 1)
+    corpus = np.frombuffer(pad + sep.join(dictionary.words) + pad, dtype=np.uint8)
+    present = np.bincount(corpus, minlength=256)
+    if present[CODE_FIRST:].sum() != corpus.size - dictionary.total_bytes:  # more than the separators
+        bad = next(w for w in dictionary.words if not w.isascii())
+        raise CodecError(f"compression unavailable: byte >= 128 in word {bad[:32]!r}")
+    if not dictionary.words or not limit:
         return SubstitutionList()
 
-    corpus = bytes((_SEPARATOR,)).join(dictionary.words)
+    alphabet = np.flatnonzero(present[:CODE_FIRST])
+    rank = np.full(256, alphabet.size, dtype=np.uint8)  # the separator's digit is sigma
+    rank[alphabet] = np.arange(alphabet.size)
+    digits = rank[corpus]
+    windows = [_Windows(digits, alphabet, q) for q in qs]
     picked: list[Substitution] = []
-    next_code = CODE_FIRST
     while len(picked) < limit:
-        best = _best_gram(corpus, qs)
+        best = _best_gram(windows)
         if best is None:
             break
-        savings, gram = best
-        picked.append(Substitution(gram, next_code, savings))
-        corpus = corpus.replace(gram, bytes((next_code,)))
-        next_code += 1
+        savings, chosen, gid, starts = best
+        picked.append(Substitution(chosen.gram(gid), CODE_FIRST + len(picked), savings))
+        for w in windows:
+            w.replace(starts, chosen.q)
     return SubstitutionList(picked)
 
 
-def _best_gram(corpus: bytes, qs: tuple[int, ...]) -> tuple[int, bytes] | None:
-    """Most-saving q-gram of the residual corpus, or None if nothing saves.
+class _Windows:
+    """Every q-byte window of the padded corpus, in original coordinates.
 
-    Overlapping window counts give an upper bound on each candidate's
-    savings; candidates are then re-counted exactly (non-overlapping) in
-    decreasing bound order until the running best cannot be beaten.
+    Each window holds the id of its gram.  Ids ``< plain`` are the grams
+    that cannot overlap themselves, ids ``plain..counted - 1`` those with a
+    border (a proper prefix equal to a suffix), which may count more windows
+    than a replacement can take; each group is in lexicographic order.  A
+    window that spans a separator, or a byte already replaced, holds an id
+    ``>= counted``: it is not a window of the residual corpus.  ``counts``
+    counts the windows of each gram, and ``values`` holds each gram's digits
+    (alphabet ranks, base sigma + 1).
     """
-    buf = np.frombuffer(corpus, dtype=np.uint8)
-    plain = buf < 128
-    bound_chunks = []
-    val_chunks = []
-    q_chunks = []
-    for q in qs:
-        if buf.size < q:
-            continue
-        n = buf.size - q + 1
-        vals = buf[:n].astype(np.int64)
-        ok = plain[:n].copy()
-        for j in range(1, q):
-            vals = vals << 7 | buf[j : j + n]
-            ok &= plain[j : j + n]
-        vals = vals[ok]
-        if not vals.size:
-            continue
-        uniq, counts = np.unique(vals, return_counts=True)
-        bound_chunks.append(counts * (q - 1))
-        val_chunks.append(uniq)
-        q_chunks.append(np.full(uniq.size, q, dtype=np.int64))
-    if not bound_chunks:
-        return None
-    bounds = np.concatenate(bound_chunks)
-    vals = np.concatenate(val_chunks)
-    qlens = np.concatenate(q_chunks)
-    order = np.argsort(-bounds, kind="stable")
 
-    best: tuple[int, int, bytes] | None = None  # (savings, qlen, gram)
-    for idx in order:
-        bound = int(bounds[idx])
-        if bound < 1 or (best is not None and bound < best[0]):
+    def __init__(self, digits, alphabet, q: int):
+        base = alphabet.size + 1
+        n = digits.size - q + 1
+        vals = digits[:n].astype(np.min_scalar_type(base**q - 1))
+        for j in range(1, q):
+            vals = vals * base + digits[j : j + n]
+        if base**q <= n:  # every possible gram fits in one array
+            values = np.arange(base**q, dtype=vals.dtype)
+        else:
+            values, vals = np.unique(vals, return_inverse=True)
+        gram = [values // base ** (q - 1 - j) % base for j in range(q)]
+        overlapping = np.zeros(values.size, dtype=bool)
+        for b in range(1, q):
+            border = np.ones(values.size, dtype=bool)
+            for j in range(b):
+                border &= gram[j] == gram[q - b + j]
+            overlapping |= border
+        group = np.where(np.all([g < alphabet.size for g in gram], axis=0), overlapping, 2)
+        order = np.argsort(group, kind="stable")
+        renumber = np.empty(values.size, dtype=np.min_scalar_type(values.size))
+        renumber[order] = np.arange(values.size)
+        self.q = q
+        self.alphabet = alphabet
+        self.plain = int(np.count_nonzero(group == 0))
+        self.counted = values.size - int(np.count_nonzero(group == 2))
+        self.values = values[order[: self.counted]]
+        self.ids = renumber.take(vals)
+        self.counts = np.bincount(self.ids, minlength=values.size)[: self.counted]
+
+    def gram(self, gid: int) -> bytes:
+        v, base = int(self.values[gid]), self.alphabet.size + 1
+        return bytes(self.alphabet[v // base ** (self.q - 1 - j) % base] for j in range(self.q))
+
+    def starts(self, gid: int):
+        """Where a left-to-right non-overlapping replacement of ``gid`` goes."""
+        starts = np.flatnonzero(self.ids == gid)
+        gaps = np.diff(starts, prepend=-self.q)
+        head = gaps >= self.q
+        if not head.all():
+            # Windows closer than q form chains.  For q <= 4 every gap in a
+            # chain is the gram's smallest period p (Fine and Wilf), so the
+            # greedy takes every ceil(q / p)-th window of a chain from its head.
+            rank = np.arange(starts.size)
+            rank -= np.maximum.accumulate(np.where(head, rank, 0))
+            starts = starts[rank % -(-self.q // gaps) == 0]
+        return starts
+
+    def replace(self, starts, width: int) -> None:
+        """Drop the windows that overlap the spans ``[s, s + width)``."""
+        offsets = np.arange(1 - self.q, width)[:, None]
+        wins = (offsets + starts).ravel()
+        # Each span skips the windows that the previous span already holds.
+        keep = (offsets >= width - np.diff(starts, prepend=-width - self.q)).ravel()
+        gone = self.ids.take(wins)
+        keep &= gone < self.counted
+        wins, gone = wins.compress(keep), gone.compress(keep)
+        self.ids[wins] = self.counted
+        np.subtract.at(self.counts, gone, 1)
+
+
+def _best_gram(windows: list[_Windows]):
+    """``(savings, windows, gram id, starts)`` of the best pick, or None.
+
+    A gram that cannot overlap itself saves exactly its window count times
+    q - 1.  The best of those bounds the rest, which are counted exactly in
+    decreasing bound order until none can win.  Ties go to the longer gram,
+    then to the smaller digits.
+    """
+    best = None  # ((savings, q, -digits), windows, gram id, starts or None)
+    for w in windows:
+        if w.plain:
+            gid = int(w.counts[: w.plain].argmax())  # the first of the maxima
+            key = (int(w.counts[gid]) * (w.q - 1), w.q, -int(w.values[gid]))
+            if key[0] > 0 and (best is None or key > best[0]):
+                best = (key, w, gid, None)
+    floor = best[0][0] if best else 1
+    candidates = []
+    for w in windows:
+        bound = w.counts[w.plain :] * (w.q - 1)
+        for gid in (np.flatnonzero(bound >= floor) + w.plain).tolist():
+            candidates.append(((int(w.counts[gid]) * (w.q - 1), w.q, -int(w.values[gid])), w, gid))
+    candidates.sort(key=lambda c: c[0], reverse=True)
+    for (bound, q, neg), w, gid in candidates:
+        if best is not None and bound < best[0][0]:
             break
-        q = int(qlens[idx])
-        v = int(vals[idx])
-        gram = bytes((v >> 7 * (q - 1 - j)) & 0x7F for j in range(q))
-        savings = corpus.count(gram) * (q - 1)
-        if savings < 1:
-            continue
-        if best is None or (savings, q, _inv(gram)) > (best[0], best[1], _inv(best[2])):
-            best = (savings, q, gram)
+        starts = w.starts(gid)
+        key = (starts.size * (q - 1), q, neg)
+        if key[0] > 0 and (best is None or key > best[0]):
+            best = (key, w, gid, starts)
     if best is None:
         return None
-    return best[0], best[2]
-
-
-def _inv(gram: bytes) -> bytes:
-    # Lexicographically smaller grams win ties; invert so max() picks them.
-    return bytes(255 - b for b in gram)
+    (savings, _, _), w, gid, starts = best
+    return savings, w, gid, w.starts(gid) if starts is None else starts
 
 
 def compression_ratio(dictionary, subs: SubstitutionList) -> float:

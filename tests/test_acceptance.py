@@ -11,6 +11,7 @@ import sys
 import time
 
 from corpora import dna_fasta, random_words
+from reference import reference_mine, rules
 
 from splitindex import (
     Dictionary,
@@ -175,6 +176,7 @@ def test_criterion_7_compression_effect(tmp_path_factory):
         assert all(len(w) == 20 for w in d.words)
 
         subs = mine_substitutions(d, "mixed", 100)
+        assert rules(subs) == rules(reference_mine(d, "mixed", 100))  # the per-round greedy's picks
         plain = build_index(d, 1)
         coded = build_index(d, 1, substitutions=subs)
         shrink = 1 - coded.size_bytes() / plain.size_bytes()

@@ -183,6 +183,34 @@ def test_sweep_k_reports(wordfile, misspellings, capsys):
     assert reports[0]["index_bytes"] < reports[1]["index_bytes"]
 
 
+def test_flags_a_command_would_drop_are_usage_errors(tmp_path, wordfile, misspellings, capsys):
+    # A swept dimension takes its values from --grid, and --limit only bounds
+    # mined rules, so either flag would otherwise be silently ignored.
+    source = ["--dict", str(wordfile), "--queries", str(misspellings)]
+    swept = [("k", "1", "--k", "3"), ("hash", "crc32", "--hash", "fnv1"),
+             ("load_factor", "1.0", "--max-lf", "2.0"), ("compression", "none", "--compress", "mixed")]
+    for dimension, grid, flag, value in swept:
+        code, out, err = run(capsys, "sweep", dimension, "--grid", grid, *source, flag, value)
+        assert (code, out) == (1, "") and flag in err, flag
+    idx = tmp_path / "idx.bin"
+    uncoded = [
+        ["build", "--dict", str(wordfile), "--out", str(idx)],
+        ["build", "--dict", str(wordfile), "--compress", "none", "--out", str(idx)],
+        ["query", "--dict", str(wordfile), "tavle"],
+        ["bench", *source],
+        ["sweep", "k", "--grid", "1", *source],
+        ["sweep", "compression", "--grid", "none", *source],
+    ]
+    for argv in uncoded:
+        code, out, err = run(capsys, *argv, "--limit", "-5")
+        assert (code, out) == (1, "") and "--limit" in err, argv
+    assert not idx.exists()
+    code, _, _ = run(capsys, "build", "--dict", str(wordfile), "--compress", "2gram", "--limit", "1", "--out", str(idx))
+    assert code == 0
+    code, out, _ = run(capsys, "sweep", "compression", "--grid", "none,2gram", "--limit", "1", *source)
+    assert code == 0 and [r["compression"] for r in json.loads(out)] == ["none", "2gram"]
+
+
 def test_sweep_bad_grid_is_data_error(wordfile, misspellings, capsys):
     code, _, err = run(
         capsys, "sweep", "hash", "--grid", "xxhash,md5", "--dict", str(wordfile),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import random_words
+from reference import reference_mine, rules
 
 from splitindex import (
     CodecError,
@@ -21,6 +22,7 @@ from splitindex import (
     oracle_query,
     save_substitutions,
 )
+from splitindex.qgrams import POLICIES
 
 WORKED_EXAMPLE_LIST = [
     (b"com", ord("#")),
@@ -133,6 +135,25 @@ def test_dna_two_gram_space_is_bounded():
     d = Dictionary([bytes(rng.choices(b"ACGTN", k=20)) for _ in range(3000)])
     subs = mine_substitutions(d, "2gram", 1000)
     assert len(subs) <= 25
+
+
+# With few symbols every possible gram of a q is numbered in one array; with
+# more, and with the 120 symbols at every q, only the grams present are.
+ALPHABETS = [bytes(range(97, 97 + n)) for n in range(1, 27)] + [bytes(range(1, 121))]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mining_matches_the_per_round_greedy(data):
+    alpha = data.draw(st.sampled_from(ALPHABETS))
+    words = data.draw(st.lists(st.binary(min_size=1, max_size=40), max_size=50))
+    words = [bytes(alpha[b % len(alpha)] for b in w) for w in words]
+    # Self-overlapping words chain their windows; short ones fit no 4-gram.
+    words += data.draw(st.lists(st.sampled_from((b"aaaa", b"abab", b"abcabc", b"aaaaaaa", b"a", b"ab", b"abc")), max_size=8))
+    d = Dictionary(words)
+    policy = data.draw(st.sampled_from(sorted(POLICIES)))
+    limit = data.draw(st.integers(0, 130))
+    assert rules(mine_substitutions(d, policy, limit)) == rules(reference_mine(d, policy, limit))
 
 
 def test_mining_limit_respected():
