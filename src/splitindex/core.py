@@ -16,13 +16,15 @@ its bucket record gives.  Piece boundaries are recomputed from the total
 length at query time.
 
 A query verifies the run of entries of its wanted length with one of two
-kernels.  At k >= 2, a run of at least ``MATRIX_RUN`` entries is compared
-with the pattern as one uint8 matrix over a numpy view of the bucket arena,
-each entry once; shorter runs, and every run at k = 1, are searched with
+kernels, chosen by the run's length alone, at every k.  A run of at least
+``MATRIX_RUN`` entries is compared with the pattern as one uint8 matrix over
+a numpy view of the bucket arena, each entry once, and a row's mismatches are
+summed by a uint8 matrix product; shorter runs are searched with
 ``bytes.find`` for exact sub-pieces of the pattern, and only the aligned hits
 are verified.  The threshold, 64, was measured on the english k = 2
 benchmark: below it numpy's fixed cost per run outweighs what it saves at
-the median query.
+the median query.  On the english k = 1 benchmark, 32, 128, 256 and 512
+gave no lower mean or tail.
 
 Payloads may be substitution-coded (see ``qgrams``); keys never are.
 
@@ -37,7 +39,9 @@ index depends on the set of words, not on their order.
 
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
-reads it at absolute offsets, never past the end of the region it walks:
+walks the bucket of each piece itself, as ``ChainedHashTable.lookup_list``
+does, and reads the arena at absolute offsets, never past the end of the
+bucket or region it walks:
 region lengths that run past their list, a zero entry length, and a walk or
 run that would cross its region's end raise ``CorruptListError``.
 """
@@ -51,11 +55,12 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import ARENA_LIMIT, ChainedHashTable, HashConfig, _gather, _length_bytes, _read_length
+from .hashing import HASH_FUNCTIONS, ChainedHashTable, HashConfig, _gather, _length_bytes, _read_length
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # entry lengths are single bytes, from 1 up
-MATRIX_RUN = 64  # at k >= 2, the fewest entries in a run verified as one matrix
+MATRIX_RUN = 64  # the fewest entries in a run verified as one matrix, at every k
+_ONES = np.ones(PAYLOAD_LIMIT + 1, np.uint8)  # sums a matrix row's mismatches
 
 
 @lru_cache(maxsize=1024)  # builds and queries ask for few distinct lengths
@@ -136,38 +141,6 @@ def _region(data: bytes, begin: int, end: int, r: int, k: int, key: bytes) -> tu
     return lo, hi
 
 
-def _find_run(data: bytes, o: int, stop: int, need: int) -> tuple[int, int]:
-    """Offset and entry count of the run of ``need``-byte entries in a region.
-
-    The region's entries lie from offset ``o`` to ``stop``, shortest first;
-    the count is 0 when none has that length.  Entries of one length lie at
-    a fixed stride, so a run of two or more is counted in C from a strided
-    slice of its length bytes, and skipping shorter entries costs one step
-    per distinct length rather than one per entry.  A zero entry length, or
-    a run that crosses ``stop``, raises IndexError, which the caller reports
-    as a corrupt list.
-    """
-    while o < stop:
-        ln = data[o]
-        if ln > need:
-            break
-        if not ln:
-            raise IndexError("an entry of length 0")
-        step = ln + 1
-        if o + step < stop and data[o + step] == ln:
-            lengths = data[o:stop:step]
-            run = len(lengths) - len(lengths.lstrip(lengths[:1]))
-        else:
-            run = 1
-        after = o + run * step
-        if after > stop:
-            raise IndexError("entry run crosses the end of its region")
-        if ln == need:
-            return o, run
-        o = after
-    return o, 0
-
-
 class Dictionary:
     """Deduplicated, ordered collection of byte-string words plus stats."""
 
@@ -231,6 +204,9 @@ class SplitIndex:
         "source_stats",
         "_decode",
         "_view",
+        "_hash",
+        "_mask",
+        "_starts",
     )
 
     def __init__(
@@ -249,6 +225,9 @@ class SplitIndex:
         self.source_stats = source_stats
         self._decode = subs.decode if subs else None
         self._view = np.frombuffer(self.lists, dtype=np.uint8)  # the arena, not a copy
+        self._hash = HASH_FUNCTIONS[table.config.function_id]  # what the table probes with
+        self._mask = table.bucket_count - 1
+        self._starts = table.starts
 
     # -- queries ---------------------------------------------------------
 
@@ -275,19 +254,23 @@ class SplitIndex:
             out.update(self.side_table.get(n, ()))
             return 0
         # Piece r >= 0 of the pattern keys a list whose region r + 1 holds
-        # the other pieces of the words that share it.  ``_region`` bounds
-        # that region, and ``_find_run`` skips its shorter entries a run at a
-        # time and counts the run of the wanted length, every entry of which
-        # counts as verified.  One of the two kernels the module describes
-        # then checks the run: the matrix, or the pigeonhole step again, where
-        # a word within k mismatches matches one of the k + 1 sub-pieces of
-        # the pattern's rest exactly, so only the hits of bytes.find on them
-        # are compared, through one integer xor.
-        lookup = self.table.lookup_list
+        # the other pieces of the words that share it.  The piece's bucket is
+        # walked here as ``ChainedHashTable.lookup_list`` walks it, with the
+        # same checks and errors, and ``_region`` bounds the region.  The walk
+        # over the region then skips its shorter entries a run at a time:
+        # entries of one length lie at a fixed stride, so a run of two or
+        # more is counted in C from a strided slice of its length bytes.  Every
+        # entry of the run of the wanted length counts as verified, and one of
+        # the two kernels the module describes checks it: the matrix, or the
+        # pigeonhole step again, where a word within k mismatches matches one
+        # of the k + 1 sub-pieces of the pattern's rest exactly, so only the
+        # hits of bytes.find on them are compared, through one integer xor.
+        fn = self._hash
+        mask = self._mask
+        starts = self._starts
         data = self.lists
         decode = self._decode
         view = self._view
-        matrix = MATRIX_RUN if k > 1 else ARENA_LIMIT  # no run holds that many entries
         ifb = int.from_bytes
         verified = 0
         # Reading past a region means a damaged file.  A walk or run crosses
@@ -298,10 +281,38 @@ class SplitIndex:
         try:
             for r, start, end, need, passes in _plan(n, k):
                 key = pattern[start:end]
-                span = lookup(key)
-                if span is None:
+                b = fn(key) & mask
+                o = starts[b]
+                bend = starts[b + 1]
+                kl = end - start
+                # A record costs two sums: p, the offset of its list length's
+                # last byte, and the next record's offset.  A list length of
+                # one or two bytes is read inline, a longer one by _read_length.
+                while o < bend:
+                    el = data[o]
+                    p = o + (el + 1)
+                    if p >= bend:
+                        raise CorruptListError(f"bucket {b} holds a record that runs past its end")
+                    size = data[p]
+                    if size > 0x7F:
+                        p += 1
+                        if p < bend and (c := data[p]) < 0x80:
+                            size = size & 0x7F | c << 7
+                        else:
+                            size, p = _read_length(data, p - 1, bend, b)
+                            p -= 1
+                    if el == kl and data.startswith(key, o + 1):
+                        break
+                    o = p + (size + 1)
+                else:
+                    if o != bend:
+                        raise CorruptListError(f"bucket {b} holds a record that runs past its end")
                     continue
-                o, hi = _region(data, span.start, span.stop, r, k, key)
+                p += 1
+                size += p  # the list's end
+                if size > bend:
+                    raise CorruptListError(f"the list for key {key!r} runs past the end of bucket {b}")
+                o, hi = _region(data, p, size, r, k, key)
                 if decode is not None:
                     rint = ifb(pattern[:start] + pattern[end:], "little")
                     # Stored lengths are coded, but decoding never shrinks, so
@@ -322,19 +333,39 @@ class SplitIndex:
                     if o > hi:
                         raise CorruptListError(f"an entry of the list for key {key!r} crosses its region's end")
                     continue
-                o, count = _find_run(data, o, hi, need)
+                count = 0
+                while o < hi:
+                    ln = data[o]
+                    if ln > need:
+                        break
+                    if not ln:
+                        raise IndexError("an entry of length 0")
+                    step = ln + 1
+                    if o + step < hi and data[o + step] == ln:
+                        lengths = data[o:hi:step]
+                        run = len(lengths) - len(lengths.lstrip(lengths[:1]))
+                    else:
+                        run = 1
+                    stop = o + run * step
+                    if stop > hi:
+                        raise IndexError("entry run crosses the end of its region")
+                    if ln == need:
+                        count = run
+                        break
+                    o = stop
                 if not count:
                     continue
                 verified += count
-                # The run's entries lie at a fixed stride from o to stop, which
-                # _find_run has checked lies inside the region.  lrest is the
-                # entry the pattern would match exactly, length byte included.
+                # The run's entries lie at stride step from o to stop, inside
+                # the region.  lrest is the entry the pattern would match
+                # exactly, length byte included.
                 lrest = data[o : o + 1] + pattern[:start] + pattern[end:]
-                step = need + 1
-                stop = o + count * step
-                if count >= matrix:
+                if count >= MATRIX_RUN:
+                    # Every row opens with the run's length byte, which equals
+                    # lrest's, so a row has at most 255 mismatches and their
+                    # uint8 sum cannot wrap.
                     rows = view[o:stop].reshape(count, step)
-                    hits = (rows != np.frombuffer(lrest, dtype=np.uint8)).sum(1) <= k
+                    hits = (rows != np.frombuffer(lrest, dtype=np.uint8)).view(np.uint8) @ _ONES[:step] <= k
                     for i in hits.nonzero()[0].tolist():
                         e = o + i * step + 1
                         out.add(data[e : e + start] + key + data[e + start : e + need])

@@ -8,7 +8,10 @@ records, so a key's list sits right after it.  ``lookup_list`` returns where
 that list lies in ``data``, and ``records`` walks every record; both raise
 ``CorruptListError`` for a record, a list length or a list that runs past
 its bucket's end, and a list length takes at most ``LENGTH_BYTES`` bytes,
-as do the region lengths that open each list (see ``core``).
+as do the region lengths that open each list (see ``core``).  The query
+path, ``core.SplitIndex._search``, walks a bucket's records itself, exactly
+as ``lookup_list`` does, with the same checks and errors; ``lookup_list``
+is the public probe and the reference that walk is tested against.
 The table is built once from the final key set and is immutable afterwards.
 The bucket count is the smallest power of two with
 ``key count <= bucket count * max_load_factor``.

@@ -33,13 +33,12 @@ from splitindex import (
     split_word,
 )
 from splitindex import core, hashing
-from splitindex.core import ListStats
+from splitindex.core import PAYLOAD_LIMIT, ListStats
 from splitindex.hashing import ARENA_LIMIT, BucketStats, _length_bytes, _read_length
 from splitindex.storage import index_from_bytes, index_to_bytes
 
-# MATRIX_RUN values that send every run at k >= 2 to one kernel: 1 to the
-# matrix, ARENA_LIMIT, more entries than an arena holds, to the bytes.find
-# passes.
+# MATRIX_RUN values that send every run to one kernel: 1 to the matrix,
+# ARENA_LIMIT, more entries than an arena holds, to the bytes.find passes.
 BOTH_KERNELS = (1, ARENA_LIMIT)
 
 
@@ -664,13 +663,20 @@ def _long_runs_match_the_oracle(k):
 
 
 def test_run_of_the_shipped_threshold_matches_the_oracle():
-    # Without patching, a k = 2 run of at least MATRIX_RUN entries goes
-    # through the matrix kernel, which reads the bucket arena through a view.
-    k = 2
-    rng = random.Random(21)
+    # Without patching, a run of at least MATRIX_RUN entries goes through the
+    # matrix kernel at every k, which reads the bucket arena through a view.
+    # b"key" is the first piece of words of 3 * (k + 1) bytes, so their rest
+    # is 3 * k bytes; 3 bytes take a wider alphabet to make 2 * MATRIX_RUN.
+    for k, alphabet in ((1, b"abcdefgh"), (2, b"abcd")):
+        _run_of_the_shipped_threshold_matches_the_oracle(k, alphabet)
+
+
+def _run_of_the_shipped_threshold_matches_the_oracle(k, alphabet):
+    rng = random.Random(19 + k)
+    need = 3 * k
     drawn = set()
     while len(drawn) < 2 * core.MATRIX_RUN:
-        drawn.add(bytes(rng.choices(b"abcd", k=6)))
+        drawn.add(bytes(rng.choices(alphabet, k=need)))
     words = sorted(b"key" + e for e in drawn)
     words += [b"kez" + e for e in sorted(drawn)[:10]]  # keyed elsewhere, one byte off the key
     d = Dictionary(words)
@@ -678,7 +684,7 @@ def test_run_of_the_shipped_threshold_matches_the_oracle():
     for idx in (built, index_from_bytes(index_to_bytes(built))):
         assert np.shares_memory(idx._view, np.frombuffer(idx.lists, dtype=np.uint8))
         payloads = regions(idx.lists[idx.table.lookup_list(b"key")], k)[0]
-        assert [len(e) for e in payloads].count(6) >= core.MATRIX_RUN
+        assert [len(e) for e in payloads].count(need) >= core.MATRIX_RUN
 
         patterns = set()
         for w in d.words:
@@ -691,9 +697,31 @@ def test_run_of_the_shipped_threshold_matches_the_oracle():
                     patterns.add(bytes(p))
         patterns = tuple(sorted(patterns))
         for p in patterns:
-            assert idx.query(p) == oracle_query(d, p, k), p
+            assert idx.query(p) == oracle_query(d, p, k), (k, p)
         report = run_bench(idx, QuerySet(patterns, "one long run"))
         assert report.verifications == sum(expected_verifications(d, p, k) for p in patterns)
+
+
+def test_matrix_sums_rows_of_255_mismatches_without_wrapping():
+    # The matrix counts a row's mismatches in uint8.  Here every payload has
+    # PAYLOAD_LIMIT bytes, so a row is its length byte, which always matches,
+    # and 255 payload bytes that may all differ from the pattern's rest.
+    rng = random.Random(23)
+    for k in (1, 2):
+        n = next(n for n in range(k + 1, 800) if n - piece_lengths(n, k)[0] == PAYLOAD_LIMIT)
+        key = b"k" * piece_lengths(n, k)[0]
+        drawn = set()
+        while len(drawn) < core.MATRIX_RUN + 6:
+            drawn.add(bytes(rng.choices(b"ab", k=PAYLOAD_LIMIT)))
+        d = Dictionary(sorted(key + e for e in drawn))
+        idx = build_index(d, k)
+        payloads = regions(idx.lists[idx.table.lookup_list(key)], k)[0]
+        assert [len(e) for e in payloads].count(PAYLOAD_LIMIT) >= core.MATRIX_RUN
+        near = bytearray(d.words[5])
+        for i in rng.sample(range(len(key), n), k):
+            near[i] = ord("c")
+        for p, want in ((key + b"c" * PAYLOAD_LIMIT, []), (bytes(near), [d.words[5]])):
+            assert idx.query(p) == want == oracle_query(d, p, k), k
 
 
 def test_length_filter_never_drops_matches():

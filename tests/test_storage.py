@@ -271,8 +271,8 @@ def test_resealed_corrupted_files_raise_only_package_errors():
     # Bytes flipped in the bucket section, lists included, with the checksum
     # recomputed, so the damage gets past the load checks.  Load and queries
     # may then raise only SplitIndexError subclasses; a damaged list that
-    # still answers (wrongly) is not caught here.  The uncoded k = 2 index is
-    # a case twice, the second time with every run verified as a matrix.
+    # still answers (wrongly) is not caught here.  The uncoded indexes are a
+    # case twice, the second time with every run verified as a matrix.
     rng = random.Random(62)
     cases = []
     for k in (1, 2):
@@ -284,7 +284,7 @@ def test_resealed_corrupted_files_raise_only_package_errors():
             tail = len(idx.lists) + 4 * idx.table.bucket_count + 4
             case = (blob, len(blob) - 4 - tail, d.words + gen_noisy_queries(d, 50, seed=k).patterns)
             cases.append(case + (core.MATRIX_RUN,))
-            if k == 2 and not coded:
+            if not coded:
                 cases.append(case + (1,))
     raised = Counter()
     for case in range(1500):
@@ -378,14 +378,17 @@ def test_run_past_its_list_is_corrupt(coded):
 
 
 def test_run_past_its_list_is_corrupt_in_the_matrix():
-    idx = build_index(Dictionary([b"abcxyz", b"pqrstu"]), 2)
-    at = idx.table.lookup_list(b"ab")
-    assert idx.lists[at] == b"\x05\x00\x04cxyz" and at.stop < len(idx.lists)
-    # The entry b"cxyz" grows over the list's end: as a matrix row it would
-    # match the pattern exactly.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x05"}))
-    with patch.object(core, "MATRIX_RUN", 1), pytest.raises(CorruptListError, match="b'ab'"):
-        damaged.query(b"abcxyz" + idx.lists[at.stop : at.stop + 1])
+    # The entry keyed by the first piece grows over the list's end: as a
+    # matrix row it would match the pattern exactly.
+    for k, words, key, blob in ((1, [b"abcxy", b"pqrst"], b"abc", b"\x03\x02xy"),
+                                (2, [b"abcxyz", b"pqrstu"], b"ab", b"\x05\x00\x04cxyz")):
+        idx = build_index(Dictionary(words), k)
+        at = idx.table.lookup_list(key)
+        assert idx.lists[at] == blob and at.stop < len(idx.lists)
+        # The entry's length byte follows the k region lengths.
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + k: bytes([blob[k] + 1])}))
+        with patch.object(core, "MATRIX_RUN", 1), pytest.raises(CorruptListError, match=repr(key)):
+            damaged.query(words[0] + idx.lists[at.stop : at.stop + 1])
 
 
 def test_walk_past_its_list_is_corrupt():
@@ -427,12 +430,15 @@ def test_list_past_its_bucket_is_corrupt():
     damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x05"}))
     with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
         damaged.table.lookup_list(b"cd")
-    with pytest.raises(CorruptListError, match="b'cd'"):
+    with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
         damaged.query(b"cdab")
-    # A miss in bucket 0 walks over the grown list to past the bucket's end.
+    # A miss in bucket 0 walks over the grown list to past the bucket's end,
+    # in the probe and in the query's own walk, whose pieces are both ``miss``.
     miss = next(key for key in (b"k%d" % i for i in range(100)) if HASH_FUNCTIONS["crc32"](key) & 1 == 0)
     with pytest.raises(CorruptListError, match="bucket 0 holds a record that runs past its end"):
         damaged.table.lookup_list(miss)
+    with pytest.raises(CorruptListError, match="bucket 0 holds a record that runs past its end"):
+        damaged.query(miss + miss)
 
 
 def test_list_length_past_its_bucket_is_corrupt():
@@ -442,6 +448,8 @@ def test_list_length_past_its_bucket_is_corrupt():
     damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x06", arena_offset(idx) + 7: b"\x80"}))
     with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
         damaged.table.lookup_list(b"cd")
+    with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
+        damaged.query(b"cdab")
 
 
 def test_length_of_more_than_five_bytes_is_corrupt():
@@ -450,6 +458,8 @@ def test_length_of_more_than_five_bytes_is_corrupt():
     damaged = index_from_bytes(resealed(idx, {at: b"\x80\x80\x80\x80\x80\x01"}))
     with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 5 bytes"):
         damaged.table.lookup_list(b"ab")
+    with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 5 bytes"):
+        damaged.query(b"abxy")
     # The same for the region length that opens the list of b"ab".
     damaged = index_from_bytes(resealed(idx, {at + 1: b"\x80\x80\x80\x80\x80\x01"}))
     with pytest.raises(CorruptListError, match="list for key b'ab' holds a region length of more than 5 bytes"):
