@@ -7,32 +7,41 @@ holds the rest of the word.  Verification then runs a plain Hamming check on
 the few surviving candidates.
 
 List layout (one blob per key, the same for every k):
-``[byte lengths of regions 1..k, LEB128 each][region 1]...[region k + 1]``,
-where a region is a run of entries ``[length u8 >= 1][payload]`` and the
-payload is the concatenation of the word's other k pieces.  Entries are
-grouped into regions by the key's piece position 1..k+1, and sorted
-shortest first within a region; region k + 1 runs to the list's end, which
-its bucket record gives.  Piece boundaries are recomputed from the total
-length at query time.
+``[byte lengths of regions 1..k, LEB128 each][region 1]...[region k + 1]``.
+Entries are grouped into regions by the key's piece position 1..k+1, and
+region k + 1 runs to the list's end, which its bucket record gives.  An
+entry's payload is the concatenation of the word's other k pieces.  Within a
+region, entries are grouped by the length L of their decoded payload, in
+ascending L, and each group is ``[L u8 >= 1][B, LEB128][B bytes]``: its
+payloads back to back, with no length byte each.  A plain group's B is a
+multiple of L; a coded group decodes to a multiple of L.  Within a group the
+entries are in (stored length, stored bytes) order.  Piece boundaries are
+recomputed from the total length at query time.
 
-A query verifies the run of entries of its wanted length with one of two
-kernels, chosen by the run's length alone, at every k.  A run of at least
-``MATRIX_RUN`` entries is compared with the pattern as one uint8 matrix over
-a numpy view of the bucket arena, each entry once, and a row's mismatches are
-summed by a uint8 matrix product; shorter runs are searched with
-``bytes.find`` for exact sub-pieces of the pattern, and only the aligned hits
-are verified.  The threshold, 64, was measured on the english k = 2
-benchmark: below it numpy's fixed cost per run outweighs what it saves at
-the median query.  On the english k = 1 benchmark, 32, 128, 256 and 512
-gave no lower mean or tail.
+A query walks the group headers of its region to the group whose L is the
+length it wants, and verifies that group as a buffer of entries at stride L:
+a plain group in the arena, a coded one as one ``decode`` of the group.  A
+group of one entry is compared with the pattern's rest by one integer xor,
+and when L <= k every entry matches.  Otherwise one of two kernels checks
+the buffer, chosen by the group's entry count alone, at every k.  A group of
+at least ``MATRIX_RUN`` entries is compared with the pattern's rest as one
+uint8 matrix, each entry once, and a row's mismatches are summed by a uint8
+matrix product; smaller groups are searched with ``bytes.find`` for exact
+sub-pieces of the rest, and only the aligned hits are verified.  The
+threshold, 64, was measured on the english k = 2 benchmark: below it numpy's
+fixed cost per group outweighs what it saves at the median query.  On the
+english k = 1 benchmark, 32, 128, 256 and 512 gave no lower mean or tail.
 
-Payloads may be substitution-coded (see ``qgrams``); keys never are.
+Payloads may be substitution-coded (see ``qgrams``); keys never are.  Coded
+bytes are never searched: a mismatch breaks a code's alignment, so a group is
+decoded before either kernel sees it.
 
 The build runs in numpy batches, one per key length.  Words of one length
 share their piece bounds, so the keys and payloads of one key position are
 column slices of them.  The entry rows of one key length are sorted once as
-byte strings, which merges equal keys and orders each list's entries; numpy
-then copies the lists, and the table its records, into place.  Python steps
+byte strings, which merges equal keys and orders each list's entries into
+regions and groups; numpy then copies the group headers and payloads, and
+the table its records, into place.  Python steps
 once per batch and once per distinct key.  The keys come out in (key length,
 key bytes) order and every bucket keeps its records in that order, so the
 index depends on the set of words, not on their order.
@@ -42,8 +51,9 @@ Each list sits in the hash table's bucket arena, right after its key (see
 walks the bucket of each piece itself, as ``ChainedHashTable.lookup_list``
 does, and reads the arena at absolute offsets, never past the end of the
 bucket or region it walks:
-region lengths that run past their list, a zero entry length, and a walk or
-run that would cross its region's end raise ``CorruptListError``.
+region lengths that run past their list, group lengths that are zero or do
+not rise, a group that would cross its region's end, and a group that does
+not hold a whole number of entries raise ``CorruptListError``.
 """
 
 from __future__ import annotations
@@ -58,8 +68,8 @@ from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
 from .hashing import HASH_FUNCTIONS, ChainedHashTable, HashConfig, _gather, _length_bytes, _read_length
 from .qgrams import SubstitutionList
 
-PAYLOAD_LIMIT = 255  # entry lengths are single bytes, from 1 up
-MATRIX_RUN = 64  # the fewest entries in a run verified as one matrix, at every k
+PAYLOAD_LIMIT = 255  # group lengths are single bytes, from 1 up
+MATRIX_RUN = 64  # the fewest entries in a group verified as one matrix, at every k
 _ONES = np.ones(PAYLOAD_LIMIT + 1, np.uint8)  # sums a matrix row's mismatches
 
 
@@ -71,7 +81,7 @@ def piece_lengths(length: int, k: int) -> tuple[int, ...]:
     the last piece takes the remainder.  When that rounding would leave the
     last piece empty, the common length drops to ``(length - 1) // k`` so
     every piece stays non-empty: a key is never empty, and neither is a
-    stored payload, whose length byte is at least 1.
+    stored payload, whose group length is at least 1.
     """
     if k < 1:
         raise ConfigError(f"mismatch budget must be >= 1, got {k}")
@@ -101,18 +111,16 @@ def _plan(length: int, k: int) -> tuple[tuple, ...]:
 
     A tuple holds r; the piece's start and end in the pattern; ``need``, the
     length of the rest of the pattern; and the (start, end) of each sub-piece
-    to search, as offsets into that rest with its length byte in front.  The
-    rest is cut into k + 1 sub-pieces at ``need * j // (k + 1)``.  The first
-    keeps the length byte, and when it holds nothing else (need <= k) it is
-    the only one searched.
+    to search, as offsets into that rest, cut into k + 1 sub-pieces at
+    ``need * j // (k + 1)``.  They are searched only when need > k, and then
+    none is empty.
     """
     plan = []
     start = 0
     for r, plen in enumerate(piece_lengths(length, k)):
         need = length - plen
-        cuts = [0] + [1 + need * j // (k + 1) for j in range(1, k + 2)]
-        passes = tuple(zip(cuts, cuts[1:])) if cuts[1] > 1 else ((0, 1),)
-        plan.append((r, start, start + plen, need, passes))
+        cuts = [need * j // (k + 1) for j in range(k + 2)]
+        plan.append((r, start, start + plen, need, tuple(zip(cuts, cuts[1:]))))
         start += plen
     return tuple(plan)
 
@@ -257,14 +265,14 @@ class SplitIndex:
         # the other pieces of the words that share it.  The piece's bucket is
         # walked here as ``ChainedHashTable.lookup_list`` walks it, with the
         # same checks and errors, and ``_region`` bounds the region.  The walk
-        # over the region then skips its shorter entries a run at a time:
-        # entries of one length lie at a fixed stride, so a run of two or
-        # more is counted in C from a strided slice of its length bytes.  Every
-        # entry of the run of the wanted length counts as verified, and one of
-        # the two kernels the module describes checks it: the matrix, or the
-        # pigeonhole step again, where a word within k mismatches matches one
-        # of the k + 1 sub-pieces of the pattern's rest exactly, so only the
-        # hits of bytes.find on them are compared, through one integer xor.
+        # over the region's group headers then stops at the first group not
+        # shorter than the wanted length.  Every entry of the group of that
+        # length counts as verified.  One entry is compared through one
+        # integer xor; more go to one of the two kernels the module
+        # describes: the matrix, or the pigeonhole step again, where a word
+        # within k mismatches matches one of the k + 1 sub-pieces of the
+        # pattern's rest exactly, so only the hits of bytes.find on them are
+        # compared, each through the same xor.
         fn = self._hash
         mask = self._mask
         starts = self._starts
@@ -273,130 +281,122 @@ class SplitIndex:
         view = self._view
         ifb = int.from_bytes
         verified = 0
-        # Reading past a region means a damaged file.  A walk or run crosses
-        # its region's end only through a damaged length byte; it is checked
-        # once, where it stops, and the words it found go with the error.
         # Offsets into the arena are large ints, a new object each, so every
         # sum is computed once.
-        try:
-            for r, start, end, need, passes in _plan(n, k):
-                key = pattern[start:end]
-                b = fn(key) & mask
-                o = starts[b]
-                bend = starts[b + 1]
-                kl = end - start
-                # A record costs two sums: p, the offset of its list length's
-                # last byte, and the next record's offset.  A list length of
-                # one or two bytes is read inline, a longer one by _read_length.
-                while o < bend:
-                    el = data[o]
-                    p = o + (el + 1)
-                    if p >= bend:
-                        raise CorruptListError(f"bucket {b} holds a record that runs past its end")
-                    size = data[p]
-                    if size > 0x7F:
-                        p += 1
-                        if p < bend and (c := data[p]) < 0x80:
-                            size = size & 0x7F | c << 7
-                        else:
-                            size, p = _read_length(data, p - 1, bend, b)
-                            p -= 1
-                    if el == kl and data.startswith(key, o + 1):
-                        break
-                    o = p + (size + 1)
-                else:
-                    if o != bend:
-                        raise CorruptListError(f"bucket {b} holds a record that runs past its end")
-                    continue
-                p += 1
-                size += p  # the list's end
-                if size > bend:
-                    raise CorruptListError(f"the list for key {key!r} runs past the end of bucket {b}")
-                o, hi = _region(data, p, size, r, k, key)
-                if decode is not None:
-                    rint = ifb(pattern[:start] + pattern[end:], "little")
-                    # Stored lengths are coded, but decoding never shrinks, so
-                    # entries longer than the wanted piece cannot decode to it.
-                    while o < hi:
-                        ln = data[o]
-                        if ln > need:
-                            break
-                        if not ln:
-                            raise IndexError("an entry of length 0")
-                        p = o + 1
-                        o = p + ln
-                        e = decode(data[p:o])
-                        if len(e) == need:
-                            verified += 1
-                            if (ifb(e, "little") ^ rint).to_bytes(need, "little").count(0) >= need - k:
-                                out.add(e[:start] + key + e[start:])
-                    if o > hi:
-                        raise CorruptListError(f"an entry of the list for key {key!r} crosses its region's end")
-                    continue
-                count = 0
-                while o < hi:
-                    ln = data[o]
-                    if ln > need:
-                        break
-                    if not ln:
-                        raise IndexError("an entry of length 0")
-                    step = ln + 1
-                    if o + step < hi and data[o + step] == ln:
-                        lengths = data[o:hi:step]
-                        run = len(lengths) - len(lengths.lstrip(lengths[:1]))
+        for r, start, end, need, passes in _plan(n, k):
+            key = pattern[start:end]
+            b = fn(key) & mask
+            o = starts[b]
+            bend = starts[b + 1]
+            kl = end - start
+            # A record costs two sums: p, the offset of its list length's
+            # last byte, and the next record's offset.  A list length of
+            # one or two bytes is read inline, a longer one by _read_length.
+            while o < bend:
+                el = data[o]
+                p = o + (el + 1)
+                if p >= bend:
+                    raise CorruptListError(f"bucket {b} holds a record that runs past its end")
+                size = data[p]
+                if size > 0x7F:
+                    p += 1
+                    if p < bend and (c := data[p]) < 0x80:
+                        size = size & 0x7F | c << 7
                     else:
-                        run = 1
-                    stop = o + run * step
-                    if stop > hi:
-                        raise IndexError("entry run crosses the end of its region")
-                    if ln == need:
-                        count = run
-                        break
-                    o = stop
-                if not count:
-                    continue
-                verified += count
-                # The run's entries lie at stride step from o to stop, inside
-                # the region.  lrest is the entry the pattern would match
-                # exactly, length byte included.
-                lrest = data[o : o + 1] + pattern[:start] + pattern[end:]
-                if count >= MATRIX_RUN:
-                    # Every row opens with the run's length byte, which equals
-                    # lrest's, so a row has at most 255 mismatches and their
-                    # uint8 sum cannot wrap.
-                    rows = view[o:stop].reshape(count, step)
-                    hits = (rows != np.frombuffer(lrest, dtype=np.uint8)).view(np.uint8) @ _ONES[:step] <= k
-                    for i in hits.nonzero()[0].tolist():
-                        e = o + i * step + 1
-                        out.add(data[e : e + start] + key + data[e + start : e + need])
-                    continue
-                # Each pass searches one of its sub-pieces, the first with the
-                # length byte in front, and counts a hit only at its entry's own
-                # offset; a misaligned one resumes the search at the next entry.
-                # When the first sub-piece is empty (need <= k), every entry is a
-                # hit of that pass, the only one then made.
-                lint = ifb(lrest, "little")
-                least = step - k  # the fewest zero bytes in the xor of a match
-                find = data.find
-                for x, y in passes:
-                    probe = lrest[x:y]
-                    base = o + x
-                    h = find(probe, base, stop)
-                    while h >= 0:
-                        off = (h - base) % step
-                        if off:
-                            h = find(probe, h + step - off, stop)
-                            continue
-                        e = h - x  # the entry, from its length byte on
-                        v = ifb(data[e : e + step], "little") ^ lint
-                        if not v:  # the pattern itself
-                            out.add(pattern)
-                        elif v.to_bytes(step, "little").count(0) >= least:
-                            e += 1
-                            out.add(data[e : e + start] + key + data[e + start : e + need])
-                        h = find(probe, h + step, stop)
-        except IndexError:
-            raise CorruptListError(f"index data for key {key!r} is corrupt") from None
+                        size, p = _read_length(data, p - 1, bend, b)
+                        p -= 1
+                if el == kl and data.startswith(key, o + 1):
+                    break
+                o = p + (size + 1)
+            else:
+                if o != bend:
+                    raise CorruptListError(f"bucket {b} holds a record that runs past its end")
+                continue
+            p += 1
+            size += p  # the list's end
+            if size > bend:
+                raise CorruptListError(f"the list for key {key!r} runs past the end of bucket {b}")
+            o, hi = _region(data, p, size, r, k, key)
+            # Group lengths rise strictly from 1; a group's byte length is
+            # read inline when it is one byte, as nearly all are.
+            last = 0
+            while o < hi:
+                ln = data[o]
+                o += 1
+                if o < hi and (size := data[o]) < 0x80:
+                    o += 1
+                else:
+                    size, o = _read_length(data, o, hi, key, "group")
+                if ln >= need:
+                    break
+                if ln <= last:
+                    raise CorruptListError(f"the list for key {key!r} holds group lengths that do not rise")
+                last = ln
+                o += size
+            else:
+                if o > hi:
+                    raise CorruptListError(f"a group of the list for key {key!r} crosses its region's end")
+                continue
+            if ln != need:
+                continue
+            stop = o + size
+            if stop > hi:
+                raise CorruptListError(f"a group of the list for key {key!r} crosses its region's end")
+            # The group's entries lie at stride need in buf, from o to stop.
+            if decode is None:
+                buf = data
+            else:
+                buf = decode(data[o:stop])
+                o = 0
+                stop = size = len(buf)
+            rest = pattern[end:] if not start else pattern[:start] + pattern[end:]
+            if size == need:  # one entry
+                verified += 1
+                v = ifb(buf[o:stop], "little") ^ ifb(rest, "little")
+                if not v:
+                    out.add(pattern)
+                elif v.to_bytes(need, "little").count(0) >= need - k:
+                    out.add(buf[o : o + start] + key + buf[o + start : stop])
+                continue
+            count = size // need
+            if count * need != size:
+                raise CorruptListError(f"a group of the list for key {key!r} holds no whole number of entries")
+            verified += count
+            if need <= k:  # every word of the pattern's length is a match
+                for e in range(o, stop, need):
+                    out.add(buf[e : e + start] + key + buf[e + start : e + need])
+                continue
+            if count >= MATRIX_RUN:
+                # A row has need <= PAYLOAD_LIMIT bytes, so its uint8 sum of
+                # mismatches cannot wrap.
+                rows = (view if buf is data else np.frombuffer(buf, dtype=np.uint8))[o:stop].reshape(count, need)
+                hits = (rows != np.frombuffer(rest, dtype=np.uint8)).view(np.uint8) @ _ONES[:need] <= k
+                for i in hits.nonzero()[0].tolist():
+                    e = o + i * need
+                    out.add(buf[e : e + start] + key + buf[e + start : e + need])
+                continue
+            # Each pass searches one sub-piece and counts a hit only at its
+            # entry's own offset; a misaligned one resumes the search at the
+            # next entry.
+            rint = ifb(rest, "little")
+            least = need - k  # the fewest zero bytes in the xor of a match
+            find = buf.find
+            for x, y in passes:
+                probe = rest[x:y]
+                base = o + x
+                h = find(probe, base, stop)
+                while h >= 0:
+                    off = (h - base) % need
+                    if off:
+                        h = find(probe, h + need - off, stop)
+                        continue
+                    e = h - x  # the entry
+                    v = ifb(buf[e : e + need], "little") ^ rint
+                    if not v:  # the pattern itself
+                        out.add(pattern)
+                    elif v.to_bytes(need, "little").count(0) >= least:
+                        out.add(buf[e : e + start] + key + buf[e + start : e + need])
+                    h = find(probe, h + need, stop)
         return verified
 
     # -- stats and sizes ---------------------------------------------------
@@ -404,26 +404,38 @@ class SplitIndex:
     def list_stats(self) -> ListStats:
         """Entry counts and stored payload bytes across all piece lists.
 
-        Raises CorruptListError naming the key for a zero entry length or an
-        entry that runs past the end of its list.
+        A plain group holds B / L entries, a coded one its decoded length / L.
+        Raises CorruptListError naming the key for group lengths that are
+        zero or do not rise, a group that crosses its region's end, or a group
+        that holds no whole number of entries.
         """
         count = 0
         total = 0
         payload = 0
         worst = 0
         data = self.lists
+        decode = self._decode
+        k = self.k
         for _, key, begin, end in self.table.records():
-            o = _region(data, begin, end, 0, self.k, key)[0]
             c = 0
-            while o < end:
-                ln = data[o]
-                if not ln:
-                    raise CorruptListError(f"the list for key {key!r} holds an entry of length 0")
-                o += ln + 1
-                c += 1
-                payload += ln
-            if o > end:
-                raise CorruptListError(f"an entry of the list for key {key!r} runs past its end")
+            for r in range(k + 1):
+                o, hi = _region(data, begin, end, r, k, key)
+                last = 0
+                while o < hi:
+                    ln = data[o]
+                    if ln <= last:
+                        raise CorruptListError(f"the list for key {key!r} holds group lengths that do not rise")
+                    size, p = _read_length(data, o + 1, hi, key, "group")
+                    o = p + size
+                    if o > hi:
+                        raise CorruptListError(f"a group of the list for key {key!r} crosses its region's end")
+                    payload += size
+                    if decode is not None:
+                        size = len(decode(data[p:o]))
+                    if size % ln:
+                        raise CorruptListError(f"a group of the list for key {key!r} holds no whole number of entries")
+                    c += size // ln
+                    last = ln
             count += 1
             total += c
             if c > worst:
@@ -507,14 +519,15 @@ def _lists(
     """The distinct keys in (length, bytes) order, their lists back to back
     as a uint8 array, and the byte length of each list.
 
-    Each key length is one batch of entry rows, ``[key][position][stored
-    length][payload, padded to the batch's widest]``, sorted once as
-    byte strings.  The sort brings equal keys together and puts each key's
+    Each key length is one batch of entry rows, ``[key][position][decoded
+    length][stored length][payload, padded to the batch's widest]``, sorted
+    once as byte strings; without coding the two lengths are equal, and the
+    rows hold one.  The sort brings equal keys together and puts each key's
     entries in list order: by position, so that they fall into regions, then
-    shortest first, so that scans can skip to the wanted length and stop as
-    soon as entries get longer, then by bytes.  What follows a payload never
-    decides the order: rows that agree up to its end hold the same key,
-    position and payload, which make the same word, so no two rows do.
+    by decoded length, so that they fall into groups, then by stored length
+    and bytes.  What follows a payload never decides the order: rows that
+    agree up to its end hold the same key, position and payload, which make
+    the same word, so no two rows do.
     """
     if not groups:
         return [], np.zeros(0, np.uint8), np.zeros(0, np.int64)
@@ -527,47 +540,75 @@ def _lists(
             batches.setdefault(plen, []).append((run, sum(pieces), r, start))
             start += plen
     keys = []
-    regions = []
-    entries = []
+    payloads = []
+    owners = []  # of each group, in list order: its key's index in ``keys``
+    positions = []
+    group_lengths = []
+    group_sizes = []
     for plen, parts in sorted(batches.items()):
         count = sum(len(run) for run, _, _, _ in parts)
         width = max(n for _, n, _, _ in parts) - plen
-        rows = np.zeros((count, plen + 2 + width), np.uint8)
+        stored = plen + 1 + bool(substitutions)  # the stored length's column; the payload follows it
+        rows = np.zeros((count, stored + 1 + width), np.uint8)
         i = 0
         for run, n, r, start in parts:
             j = i + len(run)
             cols = np.r_[start : start + plen, :start, start + plen : n]  # the key, then the rest
-            rows[i:j, np.r_[:plen, plen + 2 : n + 2]] = flat[offsets[run, None] + cols]
+            rows[i:j, np.r_[:plen, stored + 1 : stored + 1 + n - plen]] = flat[offsets[run, None] + cols]
             rows[i:j, plen] = r
-            rows[i:j, plen + 1] = n - plen
+            rows[i:j, plen + 1 : stored + 1] = n - plen
             i = j
         if substitutions:  # coding never lengthens a payload, so the coded ones fit over the raw
-            raw = rows[:, plen + 2 :].tobytes()
-            sizes = rows[:, plen + 1].tolist()
+            raw = rows[:, stored + 1 :].tobytes()
+            sizes = rows[:, stored].tolist()
             coded = substitutions.encode_many([raw[a : a + s] for a, s in zip(range(0, len(raw), width), sizes)])
             del raw, sizes
             size = np.fromiter(map(len, coded), np.int64, count)
-            rows[:, plen + 1] = size
-            rows[:, plen + 2 :][np.arange(width) < size[:, None]] = np.frombuffer(b"".join(coded), np.uint8)
+            rows[:, stored] = size
+            rows[:, stored + 1 :][np.arange(width) < size[:, None]] = np.frombuffer(b"".join(coded), np.uint8)
             del coded  # dropped before the sort
         order = np.lexsort(rows.T[::-1])  # by the first byte, then the second, ...
         rows = rows[order]
-        new = np.ones(count, bool)
-        new[1:] = (rows[1:, :plen] != rows[:-1, :plen]).any(1)
+        size = rows[:, stored].astype(np.int64)
+        # A key's rows start where the key changes, and a group's where the
+        # key, position or decoded length does; compared column by column,
+        # since numpy reduces a short row slowly.
+        new = np.zeros(count, bool)
+        new[0] = True
+        for c in range(plen):
+            new[1:] |= rows[1:, c] != rows[:-1, c]
+        heads = new.copy()
+        for c in (plen, plen + 1):
+            heads[1:] |= rows[1:, c] != rows[:-1, c]
+        heads = np.flatnonzero(heads)
         firsts = np.flatnonzero(new)
+        owners.append((np.cumsum(new)[heads] - 1) + len(keys))
         raw = rows[firsts, :plen].tobytes()
         keys += [raw[i : i + plen] for i in range(0, len(raw), plen)]
-        size = rows[:, plen + 1].astype(np.int64)
-        region = np.bincount((np.cumsum(new) - 1) * (k + 1) + rows[:, plen], size + 1, len(firsts) * (k + 1))
-        regions.append(region.astype(np.int64).reshape(-1, k + 1))
-        entries.append(rows[:, plen + 1 :][np.arange(width + 1) < size[:, None] + 1])
-    region = np.concatenate(regions)
-    entries = np.concatenate(entries)
-    # Each list opens with the byte lengths of its regions 1..k, as LEB128,
-    # then holds its key's entries, which lie back to back in ``entries``.
+        positions.append(rows[heads, plen])
+        group_lengths.append(rows[heads, plen + 1])
+        group_sizes.append(np.add.reduceat(size, heads))
+        payloads.append(rows[:, stored + 1 :][np.arange(width) < size[:, None]])
+    owner = np.concatenate(owners)
+    group_size = np.concatenate(group_sizes)
+    # Each group is [L][B, LEB128][B bytes of payloads]; each list opens with
+    # the byte lengths of its regions 1..k, as LEB128, then holds its groups.
+    leb, leb_sizes = _length_bytes(group_size)
+    region = np.bincount(owner * (k + 1) + np.concatenate(positions), 1 + leb_sizes + group_size, len(keys) * (k + 1))
+    region = region.astype(np.int64).reshape(-1, k + 1)
     head, head_sizes = _length_bytes(region[:, :k].ravel())
-    spans = np.stack((head_sizes.reshape(-1, k).sum(1), region.sum(1)), 1)
+    head_sizes = head_sizes.reshape(-1, k).sum(1)
+    # The headers of the groups, back to back, each list's region lengths in
+    # front of its first group's (np.insert keeps the order of the values it
+    # puts at one index); one gather then takes each group's header and
+    # payloads in turn.
+    count = np.bincount(owner, minlength=len(keys))
+    first = np.cumsum(count) - count
+    at = np.cumsum(leb_sizes) - leb_sizes
+    headers = np.insert(leb, np.concatenate((np.repeat(at[first], head_sizes), at)), np.concatenate((head, *group_lengths)))
+    spans = np.stack((1 + leb_sizes, group_size), 1)
+    spans[first, 0] += head_sizes
     starts = np.cumsum(spans, 0) - spans
-    starts[:, 1] += len(head)
-    lists = _gather(np.concatenate((head, entries)), starts.ravel(), spans.ravel())
-    return keys, lists, spans.sum(1)
+    starts[:, 1] += len(headers)
+    lists = _gather(np.concatenate((headers, *payloads)), starts.ravel(), spans.ravel())
+    return keys, lists, head_sizes + region.sum(1)

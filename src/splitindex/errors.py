@@ -18,7 +18,7 @@ class WordTooShortError(SplitIndexError):
 
 
 class CorruptListError(SplitIndexError):
-    """A query read past its region, list or bucket: the loaded data is damaged."""
+    """A list, region, group or bucket read breaks the layout: the loaded data is damaged."""
 
 
 class CodecError(SplitIndexError):

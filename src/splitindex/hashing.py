@@ -8,7 +8,7 @@ records, so a key's list sits right after it.  ``lookup_list`` returns where
 that list lies in ``data``, and ``records`` walks every record; both raise
 ``CorruptListError`` for a record, a list length or a list that runs past
 its bucket's end, and a list length takes at most ``LENGTH_BYTES`` bytes,
-as do the region lengths that open each list (see ``core``).  The query
+as do the region and group lengths inside each list (see ``core``).  The query
 path, ``core.SplitIndex._search``, walks a bucket's records itself, exactly
 as ``lookup_list`` does, with the same checks and errors; ``lookup_list``
 is the public probe and the reference that walk is tested against.
@@ -206,8 +206,9 @@ class BucketStats:
     nonempty_mean_chain: float
 
 
-# A list or region length takes at most this many LEB128 bytes, 35 bits: both
-# lie inside one arena, which holds fewer than ARENA_LIMIT = 2**32 bytes.
+# A list, region or group length takes at most this many LEB128 bytes, 35
+# bits: each lies inside one arena, which holds fewer than ARENA_LIMIT = 2**32
+# bytes.
 LENGTH_BYTES = 5
 
 
@@ -218,12 +219,15 @@ def _length_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every byte but the last.
     """
     top = int(values.max()) if len(values) else 0
-    shifts = np.arange(0, 7 * max(1, -(-top.bit_length() // 7)), 7)
-    groups = values[:, None] >> shifts
-    sizes = 1 + (groups[:, 1:] > 0).sum(1)
-    groups &= 0x7F
-    groups |= (shifts < 7 * (sizes[:, None] - 1)) << 7
-    return groups[shifts < 7 * sizes[:, None]].astype(np.uint8), sizes
+    width = max(1, -(-top.bit_length() // 7))
+    # Column by column: numpy reduces a short row slowly.
+    sizes = np.ones(len(values), np.int64)
+    for j in range(1, width):
+        sizes += values >= 1 << 7 * j
+    groups = np.empty((len(values), width), np.uint8)
+    for j in range(width):
+        groups[:, j] = values >> 7 * j & 0x7F | (sizes > j + 1) << 7
+    return groups[np.arange(width) < sizes[:, None]], sizes
 
 
 def _gather(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -237,12 +241,12 @@ def _gather(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarr
     return data[np.cumsum(index, dtype=index.dtype, out=index)]
 
 
-def _read_length(data: bytes, o: int, end: int, owner: int | bytes) -> tuple[int, int]:
+def _read_length(data: bytes, o: int, end: int, owner: int | bytes, kind: str = "region") -> tuple[int, int]:
     """The LEB128 length at ``data[o]`` and the offset after it.
 
     Raises CorruptListError for a length that crosses ``end`` or takes more
     than ``LENGTH_BYTES`` bytes, naming ``owner``: the bucket of a list
-    length, or the key of a region length.
+    length, or the key of a ``kind`` length, a region's or a group's.
     """
     n = 0
     for shift in range(0, 7 * LENGTH_BYTES, 7):
@@ -253,7 +257,7 @@ def _read_length(data: bytes, o: int, end: int, owner: int | bytes) -> tuple[int
         n |= (b & 0x7F) << shift
         if b < 0x80:
             return n, o
-    what = f"bucket {owner} holds a list" if isinstance(owner, int) else f"the list for key {owner!r} holds a region"
+    what = f"bucket {owner} holds a list" if isinstance(owner, int) else f"the list for key {owner!r} holds a {kind}"
     raise CorruptListError(f"{what} length that runs past its end" if o >= end else
                            f"{what} length of more than {LENGTH_BYTES} bytes")
 

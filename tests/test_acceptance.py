@@ -92,18 +92,23 @@ def test_criterion_2_worked_examples():
         idx = build_index(Dictionary([b"table", b"left", b"tablet"]), 1)
 
         def entries(key):
-            """The byte length of the list's region 1, and its payloads."""
+            """The byte length of the list's region 1, and its payloads.
+
+            Each region holds groups ``[L][B][payloads of L bytes]``; every
+            group and list here is under 128 bytes, so B is one byte.
+            """
             blob = idx.lists[idx.table.lookup_list(key)]
             out, o = [], 1  # after the one-byte length of region 1
             while o < len(blob):
-                out.append(blob[o + 1 : o + 1 + blob[o]])
-                o += blob[o] + 1
+                n, size = blob[o], blob[o + 1]
+                out += [blob[i : i + n] for i in range(o + 2, o + 2 + size, n)]
+                o += 2 + size
             return blob[0], out
 
-        size, payloads = entries(b"tab")  # only region 1 entries
-        assert size == sum(1 + len(e) for e in payloads) and set(payloads) >= {b"le"}
+        size, payloads = entries(b"tab")  # only region 1 entries, one group each
+        assert size == sum(2 + len(e) for e in payloads) and set(payloads) >= {b"le"}
         size, payloads = entries(b"le")  # one region 1 entry, then the prefixes
-        assert set(payloads) == {b"tab", b"ft"} and size == 1 + len(payloads[0])
+        assert set(payloads) == {b"tab", b"ft"} and size == 2 + len(payloads[0])
 
 
 def test_criterion_3_space_linearity():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpora import english_words, random_words
+from corpora import dna_fasta, english_words, random_words
 
 from splitindex import (
     HASH_FUNCTIONS,
@@ -27,6 +27,8 @@ from splitindex import (
     SplitIndex,
     SubstitutionList,
     build_index,
+    extract_kmers,
+    mine_substitutions,
     oracle_query,
     piece_lengths,
     run_bench,
@@ -37,36 +39,39 @@ from splitindex.core import PAYLOAD_LIMIT, ListStats
 from splitindex.hashing import ARENA_LIMIT, BucketStats, _length_bytes, _read_length
 from splitindex.storage import index_from_bytes, index_to_bytes
 
-# MATRIX_RUN values that send every run to one kernel: 1 to the matrix,
-# ARENA_LIMIT, more entries than an arena holds, to the bytes.find passes.
+# MATRIX_RUN values that send every group of two or more entries to one
+# kernel: 1 to the matrix, ARENA_LIMIT, more entries than an arena holds, to
+# the bytes.find passes.  A group of one entry is always compared directly.
 BOTH_KERNELS = (1, ARENA_LIMIT)
 
 
-def entries(blob, k):
-    """Parse a list blob into ([byte lengths of regions 1..k], [payloads])."""
+def groups(blob, k):
+    """Parse a list blob into ([byte lengths of regions 1..k], [[(L, group
+    bytes), ...] of each of its k + 1 regions])."""
     sizes = []
     o = 0
     for _ in range(k):
         n, o = _read_length(blob, o, len(blob), b"")
         sizes.append(n)
     out = []
-    while o < len(blob):
-        out.append(blob[o + 1 : o + 1 + blob[o]])
-        o += blob[o] + 1
+    for size in sizes + [len(blob) - o - sum(sizes)]:  # the last region runs to the list's end
+        end = o + size
+        out.append([])
+        while o < end:
+            n, p = _read_length(blob, o + 1, end, b"")
+            out[-1].append((blob[o], blob[p : p + n]))
+            o = p + n
     return sizes, out
 
 
-def regions(blob, k):
-    """The payloads of each of a list's k + 1 regions."""
-    sizes, payloads = entries(blob, k)
-    out = [[] for _ in range(k + 1)]
-    r = 0
-    left = sizes + [len(blob)]  # the last region runs to the list's end
-    for e in payloads:
-        while left[r] <= 0:
-            r += 1
-        out[r].append(e)
-        left[r] -= 1 + len(e)
+def regions(blob, k, decode=bytes):
+    """The decoded payloads of each of a list's k + 1 regions, in list order."""
+    out = []
+    for region in groups(blob, k)[1]:
+        out.append([])
+        for n, group in region:
+            group = decode(group)
+            out[-1] += [group[i : i + n] for i in range(0, len(group), n)]
     return out
 
 
@@ -75,11 +80,16 @@ def test_list_layout_for_three_words():
     idx = build_index(d, 1)
     blob = idx.lists[idx.table.lookup_list(b"tab")]
     assert regions(blob, 1) == [[b"le", b"let"], []]  # only missing suffixes
-    assert entries(blob, 1) == ([7], [b"le", b"let"])
+    assert blob == b"\x09" + b"\x02\x02le" + b"\x03\x03let"  # a group per length, [L][B][payloads]
+    assert groups(blob, 1) == ([9], [[(2, b"le"), (3, b"let")], []])
     blob = idx.lists[idx.table.lookup_list(b"le")]
-    assert entries(blob, 1) == ([3], [b"ft", b"tab"])  # one suffix entry, then the prefixes
+    assert groups(blob, 1) == ([4], [[(2, b"ft")], [(3, b"tab")]])  # one suffix entry, then the prefixes
     blob = idx.lists[idx.table.lookup_list(b"ft")]
-    assert entries(blob, 1) == ([0], [b"le"])
+    assert groups(blob, 1) == ([0], [[], [(2, b"le")]])
+    # Two words of one length under one key share a group, with no length
+    # byte each.
+    idx = build_index(Dictionary([b"table", b"tabby", b"tablet"]), 1)
+    assert idx.lists[idx.table.lookup_list(b"tab")] == b"\x0b" + b"\x02\x04byle" + b"\x03\x03let"
 
 
 def test_k2_layout_with_an_empty_middle_region():
@@ -88,7 +98,7 @@ def test_k2_layout_with_an_empty_middle_region():
     d = Dictionary([b"abcdef", b"ghijab"])
     idx = build_index(d, 2)
     blob = idx.lists[idx.table.lookup_list(b"ab")]
-    assert blob == b"\x05\x00" + b"\x04cdef" + b"\x04ghij"
+    assert blob == b"\x06\x00" + b"\x04\x04cdef" + b"\x04\x04ghij"
     assert regions(blob, 2) == [[b"cdef"], [], [b"ghij"]]
     # A pattern keyed by b"ab" in the middle finds the empty region; reading
     # region 3 in its place would wrongly rebuild b"ghabij".
@@ -253,64 +263,64 @@ def test_builds_are_byte_identical():
 # The hash id moves buckets, never lists.
 GOLDEN_DIGESTS = {
     ("xxhash", 1, False): (
-        "d483c6b767b265d962aa53d22eb6fc4068a9a0b9a6b548124741457f2975c0ee",
-        "bbd21120fbb015452f56f51e0805a0a41e9d84e5efec137da4f57981ede53ea7",
-        "6bf78c5397f50b0549efabb21fdcb5c680a244fba684fe8434ff199821d8a372",
+        "774872a534a079479c05bdf36d5bcbb6c0e4be40dceae7eb619ca7db98d71ce4",
+        "34f45ad44af72e0a32e5e8f4e95a7020ed03f0e3e34b3c519d83f23e77f5f57c",
+        "1ff63436d79925597f21b2ce4966a82cd741ceca05df286dd48f8a7c44cfe2ed",
     ),
     ("xxhash", 1, True): (
-        "5079babf434d295e829882753c32e49f433171b45597fd143cbbdf0548b9c01e",
-        "0e5f998933921c5b16afca3f3e75d92d820dac2acad0c4ba8f1384815b3234d9",
-        "44fc148a323a949abde97862898846b1a31e3ad9a85285e8b1acf2852d7b9e90",
+        "39b1f73146ab98649cc4339ff0ac4743f0b705ccd02c3c734009efb86963dea2",
+        "5bf9cfabdbc06e54e89d4f1a6ccbc3467a520b959270150611cf033100b5c383",
+        "559be6cb2e4946c18dd7ba317c8647200ee588a318ffd9473266edb09f17ace4",
     ),
     ("xxhash", 2, False): (
-        "6e1304eb5c4b11bc6cfd063dedd14e0605662b9be048fe8315e26f83c20d21a0",
-        "8ab7c813fbca36add301124d9799600822ebb2b5d9d5788e657b3892cf36dfa9",
-        "3341814905ca176ee024e5ae413b80283910bc8cc11664d18edf33e3b2d0f2c0",
+        "5aab22a84c85e6767aecef3ae3b751b84dc404e1a9495fd33b2f715dc1824fd0",
+        "15888d71c12475956532e2ce2238c70704dec254385d1682128ca98d6ba03e6d",
+        "947a801ef9ff4a5a4acd54c3995c97b6ee9cb786187ec37cd89033b3176ef227",
     ),
     ("xxhash", 2, True): (
-        "34bb548950727f063deb8ae3d753b894fc103600e677956570a022cccda6eb53",
-        "77da74b008eea9d12e0c9a5e62ef02a75730a664c6c4defbee7cee336821e1d7",
-        "3dac49e1d8b69ccffec4e8dfbcb06c9d601b2bcac66b046bda1e75035e637f33",
+        "a25b38a0aed68894b7bca5e93465243817558369ddef4d0299c091f3c80c00ae",
+        "c6933ea00c2170a83106dcb2ce7ea01b5e6ce9c2f181694a3daf2c30ebc9e2ca",
+        "dfebf06224779c3b7754797f0b16e1f32667d0902e4d2266d27fd8b7f6fac108",
     ),
     ("xxhash", 3, False): (
-        "29b375923e32bd6d32747905c6f0a0690639ee930ce54bb4ea54115c558e7b27",
-        "631cb43be8b665e8e4bc5666a3854b66d11da9794c896a4b00b6a573e4ccab13",
-        "fe653eae75098d4e1035303fd136c20305d870c90a738de9934ce04b1d636f6c",
+        "0c7a96ed4096eca33646a2b59bd0208739b73736ace154087461d58e2a4502f0",
+        "1a879c6a1f01511566c5dbb213882aeb589f0cc232362de82bb0d6155996cb2c",
+        "39f7b5502d040f35d9d08df72631f40ac22823520d68707a6a302d6ab31a5ebb",
     ),
     ("xxhash", 3, True): (
-        "5ed70bfdd944759fd0f30f8c010857e4c3370b3b731acaa6dd6e03219f58024c",
-        "8f8d96f1556496a1bf87bd8b308daba96a6a1d745281ffed8bc5b74b6a01c30b",
-        "c5927cde74cb126e187668073283a344f8bbafc261269aeb5ff8aeca855de066",
+        "ca0cd15e4fb94082eaf39ad905963389d4c9e70be4d86a21abd21fee6d28679b",
+        "9996c06222c901c4bf49c5c3f5e4a58b3c20f4475dd56dfb6b57c3ad66a05958",
+        "b045d3b1db63d348e35566ae6ec300d0f16e086d4def0446c2ae2202b3c324c3",
     ),
     ("crc32", 1, False): (
-        "374c75609fff0faa7f3339a80bb32f6891f52094b4bda5abc820ddf5b98faffb",
-        "bbd21120fbb015452f56f51e0805a0a41e9d84e5efec137da4f57981ede53ea7",
-        "a3ed5a0572182d4a1d36f246a1756527f711d551239b1da3b9c8ca49943181f4",
+        "dfa1660f4084cf0f8b01421ecfb4ac6a4277048fbed2b6668de9be0c5dd6b075",
+        "34f45ad44af72e0a32e5e8f4e95a7020ed03f0e3e34b3c519d83f23e77f5f57c",
+        "e9d324a79970b59861dc87f0c1373f8b133798845be94ca0bbead594be774dcc",
     ),
     ("crc32", 1, True): (
-        "950c0bcdcb819c4858bdb2b3422c8d7b1b024bef1da1ad9c90dfe48691f63827",
-        "0e5f998933921c5b16afca3f3e75d92d820dac2acad0c4ba8f1384815b3234d9",
-        "8d1d513ed86fd08d931d177539f96a4a472897c48ba852331fa5a0e5ae0acdc2",
+        "9363909cdc0e735aeb7dd3cf283c330e00e91effa3a612b8deef0a28be8a4ce1",
+        "5bf9cfabdbc06e54e89d4f1a6ccbc3467a520b959270150611cf033100b5c383",
+        "2a24bd5cb27e967c99822df7e10c58c60ee3d9179b4d17a77049eb0832f38107",
     ),
     ("crc32", 2, False): (
-        "ed2eb0b56184c08e308a05ec80652968728b217642adb1df1542bb75cea002d3",
-        "8ab7c813fbca36add301124d9799600822ebb2b5d9d5788e657b3892cf36dfa9",
-        "0943fc177fa64406c768329c82c49e5c6cd160650bc629a5bc006055fc0adcb9",
+        "4547b6a973c8b7fbaa0d8214b4ae1e1acdbd1bd579092b459cdccae74a683018",
+        "15888d71c12475956532e2ce2238c70704dec254385d1682128ca98d6ba03e6d",
+        "8e54afb07d97d9f97c4f27694e36eace7fbb7259b17ce2d337fab91560a2a190",
     ),
     ("crc32", 2, True): (
-        "7d3e740644b801d8b1d702fdfe2c148140255c78fdf38a20848cc470d116da92",
-        "77da74b008eea9d12e0c9a5e62ef02a75730a664c6c4defbee7cee336821e1d7",
-        "0e37ef236047cee40b2d37ceeb7f668f92a6f1cc3d736c0ed1414322d913f499",
+        "b5f4801753e136d515ab346b9c63a197cbfaf4d9c29687fa0a1cc1912078c5c3",
+        "c6933ea00c2170a83106dcb2ce7ea01b5e6ce9c2f181694a3daf2c30ebc9e2ca",
+        "b19df127df44667e8c77b71f821dc49eaca3d1509e5ea185e961b06ac796c04e",
     ),
     ("crc32", 3, False): (
-        "b9d7a9d0e2741fa2e41941fb8ca27f53020e50b52cc29e8424d29e073a0a0736",
-        "631cb43be8b665e8e4bc5666a3854b66d11da9794c896a4b00b6a573e4ccab13",
-        "fbe0b0fdff4dd4f6698c077bb1d99fa7fbd23108f3e811e7d14b55c5d942bcee",
+        "cb4ba09b8a780b0198ffcf334249fcca5fcca4add21d85651db4773f7be67f2e",
+        "1a879c6a1f01511566c5dbb213882aeb589f0cc232362de82bb0d6155996cb2c",
+        "b07463bcbf846c6baadcbac79c27e800bd7049df6274b08dc35cfea12fa667ff",
     ),
     ("crc32", 3, True): (
-        "47fd375938363f44de9a689009f28dfc6d972473a7f87b1c74dbe9961a2fccbe",
-        "8f8d96f1556496a1bf87bd8b308daba96a6a1d745281ffed8bc5b74b6a01c30b",
-        "cbad726efb2076b505a92446b86fbaa525ff43e7912ec2e4d20641dbad696b60",
+        "0c3dc5631a1e91c8835de63f2e72709c07106714973eafaf3741793e210af56c",
+        "9996c06222c901c4bf49c5c3f5e4a58b3c20f4475dd56dfb6b57c3ad66a05958",
+        "6da8adac0d0477534197ba2b6d780ece2440fe314f5bf167b551b2ea43593d4c",
     ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
@@ -334,39 +344,39 @@ def test_layout_is_pinned():
 # joins payloads with, so that coding goes word by word.
 EDGE_DIGESTS = {
     ("crc32", 1, False): (
-        "2e5a11471e889bac52d9206ec3a10a0bc07fabe5f65a6a518a3831f113ee05d0",
-        "04abe669b7254c1ef5af63e1b6a10c5dad24cae56f0c9dd791a2f387c3acb401",
-        "77f3e473b90b583074eda0145f75b32078f4d510a501d523a086363f40770193",
+        "647bd17e2e4100cea6a844465702b181fd219eea7b6b8f8915fc7cd25b921dc7",
+        "501b05a0fea694e207fb44cf7415447e8755809a44f3e6d1752d43619ece8b03",
+        "0db968707bfebb0f7b28750c918568510941364a580ba4e1cf4de2cf24c61769",
     ),
     ("crc32", 2, False): (
-        "00a6d0b524029dfd3135d14baa5dad522ef0d7ec54a15b038496ad3b7f0578ad",
-        "0378af9d11367d91ac7b67c1e29749f3697f734253c7bb3660f9ab3a47c49238",
-        "c7cb71d08c7b8214a2b2f198208e70710a1177db1db8856a9810825e0726374d",
+        "74d87494d3990bb3c190609faf911312d9323bc22e761da51513e578afaf37f2",
+        "bee87ca90b920e37738cceab401a459419cba11ff1993b70e9b06d918ce12250",
+        "c75214eaa8254cf7f806345560efa2dbd4827669687d7f32c8a80feb4243e56b",
     ),
     ("crc32", 3, False): (
-        "778ecee00547ef6846effccd4e26fae48573c9aae806915c8c34d1ed49377513",
-        "9de121da2ea6d7f54c236bb0a84affb61ffd34defdc260ebb8f50d7621b390ae",
-        "a9f9111ce4e452e951b2e506099817a506d270bff95fcc425fe8ef62876c7c6e",
+        "db89cedb7c4a69aff37cf170560b62e4240b2fbdfbc2069cd7b0cfb86a01350a",
+        "de3f9be2055b50d1ce7d1fe5d41525886d31fb7af6069373da157635879c6014",
+        "a7c4f0a48894a56a6693aa004fcd1ef59e9033497d991336020b5630fdef74a3",
     ),
     ("fnv1", 1, False): (
-        "d56fe70d22d3c511512cb8a88a0c292b21c29a1c36a99157c6752a004e08c25a",
-        "04abe669b7254c1ef5af63e1b6a10c5dad24cae56f0c9dd791a2f387c3acb401",
-        "26df3f85b6ab091da346b6f1dd670ceebaebee3cff39fe34acccf9469752af66",
+        "1aa081bbaceea56709ee32528c460fce96006793aa786bf2e5567e12787fc6d6",
+        "501b05a0fea694e207fb44cf7415447e8755809a44f3e6d1752d43619ece8b03",
+        "79735e868b1dc64360132b7fb32144bd88e2e84b6896add8c70b16de3bc968ae",
     ),
     ("fnv1", 2, False): (
-        "eb4c9b43fa9f067a54a16db372c2b32178b86de633c8eb404ac4337d561d1d92",
-        "0378af9d11367d91ac7b67c1e29749f3697f734253c7bb3660f9ab3a47c49238",
-        "2ba6772080186ec3bf16a52131981cd985bcb4b6814956d3a20708e931090c44",
+        "236bd125a73877bd556345995b21bd069f1f7e51bd3eaead76343a5afcbcef57",
+        "bee87ca90b920e37738cceab401a459419cba11ff1993b70e9b06d918ce12250",
+        "f69a4df6a4a2fc799640a0fedbef73e0f1ead5f96cf15647a68c4b5cea60d824",
     ),
     ("fnv1", 3, False): (
-        "4eb64b7f07b59b8b0a5fa56ac360096c113c65f61670cebbbb895dbec2e529ea",
-        "9de121da2ea6d7f54c236bb0a84affb61ffd34defdc260ebb8f50d7621b390ae",
-        "e9ffa88906becf454a1f5e081157097329cd0d6695047574664ab50ffed9f7f8",
+        "82cc6c4dedfe06640376758bf5b345d157e0735a87acdbac24090045bf899850",
+        "de3f9be2055b50d1ce7d1fe5d41525886d31fb7af6069373da157635879c6014",
+        "9ec975165c1cd57207d71160c37222a918b47b92628c7f3b04638067e7f77bd1",
     ),
     ("crc32", 2, True): (
-        "85ec51be3887d33f5a9a24d7e56e42d843a63888d254db3521392e4d115b52ff",
-        "7bb57ec09573d6776db69a649c7d253658d919959f0a591cb76ab5f95fa5c96a",
-        "179296ea622d575fe6c9e41066ab415abc92426feb668a53a4510a43d29962ae",
+        "998ccf61ad77d511c4c5bf17e3b19f1fe5c0d1c2fdb391e2bca0b20e8c5111f9",
+        "959baca85ed2ae12a948bf94fec2df221b7a00cac6cc645b35d46cabd836c768",
+        "a01efff17969db72befc062f31f71e56cdfc3ab26eec8e02894f770b41f1b820",
     ),
 }
 EDGE_SUBS = SubstitutionList([(b"ing", 0xFF), (b"er", 0x80), (b"gi", 0x81)])
@@ -400,15 +410,19 @@ def test_edge_layout_is_pinned():
         parts = (index_to_bytes(idx), lists, idx.table.data)
         assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
         # The edges are there: a list length of 3 LEB128 bytes, a region of
-        # 128 bytes or more after the first, a 255-byte payload, a key whose
-        # entries come from two word lengths in two regions, and side words.
+        # 128 bytes or more after the first, a group length of 2 LEB128 bytes,
+        # a 255-byte payload, a key whose entries come from two word lengths
+        # in two regions, and side words.
         decode = idx.subs.decode if coded else bytes
         blobs = {key: idx.lists[begin:end] for _, key, begin, end in idx.table.records()}
-        split = {key: regions(blob, k) for key, blob in blobs.items()}
+        parsed = {key: groups(blob, k) for key, blob in blobs.items()}
+        split = {key: regions(blob, k, decode) for key, blob in blobs.items()}
         assert max(map(len, blobs.values())) >= 16384
-        assert any(sum(1 + len(e) for e in by[r]) >= 128 for by in split.values() for r in range(1, k + 1))
-        assert max(len(decode(e)) for by in split.values() for es in by for e in es) == 255
-        mixed = [{(r, len(key) + len(decode(e))) for r, es in enumerate(by) for e in es} for key, by in split.items()]
+        assert any(max(sum(1 + len(leb128(len(g))) + len(g) for _, g in gs) for gs in by[1:]) >= 128
+                   for _, by in parsed.values())
+        assert max(len(g) for _, by in parsed.values() for gs in by for _, g in gs) >= 128
+        assert max(len(e) for by in split.values() for es in by for e in es) == 255
+        mixed = [{(r, len(key) + len(e)) for r, es in enumerate(by) for e in es} for key, by in split.items()]
         assert any(r != q and n != m for pairs in mixed for r, n in pairs for q, m in pairs)
         assert idx.side_table
 
@@ -425,7 +439,8 @@ def leb128(n):
 def reference_bytes(d, k, config, subs=None):
     """index_to_bytes of the split index of ``d``, built by entering each
     word's pieces one at a time and laying out the keys in (length, bytes)
-    order: the oracle build_index must match."""
+    order, and each region's entries in groups by decoded length: the oracle
+    build_index must match."""
     staged = {}
     side = {}
     for word in d.words:
@@ -435,12 +450,16 @@ def reference_bytes(d, k, config, subs=None):
         start = 0
         for r, plen in enumerate(piece_lengths(len(word), k)):
             rest = word[:start] + word[start + plen :]
-            staged.setdefault(word[start : start + plen], []).append((r, subs.encode(rest) if subs else rest))
+            staged.setdefault(word[start : start + plen], []).append((r, len(rest), subs.encode(rest) if subs else rest))
             start += plen
     buckets = [b""] * hashing._bucket_count(len(staged), config.max_load_factor)
     for key, stored in sorted(staged.items(), key=lambda item: (len(item[0]), item[0])):
-        stored.sort(key=lambda entry: (entry[0], len(entry[1]), entry[1]))
-        by_region = [b"".join(bytes((len(e),)) + e for r, e in stored if r == j) for j in range(k + 1)]
+        stored.sort(key=lambda entry: (entry[0], entry[1], len(entry[2]), entry[2]))
+        by_group = {}
+        for r, n, e in stored:
+            by_group[r, n] = by_group.get((r, n), b"") + e
+        by_region = [b"".join(bytes((n,)) + leb128(len(g)) + g for (r, n), g in by_group.items() if r == j)
+                     for j in range(k + 1)]
         blob = b"".join(map(leb128, map(len, by_region[:k]))) + b"".join(by_region)
         buckets[HASH_FUNCTIONS[config.function_id](key) % len(buckets)] += bytes((len(key),)) + key + leb128(len(blob)) + blob
     table = ChainedHashTable(b"".join(buckets), array("I", accumulate(map(len, buckets), initial=0)), config)
@@ -496,12 +515,37 @@ def test_lists_slice_by_lookup_list_and_stats_are_stable(k):
         pieces = split_word(w, k)
         for r, piece in enumerate(pieces):
             blob = idx.lists[idx.table.lookup_list(piece)]
-            sizes, payloads = entries(blob, k)
+            sizes, by_region = groups(blob, k)
             head = int(_length_bytes(np.array(sizes))[1].sum())
-            assert type(blob) is bytes and len(blob) == head + sum(1 + len(e) for e in payloads)
+            body = sum(1 + len(leb128(len(g))) + len(g) for region in by_region for _, g in region)
+            assert type(blob) is bytes and len(blob) == head + body
             assert b"".join(pieces[:r] + pieces[r + 1 :]) in regions(blob, k)[r]
     assert idx.table.lookup_list(b"\xff\xfe") is None
     assert (idx.list_stats(), idx.table.bucket_stats()) == GOLDEN_STATS[k]
+
+
+# list_stats() of the benchmark corpora as format version 5 gave them, with a
+# length byte per entry: grouping entries by decoded length (version 6) moves
+# no entry and no stored byte.
+BENCHMARK_STATS = {
+    ("english", 1): ListStats(list_count=58293, entry_count=165794, mean_entries=165794 / 58293,
+                              max_entries=1062, payload_bytes=800009),
+    ("english", 2): ListStats(list_count=17485, entry_count=248553, mean_entries=248553 / 17485,
+                              max_entries=1724, payload_bytes=1599834),
+    ("dna", 1): ListStats(list_count=32580, entry_count=105680, mean_entries=105680 / 32580,
+                          max_entries=42, payload_bytes=615886),
+}
+
+
+def test_list_stats_of_the_benchmark_corpora_are_those_of_version_5(english_dictionary, tmp_path):
+    # The English dictionary of criteria 4 and 5, and criterion 7's DNA
+    # 20-mers coded with their mined mixed/100 rules, as the benchmark builds.
+    dna_fasta(tmp_path / "genome.fa", min_kmer_bytes=1_050_000, seed=13)
+    dna = extract_kmers(tmp_path / "genome.fa", 20)
+    subs = mine_substitutions(dna, "mixed", 100)
+    for (corpus, k), want in BENCHMARK_STATS.items():
+        idx = build_index(english_dictionary, k) if corpus == "english" else build_index(dna, k, substitutions=subs)
+        assert idx.list_stats() == want, (corpus, k)
 
 
 def test_duplicate_words_do_not_duplicate_entries():
@@ -704,8 +748,8 @@ def _run_of_the_shipped_threshold_matches_the_oracle(k, alphabet):
 
 def test_matrix_sums_rows_of_255_mismatches_without_wrapping():
     # The matrix counts a row's mismatches in uint8.  Here every payload has
-    # PAYLOAD_LIMIT bytes, so a row is its length byte, which always matches,
-    # and 255 payload bytes that may all differ from the pattern's rest.
+    # PAYLOAD_LIMIT bytes, so a row is 255 payload bytes that may all differ
+    # from the pattern's rest.
     rng = random.Random(23)
     for k in (1, 2):
         n = next(n for n in range(k + 1, 800) if n - piece_lengths(n, k)[0] == PAYLOAD_LIMIT)

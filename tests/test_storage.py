@@ -3,6 +3,7 @@
 import gc
 import logging
 import random
+import re
 import struct
 import tracemalloc
 import zlib
@@ -97,7 +98,7 @@ def test_version_mismatch_names_both_versions():
     bad = blob[:8] + (7).to_bytes(2, "little") + blob[10:]
     with pytest.raises(VersionMismatchError) as err:
         index_from_bytes(bad)
-    assert "7" in str(err.value) and "5" in str(err.value)
+    assert "7" in str(err.value) and "6" in str(err.value)
 
 
 # A k = 1 index of b"table", b"left", b"tablet" as format version 2 wrote it.
@@ -114,7 +115,7 @@ VERSION_2_FILE = bytes.fromhex(
 
 def test_version_2_file_is_rejected():
     assert VERSION_2_FILE[8:10] == (2).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 5"):
+    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 6"):
         index_from_bytes(VERSION_2_FILE)
 
 
@@ -131,7 +132,7 @@ VERSION_3_FILE = bytes.fromhex(
 
 def test_version_3_file_is_rejected():
     assert VERSION_3_FILE[8:10] == (3).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 3, this reader supports 5"):
+    with pytest.raises(VersionMismatchError, match="version 3, this reader supports 6"):
         index_from_bytes(VERSION_3_FILE)
 
 
@@ -147,8 +148,24 @@ VERSION_4_FILE = bytes.fromhex(
 
 def test_version_4_file_is_rejected():
     assert VERSION_4_FILE[8:10] == (4).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 4, this reader supports 5"):
+    with pytest.raises(VersionMismatchError, match="version 4, this reader supports 6"):
         index_from_bytes(VERSION_4_FILE)
+
+
+# The same index as format version 5 wrote it: each region a run of entries
+# with a length byte each, ``[length u8][payload]``.
+VERSION_5_FILE = bytes.fromhex(
+    "53504c495449445805000105637263333200000000000000400f000000000000"
+    "00030000000000000006000000000000000000020000000d0000001e00000003"
+    "7461620807026c65036c65740266740400026c65026c65080302667403746162"
+    "036c6574050003746162e3cb9ff9"
+)
+
+
+def test_version_5_file_is_rejected():
+    assert VERSION_5_FILE[8:10] == (5).to_bytes(2, "little")
+    with pytest.raises(VersionMismatchError, match="version 5, this reader supports 6"):
+        index_from_bytes(VERSION_5_FILE)
 
 
 def test_truncation_detected_at_every_cut(tmp_path):
@@ -327,8 +344,9 @@ def region_length_grown(idx, length_at):
 def regions_idx():
     d = Dictionary([b"abcdef", b"ghabij", b"gxabij", b"ghijab", b"gyijab"])
     idx = build_index(d, 2)
-    # Regions 1 and 2 hold 5 and 10 bytes; region 3 runs to the list's end.
-    assert idx.lists[idx.table.lookup_list(b"ab")] == b"\x05\x0a" + b"\x04cdef" + b"\x04ghij\x04gxij" + b"\x04ghij\x04gyij"
+    # Regions 1 and 2 hold 6 and 10 bytes, one group each; region 3 runs to
+    # the list's end.
+    assert idx.lists[idx.table.lookup_list(b"ab")] == b"\x06\x0a" + b"\x04\x04cdef" + b"\x04\x08ghijgxij" + b"\x04\x08ghijgyij"
     assert idx.query(b"abcdxf") == [b"abcdef"]
     return idx
 
@@ -354,13 +372,13 @@ def test_region_start_far_past_its_list_is_corrupt():
 def test_run_past_its_region_does_not_answer_from_the_next():
     idx = build_index(Dictionary([b"abxy", b"cdab"]), 1)
     a = idx.table.lookup_list(b"ab")
-    assert idx.lists[a] == b"\x03\x02xy" + b"\x02cd"
+    assert idx.lists[a] == b"\x04\x02\x02xy" + b"\x02\x02cd"
     # Read as a region 1 entry, region 2's b"cd" would rebuild b"abcd".
     assert idx.query(b"abcd") == []
-    # Region 1 now ends inside b"cd": the run of 2-byte entries crosses its
-    # end, rather than answering from region 2.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + a.start: b"\x04"}))
-    with pytest.raises(CorruptListError, match="b'ab'"):
+    # The group of region 1 now runs to the end of b"cd": it crosses its
+    # region's end, rather than answering from region 2.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + a.start + 2: b"\x06"}))
+    with pytest.raises(CorruptListError, match="a group of the list for key b'ab' crosses its region's end"):
         damaged.query(b"abcd")
 
 
@@ -369,24 +387,24 @@ def test_run_past_its_list_is_corrupt(coded):
     subs = SubstitutionList([(b"zz", 200)]) if coded else None
     idx = build_index(Dictionary([b"abcxy", b"pqrst"]), 1, substitutions=subs)
     at = idx.table.lookup_list(b"abc")
-    assert idx.lists[at] == b"\x03\x02xy" and at.stop < len(idx.lists)
-    # The entry b"xy" grows over the list's end by a byte, which the
+    assert idx.lists[at] == b"\x04\x02\x02xy" and at.stop < len(idx.lists)
+    # The group of b"xy" grows over the list's end by a byte, which the
     # pattern's last byte matches.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 1: b"\x03"}))
-    with pytest.raises(CorruptListError, match="b'abc'"):
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x03"}))
+    with pytest.raises(CorruptListError, match="a group of the list for key b'abc' crosses its region's end"):
         damaged.query(b"abcxy" + idx.lists[at.stop : at.stop + 1])
 
 
 def test_run_past_its_list_is_corrupt_in_the_matrix():
-    # The entry keyed by the first piece grows over the list's end: as a
-    # matrix row it would match the pattern exactly.
-    for k, words, key, blob in ((1, [b"abcxy", b"pqrst"], b"abc", b"\x03\x02xy"),
-                                (2, [b"abcxyz", b"pqrstu"], b"ab", b"\x05\x00\x04cxyz")):
+    # The group keyed by the first piece grows over the list's end: as a
+    # matrix row its entry would match the pattern exactly.
+    for k, words, key, blob in ((1, [b"abcxy", b"pqrst"], b"abc", b"\x04\x02\x02xy"),
+                                (2, [b"abcxyz", b"pqrstu"], b"ab", b"\x06\x00\x04\x04cxyz")):
         idx = build_index(Dictionary(words), k)
         at = idx.table.lookup_list(key)
         assert idx.lists[at] == blob and at.stop < len(idx.lists)
-        # The entry's length byte follows the k region lengths.
-        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + k: bytes([blob[k] + 1])}))
+        # The group's byte length follows the k region lengths and its L.
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + k + 1: bytes([blob[k + 1] + 1])}))
         with patch.object(core, "MATRIX_RUN", 1), pytest.raises(CorruptListError, match=repr(key)):
             damaged.query(words[0] + idx.lists[at.stop : at.stop + 1])
 
@@ -394,16 +412,17 @@ def test_run_past_its_list_is_corrupt_in_the_matrix():
 def test_walk_past_its_list_is_corrupt():
     idx = build_index(Dictionary([b"abcde", b"qqqqq"]), 2)
     at = idx.table.lookup_list(b"ab")
-    assert idx.lists[at] == b"\x04\x00\x03cde" and at.stop < len(idx.lists)
-    # The shorter entry that the walk skips now ends past the list, in the
+    assert idx.lists[at] == b"\x05\x00\x03\x03cde" and at.stop < len(idx.lists)
+    # The shorter group that the walk skips now ends past the list, in the
     # next record.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x04"}))
-    with pytest.raises(CorruptListError, match="b'ab'"):
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 3: b"\x04"}))
+    with pytest.raises(CorruptListError, match="a group of the list for key b'ab' crosses its region's end"):
         damaged.query(b"abcdexx")
 
 
 # Two buckets: b"cd" alone in bucket 0, then b"ab" and b"xy" in bucket 1.
-TWO_BUCKETS = [b"\x02cd\x04" + b"\x03\x02ab", b"\x02ab\x07" + b"\x03\x02xy\x02cd" + b"\x02xy\x04" + b"\x00\x02ab"]
+TWO_BUCKETS = [b"\x02cd\x05" + b"\x04\x02\x02ab",
+               b"\x02ab\x09" + b"\x04\x02\x02xy\x02\x02cd" + b"\x02xy\x05" + b"\x00\x02\x02ab"]
 
 
 def two_buckets():
@@ -416,8 +435,8 @@ def test_bucket_record_past_its_bucket_is_corrupt():
     idx = two_buckets()
     # The key length of b"xy" grows past the end of bucket 1, where the
     # arena ends too: a miss walks over it, and b"ab", before it, still hits.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 19: b"\x09"}))
-    assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x03\x02xy\x02cd"
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 22: b"\x09"}))
+    assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x04\x02\x02xy\x02\x02cd"
     with pytest.raises(CorruptListError, match="bucket 1"):
         damaged.table.lookup_list(b"zz")
     with pytest.raises(CorruptListError, match="bucket 1"):
@@ -427,7 +446,7 @@ def test_bucket_record_past_its_bucket_is_corrupt():
 def test_list_past_its_bucket_is_corrupt():
     idx = two_buckets()
     # The list of b"cd" grows by a byte, into bucket 1.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x05"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x06"}))
     with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
         damaged.table.lookup_list(b"cd")
     with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
@@ -445,7 +464,7 @@ def test_list_length_past_its_bucket_is_corrupt():
     idx = two_buckets()
     # The key of b"cd" grows over its list, so that the list length is the
     # bucket's last byte; it carries on (0x80) into bucket 1.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x06", arena_offset(idx) + 7: b"\x80"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x07", arena_offset(idx) + 8: b"\x80"}))
     with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
         damaged.table.lookup_list(b"cd")
     with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
@@ -454,7 +473,7 @@ def test_list_length_past_its_bucket_is_corrupt():
 
 def test_length_of_more_than_five_bytes_is_corrupt():
     idx = two_buckets()
-    at = arena_offset(idx) + 8 + 3  # the list length of b"ab", in bucket 1
+    at = arena_offset(idx) + 9 + 3  # the list length of b"ab", in bucket 1
     damaged = index_from_bytes(resealed(idx, {at: b"\x80\x80\x80\x80\x80\x01"}))
     with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 5 bytes"):
         damaged.table.lookup_list(b"ab")
@@ -495,30 +514,73 @@ def test_zero_entry_length_is_corrupt():
         subs = SubstitutionList([(b"zz", 200)]) if coded else None
         idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1, substitutions=subs)
         key, begin, end = first_record(idx)
-        assert idx.lists[begin + 1] == 3  # the first entry's length, after one region length
+        assert idx.lists[begin + 1] == 3  # the first group's length L, after one region length
         damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin + 1: b"\x00"}))
         word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, 1))
         with pytest.raises(CorruptListError, match=f"key {key!r}"):
             damaged.query(word)
 
 
-def damaged_xy(value):
-    """A k = 1 index of b"abcd", b"abce" and b"abxy", loaded from its file
-    with ``value`` as the length byte of b"xy", the last entry in the list
-    for b"ab"."""
-    idx = build_index(Dictionary([b"abcd", b"abce", b"abxy"]), 1)
+GROUP_WORDS = [b"abz", b"abcd", b"abce", b"abxy", b"qrsab", b"cdab"]
+# The list for b"ab" at k = 1: region 1 holds the groups of lengths 1 and 2,
+# region 2 those of lengths 2 and 3, each ``[L][B][payloads]``.
+GROUP_LIST = b"\x0b" + b"\x01\x01z" + b"\x02\x06cdcexy" + b"\x02\x02cd" + b"\x03\x03qrs"
+
+
+def damaged_groups(changes):
+    """The k = 1 index of GROUP_WORDS, loaded from its file with ``changes``
+    (offset in GROUP_LIST -> bytes) written over the list for b"ab"."""
+    idx = build_index(Dictionary(GROUP_WORDS), 1)
     at = idx.table.lookup_list(b"ab")
-    assert idx.lists[at] == b"\x09" + b"\x02cd\x02ce\x02xy"
-    return resealed(idx, {arena_offset(idx) + at.start + 7: value})
+    assert idx.lists[at] == GROUP_LIST
+    return index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + o: v for o, v in changes.items()}))
+
+
+# Each damage to the list for b"ab", a query whose walk reads it, and what
+# the error says; a zero length is test_zero_entry_length_is_corrupt's.
+DAMAGED_GROUPS = {
+    "repeated length": ({4: b"\x01"}, b"abcd", "holds group lengths that do not rise"),
+    "descending length": ({16: b"\x01"}, b"qrsab", "holds group lengths that do not rise"),
+    "group past its region": ({5: b"\x07"}, b"abcd", "a group of the list for key b'ab' crosses its region's end"),
+    "skipped group past its region": ({2: b"\x0a"}, b"abcd", "a group of the list for key b'ab' crosses its region's end"),
+    "truncated group length": ({17: b"\x83\x80\x80\x80"}, b"qrsab", "holds a group length that runs past its end"),
+    "no whole number of entries": ({5: b"\x05"}, b"abcd", "a group of the list for key b'ab' holds no whole number of entries"),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_GROUPS)
+def test_damaged_group_is_corrupt(case):
+    changes, pattern, what = DAMAGED_GROUPS[case]
+    assert pattern in build_index(Dictionary(GROUP_WORDS), 1).query(pattern)
+    damaged = damaged_groups(changes)
+    with pytest.raises(CorruptListError, match=re.escape(what)) as err:
+        damaged.query(pattern)
+    assert "key b'ab'" in str(err.value)
+    with pytest.raises(CorruptListError, match=re.escape(what)):
+        damaged.list_stats()
+
+
+def test_coded_group_of_no_whole_number_of_entries_is_corrupt():
+    idx = build_index(Dictionary([b"abczz", b"pqrst"]), 1, substitutions=SubstitutionList([(b"zz", 200)]))
+    at = idx.table.lookup_list(b"abc")
+    assert idx.lists[at] == b"\x03" + b"\x02\x01\xc8"  # b"zz" coded as one byte
+    # The code becomes a plain byte: the group decodes to 1 byte, not 2.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 3: b"x"}))
+    what = "a group of the list for key b'abc' holds no whole number of entries"
+    with pytest.raises(CorruptListError, match=re.escape(what)):
+        damaged.query(b"abczz")
+    with pytest.raises(CorruptListError, match=re.escape(what)):
+        damaged.list_stats()
 
 
 def test_list_stats_of_a_damaged_list_is_corrupt():
-    assert index_from_bytes(damaged_xy(b"\x02")).list_stats() == ListStats(4, 6, 1.5, 3, 12)
-    # A zero length would count the payload's bytes as entries, and a length
-    # grown by one would count a byte of the next record as payload.
-    for value, what in ((b"\x00", "holds an entry of length 0"), (b"\x03", "runs past its end")):
+    assert damaged_groups({}).list_stats() == ListStats(6, 12, 2.0, 6, 24)
+    # A zero length would divide by zero, and a group grown by one would
+    # count a byte of the next group or record as payload.
+    for changes, what in (({1: b"\x00"}, "holds group lengths that do not rise"),
+                          ({17: b"\x04"}, "crosses its region's end")):
         with pytest.raises(CorruptListError, match=f"list for key b'ab' {what}"):
-            index_from_bytes(damaged_xy(value)).list_stats()
+            damaged_groups(changes).list_stats()
 
 
 def test_bucket_lengths_adding_up_past_32_bits_are_a_cut_file():
@@ -548,19 +610,29 @@ def test_loaded_heap_is_close_to_the_file_size(k):
     assert idx.lists and held <= 1.25 * len(data), held / len(data)
 
 
+def leb_size(n):
+    """Bytes of ``n`` as LEB128."""
+    return max(1, -(-n.bit_length() // 7))
+
+
+def group_size(n):
+    """Bytes of a group of ``n`` payload bytes: its length L, its byte length
+    as LEB128, and the payloads; no group for none."""
+    return 1 + leb_size(n) + n if n else 0
+
+
 @pytest.mark.parametrize(
     "size,length",
     [(127, b"\x7f"), (128, b"\x80\x01"), (16383, b"\xff\x7f"), (16384, b"\x80\x80\x01")],
 )
 def test_lists_round_trip_at_every_list_length_width(size, length):
     # At k = 1 every word below is keyed by its first piece, b"abcde": a
-    # 10-byte word stores a 6-byte entry in that list, a 9-byte one a 5-byte
-    # entry, all in region 1, after its length.
-    head = next(h for h in (1, 2, 3) if size - h < 128**h)
-    fives = next(n for n in range(6) if (size - head - 5 * n) % 6 == 0)
-    sixes = (size - head - 5 * fives) // 6
-    tails = [bytes(t) for t in islice(product(b"fghijklmnopqrstu", repeat=5), sixes)]
-    tails += [bytes(t) for t in islice(product(b"vwxyz", repeat=4), fives)]
+    # 10-byte word stores a 5-byte payload in that list, a 9-byte one a
+    # 4-byte payload, in two groups of region 1, after its length.
+    fours, fives = next((f, s) for f in range(8) for s in range(size // 5 + 1)
+                        if (region := group_size(4 * f) + group_size(5 * s)) + leb_size(region) == size)
+    tails = [bytes(t) for t in islice(product(b"fghijklmnopqrstu", repeat=5), fives)]
+    tails += [bytes(t) for t in islice(product(b"vwxyz", repeat=4), fours)]
     d = Dictionary([b"abcde" + t for t in tails])
     idx = build_index(d, 1)
     at = idx.table.lookup_list(b"abcde")
@@ -581,8 +653,8 @@ WIDTH_SUBS = SubstitutionList([(b"fg", 200), (b"hi", 201)])
 
 @cache
 def entries_keyed_by(key, r, k, coded):
-    """Words that keep ``key`` as their piece r, by the size of the entry each
-    stores (length byte and payload, coded with WIDTH_SUBS or not)."""
+    """Words that keep ``key`` as their piece r, by the decoded and the
+    stored length of their payload (coded with WIDTH_SUBS or not)."""
     out = {}
     for n in range(len(key) + 1, 12):
         lengths = piece_lengths(n, k)
@@ -591,19 +663,25 @@ def entries_keyed_by(key, r, k, coded):
         cut = sum(lengths[:r])
         for t in islice(product(b"fghijklm", repeat=n - len(key)), 20_000):
             t = bytes(t)
-            out.setdefault(1 + len(WIDTH_SUBS.encode(t) if coded else t), []).append(t[:cut] + key + t[cut:])
+            out.setdefault((len(t), len(WIDTH_SUBS.encode(t) if coded else t)), []).append(t[:cut] + key + t[cut:])
     return out
 
 
 def region_words(key, r, k, size, coded):
     """Words whose entries fill region r + 1 of the list of ``key`` with
-    exactly ``size`` bytes, from entries of two sizes in a row, a and a + 1."""
+    exactly ``size`` bytes, in two groups of decoded lengths in a row, each
+    of payloads that take one stored length a or b."""
     pool = entries_keyed_by(key, r, k, coded)
-    a = min(a for a in pool if min(len(pool[a]), len(pool.get(a + 1, ()))) > size // a)
-    longer = size % a  # size = a * shorter + (a + 1) * longer
-    shorter = (size - (a + 1) * longer) // a
-    assert shorter >= 0
-    return pool[a][:shorter] + pool[a + 1][:longer]
+    for (n, a), (m, b) in product(sorted(pool), sorted(pool)):
+        if m != n + 1:
+            continue
+        for y in range(1, len(pool[m, b]) + 1):
+            left = size - group_size(b * y)
+            for w in (1, 2, 3):  # the LEB128 bytes of the first group's length
+                x, extra = divmod(left - 1 - w, a)
+                if not extra and 0 < x <= len(pool[n, a]) and leb_size(a * x) == w:
+                    return pool[n, a][:x] + pool[m, b][:y]
+    raise AssertionError(f"no two groups of {size} bytes")
 
 
 @pytest.mark.parametrize("size", [0, 127, 128, 16383, 16384])
@@ -614,7 +692,7 @@ def test_lists_round_trip_at_every_region_length_width(size):
     rng = random.Random(size)
     for k, coded in product((1, 2), (False, True)):
         key = b"keyab" if k == 1 else b"key"
-        words = region_words(key, 0, k, size, coded)
+        words = region_words(key, 0, k, size, coded) if size else []
         words += [min(entries_keyed_by(key, r, k, coded).items())[1][0] for r in range(1, k + 1)]
         d = Dictionary(words)
         idx = build_index(d, k, substitutions=WIDTH_SUBS if coded else None)
