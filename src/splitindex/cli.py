@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bench import SWEEP_DIMENSIONS, BenchReport, run_bench, sweep
@@ -86,7 +87,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="print matching words, one per line")
     _add_index_source_flags(p)
     _add_build_flags(p)
-    p.add_argument("patterns", nargs="+", help="query patterns (UTF-8 encoded)")
+    p.add_argument("patterns", nargs="+", help="query patterns, as the bytes of the command line")
 
     p = sub.add_parser("bench", help="time a query workload")
     _add_index_source_flags(p)
@@ -188,7 +189,7 @@ def _cmd_query(args) -> int:
     _, index = _index_from_args(args)
     out = sys.stdout.buffer
     for pattern in args.patterns:
-        for word in index.query(pattern.encode("utf-8")):
+        for word in index.query(os.fsencode(pattern)):
             out.write(word + b"\n")
     out.flush()
     return 0

@@ -5,13 +5,14 @@ with an ``array('I')`` of n + 1 start offsets, ``starts``; bucket ``i`` is
 ``data[starts[i]:starts[i + 1]]``, in memory as in the file.  Each bucket is
 a run of ``[key length u8][key bytes][list length, LEB128][list bytes]``
 records, so a key's list sits right after it.  ``lookup_list`` returns where
-that list lies in ``data``, and ``records`` walks every record; both raise
-``CorruptListError`` for a record, a list length or a list that runs past
-its bucket's end, and a list length takes at most ``LENGTH_BYTES`` bytes,
-as do the region and group lengths inside each list (see ``core``).  The query
-path, ``core.SplitIndex._search``, walks a bucket's records itself, exactly
-as ``lookup_list`` does, with the same checks and errors; ``lookup_list``
-is the public probe and the reference that walk is tested against.
+that list lies in ``data``, and ``records`` walks every record.  Both are one
+walk of a bucket's records, so they raise the same ``CorruptListError`` for a
+record, a list length or a list that runs past its bucket's end, and a list
+length takes at most ``LENGTH_BYTES`` bytes, as do the region and group
+lengths inside each list (see ``core``).  The query path,
+``core.SplitIndex._search``, keeps its own inline copy of that walk, which
+costs less per probe, with the same checks and errors; ``lookup_list`` is the
+public probe and the reference that copy is tested against.
 The table is built once from the final key set and is immutable afterwards.
 The bucket count is the smallest power of two with
 ``key count <= bucket count * max_load_factor``.
@@ -27,7 +28,6 @@ import logging
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Iterator
 
 import numpy as np
@@ -342,76 +342,65 @@ class ChainedHashTable:
         the last one ``len(data)``."""
         return self._starts
 
+    def _walk(self, h: int, key: bytes | None = None) -> Iterator[tuple[bytes, int, int]]:
+        """``(key, begin, end)`` of each record of bucket ``h``, or only of
+        the one holding ``key``; the key's list is ``data[begin:end]``.
+
+        Raises CorruptListError naming the key of a list that runs past the
+        bucket's end, or the bucket for a record that does, or a list length
+        that runs past it or takes more than ``LENGTH_BYTES`` bytes.
+        """
+        data = self._data
+        o = self._starts[h]
+        end = self._starts[h + 1]
+        while o < end:
+            p = o + 1 + data[o]
+            if p >= end:
+                break
+            n, q = _read_length(data, p, end, h)
+            found = data[o + 1 : p]
+            o = q + n
+            if key is None or found == key:
+                if o > end:
+                    raise CorruptListError(f"the list for key {found!r} runs past the end of bucket {h}")
+                yield found, q, o
+        if o != end:
+            raise CorruptListError(f"bucket {h} holds a record that runs past its end")
+
     def lookup_list(self, key: bytes) -> slice | None:
         """Where the list stored for ``key`` lies in ``data``, or None.
 
-        Raises CorruptListError when a record runs past its bucket's end.
+        Raises CorruptListError for a damaged record of the key's bucket up
+        to the key's own: naming the key when its own list runs past the
+        bucket's end, and the bucket otherwise.
         """
-        h = self._fn(key) & self._mask
-        starts = self._starts
-        data = self._data
-        o = starts[h]
-        end = starts[h + 1]
-        kl = len(key)
-        # Offsets here are large ints, each one a new object, so a record
-        # costs two sums: p, the offset of its list length's last byte, and
-        # the next record's offset.  Most lists are shorter than 128 bytes,
-        # so their length is one byte, and nearly all the others shorter
-        # than 16384, two bytes; longer ones go to _read_length.
-        while o < end:
-            el = data[o]
-            p = o + (el + 1)
-            if p >= end:
-                break
-            n = data[p]
-            if n > 0x7F:
-                p += 1
-                if p < end and (b := data[p]) < 0x80:
-                    n = n & 0x7F | b << 7
-                else:
-                    n, p = _read_length(data, p - 1, end, h)
-                    p -= 1
-            if el == kl and data.startswith(key, o + 1):
-                p += 1
-                n += p
-                if n > end:
-                    raise CorruptListError(f"the list for key {key!r} runs past the end of bucket {h}")
-                return slice(p, n)
-            o = p + (n + 1)
-        if o != end:
-            raise CorruptListError(f"bucket {h} holds a record that runs past its end")
+        for _, begin, end in self._walk(self._fn(key) & self._mask, key):
+            return slice(begin, end)
         return None
 
     def records(self) -> Iterator[tuple[int, bytes, int, int]]:
         """``(bucket, key, begin, end)`` of every record, in arena order;
         the key's list is ``data[begin:end]``.
 
-        Raises CorruptListError naming the bucket for a record that runs
-        past its bucket's end.
+        Raises CorruptListError for a record, a list length or a list that
+        runs past its bucket's end, or a list length of more than
+        ``LENGTH_BYTES`` bytes.
         """
-        data = self._data
-        for h, (o, end) in enumerate(pairwise(self._starts)):
-            while o < end:
-                p = o + 1 + data[o]
-                key = data[o + 1 : p]
-                n, q = _read_length(data, p, end, h)
-                if (o := q + n) > end:
-                    raise CorruptListError(f"bucket {h} holds a record that runs past its end")
-                yield h, key, q, o
+        for h in range(self.bucket_count):
+            for record in self._walk(h):
+                yield h, *record
 
     def bucket_stats(self) -> BucketStats:
-        lengths = [0] * self.bucket_count
-        for h, _, _, _ in self.records():
-            lengths[h] += 1
-        buckets = len(lengths)
-        keys = sum(lengths)
-        nonempty = [c for c in lengths if c]
+        n = self.bucket_count
+        chains = np.bincount(np.fromiter((h for h, _, _, _ in self.records()), np.int64), minlength=n)
+        keys = int(chains.sum())
+        nonempty = int(np.count_nonzero(chains))
         return BucketStats(
-            bucket_count=buckets,
+            bucket_count=n,
             key_count=keys,
-            load_factor=keys / buckets,
-            mean_chain=keys / buckets,
-            max_chain=max(lengths) if lengths else 0,
-            nonempty_buckets=len(nonempty),
-            nonempty_mean_chain=(sum(nonempty) / len(nonempty)) if nonempty else 0.0,
+            load_factor=keys / n,
+            mean_chain=keys / n,
+            max_chain=int(chains.max()),
+            nonempty_buckets=nonempty,
+            nonempty_mean_chain=keys / nonempty if nonempty else 0.0,
         )

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import os
 import struct
 import zlib
 
@@ -63,6 +64,15 @@ def test_query_multiple_patterns_one_line_per_match(wordfile, capsys):
     code, out, _ = run(capsys, "query", "--dict", str(wordfile), "tavle", "stole")
     assert code == 0
     assert out.splitlines() == ["table", "stole", "stone"]
+
+
+def test_query_passes_pattern_bytes_through(tmp_path, capsysbinary):
+    # A word that is not UTF-8 reaches the query as the command line's own
+    # bytes, which Python hands over as surrogate escapes.
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"caf\xe9\ncafe\n")
+    code = main(["query", "--dict", str(words), "--k", "1", os.fsdecode(b"caf\xe9")])
+    assert (code, capsysbinary.readouterr().out.splitlines()) == (0, [b"cafe", b"caf\xe9"])
 
 
 def test_query_needs_exactly_one_source(wordfile, capsys):

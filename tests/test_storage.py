@@ -7,6 +7,7 @@ import re
 import struct
 import tracemalloc
 import zlib
+from bisect import bisect_right
 from collections import Counter
 from functools import cache
 from itertools import islice, pairwise, product
@@ -284,25 +285,35 @@ def test_xxhash_files_still_load_and_answer(tmp_path, monkeypatch, caplog, k):
         assert xx.query(p) == crc.query(p) == oracle_query(d, p, k)
 
 
-def test_resealed_corrupted_files_raise_only_package_errors():
-    # Bytes flipped in the bucket section, lists included, with the checksum
-    # recomputed, so the damage gets past the load checks.  Load and queries
-    # may then raise only SplitIndexError subclasses; a damaged list that
-    # still answers (wrongly) is not caught here.  The uncoded indexes are a
-    # case twice, the second time with every run verified as a matrix.
-    rng = random.Random(62)
-    cases = []
+def damage_corpora(rng):
+    """An index of each of four corpora, k = 1 and 2, plain and coded, with
+    the patterns probed on it: its words, two short ones and 50 noisy
+    queries."""
+    corpora = []
     for k in (1, 2):
         for coded in (False, True):
             d = Dictionary(random_words(rng, 250, 8) + [b"a", b"ab"])
             subs = mine_substitutions(d, "mixed", 20) if coded else None
-            idx = build_index(d, k, substitutions=subs)
-            blob = index_to_bytes(idx)
-            tail = len(idx.lists) + 4 * idx.table.bucket_count + 4
-            case = (blob, len(blob) - 4 - tail, d.words + gen_noisy_queries(d, 50, seed=k).patterns)
-            cases.append(case + (core.MATRIX_RUN,))
-            if not coded:
-                cases.append(case + (1,))
+            corpora.append((build_index(d, k, substitutions=subs), d.words + gen_noisy_queries(d, 50, seed=k).patterns))
+    return corpora
+
+
+def test_resealed_corrupted_files_raise_only_package_errors():
+    # Bytes flipped in the bucket section, lists included, with the checksum
+    # recomputed, so the damage gets past the load checks.  Load, the stats
+    # that ``bench`` reports and queries may then raise only SplitIndexError
+    # subclasses; a damaged list that still answers (wrongly) is not caught
+    # here.  The uncoded indexes are a case twice, the second time with every
+    # run verified as a matrix.
+    rng = random.Random(62)
+    cases = []
+    for idx, patterns in damage_corpora(rng):
+        blob = index_to_bytes(idx)
+        tail = len(idx.lists) + 4 * idx.table.bucket_count + 4
+        case = (blob, len(blob) - 4 - tail, patterns)
+        cases.append(case + (core.MATRIX_RUN,))
+        if idx.subs is None:
+            cases.append(case + (1,))
     raised = Counter()
     for case in range(1500):
         blob, start, patterns, matrix_run = cases[case % len(cases)]
@@ -312,12 +323,74 @@ def test_resealed_corrupted_files_raise_only_package_errors():
         data = bytes(body) + struct.pack("<I", zlib.crc32(body))
         try:
             idx = index_from_bytes(data)
-            with patch.object(core, "MATRIX_RUN", matrix_run):
-                for p in patterns:
-                    idx.query(p)
         except SplitIndexError as err:
             raised[type(err)] += 1
+            continue
+        with patch.object(core, "MATRIX_RUN", matrix_run):
+            for read in (idx.list_stats, idx.table.bucket_stats, lambda: [idx.query(p) for p in patterns]):
+                try:
+                    read()
+                except SplitIndexError as err:
+                    raised[type(err)] += 1
     assert raised[CorruptListError] and raised[CodecError] and raised[TruncatedIndexError]
+
+
+class RegionReached(Exception):
+    """Raised in place of ``core._region``, with the bounds of the list found."""
+
+
+def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
+    # Bytes flipped in the bucket arena, about half of them on key-length
+    # and list-length bytes, with the checksum recomputed.  Each piece of a
+    # probed pattern is searched alone, and the search stops where it would
+    # read the list's regions: its own walk of the piece's bucket must find
+    # the list that lookup_list finds, miss where it misses, or raise its
+    # error.  The probed patterns are those with a piece keying a damaged
+    # bucket, and 20 more.
+    rng = random.Random(63)
+    whole_plan = core._plan
+    plan = []
+
+    def region_reached(data, begin, end, r, k, key):
+        raise RegionReached(begin, end)
+
+    seen = Counter()
+    with patch.object(core, "_plan", lambda n, k: plan), patch.object(core, "_region", region_reached):
+        for idx, patterns in damage_corpora(random.Random(62)):
+            k = idx.k
+            table = idx.table
+            headers = []
+            for _, key, begin, end in table.records():
+                at = begin - leb_size(end - begin)
+                headers += [at - len(key) - 1, *range(at, begin)]
+            patterns = [p for p in patterns if len(p) > k]
+            fn = HASH_FUNCTIONS[table.config.function_id]
+            pieces = {p: [(piece, fn(p[piece[1] : piece[2]]) & table.bucket_count - 1) for piece in whole_plan(len(p), k)]
+                      for p in patterns}
+            for _ in range(150):
+                spots = [rng.choice(headers) if rng.random() < 0.5 else rng.randrange(len(idx.lists))
+                         for _ in range(rng.randint(1, 3))]
+                changes = {arena_offset(idx) + at: bytes([idx.lists[at] ^ rng.randrange(1, 256)]) for at in spots}
+                damaged = index_from_bytes(resealed(idx, changes))
+                hurt = {bisect_right(table.starts, at) - 1 for at in spots}
+                probed = [p for p in patterns if any(b in hurt for _, b in pieces[p])] + rng.sample(patterns, 20)
+                for p in probed:
+                    for piece, _ in pieces[p]:
+                        plan[:] = [piece]
+                        try:
+                            damaged._search(p, set())
+                            walk = None
+                        except RegionReached as reached:
+                            walk = slice(*reached.args)
+                        except CorruptListError as err:
+                            walk = str(err)
+                        try:
+                            probe = damaged.table.lookup_list(p[piece[1] : piece[2]])
+                        except CorruptListError as err:
+                            probe = str(err)
+                        assert walk == probe, (p, piece)
+                        seen[type(probe).__name__] += 1
+    assert seen["slice"] and seen["NoneType"] and seen["str"], seen
 
 
 def arena_offset(idx):
@@ -431,26 +504,31 @@ def two_buckets():
     return idx
 
 
+def assert_every_reader_raises(damaged, message, key, pattern):
+    """The probe of ``key``, the query of ``pattern``, the record walk and
+    both stats each raise CorruptListError with exactly ``message``."""
+    for read in (lambda: damaged.table.lookup_list(key), lambda: damaged.query(pattern),
+                 lambda: list(damaged.table.records()), damaged.table.bucket_stats, damaged.list_stats):
+        with pytest.raises(CorruptListError, match=f"^{re.escape(message)}$"):
+            read()
+
+
 def test_bucket_record_past_its_bucket_is_corrupt():
     idx = two_buckets()
-    # The key length of b"xy" grows past the end of bucket 1, where the
-    # arena ends too: a miss walks over it, and b"ab", before it, still hits.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 22: b"\x09"}))
-    assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x04\x02\x02xy\x02\x02cd"
-    with pytest.raises(CorruptListError, match="bucket 1"):
-        damaged.table.lookup_list(b"zz")
-    with pytest.raises(CorruptListError, match="bucket 1"):
-        damaged.query(b"zzzz")
+    # The key of b"xy" grows to the end of bucket 1, where the arena ends
+    # too, leaving no byte for its list length, or past it: a miss walks
+    # over it, and b"ab", before it, still hits.
+    for key_length in (b"\x08", b"\x09"):
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 22: key_length}))
+        assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x04\x02\x02xy\x02\x02cd"
+        assert_every_reader_raises(damaged, "bucket 1 holds a record that runs past its end", b"zz", b"zzzz")
 
 
 def test_list_past_its_bucket_is_corrupt():
     idx = two_buckets()
     # The list of b"cd" grows by a byte, into bucket 1.
     damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x06"}))
-    with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
-        damaged.table.lookup_list(b"cd")
-    with pytest.raises(CorruptListError, match="key b'cd' runs past the end of bucket 0"):
-        damaged.query(b"cdab")
+    assert_every_reader_raises(damaged, "the list for key b'cd' runs past the end of bucket 0", b"cd", b"cdab")
     # A miss in bucket 0 walks over the grown list to past the bucket's end,
     # in the probe and in the query's own walk, whose pieces are both ``miss``.
     miss = next(key for key in (b"k%d" % i for i in range(100)) if HASH_FUNCTIONS["crc32"](key) & 1 == 0)
@@ -465,24 +543,20 @@ def test_list_length_past_its_bucket_is_corrupt():
     # The key of b"cd" grows over its list, so that the list length is the
     # bucket's last byte; it carries on (0x80) into bucket 1.
     damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x07", arena_offset(idx) + 8: b"\x80"}))
-    with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
-        damaged.table.lookup_list(b"cd")
-    with pytest.raises(CorruptListError, match="bucket 0 holds a list length that runs past its end"):
-        damaged.query(b"cdab")
+    assert_every_reader_raises(damaged, "bucket 0 holds a list length that runs past its end", b"cd", b"cdab")
 
 
 def test_length_of_more_than_five_bytes_is_corrupt():
     idx = two_buckets()
     at = arena_offset(idx) + 9 + 3  # the list length of b"ab", in bucket 1
     damaged = index_from_bytes(resealed(idx, {at: b"\x80\x80\x80\x80\x80\x01"}))
-    with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 5 bytes"):
-        damaged.table.lookup_list(b"ab")
-    with pytest.raises(CorruptListError, match="bucket 1 holds a list length of more than 5 bytes"):
-        damaged.query(b"abxy")
-    # The same for the region length that opens the list of b"ab".
+    assert_every_reader_raises(damaged, "bucket 1 holds a list length of more than 5 bytes", b"ab", b"abxy")
+    # The same for the region length that opens the list of b"ab", which
+    # the query and the list stats read.
     damaged = index_from_bytes(resealed(idx, {at + 1: b"\x80\x80\x80\x80\x80\x01"}))
-    with pytest.raises(CorruptListError, match="list for key b'ab' holds a region length of more than 5 bytes"):
-        damaged.query(b"abxy")
+    for read in (lambda: damaged.query(b"abxy"), damaged.list_stats):
+        with pytest.raises(CorruptListError, match="list for key b'ab' holds a region length of more than 5 bytes"):
+            read()
     # Five bytes are read: 2**35 - 1 is the longest length stored, more than
     # an arena, under 2**32 bytes, can hold.
     assert hashing._read_length(b"\xff\xff\xff\xff\x7f", 0, 5, 0) == (2**35 - 1, 5)
