@@ -16,7 +16,7 @@ from .core import build_index
 from .datasets import gen_noisy_queries, load_misspellings, load_wordlist
 from .errors import SplitIndexError
 from .hashing import DEFAULT_HASH, HASH_FUNCTIONS, MIN_LOAD_FACTOR, HashConfig
-from .qgrams import POLICIES, mine_substitutions, save_substitutions
+from .qgrams import POLICIES, format_substitutions, mine_substitutions, save_substitutions
 from .storage import load_index, save_index
 
 USAGE_ERROR = 1
@@ -241,8 +241,7 @@ def _cmd_mine(args) -> int:
         save_substitutions(subs, args.out)
         print(f"mined {len(subs)} substitutions -> {args.out}")
     else:
-        for s in subs:
-            sys.stdout.buffer.write(str(s.code).encode() + b"\t" + s.gram + b"\n")
+        sys.stdout.buffer.write(format_substitutions(subs))
         sys.stdout.buffer.flush()
     return 0
 

@@ -186,7 +186,7 @@ def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> S
         best = _best_gram(windows)
         if best is None:
             break
-        savings, chosen, gid, starts = best
+        (savings, _, _), chosen, gid, starts = best
         picked.append(Substitution(chosen.gram(gid), CODE_FIRST + len(picked), savings))
         for w in windows:
             w.replace(starts, chosen.q)
@@ -196,14 +196,11 @@ def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> S
 class _Windows:
     """Every q-byte window of the padded corpus, in original coordinates.
 
-    Each window holds the id of its gram.  Ids ``< plain`` are the grams
-    that cannot overlap themselves, ids ``plain..counted - 1`` those with a
-    border (a proper prefix equal to a suffix), which may count more windows
-    than a replacement can take; each group is in lexicographic order.  A
-    window that spans a separator, or a byte already replaced, holds an id
-    ``>= counted``: it is not a window of the residual corpus.  ``counts``
-    counts the windows of each gram, and ``values`` holds each gram's digits
-    (alphabet ranks, base sigma + 1).
+    ``values`` holds the digits (alphabet ranks, base sigma + 1) of each gram,
+    ascending, so gram ids are in lexicographic order.  Each window holds the
+    id of its gram, or the sentinel ``len(values)`` when it spans a separator
+    or a byte already replaced: it is then not a window of the residual
+    corpus.  ``counts`` counts the windows of each gram.
     """
 
     def __init__(self, digits, alphabet, q: int):
@@ -216,24 +213,15 @@ class _Windows:
             values = np.arange(base**q, dtype=vals.dtype)
         else:
             values, vals = np.unique(vals, return_inverse=True)
-        gram = [values // base ** (q - 1 - j) % base for j in range(q)]
-        overlapping = np.zeros(values.size, dtype=bool)
-        for b in range(1, q):
-            border = np.ones(values.size, dtype=bool)
-            for j in range(b):
-                border &= gram[j] == gram[q - b + j]
-            overlapping |= border
-        group = np.where(np.all([g < alphabet.size for g in gram], axis=0), overlapping, 2)
-        order = np.argsort(group, kind="stable")
-        renumber = np.empty(values.size, dtype=np.min_scalar_type(values.size))
-        renumber[order] = np.arange(values.size)
         self.q = q
         self.alphabet = alphabet
-        self.plain = int(np.count_nonzero(group == 0))
-        self.counted = values.size - int(np.count_nonzero(group == 2))
-        self.values = values[order[: self.counted]]
-        self.ids = renumber.take(vals)
-        self.counts = np.bincount(self.ids, minlength=values.size)[: self.counted]
+        self.values = values
+        self.sentinel = values.size
+        spans = np.any([values // base**j % base == alphabet.size for j in range(q)], axis=0)
+        ids = np.arange(values.size, dtype=np.min_scalar_type(values.size))
+        ids[spans] = self.sentinel
+        self.ids = ids.take(vals)
+        self.counts = np.bincount(self.ids, minlength=values.size)[: values.size]
 
     def gram(self, gid: int) -> bytes:
         v, base = int(self.values[gid]), self.alphabet.size + 1
@@ -260,45 +248,43 @@ class _Windows:
         # Each span skips the windows that the previous span already holds.
         keep = (offsets >= width - np.diff(starts, prepend=-width - self.q)).ravel()
         gone = self.ids.take(wins)
-        keep &= gone < self.counted
+        keep &= gone < self.sentinel
         wins, gone = wins.compress(keep), gone.compress(keep)
-        self.ids[wins] = self.counted
+        self.ids[wins] = self.sentinel
         np.subtract.at(self.counts, gone, 1)
 
 
 def _best_gram(windows: list[_Windows]):
-    """``(savings, windows, gram id, starts)`` of the best pick, or None.
+    """``((savings, q, -digits), windows, gram id, starts)`` of the best
+    pick, or None.
 
-    A gram that cannot overlap itself saves exactly its window count times
-    q - 1.  The best of those bounds the rest, which are counted exactly in
-    decreasing bound order until none can win.  Ties go to the longer gram,
-    then to the smaller digits.
+    A gram's window count times q - 1 bounds its savings; the bound is exact
+    unless the gram overlaps itself.  Grams are counted exactly in
+    decreasing ``(bound, q, -digits)`` order, the next one being the largest
+    of each window set's ``counts.argmax()`` (the first of the maxima, so
+    the smallest digits), whose count is then zeroed for the rest of the
+    round.  Counting stops once the next key is below the best exact key,
+    so ties go to the longer gram, then to the smaller digits.
     """
-    best = None  # ((savings, q, -digits), windows, gram id, starts or None)
-    for w in windows:
-        if w.plain:
-            gid = int(w.counts[: w.plain].argmax())  # the first of the maxima
-            key = (int(w.counts[gid]) * (w.q - 1), w.q, -int(w.values[gid]))
-            if key[0] > 0 and (best is None or key > best[0]):
-                best = (key, w, gid, None)
-    floor = best[0][0] if best else 1
-    candidates = []
-    for w in windows:
-        bound = w.counts[w.plain :] * (w.q - 1)
-        for gid in (np.flatnonzero(bound >= floor) + w.plain).tolist():
-            candidates.append(((int(w.counts[gid]) * (w.q - 1), w.q, -int(w.values[gid])), w, gid))
-    candidates.sort(key=lambda c: c[0], reverse=True)
-    for (bound, q, neg), w, gid in candidates:
-        if best is not None and bound < best[0][0]:
+    best = None  # ((savings, q, -digits), windows, gram id, starts)
+    zeroed = []  # (windows, gram id, count) to restore after the round
+    while True:
+        heads = [(w, int(w.counts.argmax())) for w in windows]
+        key, w, gid = max(
+            (((int(w.counts[g]) * (w.q - 1), w.q, -int(w.values[g])), w, g) for w, g in heads),
+            key=lambda c: c[0],
+        )
+        if key[0] < 1 or best is not None and key < best[0]:
             break
         starts = w.starts(gid)
-        key = (starts.size * (q - 1), q, neg)
-        if key[0] > 0 and (best is None or key > best[0]):
-            best = (key, w, gid, starts)
-    if best is None:
-        return None
-    (savings, _, _), w, gid, starts = best
-    return savings, w, gid, w.starts(gid) if starts is None else starts
+        zeroed.append((w, gid, w.counts[gid]))
+        w.counts[gid] = 0
+        exact = (starts.size * (w.q - 1), *key[1:])
+        if best is None or exact > best[0]:
+            best = (exact, w, gid, starts)
+    for w, gid, count in zeroed:
+        w.counts[gid] = count
+    return best
 
 
 def compression_ratio(dictionary, subs: SubstitutionList) -> float:
@@ -309,15 +295,21 @@ def compression_ratio(dictionary, subs: SubstitutionList) -> float:
     return dictionary.total_bytes / encoded
 
 
-def save_substitutions(subs: SubstitutionList, path) -> None:
-    """Write one ``<code decimal> TAB <q-gram>`` line per rule, in applied order."""
+def format_substitutions(subs: SubstitutionList) -> bytes:
+    """One ``<code decimal> TAB <q-gram>`` line per rule, in applied order."""
     lines = []
     for s in subs:
         if b"\n" in s.gram or b"\r" in s.gram:
             raise CodecError(f"q-gram {s.gram!r} cannot be written to the line format")
-        lines.append(str(s.code).encode("ascii") + b"\t" + s.gram)
+        lines.append(b"%d\t%s\n" % (s.code, s.gram))
+    return b"".join(lines)
+
+
+def save_substitutions(subs: SubstitutionList, path) -> None:
+    """Write ``format_substitutions(subs)`` to ``path``."""
+    data = format_substitutions(subs)
     with open(path, "wb") as fh:
-        fh.write(b"\n".join(lines) + (b"\n" if lines else b""))
+        fh.write(data)
 
 
 def load_substitutions(path) -> SubstitutionList:

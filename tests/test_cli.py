@@ -247,6 +247,19 @@ def test_mine_qgrams_stdout_and_file(tmp_path, capsys):
     assert out_path.read_bytes().startswith(b"128\tAC")
 
 
+def test_mine_qgrams_prints_the_bytes_out_writes(tmp_path, capsysbinary):
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"compression\ncompress\nimpression\nrecompose\n")
+    out_path = tmp_path / "subs.tsv"
+    argv = ["mine-qgrams", "--dict", str(words), "--compress", "mixed"]
+    assert main(argv + ["--out", str(out_path)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert printed.count(b"\n") > 1
+    assert printed == out_path.read_bytes()
+
+
 def test_build_with_compression_roundtrips(tmp_path, capsys):
     words = tmp_path / "dna.txt"
     words.write_bytes(b"\n".join(b"ACGTACGTACGTACGTACGT" for _ in range(1)) + b"\nACGTACGTAAAATTTTCCCC\n")

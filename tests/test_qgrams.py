@@ -116,6 +116,23 @@ def test_mine_first_pick_on_repetitive_corpus():
     assert subs.entries[0].code == 128
 
 
+def test_a_self_overlapping_gram_loses_on_its_exact_count():
+    # b"aa" has the most windows (6) but replaces only 3 times in b"aaaaaaa";
+    # b"bc" has 4 windows and saves 4.  b"aa" must still be picked next.
+    d = Dictionary([b"aaaaaaa", b"bcd", b"bce", b"bcf", b"bcg"])
+    subs = mine_substitutions(d, "2gram", 100)
+    assert rules(subs)[:2] == [(b"bc", 128, 4), (b"aa", 129, 3)]
+    assert rules(subs) == rules(reference_mine(d, "2gram", 100))
+
+
+def test_savings_ties_go_to_the_longer_then_the_smaller_gram():
+    # b"xyz" twice, b"ab" and b"cd" four times each: all three save 4.
+    d = Dictionary([b"xyzp", b"xyzq", b"abr", b"abs", b"abt", b"abu", b"cdr", b"cds", b"cdt", b"cdu"])
+    subs = mine_substitutions(d, "mixed", 100)
+    assert sorted(rules(subs), key=lambda r: r[1])[:3] == [(b"xyz", 128, 4), (b"ab", 129, 4), (b"cd", 130, 4)]
+    assert rules(subs) == rules(reference_mine(d, "mixed", 100))
+
+
 def test_mine_empty_dictionary():
     assert len(mine_substitutions(Dictionary(()), "mixed", 100)) == 0
 

@@ -1,5 +1,6 @@
-"""Static checks of the package source: no unused import, and no private
-function, class or module constant that nothing in the package uses."""
+"""Static checks of the package source: no unused import, no private
+function, class or module constant that nothing in the package uses, and
+no ``self`` attribute that is assigned but never read."""
 
 import ast
 from pathlib import Path
@@ -61,6 +62,19 @@ def dead_private_names(trees):
     return [f"{module}:{name}" for module, tree in trees.items() for name in private_definitions(tree) if name not in used]
 
 
+def assigned_attributes(tree):
+    """The names of the ``self.<name>`` that ``tree`` assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self":
+            yield node.attr
+
+
+def dead_attributes(trees):
+    """The ``self`` attributes that ``trees`` assign and none of them reads."""
+    used = set().union(*map(used_names, trees.values()))
+    return sorted({name for tree in trees.values() for name in assigned_attributes(tree)} - used)
+
+
 def test_no_module_has_an_unused_import():
     unused = {path.name: names for path in MODULES if (names := unused_imports(parse(path)))}
     assert not unused
@@ -72,6 +86,12 @@ def test_every_private_name_is_used_in_the_package():
     assert not dead_private_names(trees)
 
 
+def test_every_assigned_attribute_is_read_in_the_package():
+    trees = {path.name: parse(path) for path in MODULES}
+    assert len({name for tree in trees.values() for name in assigned_attributes(tree)}) > 20
+    assert not dead_attributes(trees)
+
+
 def test_the_checks_find_what_they_look_for():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -80,9 +100,11 @@ def test_the_checks_find_what_they_look_for():
         "_LIMIT = 3\n"
         "_KEPT: int = 4\n"
         "class _Shape:\n"
-        "    def _area(self): return _KEPT\n"
+        "    def __init__(self): self.side, self.unread = _KEPT, 0\n"
+        "    def _area(self): return self.side\n"
         "def _dead(): return _dead()\n"
         "def f(x): return os.path.join(x._area(), _Shape)\n"
     )
     assert unused_imports(tree) == ["pairwise", "_chain"]
     assert dead_private_names({"m.py": tree}) == ["m.py:_LIMIT"]
+    assert dead_attributes({"m.py": tree}) == ["unread"]
