@@ -21,20 +21,22 @@ recomputed from the total length at query time.
 A query walks the group headers of its region to the group whose L is the
 length it wants, and verifies that group as a buffer of entries at stride L:
 a plain group in the arena, a coded one as one ``decode`` of the group.  A
-group of one entry is compared with the pattern's rest by one integer xor,
-and when L <= k every entry matches.  Otherwise one of two kernels checks
-the buffer, chosen by the group's entry count alone, at every k.  A group of
-at least ``MATRIX_RUN`` entries is compared with the pattern's rest as one
-uint8 matrix, each entry once, and a row's mismatches are summed by a uint8
-matrix product; smaller groups are searched with ``bytes.find`` for exact
-sub-pieces of the rest, and only the aligned hits are verified.  The
-threshold, 64, was measured on the english k = 2 benchmark: below it numpy's
-fixed cost per group outweighs what it saves at the median query.  On the
-english k = 1 benchmark, 32, 128, 256 and 512 gave no lower mean or tail.
+group of one entry is compared with the pattern's rest by one integer xor.
+Otherwise one of two kernels checks each entry of the buffer once, chosen by
+the group's entry count alone, at every k.  A group of fewer than
+``MATRIX_RUN`` entries is xored, as one little-endian integer, with the rest
+repeated once per entry (SWAR, SIMD within a register); the nonzero bytes
+become ones, one multiplication sums each entry's ones into its last byte,
+and a translate table marks the sums of at most k.  A larger group is
+compared with the rest as one uint8 matrix, and a row's mismatches are summed
+by a uint8 matrix product.  Either way only the matches are visited in
+Python.  When L <= k every entry matches, and is built without a kernel.
+The threshold, 64, was measured against the matrix on the three benchmark
+workloads: 32 made english k = 2 slower at the median, and 128 and 256 its
+slowest 1% of queries.
 
-Payloads may be substitution-coded (see ``qgrams``); keys never are.  Coded
-bytes are never searched: a mismatch breaks a code's alignment, so a group is
-decoded before either kernel sees it.
+Payloads may be substitution-coded (see ``qgrams``); keys never are.  A
+group is decoded before either kernel sees it.
 
 The build runs in numpy batches, one per key length.  Words of one length
 share their piece bounds, so the keys and payloads of one key position are
@@ -69,8 +71,14 @@ from .hashing import HASH_FUNCTIONS, ChainedHashTable, HashConfig, _gather, _len
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # group lengths are single bytes, from 1 up
-MATRIX_RUN = 64  # the fewest entries in a group verified as one matrix, at every k
+MATRIX_RUN = 64  # the fewest entries in a group verified as one matrix, at every k; fewer are xored
 _ONES = np.ones(PAYLOAD_LIMIT + 1, np.uint8)  # sums a matrix row's mismatches
+_NONZERO = bytes(1) + b"\x01" * 255  # a translate table: 0 where a byte is 0, else 1
+_SPREAD = tuple(int.from_bytes(b"\x01" * n, "little") for n in range(PAYLOAD_LIMIT + 1))  # n one-bytes
+# For each k, a translate table: 1 for a sum of at most k mismatches, else 0.
+# Made once here rather than per index, so that a loaded index holds nothing
+# more than its parts.
+_WITHIN = tuple(b"\x01" * (k + 1) + bytes(255 - k) for k in range(256))
 
 
 @lru_cache(maxsize=1024)  # builds and queries ask for few distinct lengths
@@ -106,21 +114,16 @@ def split_word(word: bytes, k: int) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=1024)  # queries ask for few distinct lengths
-def _plan(length: int, k: int) -> tuple[tuple, ...]:
+def _plan(length: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     """Search plan for a ``length``-byte pattern, one tuple per piece r >= 0.
 
-    A tuple holds r; the piece's start and end in the pattern; ``need``, the
-    length of the rest of the pattern; and the (start, end) of each sub-piece
-    to search, as offsets into that rest, cut into k + 1 sub-pieces at
-    ``need * j // (k + 1)``.  They are searched only when need > k, and then
-    none is empty.
+    A tuple holds r; the piece's start and end in the pattern; and ``need``,
+    the length of the rest of the pattern.
     """
     plan = []
     start = 0
     for r, plen in enumerate(piece_lengths(length, k)):
-        need = length - plen
-        cuts = [need * j // (k + 1) for j in range(k + 2)]
-        plan.append((r, start, start + plen, need, tuple(zip(cuts, cuts[1:]))))
+        plan.append((r, start, start + plen, length - plen))
         start += plen
     return tuple(plan)
 
@@ -269,10 +272,8 @@ class SplitIndex:
         # shorter than the wanted length.  Every entry of the group of that
         # length counts as verified.  One entry is compared through one
         # integer xor; more go to one of the two kernels the module
-        # describes: the matrix, or the pigeonhole step again, where a word
-        # within k mismatches matches one of the k + 1 sub-pieces of the
-        # pattern's rest exactly, so only the hits of bytes.find on them are
-        # compared, each through the same xor.
+        # describes, which check each entry once: the big-integer xor over
+        # the whole group, or the matrix.
         fn = self._hash
         mask = self._mask
         starts = self._starts
@@ -283,7 +284,7 @@ class SplitIndex:
         verified = 0
         # Offsets into the arena are large ints, a new object each, so every
         # sum is computed once.
-        for r, start, end, need, passes in _plan(n, k):
+        for r, start, end, need in _plan(n, k):
             key = pattern[start:end]
             b = fn(key) & mask
             o = starts[b]
@@ -375,28 +376,20 @@ class SplitIndex:
                     e = o + i * need
                     out.add(buf[e : e + start] + key + buf[e + start : e + need])
                 continue
-            # Each pass searches one sub-piece and counts a hit only at its
-            # entry's own offset; a misaligned one resumes the search at the
-            # next entry.
-            rint = ifb(rest, "little")
-            least = need - k  # the fewest zero bytes in the xor of a match
-            find = buf.find
-            for x, y in passes:
-                probe = rest[x:y]
-                base = o + x
-                h = find(probe, base, stop)
-                while h >= 0:
-                    off = (h - base) % need
-                    if off:
-                        h = find(probe, h + need - off, stop)
-                        continue
-                    e = h - x  # the entry
-                    v = ifb(buf[e : e + need], "little") ^ rint
-                    if not v:  # the pattern itself
-                        out.add(pattern)
-                    elif v.to_bytes(need, "little").count(0) >= least:
-                        out.add(buf[e : e + start] + key + buf[e + start : e + need])
-                    h = find(probe, h + need, stop)
+            # The xor with the rest repeated count times is nonzero in the
+            # bytes where an entry differs.  As ones and zeros, those bytes
+            # times need one-bytes sum each entry's mismatches into its last
+            # byte; every byte of the product sums at most need <=
+            # PAYLOAD_LIMIT ones, so none carries into the next.  hits holds
+            # one byte per entry, 1 for a match.
+            v = ifb(buf[o:stop], "little") ^ ifb(rest * count, "little")
+            v = ifb(v.to_bytes(size, "little").translate(_NONZERO), "little") * _SPREAD[need]
+            hits = v.to_bytes(size + need, "little")[need - 1 : size : need].translate(_WITHIN[k])
+            i = hits.find(1)
+            while i >= 0:
+                e = o + i * need
+                out.add(buf[e : e + start] + key + buf[e + start : e + need])
+                i = hits.find(1, i + 1)
         return verified
 
     # -- stats and sizes ---------------------------------------------------

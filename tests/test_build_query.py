@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import random
 import tracemalloc
 from array import array
@@ -41,7 +42,9 @@ from splitindex.storage import index_from_bytes, index_to_bytes
 
 # MATRIX_RUN values that send every group of two or more entries to one
 # kernel: 1 to the matrix, ARENA_LIMIT, more entries than an arena holds, to
-# the bytes.find passes.  A group of one entry is always compared directly.
+# the big-integer xor.  A group of one entry is always compared directly.
+# The tests that run both cover plain and coded groups, and groups whose
+# entries are no longer than k (need <= k), where every entry matches.
 BOTH_KERNELS = (1, ARENA_LIMIT)
 
 
@@ -640,10 +643,11 @@ def _long_runs_match_the_oracle(k):
     # two lengths each.  Where a region's longer length is also valid in the
     # next region, that region starts with it, so the two runs share one
     # length and stride and only the region bound tells them apart (regions
-    # 1 and 2 at every k).  Payloads over an alphabet holding the length bytes make the
-    # sub-pieces occur at misaligned offsets, inside one entry or straddling
-    # two.  The (k + 1)-byte words keyed by b"e" in their first or last piece
-    # leave a missing part of k bytes (need <= k) on either side.
+    # 1 and 2 at every k).  Payloads over an alphabet holding the length bytes
+    # look like group headers, and the windows probed below match parts of
+    # one entry or of two.  The (k + 1)-byte words keyed by b"e" in their
+    # first or last piece leave a missing part of k bytes (need <= k) on
+    # either side.  Each kernel checks a plain and a coded index.
     rng = random.Random(15 + k)
     key = b"key"
     valid = [[n for n in range(len(key) + k, 40) if piece_lengths(n, k)[r] == len(key)] for r in range(k + 1)]
@@ -669,7 +673,9 @@ def _long_runs_match_the_oracle(k):
     words += [with_key(e, r, b"e") for r in (0, k) for e in payloads(b"abcdefghijklmnopqrst", k)]
     d = Dictionary(words)
     idx = build_index(d, k)
+    coded = build_index(d, k, substitutions=SUBS)
     blob = idx.lists[idx.table.lookup_list(key)]
+    assert coded.lists[coded.table.lookup_list(key)] != blob
     by_region = regions(blob, k)
     runs = [[len(e) for e in by_region[r]].count(n - len(key)) for r, lengths in enumerate(chosen) for n in lengths]
     assert min(runs) > 16
@@ -698,12 +704,12 @@ def _long_runs_match_the_oracle(k):
     patterns = tuple(sorted(patterns))
     expected = [oracle_query(d, p, k) for p in patterns]
     verifications = sum(expected_verifications(d, p, k) for p in patterns)
-    for matrix_run in BOTH_KERNELS:
+    for matrix_run, index in product(BOTH_KERNELS, (idx, coded)):
         with patch.object(core, "MATRIX_RUN", matrix_run):
             for p, want in zip(patterns, expected):
-                assert idx.query(p) == want, (matrix_run, p)
-            report = run_bench(idx, QuerySet(patterns, "long runs"))
-        assert report.verifications == verifications, matrix_run
+                assert index.query(p) == want, (matrix_run, index.subs, p)
+            report = run_bench(index, QuerySet(patterns, "long runs"))
+        assert report.verifications == verifications, (matrix_run, index.subs)
 
 
 def test_run_of_the_shipped_threshold_matches_the_oracle():
@@ -766,6 +772,74 @@ def test_matrix_sums_rows_of_255_mismatches_without_wrapping():
             near[i] = ord("c")
         for p, want in ((key + b"c" * PAYLOAD_LIMIT, []), (bytes(near), [d.words[5]])):
             assert idx.query(p) == want == oracle_query(d, p, k), k
+
+
+def test_xor_kernel_sums_255_mismatches_without_carrying():
+    # k = 1 words of 510 bytes have two 255-byte pieces, so every rest is
+    # PAYLOAD_LIMIT bytes long.  Each region of the list of b"k" * 255 is a
+    # group of 2 to MATRIX_RUN - 1 entries, which the big-integer xor checks,
+    # and entries that differ from the patterns' rests in all 255 bytes sit
+    # beside an exact entry and a one-mismatch entry: a sum that carried
+    # would spill into its neighbour's.
+    key = b"k" * PAYLOAD_LIMIT
+    rests = [b"a" * 255, b"b" * 255, b"m" * 255, b"m" * 254 + b"n", b"z" * 255]
+    d = Dictionary([key + e for e in rests] + [e + key for e in rests])
+    patterns = set()
+    for e in rests + [b"q" * 255, b"m" * 254 + b"z", b"a" * 254 + b"m", b"m" + b"z" * 254]:
+        patterns.update((key + e, e + key, key[1:] + b"j" + e, e + b"j" + key[1:]))
+    for subs in (None, SUBS):
+        idx = build_index(d, 1, substitutions=subs)
+        for region in regions(idx.lists[idx.table.lookup_list(key)], 1, idx.subs.decode if subs else bytes):
+            assert region == sorted(rests) and len(region) < core.MATRIX_RUN
+        for p in sorted(patterns):
+            assert idx.query(p) == oracle_query(d, p, 1), (subs, p)
+
+
+def test_every_group_count_matches_the_oracle():
+    # For each k and each entry length need from k (a rest is never shorter)
+    # to 12, one dictionary holds, under keys of their own, a group of c
+    # entries of that length for every c from 1 to MATRIX_RUN + 1: the
+    # one-entry xor, the big-integer xor and the matrix, and at need = k
+    # groups whose every entry matches.  Each group is probed with its last
+    # entry at k mismatches in the rest and its first at k + 1, plain and
+    # coded.
+    rng = random.Random(25)
+    symbols = bytes(range(97, 123)) + bytes(range(33, 97)) + bytes(range(123, 127))
+    counts = range(1, core.MATRIX_RUN + 2)
+
+    def mutated(word, at):
+        w = bytearray(word)
+        for i in at:
+            w[i] = rng.choice([c for c in symbols if c != w[i]])
+        return bytes(w)
+
+    for k in (1, 2, 3):
+        for need in range(k, 13):
+            n, r = next((n, r) for n in range(k + 1, 64) for r in range(k + 1) if n - piece_lengths(n, k)[r] == need)
+            cut = sum(piece_lengths(n, k)[:r])
+            rest = [*range(cut), *range(cut + n - need, n)]
+            alpha = symbols[: max(4, math.ceil((2 * len(counts)) ** (1 / need)))]
+            keys = set()
+            while len(keys) < len(counts):
+                keys.add(bytes(rng.choices(symbols, k=n - need)))
+            words, patterns = [], []
+            for c, key in zip(counts, sorted(keys)):
+                drawn = set()
+                while len(drawn) < c:
+                    drawn.add(bytes(rng.choices(alpha, k=need)))
+                group = [e[:cut] + key + e[cut:] for e in sorted(drawn)]
+                words += group
+                patterns.append(mutated(group[-1], rng.sample(rest, k)))
+                patterns.append(mutated(group[0], rng.sample(rest, k + 1) if need > k else rest + [cut]))
+            d = Dictionary(words)
+            indexes = [build_index(d, k), build_index(d, k, substitutions=SUBS)]
+            for c, key in zip(counts, sorted(keys)):
+                entries = regions(indexes[0].lists[indexes[0].table.lookup_list(key)], k)[r]
+                assert [len(e) for e in entries].count(need) == c
+            for p in patterns:
+                want = oracle_query(d, p, k)
+                for idx in indexes:
+                    assert idx.query(p) == want, (k, need, idx.subs, p)
 
 
 def test_length_filter_never_drops_matches():

@@ -365,7 +365,9 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
                 headers += [at - len(key) - 1, *range(at, begin)]
             patterns = [p for p in patterns if len(p) > k]
             fn = HASH_FUNCTIONS[table.config.function_id]
-            pieces = {p: [(piece, fn(p[piece[1] : piece[2]]) & table.bucket_count - 1) for piece in whole_plan(len(p), k)]
+            # Each piece's (r, start, end, need) in the plan, and the bucket its key hashes to.
+            pieces = {p: [((r, start, end, need), fn(p[start:end]) & table.bucket_count - 1)
+                          for r, start, end, need in whole_plan(len(p), k)]
                       for p in patterns}
             for _ in range(150):
                 spots = [rng.choice(headers) if rng.random() < 0.5 else rng.randrange(len(idx.lists))
@@ -377,6 +379,7 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
                 for p in probed:
                     for piece, _ in pieces[p]:
                         plan[:] = [piece]
+                        _, start, end, _ = piece
                         try:
                             damaged._search(p, set())
                             walk = None
@@ -385,7 +388,7 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
                         except CorruptListError as err:
                             walk = str(err)
                         try:
-                            probe = damaged.table.lookup_list(p[piece[1] : piece[2]])
+                            probe = damaged.table.lookup_list(p[start:end])
                         except CorruptListError as err:
                             probe = str(err)
                         assert walk == probe, (p, piece)
