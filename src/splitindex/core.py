@@ -11,12 +11,12 @@ List layout (one blob per key, the same for every k):
 Entries are grouped into regions by the key's piece position 1..k+1, and
 region k + 1 runs to the list's end, which its bucket record gives.  An
 entry's payload is the concatenation of the word's other k pieces.  Within a
-region, entries are grouped by the length L of their decoded payload, in
-ascending L, and each group is ``[L u8 >= 1][B, LEB128][B bytes]``: its
-payloads back to back, with no length byte each.  A plain group's B is a
-multiple of L; a coded group decodes to a multiple of L.  Within a group the
-entries are in (stored length, stored bytes) order.  Piece boundaries are
-recomputed from the total length at query time.
+region, entries are grouped by the length L of their payload, in ascending
+L, and each group is ``[L u8 >= 1][B, LEB128][B bytes]``: its payloads back
+to back in byte order, with no length byte each.  Payloads may be
+substitution-coded (see ``qgrams``); keys never are.  A plain group's B is a
+multiple of L; a coded group is the encoding of the plain group's bytes.
+Piece boundaries are recomputed from the total length at query time.
 
 A query walks the group headers of its region to the group whose L is the
 length it wants, and verifies that group as a buffer of entries at stride L:
@@ -33,20 +33,17 @@ by a uint8 matrix product.  Either way only the matches are visited in
 Python.  When L <= k every entry matches, and is built without a kernel.
 The threshold, 64, was measured against the matrix on the three benchmark
 workloads: 32 made english k = 2 slower at the median, and 128 and 256 its
-slowest 1% of queries.
-
-Payloads may be substitution-coded (see ``qgrams``); keys never are.  A
-group is decoded before either kernel sees it.
+slowest 1% of queries.  A coded group is decoded before either kernel sees it.
 
 The build runs in numpy batches, one per key length.  Words of one length
 share their piece bounds, so the keys and payloads of one key position are
 column slices of them.  The entry rows of one key length are sorted once as
 byte strings, which merges equal keys and orders each list's entries into
-regions and groups; numpy then copies the group headers and payloads, and
-the table its records, into place.  Python steps
-once per batch and once per distinct key.  The keys come out in (key length,
-key bytes) order and every bucket keeps its records in that order, so the
-index depends on the set of words, not on their order.
+regions and groups.  A coded build then codes each group of the batch once;
+numpy copies the group headers and payloads, and the table its records, into
+place.  Python steps once per batch and once per distinct key.  The keys
+come out in (key length, key bytes) order and every bucket keeps its records
+in that order, so the index depends on the set of words, not on their order.
 
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
@@ -457,6 +454,14 @@ def _runs(values: np.ndarray) -> list[np.ndarray]:
     return [run for run in np.split(order, np.flatnonzero(np.diff(values[order])) + 1) if len(run)]
 
 
+def _encode_groups(subs: SubstitutionList, payload: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each group of ``payload``, of ``sizes`` bytes in turn, coded as one string, and the coded sizes.
+    A function of its own, so that its buffers are freed before the next batch is made."""
+    raw, ends = payload.tobytes(), np.cumsum(sizes).tolist()
+    coded = subs.encode_many([raw[a:b] for a, b in zip([0, *ends], ends)])
+    return np.frombuffer(b"".join(coded), np.uint8), np.fromiter(map(len, coded), np.int64, len(coded))
+
+
 def build_index(
     dictionary: Dictionary,
     k: int,
@@ -472,13 +477,14 @@ def build_index(
     an empty list both mean no coding, and the index's ``subs`` is then None.
 
     The entries are made in numpy batches, one per key length, each sorted
-    once (see ``_lists``), and Python steps once per batch and once per
-    distinct key; coded builds also hand every payload to ``encode_many``.
-    Each bucket holds its records in (key length, key bytes) order, so the
-    index is the same, byte for byte, for every order of the same words.
+    once (see ``_lists``); Python steps once per batch and once per distinct
+    key, and a coded build codes each group once, after the sort.  Each
+    bucket holds its records in (key length, key bytes) order, so the index
+    is the same, byte for byte, for every order of the same words.
 
-    Raises BuildError when a word's stored complement would not fit an 8-bit
-    length tag, naming the first such word in dictionary order.
+    Raises BuildError if a word's stored complement would not fit an 8-bit
+    length tag, or CodecError if coding is asked for and a word over k holds
+    a byte that is not plain, naming the first such word in dictionary order.
     """
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"mismatch budget must be an integer >= 1, got {k!r}")
@@ -497,6 +503,8 @@ def build_index(
     oversized = [run[0] for run, pieces in groups if sum(pieces) - min(pieces) > PAYLOAD_LIMIT]
     if oversized:
         raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {words[min(oversized)][:32]!r}")
+    if substitutions:  # side words are stored as they are
+        substitutions.check_plain([w for w in words if len(w) > k])
     keys, lists, sizes = _lists(words, lengths, groups, k, substitutions)
     table = ChainedHashTable.build(keys, lists, sizes, hash_config)
     return SplitIndex(k, table, side, substitutions, dictionary.stats())
@@ -512,15 +520,15 @@ def _lists(
     """The distinct keys in (length, bytes) order, their lists back to back
     as a uint8 array, and the byte length of each list.
 
-    Each key length is one batch of entry rows, ``[key][position][decoded
-    length][stored length][payload, padded to the batch's widest]``, sorted
-    once as byte strings; without coding the two lengths are equal, and the
-    rows hold one.  The sort brings equal keys together and puts each key's
-    entries in list order: by position, so that they fall into regions, then
-    by decoded length, so that they fall into groups, then by stored length
-    and bytes.  What follows a payload never decides the order: rows that
-    agree up to its end hold the same key, position and payload, which make
-    the same word, so no two rows do.
+    Each key length is one batch of entry rows, ``[key][position][payload
+    length][payload, padded to the batch's widest]``, sorted once as byte
+    strings.  The sort brings equal keys together and puts each key's entries
+    in list order: by position, so that they fall into regions, then by
+    length, so that they fall into groups, then by bytes.  What follows a
+    payload never decides the order: rows that agree up to its end hold the
+    same key, position and payload, which make the same word, so no two rows
+    do.  The rows are then dropped, and a coded build codes each group's
+    payloads as one string.
     """
     if not groups:
         return [], np.zeros(0, np.uint8), np.zeros(0, np.int64)
@@ -541,31 +549,19 @@ def _lists(
     for plen, parts in sorted(batches.items()):
         count = sum(len(run) for run, _, _, _ in parts)
         width = max(n for _, n, _, _ in parts) - plen
-        stored = plen + 1 + bool(substitutions)  # the stored length's column; the payload follows it
-        rows = np.zeros((count, stored + 1 + width), np.uint8)
+        rows = np.zeros((count, plen + 2 + width), np.uint8)
         i = 0
         for run, n, r, start in parts:
             j = i + len(run)
             cols = np.r_[start : start + plen, :start, start + plen : n]  # the key, then the rest
-            rows[i:j, np.r_[:plen, stored + 1 : stored + 1 + n - plen]] = flat[offsets[run, None] + cols]
+            rows[i:j, np.r_[:plen, plen + 2 : plen + 2 + n - plen]] = flat[offsets[run, None] + cols]
             rows[i:j, plen] = r
-            rows[i:j, plen + 1 : stored + 1] = n - plen
+            rows[i:j, plen + 1] = n - plen
             i = j
-        if substitutions:  # coding never lengthens a payload, so the coded ones fit over the raw
-            raw = rows[:, stored + 1 :].tobytes()
-            sizes = rows[:, stored].tolist()
-            coded = substitutions.encode_many([raw[a : a + s] for a, s in zip(range(0, len(raw), width), sizes)])
-            del raw, sizes
-            size = np.fromiter(map(len, coded), np.int64, count)
-            rows[:, stored] = size
-            rows[:, stored + 1 :][np.arange(width) < size[:, None]] = np.frombuffer(b"".join(coded), np.uint8)
-            del coded  # dropped before the sort
-        order = np.lexsort(rows.T[::-1])  # by the first byte, then the second, ...
-        rows = rows[order]
-        size = rows[:, stored].astype(np.int64)
+        rows = rows[np.lexsort(rows.T[::-1])]  # by the first byte, then the second, ...
         # A key's rows start where the key changes, and a group's where the
-        # key, position or decoded length does; compared column by column,
-        # since numpy reduces a short row slowly.
+        # key, position or length does; compared column by column, since
+        # numpy reduces a short row slowly.
         new = np.zeros(count, bool)
         new[0] = True
         for c in range(plen):
@@ -580,8 +576,13 @@ def _lists(
         keys += [raw[i : i + plen] for i in range(0, len(raw), plen)]
         positions.append(rows[heads, plen])
         group_lengths.append(rows[heads, plen + 1])
-        group_sizes.append(np.add.reduceat(size, heads))
-        payloads.append(rows[:, stored + 1 :][np.arange(width) < size[:, None]])
+        size = np.diff(heads, append=count) * group_lengths[-1]  # of each group
+        payload = rows[:, plen + 2 :][np.arange(width) < rows[:, plen + 1, None]]
+        del rows  # dropped before the coding
+        if substitutions:
+            payload, size = _encode_groups(substitutions, payload, size)
+        group_sizes.append(size)
+        payloads.append(payload)
     owner = np.concatenate(owners)
     group_size = np.concatenate(group_sizes)
     # Each group is [L][B, LEB128][B bytes of payloads]; each list opens with

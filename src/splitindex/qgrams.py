@@ -87,7 +87,7 @@ class SubstitutionList:
         for c in self._plain:
             table[c] = bytes([c])  # the interpreter's shared one-byte object
         for s in self.entries:
-            self._check_plain(s.gram)
+            self.check_plain([s.gram])
             table[s.code] = s.gram
         self._table = table
 
@@ -102,17 +102,18 @@ class SubstitutionList:
             return NotImplemented
         return [(s.gram, s.code) for s in self] == [(s.gram, s.code) for s in other]
 
-    def _check_plain(self, word: bytes) -> None:
-        bad = word.translate(None, self._plain)
-        if bad:
+    def check_plain(self, words: list[bytes]) -> None:
+        """Raise CodecError naming the first of ``words`` with a byte that is not plain."""
+        if b"".join(words).translate(None, self._plain):
+            bad = next(w for w in words if w.translate(None, self._plain))
             raise CodecError(
-                f"byte {bad[0]} in {word[:32]!r} is not plain: "
+                f"byte {bad.translate(None, self._plain)[0]} in {bad[:32]!r} is not plain: "
                 "grams and input must be below 128 and not a code of the list"
             )
 
     def encode(self, word: bytes) -> bytes:
         """Replace listed q-grams by their codes; never longer than the input."""
-        self._check_plain(word)
+        self.check_plain([word])
         for gram, code in self._pairs:
             word = word.replace(gram, code)
         return word
@@ -121,11 +122,9 @@ class SubstitutionList:
         """Encode a batch in one pass over a buffer joined by the separator."""
         if not words or self._table[_SEPARATOR] is not None:  # the separator is a code
             return [self.encode(w) for w in words]
+        self.check_plain(words)
         sep = bytes((_SEPARATOR,))
         joined = sep.join(words)
-        if joined.translate(None, self._plain) != sep * (len(words) - 1):
-            for w in words:  # name the word that is not plain
-                self._check_plain(w)
         for gram, code in self._pairs:
             joined = joined.replace(gram, code)
         return joined.split(sep)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 from array import array
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from splitindex import (
     HASH_FUNCTIONS,
     BuildError,
     ChainedHashTable,
+    CodecError,
     ConfigError,
     Dictionary,
     HashConfig,
@@ -194,22 +196,47 @@ def test_key_over_255_bytes_is_a_build_error():
         build_index(Dictionary([b"x" * 511]), 1)
 
 
+def test_coded_build_names_the_first_word_that_is_not_plain():
+    # The words are checked before the batches, so the error names a word,
+    # not a payload or a group of them, and the first such word in
+    # dictionary order: b"ca#" is built in an earlier batch than b"tab#le".
+    with pytest.raises(CodecError, match=re.escape(r"byte 233 in b'caf\xe9s' is not plain")):
+        build_index(Dictionary([b"table", b"caf\xe9s", b"chair"]), 1, substitutions=SubstitutionList([(b"ab", 128)]))
+    with pytest.raises(CodecError, match=re.escape("byte 35 in b'tab#le' is not plain")):
+        build_index(Dictionary([b"table", b"tab#le", b"ca#"]), 1, substitutions=SubstitutionList([(b"ab", ord("#"))]))
+    # Side-table words are stored as they are, never coded.
+    idx = build_index(Dictionary([b"table", b"\xe9"]), 1, substitutions=SubstitutionList([(b"ab", 128)]))
+    assert idx.query(b"\xe9") == [b"\xe9"] and idx.query(b"tabbe") == [b"table"]
+
+
+def build_peak(d, k, subs=None):
+    """The peak of the memory that tracemalloc sees while ``d`` is built."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_index(d, k, substitutions=subs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_one_long_word_barely_moves_the_build_peak():
     # Entries are built per word length, never padded to the longest word,
     # so one 400-byte word adds under 10% to the build's peak memory.
     words = english_words(200_000, seed=3)
-
-    def peak(d):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            build_index(d, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     long_word = bytes(random.Random(4).choices(b"abcdefghijklmnopqrstuvwxyz", k=400))
-    assert peak(Dictionary(words + [long_word])) < 1.1 * peak(Dictionary(words))
+    assert build_peak(Dictionary(words + [long_word]), 1) < 1.1 * build_peak(Dictionary(words), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_coded_build_peaks_no_higher_than_the_plain_build(k):
+    # A batch's groups are coded after its rows are dropped, so coding adds
+    # nothing to the peak.  Coding every group in one call after the last
+    # batch instead peaked above the plain build at k = 2 (6.85 against
+    # 6.72 MB).
+    d = Dictionary(english_words(200_000, seed=3))
+    subs = mine_substitutions(d, "mixed", 100)
+    assert build_peak(d, k, subs) <= build_peak(d, k)
 
 
 def test_list_of_65536_entries_builds_and_answers():
@@ -271,9 +298,9 @@ GOLDEN_DIGESTS = {
         "1ff63436d79925597f21b2ce4966a82cd741ceca05df286dd48f8a7c44cfe2ed",
     ),
     ("xxhash", 1, True): (
-        "39b1f73146ab98649cc4339ff0ac4743f0b705ccd02c3c734009efb86963dea2",
-        "5bf9cfabdbc06e54e89d4f1a6ccbc3467a520b959270150611cf033100b5c383",
-        "559be6cb2e4946c18dd7ba317c8647200ee588a318ffd9473266edb09f17ace4",
+        "0cdc6d45cafaeb389728eb4e2bf80730a3432da67b74510c77f072a5d963e99b",
+        "81bde7389570db5161f2dbaed168ba9d37860f986eb4e91432f419dd625158c3",
+        "22400121ca0b3839e7ee59c14b9b95d78035baa00bdfc38aa242f9736003ed51",
     ),
     ("xxhash", 2, False): (
         "5aab22a84c85e6767aecef3ae3b751b84dc404e1a9495fd33b2f715dc1824fd0",
@@ -281,9 +308,9 @@ GOLDEN_DIGESTS = {
         "947a801ef9ff4a5a4acd54c3995c97b6ee9cb786187ec37cd89033b3176ef227",
     ),
     ("xxhash", 2, True): (
-        "a25b38a0aed68894b7bca5e93465243817558369ddef4d0299c091f3c80c00ae",
-        "c6933ea00c2170a83106dcb2ce7ea01b5e6ce9c2f181694a3daf2c30ebc9e2ca",
-        "dfebf06224779c3b7754797f0b16e1f32667d0902e4d2266d27fd8b7f6fac108",
+        "82ec5933decf01070cc38971e31e94439b1c55f3bbad6b79112e05481ebf4be7",
+        "b51c41706f3c640bd3eb15cdbdcd99f7b357024ed3f3121d68851ebb12788c3d",
+        "e943de30494e449d27df872ec404b7378d1e9e20d759f3404fa79039e76ba3ac",
     ),
     ("xxhash", 3, False): (
         "0c7a96ed4096eca33646a2b59bd0208739b73736ace154087461d58e2a4502f0",
@@ -291,9 +318,9 @@ GOLDEN_DIGESTS = {
         "39f7b5502d040f35d9d08df72631f40ac22823520d68707a6a302d6ab31a5ebb",
     ),
     ("xxhash", 3, True): (
-        "ca0cd15e4fb94082eaf39ad905963389d4c9e70be4d86a21abd21fee6d28679b",
-        "9996c06222c901c4bf49c5c3f5e4a58b3c20f4475dd56dfb6b57c3ad66a05958",
-        "b045d3b1db63d348e35566ae6ec300d0f16e086d4def0446c2ae2202b3c324c3",
+        "a800442f877a38707c905bf85621a1df4f532069b4cff2b4be68a180cf279522",
+        "3975eb456751c2e51641b5da41ecbf6001ad290a1c33686ffc331cfe27994929",
+        "a7accbb62c010b278b8323b2edab0fb0bece79a790eca59f067c914c4c996b63",
     ),
     ("crc32", 1, False): (
         "dfa1660f4084cf0f8b01421ecfb4ac6a4277048fbed2b6668de9be0c5dd6b075",
@@ -301,9 +328,9 @@ GOLDEN_DIGESTS = {
         "e9d324a79970b59861dc87f0c1373f8b133798845be94ca0bbead594be774dcc",
     ),
     ("crc32", 1, True): (
-        "9363909cdc0e735aeb7dd3cf283c330e00e91effa3a612b8deef0a28be8a4ce1",
-        "5bf9cfabdbc06e54e89d4f1a6ccbc3467a520b959270150611cf033100b5c383",
-        "2a24bd5cb27e967c99822df7e10c58c60ee3d9179b4d17a77049eb0832f38107",
+        "42575aa98abac72078d3c9602ca198ef5f7b9831dd431e308d5a867bde29cf10",
+        "81bde7389570db5161f2dbaed168ba9d37860f986eb4e91432f419dd625158c3",
+        "15e7bc99b8c26a3b39669925bf8c655d227b43677afdc07c15a8b7978c9613c0",
     ),
     ("crc32", 2, False): (
         "4547b6a973c8b7fbaa0d8214b4ae1e1acdbd1bd579092b459cdccae74a683018",
@@ -311,9 +338,9 @@ GOLDEN_DIGESTS = {
         "8e54afb07d97d9f97c4f27694e36eace7fbb7259b17ce2d337fab91560a2a190",
     ),
     ("crc32", 2, True): (
-        "b5f4801753e136d515ab346b9c63a197cbfaf4d9c29687fa0a1cc1912078c5c3",
-        "c6933ea00c2170a83106dcb2ce7ea01b5e6ce9c2f181694a3daf2c30ebc9e2ca",
-        "b19df127df44667e8c77b71f821dc49eaca3d1509e5ea185e961b06ac796c04e",
+        "5558f40280afb8fb09c72c696761684eb8c20e28dc86818d9456b70e3861cb78",
+        "b51c41706f3c640bd3eb15cdbdcd99f7b357024ed3f3121d68851ebb12788c3d",
+        "447f31e639ce016fb077f4a1c0cd9b70d78f17d636d433276412b951e387cbbe",
     ),
     ("crc32", 3, False): (
         "cb4ba09b8a780b0198ffcf334249fcca5fcca4add21d85651db4773f7be67f2e",
@@ -321,9 +348,9 @@ GOLDEN_DIGESTS = {
         "b07463bcbf846c6baadcbac79c27e800bd7049df6274b08dc35cfea12fa667ff",
     ),
     ("crc32", 3, True): (
-        "0c3dc5631a1e91c8835de63f2e72709c07106714973eafaf3741793e210af56c",
-        "9996c06222c901c4bf49c5c3f5e4a58b3c20f4475dd56dfb6b57c3ad66a05958",
-        "6da8adac0d0477534197ba2b6d780ece2440fe314f5bf167b551b2ea43593d4c",
+        "2732efde62dd333ee5631cfdce420a1ac0033f80a3c4e816f4c60a552916df0e",
+        "3975eb456751c2e51641b5da41ecbf6001ad290a1c33686ffc331cfe27994929",
+        "1bca493296c174e70568131b9a3442bfb895c8a72d3bd9849569c623b84cab3c",
     ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
@@ -344,7 +371,7 @@ def test_layout_is_pinned():
 
 # Digests as in GOLDEN_DIGESTS for edge_words(k), without coding, and for its
 # ASCII translation with EDGE_SUBS, whose code 0xFF is the byte encode_many
-# joins payloads with, so that coding goes word by word.
+# joins groups with, so that coding goes group by group.
 EDGE_DIGESTS = {
     ("crc32", 1, False): (
         "647bd17e2e4100cea6a844465702b181fd219eea7b6b8f8915fc7cd25b921dc7",
@@ -377,9 +404,9 @@ EDGE_DIGESTS = {
         "9ec975165c1cd57207d71160c37222a918b47b92628c7f3b04638067e7f77bd1",
     ),
     ("crc32", 2, True): (
-        "998ccf61ad77d511c4c5bf17e3b19f1fe5c0d1c2fdb391e2bca0b20e8c5111f9",
-        "959baca85ed2ae12a948bf94fec2df221b7a00cac6cc645b35d46cabd836c768",
-        "a01efff17969db72befc062f31f71e56cdfc3ab26eec8e02894f770b41f1b820",
+        "d013c7347b71039bfaec7e5932aacbe11b4ff1188cc87dcb17a7266d2f6188d3",
+        "25327f0d6eeb3bea949c16e6ec0c5b51965cb92060a01c992de80a05d6f4f198",
+        "a96449d71c5029af8ee01323b46b36ffcdc116422e03627d17a8d95eef718a0e",
     ),
 }
 EDGE_SUBS = SubstitutionList([(b"ing", 0xFF), (b"er", 0x80), (b"gi", 0x81)])
@@ -430,6 +457,30 @@ def test_edge_layout_is_pinned():
         assert idx.side_table
 
 
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_coded_index_is_the_plain_index_with_each_group_encoded(data):
+    # Short ASCII words over few symbols, so that groups hold several
+    # entries and grams run across the entries' bounds.  EDGE_SUBS codes
+    # group by group, since its 0xFF code is encode_many's separator.
+    alpha = data.draw(st.sampled_from((b"inger", b"tionegrs", bytes(range(32, 128)))))
+    word = st.lists(st.sampled_from(alpha), min_size=1, max_size=12).map(bytes)
+    d = Dictionary(data.draw(st.lists(word, min_size=20, max_size=80)))
+    k = data.draw(st.integers(1, 3))
+    # None stands for rules mined from the words.
+    subs = data.draw(st.sampled_from((GOLDEN_SUBS, EDGE_SUBS, None))) or mine_substitutions(d, "mixed", 30)
+    plain, coded = build_index(d, k), build_index(d, k, substitutions=subs)
+    records = list(plain.table.records())
+    assert [(b, key) for b, key, _, _ in coded.table.records()] == [(b, key) for b, key, _, _ in records]
+    for (_, _, begin, end), (_, _, cbegin, cend) in zip(records, coded.table.records()):
+        by_region = groups(plain.lists[begin:end], k)[1]
+        coded_by_region = groups(coded.lists[cbegin:cend], k)[1]
+        assert [[n for n, _ in gs] for gs in coded_by_region] == [[n for n, _ in gs] for gs in by_region]
+        for gs, coded_gs in zip(by_region, coded_by_region):
+            for (_, group), (_, coded_group) in zip(gs, coded_gs):
+                assert coded_group == subs.encode(group) and subs.decode(coded_group) == group
+
+
 def leb128(n):
     out = bytearray()
     while n > 0x7F:
@@ -442,8 +493,9 @@ def leb128(n):
 def reference_bytes(d, k, config, subs=None):
     """index_to_bytes of the split index of ``d``, built by entering each
     word's pieces one at a time and laying out the keys in (length, bytes)
-    order, and each region's entries in groups by decoded length: the oracle
-    build_index must match."""
+    order, and each region's entries in groups by length, in byte order, each
+    group coded as one string with ``subs``: the oracle build_index must
+    match."""
     staged = {}
     side = {}
     for word in d.words:
@@ -453,14 +505,15 @@ def reference_bytes(d, k, config, subs=None):
         start = 0
         for r, plen in enumerate(piece_lengths(len(word), k)):
             rest = word[:start] + word[start + plen :]
-            staged.setdefault(word[start : start + plen], []).append((r, len(rest), subs.encode(rest) if subs else rest))
+            staged.setdefault(word[start : start + plen], []).append((r, len(rest), rest))
             start += plen
     buckets = [b""] * hashing._bucket_count(len(staged), config.max_load_factor)
     for key, stored in sorted(staged.items(), key=lambda item: (len(item[0]), item[0])):
-        stored.sort(key=lambda entry: (entry[0], entry[1], len(entry[2]), entry[2]))
         by_group = {}
-        for r, n, e in stored:
+        for r, n, e in sorted(stored):
             by_group[r, n] = by_group.get((r, n), b"") + e
+        if subs:
+            by_group = {rn: subs.encode(g) for rn, g in by_group.items()}
         by_region = [b"".join(bytes((n,)) + leb128(len(g)) + g for (r, n), g in by_group.items() if r == j)
                      for j in range(k + 1)]
         blob = b"".join(map(leb128, map(len, by_region[:k]))) + b"".join(by_region)
@@ -529,14 +582,16 @@ def test_lists_slice_by_lookup_list_and_stats_are_stable(k):
 
 # list_stats() of the benchmark corpora as format version 5 gave them, with a
 # length byte per entry: grouping entries by decoded length (version 6) moves
-# no entry and no stored byte.
+# no entry and no stored byte.  Coding each group as one string, rather than
+# each entry, moves no entry either; it shrinks the coded DNA payloads from
+# 615886 bytes.
 BENCHMARK_STATS = {
     ("english", 1): ListStats(list_count=58293, entry_count=165794, mean_entries=165794 / 58293,
                               max_entries=1062, payload_bytes=800009),
     ("english", 2): ListStats(list_count=17485, entry_count=248553, mean_entries=248553 / 17485,
                               max_entries=1724, payload_bytes=1599834),
     ("dna", 1): ListStats(list_count=32580, entry_count=105680, mean_entries=105680 / 32580,
-                          max_entries=42, payload_bytes=615886),
+                          max_entries=42, payload_bytes=610171),
 }
 
 

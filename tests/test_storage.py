@@ -7,10 +7,11 @@ import re
 import struct
 import tracemalloc
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
 from itertools import islice, pairwise, product
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -729,9 +730,9 @@ WIDTH_SUBS = SubstitutionList([(b"fg", 200), (b"hi", 201)])
 
 
 @cache
-def entries_keyed_by(key, r, k, coded):
-    """Words that keep ``key`` as their piece r, by the decoded and the
-    stored length of their payload (coded with WIDTH_SUBS or not)."""
+def entries_keyed_by(key, r, k):
+    """Words that keep ``key`` as their piece r, as (payload, word) pairs, by
+    payload length, in byte order of their payloads: a group's list order."""
     out = {}
     for n in range(len(key) + 1, 12):
         lengths = piece_lengths(n, k)
@@ -740,24 +741,34 @@ def entries_keyed_by(key, r, k, coded):
         cut = sum(lengths[:r])
         for t in islice(product(b"fghijklm", repeat=n - len(key)), 20_000):
             t = bytes(t)
-            out.setdefault((len(t), len(WIDTH_SUBS.encode(t) if coded else t)), []).append(t[:cut] + key + t[cut:])
+            out.setdefault(len(t), []).append((t, t[:cut] + key + t[cut:]))
     return out
+
+
+def stored_size(entries, x, coded):
+    """Bytes of the group of the first ``x`` of ``entries``, coded as one
+    string with WIDTH_SUBS or not."""
+    group = b"".join(t for t, _ in entries[:x])
+    return len(WIDTH_SUBS.encode(group) if coded else group)
 
 
 def region_words(key, r, k, size, coded):
     """Words whose entries fill region r + 1 of the list of ``key`` with
-    exactly ``size`` bytes, in two groups of decoded lengths in a row, each
-    of payloads that take one stored length a or b."""
-    pool = entries_keyed_by(key, r, k, coded)
-    for (n, a), (m, b) in product(sorted(pool), sorted(pool)):
-        if m != n + 1:
+    exactly ``size`` bytes, in two groups of lengths in a row.  A group's
+    coded size never falls as entries are added, so the first group's count
+    is found by bisection."""
+    pool = entries_keyed_by(key, r, k)
+    for n in sorted(pool):
+        if n + 1 not in pool:
             continue
-        for y in range(1, len(pool[m, b]) + 1):
-            left = size - group_size(b * y)
+        first, second = pool[n], pool[n + 1]
+        for y in range(1, len(second) + 1):
+            left = size - group_size(stored_size(second, y, coded))
             for w in (1, 2, 3):  # the LEB128 bytes of the first group's length
-                x, extra = divmod(left - 1 - w, a)
-                if not extra and 0 < x <= len(pool[n, a]) and leb_size(a * x) == w:
-                    return pool[n, a][:x] + pool[m, b][:y]
+                want = left - 1 - w
+                x = bisect_left(range(len(first) + 1), want, key=lambda x: stored_size(first, x, coded))
+                if 0 < x <= len(first) and stored_size(first, x, coded) == want and leb_size(want) == w:
+                    return [word for _, word in first[:x] + second[:y]]
     raise AssertionError(f"no two groups of {size} bytes")
 
 
@@ -770,7 +781,7 @@ def test_lists_round_trip_at_every_region_length_width(size):
     for k, coded in product((1, 2), (False, True)):
         key = b"keyab" if k == 1 else b"key"
         words = region_words(key, 0, k, size, coded) if size else []
-        words += [min(entries_keyed_by(key, r, k, coded).items())[1][0] for r in range(1, k + 1)]
+        words += [min(entries_keyed_by(key, r, k).items())[1][0][1] for r in range(1, k + 1)]
         d = Dictionary(words)
         idx = build_index(d, k, substitutions=WIDTH_SUBS if coded else None)
         blob = idx.lists[idx.table.lookup_list(key)]
@@ -830,3 +841,29 @@ def test_buckets_with_their_records_in_another_order_load_answer_and_resave():
         assert loaded.list_stats() == idx.list_stats()
         for p in patterns:
             assert loaded.query(p) == oracle_query(d, p, k), (k, subs is not None, p)
+
+
+# The words of the files in tests/data/entry_coded_k{1,2}.bin: version 6
+# files written by index_to_bytes at commit 5fba327, whose build coded each
+# entry on its own and ordered a group by coded length and bytes, with crc32
+# and the words' mined mixed/20 rules.  A build now codes each group as one
+# string, in byte order, so the same lists come out in other bytes.
+ENTRY_CODED_WORDS = (
+    b"string stringer sting stinger resting tester testing station stations nation notion "
+    b"motion ration starter restart master mastering steering stern ingest interest singer "
+    b"ringer ringing stirring storing restoring mentioning question questions sterling "
+    b"tinsel insert inserting center centering nesting"
+).split()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_files_coded_entry_by_entry_still_load(k):
+    blob = (Path(__file__).parent / "data" / f"entry_coded_k{k}.bin").read_bytes()
+    loaded = index_from_bytes(blob)
+    assert index_to_bytes(loaded) == blob
+    d = Dictionary(ENTRY_CODED_WORDS)
+    fresh = build_index(d, k, hash_config=loaded.table.config, substitutions=loaded.subs)
+    assert index_to_bytes(fresh) != blob
+    assert loaded.list_stats().entry_count == fresh.list_stats().entry_count == (k + 1) * len(d)
+    for p in list(d.words) + list(gen_noisy_queries(d, 300, seed=k).patterns):
+        assert loaded.query(p) == fresh.query(p), (k, p)
