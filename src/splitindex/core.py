@@ -454,14 +454,6 @@ def _runs(values: np.ndarray) -> list[np.ndarray]:
     return [run for run in np.split(order, np.flatnonzero(np.diff(values[order])) + 1) if len(run)]
 
 
-def _encode_groups(subs: SubstitutionList, payload: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each group of ``payload``, of ``sizes`` bytes in turn, coded as one string, and the coded sizes.
-    A function of its own, so that its buffers are freed before the next batch is made."""
-    raw, ends = payload.tobytes(), np.cumsum(sizes).tolist()
-    coded = subs.encode_many([raw[a:b] for a, b in zip([0, *ends], ends)])
-    return np.frombuffer(b"".join(coded), np.uint8), np.fromiter(map(len, coded), np.int64, len(coded))
-
-
 def build_index(
     dictionary: Dictionary,
     k: int,
@@ -580,7 +572,7 @@ def _lists(
         payload = rows[:, plen + 2 :][np.arange(width) < rows[:, plen + 1, None]]
         del rows  # dropped before the coding
         if substitutions:
-            payload, size = _encode_groups(substitutions, payload, size)
+            payload, size = substitutions.encode_groups(payload, size)
         group_sizes.append(size)
         payloads.append(payload)
     owner = np.concatenate(owners)

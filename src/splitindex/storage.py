@@ -46,7 +46,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .hashing import ARENA_LIMIT, ChainedHashTable, HashConfig
-from .qgrams import Substitution, SubstitutionList
+from .qgrams import SubstitutionList
 
 MAGIC = b"SPLITIDX"
 FORMAT_VERSION = 6
@@ -156,7 +156,7 @@ def index_from_bytes(data: bytes) -> SplitIndex:
 
     if not all(rules):
         raise StorageError("empty substitution rule")
-    subs = SubstitutionList([Substitution(r[1:], r[0]) for r in rules])
+    subs = SubstitutionList(zip([r[1:] for r in rules], [r[0] for r in rules]))
     side: dict[int, list[bytes]] = {}
     for w in side_words:
         side.setdefault(len(w), []).append(w)

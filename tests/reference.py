@@ -1,9 +1,11 @@
-"""The per-round greedy q-gram miner that ``mine_substitutions`` must match.
+"""The per-round miners that ``mine_substitutions`` must match.
 
-Every round recounts every plain 2-, 3- and 4-byte window of the residual
-corpus, takes the gram whose non-overlapping replacement saves the most
-bytes (ties: longer, then lexicographically smaller), and rebuilds the
-corpus with ``bytes.replace``.  Slow, but obviously the greedy.
+``reference_mine`` recounts every plain q-byte window of the residual corpus
+each round, takes the gram whose non-overlapping replacement saves the most
+bytes (ties: lexicographically smaller), and rebuilds the corpus with
+``bytes.replace``.  ``reference_pair_merge`` recounts every adjacent pair of
+symbols each round, with the corpus held as one byte per symbol, and merges
+the most frequent with ``bytes.replace``.  Slow, but obviously the greedy.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from splitindex import Substitution, SubstitutionList
-from splitindex.qgrams import _SEPARATOR, CODE_FIRST, CODE_SPACE, POLICIES
+from splitindex.qgrams import _SEPARATOR, CODE_FIRST, CODE_SPACE, GRAM_MAX, POLICIES
 
 
-def reference_mine(dictionary, policy: str = "mixed", limit: int = 100) -> SubstitutionList:
-    """``mine_substitutions`` by recounting the residual corpus every round;
-    the caller passes a valid policy, ``limit >= 0`` and ASCII words."""
-    qs = POLICIES[policy]
+def reference_mine(dictionary, policy: str, limit: int = 100) -> SubstitutionList:
+    """``mine_substitutions`` with a window policy by recounting the residual
+    corpus every round; the caller passes ``2gram``, ``3gram`` or ``4gram``,
+    ``limit >= 0`` and ASCII words."""
+    qs = (POLICIES[policy],)
     limit = min(limit, CODE_SPACE - 1)  # 0xFF stays an internal separator
     if not dictionary.words:
         return SubstitutionList()
@@ -33,6 +36,47 @@ def reference_mine(dictionary, policy: str = "mixed", limit: int = 100) -> Subst
         picked.append(Substitution(gram, next_code, savings))
         corpus = corpus.replace(gram, bytes((next_code,)))
         next_code += 1
+    return SubstitutionList(picked)
+
+
+def reference_pair_merge(dictionary, limit: int = 100) -> SubstitutionList:
+    """``mine_substitutions(dictionary, "mixed", limit)`` by recounting every
+    pair of the residual corpus each round; the caller passes ``limit >= 0``
+    and ASCII words.
+
+    Each symbol, plain byte or code, is one byte of the corpus, so
+    ``bytes.count`` counts a pair's non-overlapping occurrences and
+    ``bytes.replace`` merges them, left to right.  The overlapping counts of
+    all pairs bound those; pairs are counted exactly in decreasing bound
+    until the bound is below the best count.
+    """
+    limit = min(limit, CODE_SPACE - 1)  # 0xFF stays an internal separator
+    corpus = bytes((_SEPARATOR,)).join(dictionary.words)
+    grams = {c: bytes((c,)) for c in range(CODE_FIRST)}
+    picked: list[Substitution] = []
+    while len(picked) < limit:
+        buf = np.frombuffer(corpus, np.uint8).astype(np.int64)
+        bounds = np.bincount(buf[:-1] << 8 | buf[1:], minlength=1 << 16)
+        taken = {s.gram for s in picked}
+        best = None  # (occurrences, gram length, -gram, -pair id)
+        for pair in np.argsort(-bounds, kind="stable").tolist():
+            if bounds[pair] < 1 or best is not None and bounds[pair] < best[0]:
+                break
+            a, b = divmod(pair, 256)
+            if a not in grams or b not in grams:  # the separator
+                continue
+            gram = grams[a] + grams[b]
+            if len(gram) > GRAM_MAX or gram in taken:
+                continue
+            key = (corpus.count(bytes((a, b))), len(gram), -int.from_bytes(gram, "big"), -pair)
+            best = max(best or key, key)
+        if best is None:
+            break
+        a, b = divmod(-best[3], 256)
+        code = CODE_FIRST + len(picked)
+        grams[code] = grams[a] + grams[b]
+        picked.append(Substitution(grams[code], code, best[0]))
+        corpus = corpus.replace(bytes((a, b)), bytes((code,)))
     return SubstitutionList(picked)
 
 

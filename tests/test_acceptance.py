@@ -12,7 +12,7 @@ import time
 
 from corpora import dna_fasta, random_words
 from hostspeed import slowness
-from reference import reference_mine, rules
+from reference import reference_pair_merge, rules
 
 from splitindex import (
     Dictionary,
@@ -200,7 +200,7 @@ def test_criterion_7_compression_effect(tmp_path_factory):
         assert all(len(w) == 20 for w in d.words)
 
         subs = mine_substitutions(d, "mixed", 100)
-        assert rules(subs) == rules(reference_mine(d, "mixed", 100))  # the per-round greedy's picks
+        assert rules(subs) == rules(reference_pair_merge(d, 100))  # the per-round pair merges
         plain = build_index(d, 1)
         coded = build_index(d, 1, substitutions=subs)
         shrink = 1 - coded.size_bytes() / plain.size_bytes()

@@ -370,8 +370,8 @@ def test_layout_is_pinned():
 
 
 # Digests as in GOLDEN_DIGESTS for edge_words(k), without coding, and for its
-# ASCII translation with EDGE_SUBS, whose code 0xFF is the byte encode_many
-# joins groups with, so that coding goes group by group.
+# ASCII translation with EDGE_SUBS, whose code 0xFF is the byte that mining
+# joins words with.
 EDGE_DIGESTS = {
     ("crc32", 1, False): (
         "647bd17e2e4100cea6a844465702b181fd219eea7b6b8f8915fc7cd25b921dc7",
@@ -461,8 +461,7 @@ def test_edge_layout_is_pinned():
 @settings(max_examples=120, deadline=None)
 def test_coded_index_is_the_plain_index_with_each_group_encoded(data):
     # Short ASCII words over few symbols, so that groups hold several
-    # entries and grams run across the entries' bounds.  EDGE_SUBS codes
-    # group by group, since its 0xFF code is encode_many's separator.
+    # entries and grams run across the entries' bounds.
     alpha = data.draw(st.sampled_from((b"inger", b"tionegrs", bytes(range(32, 128)))))
     word = st.lists(st.sampled_from(alpha), min_size=1, max_size=12).map(bytes)
     d = Dictionary(data.draw(st.lists(word, min_size=20, max_size=80)))
@@ -529,15 +528,16 @@ def test_build_matches_the_reference_builder(data):
     # Arbitrary bytes, or a few symbols so that keys repeat across word
     # lengths and positions; coded words are ASCII, as coding requires.  The
     # zero byte in coded payloads meets the zero padding of the build's rows.
-    subs = data.draw(st.sampled_from((None, GOLDEN_SUBS)))
-    alphas = (b"ab", b"tioneqrsg", b"\x00\x7fing") + (() if subs else (None, b"\x00\x7f\x80\xff"))
+    # At least 20 words, so that coded groups of several entries, with grams
+    # across the entries' bounds, occur.
+    coding = data.draw(st.sampled_from((None, "golden", "mined")))
+    alphas = (b"ab", b"tioneqrsg", b"\x00\x7fing") + (() if coding else (bytes(range(256)), b"\x00\x7f\x80\xff"))
     alpha = data.draw(st.sampled_from(alphas))
-    words = data.draw(st.lists(st.binary(min_size=1, max_size=60), max_size=60))
-    if alpha:
-        words = [bytes(alpha[b % len(alpha)] for b in w) for w in words]
+    words = data.draw(st.lists(st.lists(st.sampled_from(alpha), min_size=1, max_size=60).map(bytes), min_size=20, max_size=60))
     k = data.draw(st.integers(1, 8))
     config = HashConfig(data.draw(st.sampled_from(("crc32", "fnv1", "xxhash"))), data.draw(st.sampled_from((0.25, 2.0))))
     d = Dictionary(words)
+    subs = mine_substitutions(d, "mixed", 30) if coding == "mined" else GOLDEN_SUBS if coding else None
     assert index_to_bytes(build_index(d, k, hash_config=config, substitutions=subs)) == reference_bytes(d, k, config, subs)
 
 
@@ -584,14 +584,15 @@ def test_lists_slice_by_lookup_list_and_stats_are_stable(k):
 # length byte per entry: grouping entries by decoded length (version 6) moves
 # no entry and no stored byte.  Coding each group as one string, rather than
 # each entry, moves no entry either; it shrinks the coded DNA payloads from
-# 615886 bytes.
+# 615886 bytes to 610171, and mining pair merges for mixed, rather than
+# picking among 2-, 3- and 4-gram windows, to 408318.
 BENCHMARK_STATS = {
     ("english", 1): ListStats(list_count=58293, entry_count=165794, mean_entries=165794 / 58293,
                               max_entries=1062, payload_bytes=800009),
     ("english", 2): ListStats(list_count=17485, entry_count=248553, mean_entries=248553 / 17485,
                               max_entries=1724, payload_bytes=1599834),
     ("dna", 1): ListStats(list_count=32580, entry_count=105680, mean_entries=105680 / 32580,
-                          max_entries=42, payload_bytes=610171),
+                          max_entries=42, payload_bytes=408318),
 }
 
 

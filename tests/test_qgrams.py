@@ -3,12 +3,13 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpora import random_words
-from reference import reference_mine, rules
+from corpora import dna_fasta, random_words
+from reference import reference_mine, reference_pair_merge, rules
 
 from splitindex import (
     CodecError,
@@ -17,6 +18,7 @@ from splitindex import (
     SubstitutionList,
     build_index,
     compression_ratio,
+    extract_kmers,
     load_substitutions,
     mine_substitutions,
     oracle_query,
@@ -126,11 +128,22 @@ def test_a_self_overlapping_gram_loses_on_its_exact_count():
 
 
 def test_savings_ties_go_to_the_longer_then_the_smaller_gram():
-    # b"xyz" twice, b"ab" and b"cd" four times each: all three save 4.
-    d = Dictionary([b"xyzp", b"xyzq", b"abr", b"abs", b"abt", b"abu", b"cdr", b"cds", b"cdt", b"cdu"])
+    # b"xy" occurs four times and is merged first; then b"xy" + b"z",
+    # b"ab" and b"cd" occur twice each.
+    d = Dictionary([b"xyzp", b"xyzq", b"xyr", b"xys", b"abt", b"abu", b"cdt", b"cdu"])
     subs = mine_substitutions(d, "mixed", 100)
-    assert sorted(rules(subs), key=lambda r: r[1])[:3] == [(b"xyz", 128, 4), (b"ab", 129, 4), (b"cd", 130, 4)]
-    assert rules(subs) == rules(reference_mine(d, "mixed", 100))
+    assert sorted(rules(subs), key=lambda r: r[1])[:4] == [(b"xy", 128, 4), (b"xyz", 129, 2), (b"ab", 130, 2), (b"cd", 131, 2)]
+    assert rules(subs) == rules(reference_pair_merge(d, 100))
+
+
+def test_pair_merge_counts_a_run_without_overlaps():
+    # b"aaaaaaa" holds six overlapping b"aa" pairs, but a merge takes three;
+    # b"bc" occurs four times and goes first.  Then the run holds b"aa" +
+    # b"aa" once, and every other pair occurs once too: the longest gram wins.
+    d = Dictionary([b"aaaaaaa", b"bcd", b"bce", b"bcf", b"bcg"])
+    subs = mine_substitutions(d, "mixed", 3)
+    assert sorted(rules(subs), key=lambda r: r[1]) == [(b"bc", 128, 4), (b"aa", 129, 3), (b"aaaa", 130, 1)]
+    assert rules(subs) == rules(reference_pair_merge(d, 3))
 
 
 def test_mine_empty_dictionary():
@@ -170,7 +183,8 @@ def test_mining_matches_the_per_round_greedy(data):
     d = Dictionary(words)
     policy = data.draw(st.sampled_from(sorted(POLICIES)))
     limit = data.draw(st.integers(0, 130))
-    assert rules(mine_substitutions(d, policy, limit)) == rules(reference_mine(d, policy, limit))
+    want = reference_pair_merge(d, limit) if policy == "mixed" else reference_mine(d, policy, limit)
+    assert rules(mine_substitutions(d, policy, limit)) == rules(want)
 
 
 def test_mining_limit_respected():
@@ -215,6 +229,51 @@ def test_encode_many_matches_encode():
     subs = mine_substitutions(d, "mixed", 60)
     batch = subs.encode_many(list(d.words))
     assert batch == [subs.encode(w) for w in d.words]
+
+
+# Grams that overlap themselves (b"aaaa", b"abab", b"aa") or each other, and
+# codes below 128 or at 0xFF, the byte mining joins words with.
+ENCODER_LISTS = [
+    SubstitutionList([(b"aaaa", 128), (b"abab", 129), (b"aba", 130), (b"aa", 131), (b"ab", 132), (b"ba", 133)]),
+    SubstitutionList([(b"ing", 0xFF), (b"er", 0x80), (b"gi", 0x81), (b"ab", ord("#"))]),
+]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_group_encoder_codes_each_group_as_encode_does(data):
+    alpha = data.draw(st.sampled_from((b"ab", b"abc", b"ingera")))
+    groups = data.draw(st.lists(st.lists(st.sampled_from(alpha), max_size=16).map(bytes), max_size=30))
+    # None stands for rules mined from the groups.
+    subs = data.draw(st.sampled_from(ENCODER_LISTS + [None])) or mine_substitutions(Dictionary(filter(None, groups)), "mixed", 40)
+    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+    coded, coded_sizes = subs.encode_groups(np.frombuffer(b"".join(groups), np.uint8), sizes)
+    want = [subs.encode(g) for g in groups]
+    assert coded.tobytes() == b"".join(want) and coded_sizes.tolist() == list(map(len, want))
+    assert subs.encode_many(groups) == want
+
+
+def test_group_encoder_matches_no_gram_across_groups():
+    subs = ENCODER_LISTS[0]
+    assert subs.encode_many([b"a", b"b", b"aaa", b"abaa"]) == [b"a", b"b", b"\x83a", b"\x82a"]
+    assert subs.encode_many([b"ab", b"ab", b"aa", b"aa"]) == [b"\x84", b"\x84", b"\x83", b"\x83"]
+    assert subs.encode_many([b"", b"aaaa", b""]) == [b"", b"\x80", b""]
+    coded, sizes = subs.encode_groups(np.zeros(0, np.uint8), np.zeros(0, np.int64))
+    assert coded.size == 0 and sizes.size == 0
+
+
+def test_mixed_uses_every_code(tmp_path, english_dictionary):
+    # The DNA 20-mers of criterion 7 and the English dictionary of criteria 4
+    # and 5.  Pair merges make rules of 2 to 4 bytes, and every one of the
+    # 100 codes occurs in the coded words; on DNA a window miner picking
+    # among 2-, 3- and 4-grams took the 16 2-grams and left the rest unused.
+    dna_fasta(tmp_path / "genome.fa", min_kmer_bytes=1_050_000, seed=13)
+    for d in (extract_kmers(tmp_path / "genome.fa", 20), english_dictionary):
+        subs = mine_substitutions(d, "mixed", 100)
+        assert len(subs) == 100
+        used = set(b"".join(subs.encode_many(list(d.words))))
+        assert all(s.code in used for s in subs)
+        assert {len(s.gram) for s in subs} == {2, 3, 4}
 
 
 def test_compressed_index_transparent_to_queries():
