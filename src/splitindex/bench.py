@@ -20,6 +20,8 @@ class BenchReport:
     """One benchmark run: timing, exact sizes, and structure statistics."""
 
     mean_query_seconds: float
+    p50_query_seconds: float
+    p99_query_seconds: float
     queries_run: int
     matches_found: int
     verifications: int
@@ -65,8 +67,10 @@ def run_bench(
     """Time the full query set ``repetitions`` times on a built index.
 
     The mean is wall-clock time over all runs divided by query executions;
-    every result is consumed so the work cannot be skipped.  Verification
-    counts come from one extra untimed pass of the same search.
+    every result is consumed so the work cannot be skipped.  The p50 and p99
+    are nearest-rank percentiles of one extra pass that times each query on
+    its own, and verification counts come from another, untimed pass of the
+    same search.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -84,6 +88,14 @@ def run_bench(
         matches = found
     elapsed = time.perf_counter() - start
 
+    clock = time.perf_counter_ns
+    each = []
+    for p in patterns:
+        t = clock()
+        query(p)
+        each.append(clock() - t)
+    each.sort()
+
     search = index._search
     verifications = sum(search(p, set()) for p in patterns)
 
@@ -91,6 +103,8 @@ def run_bench(
     lists = index.list_stats()
     return BenchReport(
         mean_query_seconds=elapsed / (len(patterns) * repetitions),
+        p50_query_seconds=_nearest_rank(each, 50) / 1e9,
+        p99_query_seconds=_nearest_rank(each, 99) / 1e9,
         queries_run=len(patterns),
         matches_found=matches,
         verifications=verifications,
@@ -109,6 +123,11 @@ def run_bench(
         list_mean_entries=lists.mean_entries,
         list_max_entries=lists.max_entries,
     )
+
+
+def _nearest_rank(ordered: list[int], percent: int) -> int:
+    """The smallest value with at least ``percent``% of ``ordered`` at or below it."""
+    return ordered[-(-len(ordered) * percent // 100) - 1]
 
 
 def sweep(

@@ -28,10 +28,12 @@ the group's entry count alone, at every k.  A group of fewer than
 repeated once per entry (SWAR, SIMD within a register); the nonzero bytes
 become ones, one multiplication sums each entry's ones into its last byte,
 and a translate table marks the sums of at most k.  A larger group is
-compared with the rest as one uint8 matrix, and a row's mismatches are summed
-by a uint8 matrix product.  Either way only the matches are visited in
-Python.  When L <= k every entry matches, and is built without a kernel.
-The threshold, 64, was measured against the matrix on the three benchmark
+compared with the same repeated rest as one flat uint8 array, viewed as a
+matrix of one row per entry, and a float32 matrix-vector product (BLAS
+``sgemv``) sums each row's mismatches; a sum of at most ``PAYLOAD_LIMIT`` ones
+is exact in float32.  Either way only the matches are visited in Python.
+When L <= k every entry matches, and is built without a kernel.  The
+threshold, 64, was measured against the matrix on the three benchmark
 workloads: 32 made english k = 2 slower at the median, and 128 and 256 its
 slowest 1% of queries.  A coded group is decoded before either kernel sees it.
 
@@ -69,7 +71,7 @@ from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # group lengths are single bytes, from 1 up
 MATRIX_RUN = 64  # the fewest entries in a group verified as one matrix, at every k; fewer are xored
-_ONES = np.ones(PAYLOAD_LIMIT + 1, np.uint8)  # sums a matrix row's mismatches
+_ONES = np.ones(PAYLOAD_LIMIT + 1, np.float32)  # sums a matrix row's mismatches by a float32 product
 _NONZERO = bytes(1) + b"\x01" * 255  # a translate table: 0 where a byte is 0, else 1
 _SPREAD = tuple(int.from_bytes(b"\x01" * n, "little") for n in range(PAYLOAD_LIMIT + 1))  # n one-bytes
 # For each k, a translate table: 1 for a sum of at most k mismatches, else 0.
@@ -364,22 +366,24 @@ class SplitIndex:
                 for e in range(o, stop, need):
                     out.add(buf[e : e + start] + key + buf[e + start : e + need])
                 continue
+            rests = rest * count  # the rest once per entry, as both kernels take it
             if count >= MATRIX_RUN:
-                # A row has need <= PAYLOAD_LIMIT bytes, so its uint8 sum of
-                # mismatches cannot wrap.
-                rows = (view if buf is data else np.frombuffer(buf, dtype=np.uint8))[o:stop].reshape(count, need)
-                hits = (rows != np.frombuffer(rest, dtype=np.uint8)).view(np.uint8) @ _ONES[:need] <= k
+                # One flat compare of the group with rests, then a float32
+                # product sums each row: a row's sum of at most need <=
+                # PAYLOAD_LIMIT ones is a small whole number, exact in float32.
+                group = (view if buf is data else np.frombuffer(buf, dtype=np.uint8))[o:stop]
+                hits = (group != np.frombuffer(rests, dtype=np.uint8)).reshape(count, need) @ _ONES[:need] <= k
                 for i in hits.nonzero()[0].tolist():
                     e = o + i * need
                     out.add(buf[e : e + start] + key + buf[e + start : e + need])
                 continue
-            # The xor with the rest repeated count times is nonzero in the
-            # bytes where an entry differs.  As ones and zeros, those bytes
-            # times need one-bytes sum each entry's mismatches into its last
-            # byte; every byte of the product sums at most need <=
-            # PAYLOAD_LIMIT ones, so none carries into the next.  hits holds
-            # one byte per entry, 1 for a match.
-            v = ifb(buf[o:stop], "little") ^ ifb(rest * count, "little")
+            # The xor with rests is nonzero in the bytes where an entry
+            # differs.  As ones and zeros, those bytes times need one-bytes
+            # sum each entry's mismatches into its last byte; every byte of
+            # the product sums at most need <= PAYLOAD_LIMIT ones, so none
+            # carries into the next.  hits holds one byte per entry, 1 for a
+            # match.
+            v = ifb(buf[o:stop], "little") ^ ifb(rests, "little")
             v = ifb(v.to_bytes(size, "little").translate(_NONZERO), "little") * _SPREAD[need]
             hits = v.to_bytes(size + need, "little")[need - 1 : size : need].translate(_WITHIN[k])
             i = hits.find(1)

@@ -50,6 +50,13 @@ def test_matches_found_equals_oracle_totals(small_world):
     assert report.matches_found == expected
 
 
+def test_query_percentiles_are_ordered(small_world):
+    d, queries = small_world
+    for k, qs in ((1, queries), (2, QuerySet((b"table",), "one"))):
+        report = run_bench(build_index(d, k), qs)
+        assert 0 < report.p50_query_seconds <= report.p99_query_seconds
+
+
 def test_repetitions_self_consistency(small_world):
     d, queries = small_world
     idx = build_index(d, 1)

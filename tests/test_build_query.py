@@ -809,9 +809,10 @@ def _run_of_the_shipped_threshold_matches_the_oracle(k, alphabet):
 
 
 def test_matrix_sums_rows_of_255_mismatches_without_wrapping():
-    # The matrix counts a row's mismatches in uint8.  Here every payload has
-    # PAYLOAD_LIMIT bytes, so a row is 255 payload bytes that may all differ
-    # from the pattern's rest.
+    # The matrix counts a row's mismatches in float32, exact only while the
+    # sum is a small whole number.  Here every payload has PAYLOAD_LIMIT
+    # bytes, so a row is 255 payload bytes that may all differ from the
+    # pattern's rest.
     rng = random.Random(23)
     for k in (1, 2):
         n = next(n for n in range(k + 1, 800) if n - piece_lengths(n, k)[0] == PAYLOAD_LIMIT)
@@ -828,6 +829,35 @@ def test_matrix_sums_rows_of_255_mismatches_without_wrapping():
             near[i] = ord("c")
         for p, want in ((key + b"c" * PAYLOAD_LIMIT, []), (bytes(near), [d.words[5]])):
             assert idx.query(p) == want == oracle_query(d, p, k), k
+
+
+def test_kernels_count_up_to_255_mismatches_at_k_254():
+    # At k = 254 a word of 256 bytes has 254 one-byte pieces and a last piece
+    # of two, so b"k" keys a group of 70 rests of PAYLOAD_LIMIT bytes.  Stored
+    # words with 253, 254 and 255 rest bytes replaced put a row's sum, and
+    # its neighbours', next to 255 and on either side of k.
+    k = 254
+    rng = random.Random(29)
+    drawn = set()
+    while len(drawn) < 70:
+        drawn.add(bytes(rng.choices(b"ab", k=PAYLOAD_LIMIT)))
+    d = Dictionary(sorted(b"k" + e for e in drawn))
+    patterns = []
+    for w in rng.sample(d.words, 4):
+        for m in (253, 254, 255):
+            p = bytearray(w)
+            for i in rng.sample(range(1, len(w)), m):
+                p[i] = ord("c")
+            patterns.append(bytes(p))
+    expected = [oracle_query(d, p, k) for p in patterns]
+    for subs in (None, SUBS):
+        idx = build_index(d, k, substitutions=subs)
+        payloads = regions(idx.lists[idx.table.lookup_list(b"k")], k, idx.subs.decode if subs else bytes)[0]
+        assert [len(e) for e in payloads] == [PAYLOAD_LIMIT] * 70
+        for matrix_run in BOTH_KERNELS:
+            with patch.object(core, "MATRIX_RUN", matrix_run):
+                for p, want in zip(patterns, expected):
+                    assert idx.query(p) == want, (subs, matrix_run, p)
 
 
 def test_xor_kernel_sums_255_mismatches_without_carrying():
