@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import asdict, dataclass, fields, replace as dc_replace
@@ -69,8 +70,9 @@ def run_bench(
     The mean is wall-clock time over all runs divided by query executions;
     every result is consumed so the work cannot be skipped.  The p50 and p99
     are nearest-rank percentiles of one extra pass that times each query on
-    its own, and verification counts come from another, untimed pass of the
-    same search.
+    its own, with the garbage collector paused and then restored to its
+    earlier state, and verification counts come from another, untimed pass of
+    the same search.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -88,16 +90,25 @@ def run_bench(
         matches = found
     elapsed = time.perf_counter() - start
 
+    # A collection would land in one query's time, so the collector runs
+    # before this pass and is paused during it.
     clock = time.perf_counter_ns
     each = []
-    for p in patterns:
-        t = clock()
-        query(p)
-        each.append(clock() - t)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for p in patterns:
+            t = clock()
+            query(p)
+            each.append(clock() - t)
+    finally:
+        if enabled:
+            gc.enable()
     each.sort()
 
     search = index._search
-    verifications = sum(search(p, set()) for p in patterns)
+    verifications = sum(search(p, {}) for p in patterns)
 
     bucket = index.table.bucket_stats()
     lists = index.list_stats()

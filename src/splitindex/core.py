@@ -31,11 +31,21 @@ and a translate table marks the sums of at most k.  A larger group is
 compared with the same repeated rest as one flat uint8 array, viewed as a
 matrix of one row per entry, and a float32 matrix-vector product (BLAS
 ``sgemv``) sums each row's mismatches; a sum of at most ``PAYLOAD_LIMIT`` ones
-is exact in float32.  Either way only the matches are visited in Python.
-When L <= k every entry matches, and is built without a kernel.  The
-threshold, 64, was measured against the matrix on the three benchmark
-workloads: 32 made english k = 2 slower at the median, and 128 and 256 its
-slowest 1% of queries.  A coded group is decoded before either kernel sees it.
+is exact in float32.  When L <= k every entry matches, and is built without a
+kernel.  The threshold, 64, was measured against the matrix on the three
+benchmark workloads: 32 made english k = 2 slower at the median, and 128 and
+256 its slowest 1% of queries.  A coded group is decoded before either kernel
+sees it.
+
+A matched word is its entry with the key put back at the key's offset.  When
+a matrix group has at least ``BULK_RUN`` matches, or an L <= k group at least
+``BULK_RUN`` entries, one numpy pass builds all of its words (``_words``);
+fewer are built one by one in Python.  The threshold, 16, was measured on the
+benchmark workloads: 8 made english k = 1 slower in its slowest 1% of
+queries, and 16 and 32 read the same.  A group stores its entries in payload
+byte order, and each of its words holds the same key at the same offset, so
+a group's matches come in ascending word order.  ``_search`` collects them
+in an insertion-ordered dict, and the sort in ``query`` merges those runs.
 
 The build runs in numpy batches, one per key length.  Words of one length
 share their piece bounds, so the keys and payloads of one key position are
@@ -71,6 +81,7 @@ from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # group lengths are single bytes, from 1 up
 MATRIX_RUN = 64  # the fewest entries in a group verified as one matrix, at every k; fewer are xored
+BULK_RUN = 16  # the fewest matched words of a group built in one numpy pass; fewer are built one by one
 _ONES = np.ones(PAYLOAD_LIMIT + 1, np.float32)  # sums a matrix row's mismatches by a float32 product
 _NONZERO = bytes(1) + b"\x01" * 255  # a translate table: 0 where a byte is 0, else 1
 _SPREAD = tuple(int.from_bytes(b"\x01" * n, "little") for n in range(PAYLOAD_LIMIT + 1))  # n one-bytes
@@ -243,15 +254,18 @@ class SplitIndex:
 
     def query(self, pattern: bytes) -> list[bytes]:
         """All stored words of the pattern's length within k mismatches, sorted."""
-        out = set()
+        out = {}
         self._search(pattern, out)
-        return sorted(out)
+        return sorted(out)  # timsort merges the groups' ascending runs
 
-    def _search(self, pattern: bytes, out: set) -> int:
+    def _search(self, pattern: bytes, out: dict) -> int:
         """Add the matches of ``pattern`` to ``out``; return candidates verified.
 
-        A verification is a Hamming check of one stored word that agrees with
-        the pattern's length and on a whole piece.
+        ``out`` is a dict, and each match becomes one of its keys, with the
+        value None.  Its insertion order keeps the matches of one group
+        together and ascending.  A verification is a Hamming check of one
+        stored word that agrees with the pattern's length and on a whole
+        piece.
         """
         if not isinstance(pattern, bytes):
             raise TypeError(f"pattern must be bytes, got {type(pattern).__name__}")
@@ -261,7 +275,7 @@ class SplitIndex:
         k = self.k
         if n <= k:
             # Same length and Hamming <= length <= k: everything matches.
-            out.update(self.side_table.get(n, ()))
+            out.update(dict.fromkeys(self.side_table.get(n, ())))
             return 0
         # Piece r >= 0 of the pattern keys a list whose region r + 1 holds
         # the other pieces of the words that share it.  The piece's bucket is
@@ -354,17 +368,21 @@ class SplitIndex:
                 verified += 1
                 v = ifb(buf[o:stop], "little") ^ ifb(rest, "little")
                 if not v:
-                    out.add(pattern)
+                    out[pattern] = None
                 elif v.to_bytes(need, "little").count(0) >= need - k:
-                    out.add(buf[o : o + start] + key + buf[o + start : stop])
+                    out[buf[o : o + start] + key + buf[o + start : stop]] = None
                 continue
             count = size // need
             if count * need != size:
                 raise CorruptListError(f"a group of the list for key {key!r} holds no whole number of entries")
             verified += count
             if need <= k:  # every word of the pattern's length is a match
+                if count >= BULK_RUN:
+                    group = (view if buf is data else np.frombuffer(buf, dtype=np.uint8))[o:stop]
+                    out.update(dict.fromkeys(_words(group.reshape(count, need), start, key)))
+                    continue
                 for e in range(o, stop, need):
-                    out.add(buf[e : e + start] + key + buf[e + start : e + need])
+                    out[buf[e : e + start] + key + buf[e + start : e + need]] = None
                 continue
             rests = rest * count  # the rest once per entry, as both kernels take it
             if count >= MATRIX_RUN:
@@ -373,9 +391,13 @@ class SplitIndex:
                 # PAYLOAD_LIMIT ones is a small whole number, exact in float32.
                 group = (view if buf is data else np.frombuffer(buf, dtype=np.uint8))[o:stop]
                 hits = (group != np.frombuffer(rests, dtype=np.uint8)).reshape(count, need) @ _ONES[:need] <= k
-                for i in hits.nonzero()[0].tolist():
+                hits = hits.nonzero()[0]
+                if len(hits) >= BULK_RUN:
+                    out.update(dict.fromkeys(_words(group.reshape(count, need).take(hits, 0), start, key)))
+                    continue
+                for i in hits.tolist():
                     e = o + i * need
-                    out.add(buf[e : e + start] + key + buf[e + start : e + need])
+                    out[buf[e : e + start] + key + buf[e + start : e + need]] = None
                 continue
             # The xor with rests is nonzero in the bytes where an entry
             # differs.  As ones and zeros, those bytes times need one-bytes
@@ -389,7 +411,7 @@ class SplitIndex:
             i = hits.find(1)
             while i >= 0:
                 e = o + i * need
-                out.add(buf[e : e + start] + key + buf[e + start : e + need])
+                out[buf[e : e + start] + key + buf[e + start : e + need]] = None
                 i = hits.find(1, i + 1)
         return verified
 
@@ -450,6 +472,22 @@ class SplitIndex:
         side = sum(1 + len(w) for group in self.side_table.values() for w in group)
         rules = sum(1 + len(s.gram) for s in self.subs or ())
         return 8 * self.table.bucket_count + len(self.lists) + side + rules
+
+
+def _words(rows: np.ndarray, start: int, key: bytes) -> list[bytes]:
+    """The words of payload ``rows`` (one entry each) with ``key`` put in at
+    column ``start``, in row order.
+
+    The rows become bytes through a void view, which keeps every byte; a
+    bytes ('S') view would drop each word's trailing NUL bytes.
+    """
+    count, need = rows.shape
+    width = need + len(key)
+    words = np.empty((count, width), np.uint8)
+    words[:, :start] = rows[:, :start]
+    words[:, start : start + len(key)] = np.frombuffer(key, np.uint8)
+    words[:, start + len(key) :] = rows[:, start:]
+    return words.view(f"V{width}").ravel().tolist()
 
 
 def _runs(values: np.ndarray) -> list[np.ndarray]:

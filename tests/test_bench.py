@@ -1,9 +1,11 @@
 """Benchmark reports and parameter sweeps."""
 
+import gc
 import json
 import random
 import re
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -14,6 +16,7 @@ from splitindex import (
     DataError,
     Dictionary,
     QuerySet,
+    SplitIndex,
     build_index,
     gen_noisy_queries,
     mine_substitutions,
@@ -55,6 +58,31 @@ def test_query_percentiles_are_ordered(small_world):
     for k, qs in ((1, queries), (2, QuerySet((b"table",), "one"))):
         report = run_bench(build_index(d, k), qs)
         assert 0 < report.p50_query_seconds <= report.p99_query_seconds
+
+
+def test_percentile_pass_pauses_the_collector_and_restores_it(small_world):
+    # The mean pass runs with the collector as the caller left it; the
+    # per-query pass runs with it paused, and it is restored either way.
+    d, queries = small_world
+    idx = build_index(d, 1)
+    query = SplitIndex.query
+    seen = []
+
+    def watched(self, pattern):
+        seen.append(gc.isenabled())
+        return query(self, pattern)
+
+    n = len(queries.patterns)
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        seen.clear()
+        try:
+            with patch.object(SplitIndex, "query", watched):
+                run_bench(idx, queries, repetitions=2)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [enabled] * (2 * n) + [False] * n
 
 
 def test_repetitions_self_consistency(small_world):

@@ -48,6 +48,11 @@ from splitindex.storage import index_from_bytes, index_to_bytes
 # The tests that run both cover plain and coded groups, and groups whose
 # entries are no longer than k (need <= k), where every entry matches.
 BOTH_KERNELS = (1, ARENA_LIMIT)
+# BULK_RUN values that send the matched words of every matrix group, and of
+# every group whose entries all match (need <= k), to one builder: 1 to the
+# numpy pass, ARENA_LIMIT to the word-by-word build.  Groups of fewer than
+# MATRIX_RUN entries with need > k are always built word by word.
+BOTH_BUILDERS = (1, ARENA_LIMIT)
 
 
 def groups(blob, k):
@@ -682,8 +687,8 @@ def test_query_equals_oracle(data):
     idx = build_index(d, k, substitutions=subs)
     pattern = data.draw(st.binary(min_size=1, max_size=32).map(
         lambda w: bytes(alpha[b % sigma] for b in w)))
-    for matrix_run in BOTH_KERNELS:
-        with patch.object(core, "MATRIX_RUN", matrix_run):
+    for matrix_run, bulk_run in product(BOTH_KERNELS, BOTH_BUILDERS):
+        with patch.object(core, "MATRIX_RUN", matrix_run), patch.object(core, "BULK_RUN", bulk_run):
             assert idx.query(pattern) == oracle_query(d, pattern, k)
             report = run_bench(idx, QuerySet((pattern,), "drawn"))
         assert report.verifications == expected_verifications(d, pattern, k)
@@ -760,12 +765,12 @@ def _long_runs_match_the_oracle(k):
     patterns = tuple(sorted(patterns))
     expected = [oracle_query(d, p, k) for p in patterns]
     verifications = sum(expected_verifications(d, p, k) for p in patterns)
-    for matrix_run, index in product(BOTH_KERNELS, (idx, coded)):
-        with patch.object(core, "MATRIX_RUN", matrix_run):
+    for matrix_run, bulk_run, index in product(BOTH_KERNELS, BOTH_BUILDERS, (idx, coded)):
+        with patch.object(core, "MATRIX_RUN", matrix_run), patch.object(core, "BULK_RUN", bulk_run):
             for p, want in zip(patterns, expected):
-                assert index.query(p) == want, (matrix_run, index.subs, p)
+                assert index.query(p) == want, (matrix_run, bulk_run, index.subs, p)
             report = run_bench(index, QuerySet(patterns, "long runs"))
-        assert report.verifications == verifications, (matrix_run, index.subs)
+        assert report.verifications == verifications, (matrix_run, bulk_run, index.subs)
 
 
 def test_run_of_the_shipped_threshold_matches_the_oracle():
@@ -888,7 +893,7 @@ def test_every_group_count_matches_the_oracle():
     # one-entry xor, the big-integer xor and the matrix, and at need = k
     # groups whose every entry matches.  Each group is probed with its last
     # entry at k mismatches in the rest and its first at k + 1, plain and
-    # coded.
+    # coded, with each builder of the matched words.
     rng = random.Random(25)
     symbols = bytes(range(97, 123)) + bytes(range(33, 97)) + bytes(range(123, 127))
     counts = range(1, core.MATRIX_RUN + 2)
@@ -922,10 +927,59 @@ def test_every_group_count_matches_the_oracle():
             for c, key in zip(counts, sorted(keys)):
                 entries = regions(indexes[0].lists[indexes[0].table.lookup_list(key)], k)[r]
                 assert [len(e) for e in entries].count(need) == c
-            for p in patterns:
-                want = oracle_query(d, p, k)
-                for idx in indexes:
-                    assert idx.query(p) == want, (k, need, idx.subs, p)
+            wants = [oracle_query(d, p, k) for p in patterns]
+            for bulk_run, idx in product(BOTH_BUILDERS, indexes):
+                with patch.object(core, "BULK_RUN", bulk_run):
+                    for p, want in zip(patterns, wants):
+                        assert idx.query(p) == want, (k, need, bulk_run, idx.subs, p)
+
+
+def test_bulk_builder_keeps_trailing_nuls_at_every_key_position():
+    # At k = 2 a word of 9 bytes has three 3-byte pieces.  The key b"\xffa\x00"
+    # is the first, middle and last piece of 80 words each: two rests, one
+    # all NUL, with every one-byte variant of each, and more drawn.  A
+    # pattern made of the key and either rest matches 25 words or more of a
+    # group of 80, so the shipped thresholds build its words in bulk from a
+    # matrix group.  The key and many rests end in NUL, so the words end in
+    # NUL wherever the key sits: a bytes ('S') view would drop those NULs.
+    # The 3-byte words over the same symbols have 1-byte pieces and rests of
+    # need = 2 = k, so each key's region holds a group of 25 that match
+    # whole, built in bulk too.  The coded index keeps the NULs and 0x7F.
+    k = 2
+    rng = random.Random(31)
+    key = b"\xffa\x00"
+    bases = (b"\x80a\x00\xff\x7f\x00", bytes(6))
+    rests = {base[:i] + bytes([c]) + base[i + 1 :] for base in bases for i in range(6) for c in EDGE_SYMBOLS}
+    while len(rests) < 80:
+        rests.add(bytes(rng.choices(EDGE_SYMBOLS, k=6)))
+    words = [e[: 3 * r] + key + e[3 * r :] for r in range(k + 1) for e in sorted(rests)]
+    words += map(bytes, product(EDGE_SYMBOLS, repeat=3))
+    patterns = {bytes(p) for p in product(EDGE_SYMBOLS, repeat=3)}
+    for r, base in product(range(k + 1), bases):
+        word = base[: 3 * r] + key + base[3 * r :]
+        patterns.add(word)
+        for m in (1, 2, 3):
+            p = bytearray(word)
+            for i in rng.sample([i for i in range(9) if not 3 * r <= i < 3 * r + 3], m):
+                p[i] ^= 1
+            patterns.add(bytes(p))
+    patterns = sorted(patterns)
+    keep_nuls = bytes.maketrans(b"\x80\xff", b"bc")
+    subs = SubstitutionList([(b"\x00\x00", 0x80), (b"a\x00", 0x81), (b"\x7fb", 0x82)])
+    for coded in (False, True):
+        d = Dictionary([w.translate(keep_nuls) for w in words] if coded else words)
+        idx = build_index(d, k, substitutions=subs if coded else None)
+        queried = [p.translate(keep_nuls) for p in patterns] if coded else patterns
+        wants = [oracle_query(d, p, k) for p in queried]
+        assert sum(w.endswith(b"\x00") for want in wants for w in want) > 100
+        with patch.object(core, "_words", wraps=core._words) as bulk:
+            for p, want in zip(queried, wants):
+                assert idx.query(p) == want, (coded, p)
+        assert bulk.call_count >= len(patterns)
+        for matrix_run, bulk_run in product(BOTH_KERNELS, BOTH_BUILDERS):
+            with patch.object(core, "MATRIX_RUN", matrix_run), patch.object(core, "BULK_RUN", bulk_run):
+                for p, want in zip(queried, wants):
+                    assert idx.query(p) == want, (coded, matrix_run, bulk_run, p)
 
 
 def test_length_filter_never_drops_matches():

@@ -382,7 +382,7 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
                         plan[:] = [piece]
                         _, start, end, _ = piece
                         try:
-                            damaged._search(p, set())
+                            damaged._search(p, {})
                             walk = None
                         except RegionReached as reached:
                             walk = slice(*reached.args)
