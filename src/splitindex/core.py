@@ -12,8 +12,11 @@ Entries are grouped into regions by the key's piece position 1..k+1, and
 region k + 1 runs to the list's end, which its bucket record gives.  An
 entry's payload is the concatenation of the word's other k pieces.  Within a
 region, entries are grouped by the length L of their payload, in ascending
-L, and each group is ``[L u8 >= 1][B, LEB128][B bytes]``: its payloads back
-to back in byte order, with no length byte each.  Payloads may be
+L, and each group is ``[L tag][B, LEB128][B bytes]``: its payloads back to
+back in byte order, with no length byte each.  The region's last group is
+``[L tag | 0x80][bytes]``, with no B: it runs to the region's end.  A tag is
+L itself for L of 1 to 127, or an escape byte, 0x00, or 0x80 for the last
+group, then L for L of 128 to 255 (``hashing._read_tag``).  Payloads may be
 substitution-coded (see ``qgrams``); keys never are.  A plain group's B is a
 multiple of L; a coded group is the encoding of the plain group's bytes.
 Piece boundaries are recomputed from the total length at query time.
@@ -61,7 +64,8 @@ Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
 walks the bucket of each piece itself, as ``ChainedHashTable.lookup_list``
 does, and reads the arena at absolute offsets, never past the end of the
-bucket or region it walks:
+bucket or region it walks.  It reads one-byte tags itself and hands an
+escape to ``_read_tag``, or a key's to ``lookup_list``:
 region lengths that run past their list, group lengths that are zero or do
 not rise, a group that would cross its region's end, and a group that does
 not hold a whole number of entries raise ``CorruptListError``.
@@ -76,10 +80,11 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import HASH_FUNCTIONS, ChainedHashTable, HashConfig, _gather, _length_bytes, _read_length
+from .hashing import (HASH_FUNCTIONS, ChainedHashTable, HashConfig, _gather, _length_bytes, _read_length,
+                      _read_tag, _tag_bytes)
 from .qgrams import SubstitutionList
 
-PAYLOAD_LIMIT = 255  # group lengths are single bytes, from 1 up
+PAYLOAD_LIMIT = 255  # a group's L is one byte, after an escape from 128, from 1 up
 MATRIX_RUN = 64  # the fewest entries in a group verified as one matrix, at every k; fewer are xored
 BULK_RUN = 16  # the fewest matched words of a group built in one numpy pass; fewer are built one by one
 _ONES = np.ones(PAYLOAD_LIMIT + 1, np.float32)  # sums a matrix row's mismatches by a float32 product
@@ -306,41 +311,68 @@ class SplitIndex:
             # A record costs two sums: p, the offset of its list length's
             # last byte, and the next record's offset.  A list length of
             # one or two bytes is read inline, a longer one by _read_length.
+            # The bucket's last record has no list length: its list runs
+            # from its key's end to the bucket's end, and its tag is its key
+            # length plus 0x80.
             while o < bend:
                 el = data[o]
-                p = o + (el + 1)
-                if p >= bend:
-                    raise CorruptListError(f"bucket {b} holds a record that runs past its end")
-                size = data[p]
-                if size > 0x7F:
-                    p += 1
-                    if p < bend and (c := data[p]) < 0x80:
-                        size = size & 0x7F | c << 7
-                    else:
-                        size, p = _read_length(data, p - 1, bend, b)
-                        p -= 1
-                if el == kl and data.startswith(key, o + 1):
+                if el < 0x80 and el:  # a record before the bucket's last, with a key under 128 bytes
+                    p = o + (el + 1)
+                    if p >= bend:
+                        raise CorruptListError(f"bucket {b} holds a record that runs past its end")
+                    size = data[p]
+                    if size > 0x7F:
+                        p += 1
+                        if p < bend and (c := data[p]) < 0x80:
+                            size = size & 0x7F | c << 7
+                        else:
+                            size, p = _read_length(data, p - 1, bend, b)
+                            p -= 1
+                    if el == kl and data.startswith(key, o + 1):
+                        p += 1
+                        size += p  # the list's end
+                        if size > bend:
+                            raise CorruptListError(f"the list for key {key!r} runs past the end of bucket {b}")
+                        break
+                    o = p + (size + 1)
+                elif el > 0x80:  # the bucket's last record, with a key under 128 bytes
+                    p = o + (el - 0x7F)  # the list's start
+                    if p > bend:
+                        raise CorruptListError(f"bucket {b} holds a record that runs past its end")
+                    if el == kl + 0x80 and data.startswith(key, o + 1):
+                        size = bend
+                        break
+                    o = bend
+                else:  # an escape, which only a key of 128 bytes or more takes: lookup_list walks on
+                    at = self.table.lookup_list(key)
+                    if at is None:
+                        o = bend
+                        continue
+                    p, size = at.start, at.stop
                     break
-                o = p + (size + 1)
             else:
                 if o != bend:
                     raise CorruptListError(f"bucket {b} holds a record that runs past its end")
                 continue
-            p += 1
-            size += p  # the list's end
-            if size > bend:
-                raise CorruptListError(f"the list for key {key!r} runs past the end of bucket {b}")
             o, hi = _region(data, p, size, r, k, key)
-            # Group lengths rise strictly from 1; a group's byte length is
-            # read inline when it is one byte, as nearly all are.
+            # Group lengths rise strictly from 1.  The region's last group
+            # runs to the region's end; another's byte length is read inline
+            # when it is one byte, as nearly all are.
             last = 0
             while o < hi:
                 ln = data[o]
                 o += 1
-                if o < hi and (size := data[o]) < 0x80:
-                    o += 1
-                else:
-                    size, o = _read_length(data, o, hi, key, "group")
+                if ln > 0x80:  # the region's last group, with L under 128
+                    ln -= 0x80
+                    size = hi - o
+                elif ln < 0x80 and ln:
+                    if o < hi and (size := data[o]) < 0x80:
+                        o += 1
+                    else:
+                        size, o = _read_length(data, o, hi, key, "group")
+                else:  # an escape, for L of 128 or more
+                    ln, final, o = _read_tag(data, o - 1, hi, key)
+                    size, o = (hi - o, o) if final else _read_length(data, o, hi, key, "group")
                 if ln >= need:
                     break
                 if ln <= last:
@@ -438,13 +470,17 @@ class SplitIndex:
                 o, hi = _region(data, begin, end, r, k, key)
                 last = 0
                 while o < hi:
-                    ln = data[o]
+                    ln, final, p = _read_tag(data, o, hi, key)
                     if ln <= last:
                         raise CorruptListError(f"the list for key {key!r} holds group lengths that do not rise")
-                    size, p = _read_length(data, o + 1, hi, key, "group")
-                    o = p + size
-                    if o > hi:
-                        raise CorruptListError(f"a group of the list for key {key!r} crosses its region's end")
+                    if final:
+                        o = hi
+                    else:
+                        size, p = _read_length(data, p, hi, key, "group")
+                        o = p + size
+                        if o > hi:
+                            raise CorruptListError(f"a group of the list for key {key!r} crosses its region's end")
+                    size = o - p
                     payload += size
                     if decode is not None:
                         size = len(decode(data[p:o]))
@@ -618,24 +654,33 @@ def _lists(
         group_sizes.append(size)
         payloads.append(payload)
     owner = np.concatenate(owners)
+    position = np.concatenate(positions)
     group_size = np.concatenate(group_sizes)
-    # Each group is [L][B, LEB128][B bytes of payloads]; each list opens with
-    # the byte lengths of its regions 1..k, as LEB128, then holds its groups.
-    leb, leb_sizes = _length_bytes(group_size)
-    region = np.bincount(owner * (k + 1) + np.concatenate(positions), 1 + leb_sizes + group_size, len(keys) * (k + 1))
+    group_length = np.concatenate(group_lengths)
+    del owners, positions, group_sizes, group_lengths  # not kept through the gather
+    # Each group is [L tag][B, LEB128][B bytes of payloads], but a region's
+    # last group, flagged in its tag, has no B; each list opens with the
+    # byte lengths of its regions 1..k, as LEB128, then holds its groups.
+    final = np.ones(len(owner), bool)
+    final[:-1] = (owner[1:] != owner[:-1]) | (position[1:] != position[:-1])
+    tags, tag_sizes = _tag_bytes(group_length, final)
+    leb, leb_sizes = _length_bytes(group_size[~final])
+    b_sizes = np.zeros(len(owner), np.int64)
+    b_sizes[~final] = leb_sizes
+    region = np.bincount(owner * (k + 1) + position, tag_sizes + b_sizes + group_size, len(keys) * (k + 1))
     region = region.astype(np.int64).reshape(-1, k + 1)
     head, head_sizes = _length_bytes(region[:, :k].ravel())
     head_sizes = head_sizes.reshape(-1, k).sum(1)
-    # The headers of the groups, back to back, each list's region lengths in
-    # front of its first group's (np.insert keeps the order of the values it
-    # puts at one index); one gather then takes each group's header and
-    # payloads in turn.
+    # The headers of the groups, back to back: each list's region lengths in
+    # front of its first group's tag, then each tag in front of its B, if any
+    # (np.insert keeps the order of the values it puts at one index).  One
+    # gather then takes each group's header and payloads in turn.
     count = np.bincount(owner, minlength=len(keys))
     first = np.cumsum(count) - count
-    at = np.cumsum(leb_sizes) - leb_sizes
-    headers = np.insert(leb, np.concatenate((np.repeat(at[first], head_sizes), at)), np.concatenate((head, *group_lengths)))
-    spans = np.stack((1 + leb_sizes, group_size), 1)
-    spans[first, 0] += head_sizes
+    tags = np.insert(tags, np.repeat((np.cumsum(tag_sizes) - tag_sizes)[first], head_sizes), head)
+    tag_sizes[first] += head_sizes
+    headers = np.insert(leb, np.repeat(np.cumsum(b_sizes) - b_sizes, tag_sizes), tags)
+    spans = np.stack((tag_sizes + b_sizes, group_size), 1)
     starts = np.cumsum(spans, 0) - spans
     starts[:, 1] += len(headers)
     lists = _gather(np.concatenate((headers, *payloads)), starts.ravel(), spans.ravel())

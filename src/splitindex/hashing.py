@@ -3,13 +3,17 @@
 The table holds its buckets back to back in one ``bytes`` arena, ``data``,
 with an ``array('I')`` of n + 1 start offsets, ``starts``; bucket ``i`` is
 ``data[starts[i]:starts[i + 1]]``, in memory as in the file.  Each bucket is
-a run of ``[key length u8][key bytes][list length, LEB128][list bytes]``
-records, so a key's list sits right after it.  ``lookup_list`` returns where
-that list lies in ``data``, and ``records`` walks every record.  Both are one
-walk of a bucket's records, so they raise the same ``CorruptListError`` for a
-record, a list length or a list that runs past its bucket's end, and a list
-length takes at most ``LENGTH_BYTES`` bytes, as do the region and group
-lengths inside each list (see ``core``).  The query path,
+a run of ``[key length tag][key bytes][list length, LEB128][list bytes]``
+records, so a key's list sits right after it, except that the bucket's last
+record is ``[key length tag][key bytes][list bytes]``: its list runs to the
+bucket's end.  A tag (see ``_read_tag``) is one byte, the length in its low 7
+bits and in its high bit the flag of its bucket's last record, or two bytes
+for a length of 128 or more.  ``lookup_list`` returns where a key's list lies
+in ``data``, and ``records`` walks every record.  Both are one walk of a
+bucket's records, so they raise the same ``CorruptListError`` for a record, a
+list length or a list that runs past its bucket's end, and a list length
+takes at most ``LENGTH_BYTES`` bytes, as do the region and group lengths
+inside each list (see ``core``).  The query path,
 ``core.SplitIndex._search``, keeps its own inline copy of that walk, which
 costs less per probe, with the same checks and errors; ``lookup_list`` is the
 public probe and the reference that copy is tested against.
@@ -230,6 +234,17 @@ def _length_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return groups[np.arange(width) < sizes[:, None]], sizes
 
 
+def _tag_bytes(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``values``, 1 to 255, as a tag flagged by ``last``, back to
+    back, and the byte count of each; ``_read_tag`` reads them."""
+    escape = values > 0x7F
+    tags = np.empty((len(values), 2), np.uint8)
+    tags[:, 0] = np.where(escape, 0, values) | last << 7
+    tags[:, 1] = values
+    sizes = 1 + escape
+    return tags[np.arange(2) < sizes[:, None]], sizes
+
+
 def _gather(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The slices ``data[s : s + n]`` for every (s, n), each n at least 1,
     back to back."""
@@ -260,6 +275,29 @@ def _read_length(data: bytes, o: int, end: int, owner: int | bytes, kind: str = 
     what = f"bucket {owner} holds a list" if isinstance(owner, int) else f"the list for key {owner!r} holds a {kind}"
     raise CorruptListError(f"{what} length that runs past its end" if o >= end else
                            f"{what} length of more than {LENGTH_BYTES} bytes")
+
+
+def _read_tag(data: bytes, o: int, end: int, owner: int | bytes) -> tuple[int, bool, int]:
+    """The length tagged at ``data[o]``, before ``end``; whether its item is
+    the last of its bucket or region; and the offset after the tag.
+
+    A tag byte holds a length of 1 to 127 in its low 7 bits and the flag in
+    its high bit.  Low bits of 0 are an escape, 0x00 for an item that is not
+    the last and 0x80 for the last: the next byte is the length, 128 to 255.
+    An escape with no byte after it before ``end`` raises CorruptListError
+    naming ``owner``: the bucket of a key length, or the key of a group
+    length.
+    """
+    b = data[o]
+    n = b & 0x7F
+    o += 1
+    if not n:
+        if o >= end:
+            raise CorruptListError(f"bucket {owner} holds a record that runs past its end" if isinstance(owner, int)
+                                   else f"a group of the list for key {owner!r} crosses its region's end")
+        n = data[o]
+        o += 1
+    return n, b > 0x7F, o
 
 
 class ChainedHashTable:
@@ -298,7 +336,8 @@ class ChainedHashTable:
         array, and ``sizes`` their byte lengths, in the order of ``keys``.
         Every key is hashed once, one stable sort by bucket orders the
         records, so each bucket holds its keys in the order of ``keys``, and
-        numpy copies them into the arena part by part.
+        numpy copies them into the arena part by part.  The last record of a
+        bucket gets the flag in its key length tag and no list length.
         """
         config = config or HashConfig()
         count = len(keys)
@@ -309,19 +348,23 @@ class ChainedHashTable:
             raise BuildError(f"key longer than 255 bytes: {key[:16]!r}...")
         fn = HASH_FUNCTIONS[config.function_id]
         bucket = (np.fromiter(map(fn, keys), np.uint64, count) & np.uint64(n - 1)).astype(np.intp)
+        order = np.argsort(bucket, kind="stable")
+        last = np.ones(count, bool)
+        last[order[:-1]] = np.diff(bucket[order]) != 0
         list_sizes = np.asarray(sizes, np.int64)
-        length_bytes, length_sizes = _length_bytes(list_sizes)
+        tags, tag_sizes = _tag_bytes(key_sizes, last)
+        length_bytes, length_sizes = _length_bytes(list_sizes[~last])
         # A record's four parts, each taken from its own run of ``parts``.
-        parts = (key_sizes.astype(np.uint8), np.frombuffer(b"".join(keys), np.uint8),
-                 length_bytes, np.frombuffer(lists, np.uint8))
-        spans = np.stack((np.ones(count, np.int64), key_sizes, length_sizes, list_sizes))
-        base = np.cumsum([0] + [len(p) for p in parts[:-1]])
-        starts = np.cumsum(spans, 1) - spans + base[:, None]
+        parts = (tags, np.frombuffer(b"".join(keys), np.uint8), length_bytes, np.frombuffer(lists, np.uint8))
+        spans = np.stack((tag_sizes, key_sizes, np.zeros(count, np.int64), list_sizes))
+        spans[2, ~last] = length_sizes
         records = spans.sum(0)
         if records.sum() >= ARENA_LIMIT:
             raise BuildError(f"{records.sum()} bytes of buckets, over the {ARENA_LIMIT - 1} their u32 offsets address")
-        order = np.argsort(bucket, kind="stable")
-        data = _gather(np.concatenate(parts), starts[:, order].T.ravel(), spans[:, order].T.ravel())
+        starts = (np.cumsum(spans).reshape(spans.shape) - spans)[:, order].T.ravel()
+        spans = spans[:, order].T.ravel()
+        keep = spans > 0  # a bucket's last record has no list length
+        data = _gather(np.concatenate(parts), starts[keep], spans[keep])
         ends = np.cumsum(np.bincount(bucket, records, n).astype(np.int64))
         bucket_starts = array("I", bytes(4))
         bucket_starts.frombytes(ends.astype(np.uint32).tobytes())
@@ -344,7 +387,9 @@ class ChainedHashTable:
 
     def _walk(self, h: int, key: bytes | None = None) -> Iterator[tuple[bytes, int, int]]:
         """``(key, begin, end)`` of each record of bucket ``h``, or only of
-        the one holding ``key``; the key's list is ``data[begin:end]``.
+        the one holding ``key``; the key's list is ``data[begin:end]``.  The
+        record flagged as the bucket's last has no list length: its list
+        runs to the bucket's end, and the walk stops there.
 
         Raises CorruptListError naming the key of a list that runs past the
         bucket's end, or the bucket for a record that does, or a list length
@@ -354,16 +399,23 @@ class ChainedHashTable:
         o = self._starts[h]
         end = self._starts[h + 1]
         while o < end:
-            p = o + 1 + data[o]
-            if p >= end:
-                break
-            n, q = _read_length(data, p, end, h)
-            found = data[o + 1 : p]
-            o = q + n
+            n, last, p = _read_tag(data, o, end, h)
+            q = p + n  # the key's end
+            if last:  # the list runs to the bucket's end
+                if q > end:
+                    break
+                begin = q
+                o = end
+            else:
+                if q >= end:
+                    break
+                n, begin = _read_length(data, q, end, h)
+                o = begin + n
+            found = data[p:q]
             if key is None or found == key:
                 if o > end:
                     raise CorruptListError(f"the list for key {found!r} runs past the end of bucket {h}")
-                yield found, q, o
+                yield found, begin, o
         if o != end:
             raise CorruptListError(f"bucket {h} holds a record that runs past its end")
 

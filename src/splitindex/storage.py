@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic            8 bytes  b"SPLITIDX"
-    version          u16      currently 6
+    version          u16      currently 7
     k                u8
     hash id          u8 length + ASCII name
     max load factor  f64
@@ -24,7 +24,7 @@ describes, the same for every k), so a load/save cycle is byte-identical
 and loaded indexes answer queries exactly like the original.
 
 The checksum is verified on every load, after the header and section checks;
-files of any other version, versions 1 to 5 included, are rejected.  Records
+files of any other version, versions 1 to 6 included, are rejected.  Records
 and lists are not walked at load: the probe and the search check the ones
 they read, and raise ``CorruptListError`` for those that are damaged.
 """
@@ -49,7 +49,7 @@ from .hashing import ARENA_LIMIT, ChainedHashTable, HashConfig
 from .qgrams import SubstitutionList
 
 MAGIC = b"SPLITIDX"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def save_index(index: SplitIndex, path) -> None:

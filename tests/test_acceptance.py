@@ -95,21 +95,28 @@ def test_criterion_2_worked_examples():
         def entries(key):
             """The byte length of the list's region 1, and its payloads.
 
-            Each region holds groups ``[L][B][payloads of L bytes]``; every
-            group and list here is under 128 bytes, so B is one byte.
+            Each region holds groups ``[L][B][payloads of L bytes]``, but
+            its last group is ``[L | 0x80][payloads]``, which runs to the
+            region's end; every group and list here is under 128 bytes, so
+            L and B are one byte each.
             """
             blob = idx.lists[idx.table.lookup_list(key)]
             out, o = [], 1  # after the one-byte length of region 1
-            while o < len(blob):
-                n, size = blob[o], blob[o + 1]
-                out += [blob[i : i + n] for i in range(o + 2, o + 2 + size, n)]
-                o += 2 + size
+            for end in (1 + blob[0], len(blob)):  # the ends of regions 1 and 2
+                while o < end:
+                    n = blob[o]
+                    if n & 0x80:
+                        n, size, o = n & 0x7F, end - o - 1, o + 1
+                    else:
+                        size, o = blob[o + 1], o + 2
+                    out += [blob[i : i + n] for i in range(o, o + size, n)]
+                    o += size
             return blob[0], out
 
         size, payloads = entries(b"tab")  # only region 1 entries, one group each
-        assert size == sum(2 + len(e) for e in payloads) and set(payloads) >= {b"le"}
+        assert size == sum(2 + len(e) for e in payloads) - 1 and set(payloads) >= {b"le"}
         size, payloads = entries(b"le")  # one region 1 entry, then the prefixes
-        assert set(payloads) == {b"tab", b"ft"} and size == 2 + len(payloads[0])
+        assert set(payloads) == {b"tab", b"ft"} and size == 1 + len(payloads[0])
 
 
 def test_criterion_3_space_linearity():

@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 from array import array
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate, product
 from unittest.mock import patch
@@ -39,7 +40,7 @@ from splitindex import (
 )
 from splitindex import core, hashing
 from splitindex.core import PAYLOAD_LIMIT, ListStats
-from splitindex.hashing import ARENA_LIMIT, BucketStats, _length_bytes, _read_length
+from splitindex.hashing import ARENA_LIMIT, BucketStats, _length_bytes, _read_length, _read_tag
 from splitindex.storage import index_from_bytes, index_to_bytes
 
 # MATRIX_RUN values that send every group of two or more entries to one
@@ -57,7 +58,8 @@ BOTH_BUILDERS = (1, ARENA_LIMIT)
 
 def groups(blob, k):
     """Parse a list blob into ([byte lengths of regions 1..k], [[(L, group
-    bytes), ...] of each of its k + 1 regions])."""
+    bytes), ...] of each of its k + 1 regions]), checking that the flag in a
+    group's tag marks the region's last group, which has no byte length."""
     sizes = []
     o = 0
     for _ in range(k):
@@ -68,10 +70,19 @@ def groups(blob, k):
         end = o + size
         out.append([])
         while o < end:
-            n, p = _read_length(blob, o + 1, end, b"")
-            out[-1].append((blob[o], blob[p : p + n]))
-            o = p + n
+            n, last, p = _read_tag(blob, o, end, b"")
+            size, p = (end - p, p) if last else _read_length(blob, p, end, b"")
+            out[-1].append((n, blob[p : p + size]))
+            o = p + size
+            assert last == (o == end), "the flag marks the region's last group"
     return sizes, out
+
+
+def header_size(n, size, last):
+    """Bytes of the header of a group of L = ``n`` and ``size`` bytes: its
+    tag, one byte or an escape and L, then its byte length as LEB128 unless
+    it is its region's last."""
+    return (1 if n < 0x80 else 2) + (0 if last else len(leb128(size)))
 
 
 def regions(blob, k, decode=bytes):
@@ -90,16 +101,18 @@ def test_list_layout_for_three_words():
     idx = build_index(d, 1)
     blob = idx.lists[idx.table.lookup_list(b"tab")]
     assert regions(blob, 1) == [[b"le", b"let"], []]  # only missing suffixes
-    assert blob == b"\x09" + b"\x02\x02le" + b"\x03\x03let"  # a group per length, [L][B][payloads]
-    assert groups(blob, 1) == ([9], [[(2, b"le"), (3, b"let")], []])
+    # A group per length, [L][B][payloads], but the region's last group is
+    # [L | 0x80][payloads]: it runs to the region's end.
+    assert blob == b"\x08" + b"\x02\x02le" + b"\x83let"
+    assert groups(blob, 1) == ([8], [[(2, b"le"), (3, b"let")], []])
     blob = idx.lists[idx.table.lookup_list(b"le")]
-    assert groups(blob, 1) == ([4], [[(2, b"ft")], [(3, b"tab")]])  # one suffix entry, then the prefixes
+    assert groups(blob, 1) == ([3], [[(2, b"ft")], [(3, b"tab")]])  # one suffix entry, then the prefixes
     blob = idx.lists[idx.table.lookup_list(b"ft")]
     assert groups(blob, 1) == ([0], [[], [(2, b"le")]])
     # Two words of one length under one key share a group, with no length
     # byte each.
     idx = build_index(Dictionary([b"table", b"tabby", b"tablet"]), 1)
-    assert idx.lists[idx.table.lookup_list(b"tab")] == b"\x0b" + b"\x02\x04byle" + b"\x03\x03let"
+    assert idx.lists[idx.table.lookup_list(b"tab")] == b"\x0a" + b"\x02\x04byle" + b"\x83let"
 
 
 def test_k2_layout_with_an_empty_middle_region():
@@ -108,7 +121,7 @@ def test_k2_layout_with_an_empty_middle_region():
     d = Dictionary([b"abcdef", b"ghijab"])
     idx = build_index(d, 2)
     blob = idx.lists[idx.table.lookup_list(b"ab")]
-    assert blob == b"\x06\x00" + b"\x04\x04cdef" + b"\x04\x04ghij"
+    assert blob == b"\x05\x00" + b"\x84cdef" + b"\x84ghij"
     assert regions(blob, 2) == [[b"cdef"], [], [b"ghij"]]
     # A pattern keyed by b"ab" in the middle finds the empty region; reading
     # region 3 in its place would wrongly rebuild b"ghabij".
@@ -244,6 +257,20 @@ def test_coded_build_peaks_no_higher_than_the_plain_build(k):
     assert build_peak(d, k, subs) <= build_peak(d, k)
 
 
+# build_index's traced peak on the 200 kB corpus above at k = 1 with the
+# code just before format v7, plain and coded with its mined mixed/100
+# rules, under Python 3.11.7 and numpy 2.4.6; v7 read 8_490_796 and
+# 8_000_573.  The v7 headers are laid out in the same two gathers.
+PEAKS_BEFORE_V7 = {False: 8_892_584, True: 8_402_028}
+
+
+def test_build_peaks_no_higher_than_before_format_7():
+    d = Dictionary(english_words(200_000, seed=3))
+    subs = mine_substitutions(d, "mixed", 100)
+    assert build_peak(d, 1) <= PEAKS_BEFORE_V7[False]
+    assert build_peak(d, 1, subs) <= PEAKS_BEFORE_V7[True]
+
+
 def test_list_of_65536_entries_builds_and_answers():
     # 65536 distinct prefixes all sharing the last piece: b"zz" for k = 1,
     # b"z" for k = 2 (a 5-byte word splits 3 + 2, or 2 + 2 + 1).  A list has
@@ -298,64 +325,64 @@ def test_builds_are_byte_identical():
 # The hash id moves buckets, never lists.
 GOLDEN_DIGESTS = {
     ("xxhash", 1, False): (
-        "774872a534a079479c05bdf36d5bcbb6c0e4be40dceae7eb619ca7db98d71ce4",
-        "34f45ad44af72e0a32e5e8f4e95a7020ed03f0e3e34b3c519d83f23e77f5f57c",
-        "1ff63436d79925597f21b2ce4966a82cd741ceca05df286dd48f8a7c44cfe2ed",
+        "c14d1db8daf46c3d55d9e697a61129f008f7b036d76e0c7b3c06635a4f32cb74",
+        "027a7587e1a63b0aa25b1164a8fbe37280de0aea897d039235e9d816e6914afa",
+        "df7d3ee76f5e60369c482059289f8befb4808f9e928717e20acb6adcb772c7cc",
     ),
     ("xxhash", 1, True): (
-        "0cdc6d45cafaeb389728eb4e2bf80730a3432da67b74510c77f072a5d963e99b",
-        "81bde7389570db5161f2dbaed168ba9d37860f986eb4e91432f419dd625158c3",
-        "22400121ca0b3839e7ee59c14b9b95d78035baa00bdfc38aa242f9736003ed51",
+        "a1d842fae8badd2262c15522cb886441cfe5985b116b445106db4a6d78a57946",
+        "835550d2d3813d893a4db810f18eb8f04d63532987f24aa83ffcb1b951c04180",
+        "71edec9adb7d27cb4a387563533f7bf51ae65c56d6f4d22382893fcdd69ae37a",
     ),
     ("xxhash", 2, False): (
-        "5aab22a84c85e6767aecef3ae3b751b84dc404e1a9495fd33b2f715dc1824fd0",
-        "15888d71c12475956532e2ce2238c70704dec254385d1682128ca98d6ba03e6d",
-        "947a801ef9ff4a5a4acd54c3995c97b6ee9cb786187ec37cd89033b3176ef227",
+        "7693d49ff259ba89cf454019ddf922d8da02ea0b95559a7721ff7e47a0477648",
+        "43b4a420e8bba0a59a9ca6ab5caa05c36614ed7498b0072a76f509a5cff76d91",
+        "2042431af2850d87d68fcbe3581199ad5a5d928849f2f95cf0ba42283a839759",
     ),
     ("xxhash", 2, True): (
-        "82ec5933decf01070cc38971e31e94439b1c55f3bbad6b79112e05481ebf4be7",
-        "b51c41706f3c640bd3eb15cdbdcd99f7b357024ed3f3121d68851ebb12788c3d",
-        "e943de30494e449d27df872ec404b7378d1e9e20d759f3404fa79039e76ba3ac",
+        "5ab78d925ec3b0598774d69790df0faf9c51ca3b8b41f5729bf01575fe4a4e37",
+        "0ae07bcc47472f219ebcc8b0ff34c0597e2cf03b86a8989e7d15ba9b030cc4a7",
+        "dc99d309cf8073b3e3859be739e32cb39307dbf3cc0d6dab36b06ad814391620",
     ),
     ("xxhash", 3, False): (
-        "0c7a96ed4096eca33646a2b59bd0208739b73736ace154087461d58e2a4502f0",
-        "1a879c6a1f01511566c5dbb213882aeb589f0cc232362de82bb0d6155996cb2c",
-        "39f7b5502d040f35d9d08df72631f40ac22823520d68707a6a302d6ab31a5ebb",
+        "f109337209820a1a7cfb061c38305b7cc74395dc47dd6238acd9fb28db6e3815",
+        "e3d9d6ebb8511d800b1e6efc9d439f2e74770bef18bdc7fe90e8c8d714dd8b3b",
+        "d4ddaccb59e9d355b3b20ca6345ef70b51f968fa61e5539ab2eaf502d4bd5f3d",
     ),
     ("xxhash", 3, True): (
-        "a800442f877a38707c905bf85621a1df4f532069b4cff2b4be68a180cf279522",
-        "3975eb456751c2e51641b5da41ecbf6001ad290a1c33686ffc331cfe27994929",
-        "a7accbb62c010b278b8323b2edab0fb0bece79a790eca59f067c914c4c996b63",
+        "31986b4481c0505c19b7076b3990791a03a1bbbcf280c558d5ab54067b4c3977",
+        "ab0ed7336eb3659b3f209579d50969732ca2232a23c147e6a0265d0920fb3e35",
+        "a14fd0e4e16a84d4c53e6099d8fc886e9e994f23aa1e7544fb35beb0676a53e2",
     ),
     ("crc32", 1, False): (
-        "dfa1660f4084cf0f8b01421ecfb4ac6a4277048fbed2b6668de9be0c5dd6b075",
-        "34f45ad44af72e0a32e5e8f4e95a7020ed03f0e3e34b3c519d83f23e77f5f57c",
-        "e9d324a79970b59861dc87f0c1373f8b133798845be94ca0bbead594be774dcc",
+        "e5ca9a1dc248136ff48c92df9668f0acc523df0c23359488a1de681d829ef359",
+        "027a7587e1a63b0aa25b1164a8fbe37280de0aea897d039235e9d816e6914afa",
+        "8af362af4892541c916632f944cec7008d2119fbecfa815b5b822464807b341b",
     ),
     ("crc32", 1, True): (
-        "42575aa98abac72078d3c9602ca198ef5f7b9831dd431e308d5a867bde29cf10",
-        "81bde7389570db5161f2dbaed168ba9d37860f986eb4e91432f419dd625158c3",
-        "15e7bc99b8c26a3b39669925bf8c655d227b43677afdc07c15a8b7978c9613c0",
+        "931ed5ff8b93df8633e2431f08032b5f9e2262c1dcfbdbf76d9e3f6e3b0996ae",
+        "835550d2d3813d893a4db810f18eb8f04d63532987f24aa83ffcb1b951c04180",
+        "fe446f0da103e972b53f32247d1e4a3f7b1517bbb9f01f02ec1ef48c26b1baed",
     ),
     ("crc32", 2, False): (
-        "4547b6a973c8b7fbaa0d8214b4ae1e1acdbd1bd579092b459cdccae74a683018",
-        "15888d71c12475956532e2ce2238c70704dec254385d1682128ca98d6ba03e6d",
-        "8e54afb07d97d9f97c4f27694e36eace7fbb7259b17ce2d337fab91560a2a190",
+        "2366f3793529f200145a995a304712e6d9f7904031f407b04746b89854319974",
+        "43b4a420e8bba0a59a9ca6ab5caa05c36614ed7498b0072a76f509a5cff76d91",
+        "22668d7e2695a39355c259ab6b8881ad1b7e08006b83611db59552726a56e85e",
     ),
     ("crc32", 2, True): (
-        "5558f40280afb8fb09c72c696761684eb8c20e28dc86818d9456b70e3861cb78",
-        "b51c41706f3c640bd3eb15cdbdcd99f7b357024ed3f3121d68851ebb12788c3d",
-        "447f31e639ce016fb077f4a1c0cd9b70d78f17d636d433276412b951e387cbbe",
+        "0b042ae144165dec79bb68c40ada7b202efa7d5687ee6315e192478132286518",
+        "0ae07bcc47472f219ebcc8b0ff34c0597e2cf03b86a8989e7d15ba9b030cc4a7",
+        "c8ba1148e79e455c20acb77fa0c75a63028aeabf6a617e6e2a5b8c973e048a57",
     ),
     ("crc32", 3, False): (
-        "cb4ba09b8a780b0198ffcf334249fcca5fcca4add21d85651db4773f7be67f2e",
-        "1a879c6a1f01511566c5dbb213882aeb589f0cc232362de82bb0d6155996cb2c",
-        "b07463bcbf846c6baadcbac79c27e800bd7049df6274b08dc35cfea12fa667ff",
+        "c8401b63cef6c615f15d42fb1db0b51915fc766964e6448ae963a9a9f5f9fdf3",
+        "e3d9d6ebb8511d800b1e6efc9d439f2e74770bef18bdc7fe90e8c8d714dd8b3b",
+        "89f94afda91ea17c0d615c43f8ecaa3b11f05086ef6f2d67ad5847723eb0817e",
     ),
     ("crc32", 3, True): (
-        "2732efde62dd333ee5631cfdce420a1ac0033f80a3c4e816f4c60a552916df0e",
-        "3975eb456751c2e51641b5da41ecbf6001ad290a1c33686ffc331cfe27994929",
-        "1bca493296c174e70568131b9a3442bfb895c8a72d3bd9849569c623b84cab3c",
+        "dcf6c2c7b76286ee1d192d176e3ab74ffee797e0c01611ae19e890ba6b2b965e",
+        "ab0ed7336eb3659b3f209579d50969732ca2232a23c147e6a0265d0920fb3e35",
+        "b530efa635bc554856b58d875b0ea3fc994d7bd8a37b1c8959e099e8e30094fe",
     ),
 }
 GOLDEN_SUBS = SubstitutionList([(b"ing", 128), (b"er", 129), (b"st", 130), (b"tion", 131)])
@@ -379,39 +406,39 @@ def test_layout_is_pinned():
 # joins words with.
 EDGE_DIGESTS = {
     ("crc32", 1, False): (
-        "647bd17e2e4100cea6a844465702b181fd219eea7b6b8f8915fc7cd25b921dc7",
-        "501b05a0fea694e207fb44cf7415447e8755809a44f3e6d1752d43619ece8b03",
-        "0db968707bfebb0f7b28750c918568510941364a580ba4e1cf4de2cf24c61769",
+        "84dda789969f7bb48cddd2b3d5992bfed95784198ee91523bd7153d8d2969578",
+        "38d4639610c6cebd700d567d733433ab97ae8f0a512a9a7f1756dd35164eda77",
+        "8d43d25b8e31445265164c09856d55e36e05f741f499294caa1f16571d5c5f1b",
     ),
     ("crc32", 2, False): (
-        "74d87494d3990bb3c190609faf911312d9323bc22e761da51513e578afaf37f2",
-        "bee87ca90b920e37738cceab401a459419cba11ff1993b70e9b06d918ce12250",
-        "c75214eaa8254cf7f806345560efa2dbd4827669687d7f32c8a80feb4243e56b",
+        "6fb3b8ad290746ab93d4c996fe763c16df1315c2027ed9db6cc553a28953efff",
+        "0fc718d85837957e18a2cf38fac42af1ab4dbe8047343a96ab7e012e022f87d0",
+        "1fc2f1c7412819156aeb997ed3e95f153d5f08b36f5c03318de2d2519606d6ee",
     ),
     ("crc32", 3, False): (
-        "db89cedb7c4a69aff37cf170560b62e4240b2fbdfbc2069cd7b0cfb86a01350a",
-        "de3f9be2055b50d1ce7d1fe5d41525886d31fb7af6069373da157635879c6014",
-        "a7c4f0a48894a56a6693aa004fcd1ef59e9033497d991336020b5630fdef74a3",
+        "43efe63f66f12c361f06946bd78ce484c2d4915b3e79afc5c968fa6e2a453b6e",
+        "326e3f21b2bc867fe89f94510da6fb73a05a9324c1961509e48db9ee5420a4ec",
+        "a67d1369b774ef40b47f61e061f56e09ca8dbfc26fd6b5a8fdf4f6851656d74b",
     ),
     ("fnv1", 1, False): (
-        "1aa081bbaceea56709ee32528c460fce96006793aa786bf2e5567e12787fc6d6",
-        "501b05a0fea694e207fb44cf7415447e8755809a44f3e6d1752d43619ece8b03",
-        "79735e868b1dc64360132b7fb32144bd88e2e84b6896add8c70b16de3bc968ae",
+        "d00569549831f79662d58a2c3b077597ae80491973071573e9e7594c0eff66f6",
+        "38d4639610c6cebd700d567d733433ab97ae8f0a512a9a7f1756dd35164eda77",
+        "f0ccb637237f270f4fdf456e4eec64594b00f624217df285d743f19e3537adb4",
     ),
     ("fnv1", 2, False): (
-        "236bd125a73877bd556345995b21bd069f1f7e51bd3eaead76343a5afcbcef57",
-        "bee87ca90b920e37738cceab401a459419cba11ff1993b70e9b06d918ce12250",
-        "f69a4df6a4a2fc799640a0fedbef73e0f1ead5f96cf15647a68c4b5cea60d824",
+        "9dd0f3198c56a6ce64bf8cdef2a273d08875870442712a929b35ca1295cd4b13",
+        "0fc718d85837957e18a2cf38fac42af1ab4dbe8047343a96ab7e012e022f87d0",
+        "959482f21c640e8ee76d84c75b35f84c7d1f87a5e188dbbd2e3c5ebe257e2b4a",
     ),
     ("fnv1", 3, False): (
-        "82cc6c4dedfe06640376758bf5b345d157e0735a87acdbac24090045bf899850",
-        "de3f9be2055b50d1ce7d1fe5d41525886d31fb7af6069373da157635879c6014",
-        "9ec975165c1cd57207d71160c37222a918b47b92628c7f3b04638067e7f77bd1",
+        "718e809662a63f0845ed2868c8c6cf75260e23da0672f3ec88cdc7dd088ac2b2",
+        "326e3f21b2bc867fe89f94510da6fb73a05a9324c1961509e48db9ee5420a4ec",
+        "338456d04ddad2d958621a80a784fd5ea721fc15876e16a6b856d8b9f649a0c7",
     ),
     ("crc32", 2, True): (
-        "d013c7347b71039bfaec7e5932aacbe11b4ff1188cc87dcb17a7266d2f6188d3",
-        "25327f0d6eeb3bea949c16e6ec0c5b51965cb92060a01c992de80a05d6f4f198",
-        "a96449d71c5029af8ee01323b46b36ffcdc116422e03627d17a8d95eef718a0e",
+        "02b78167c7bcd637a35753d4b6caa7b3d32ff1929215c1901dbadbad37edbca2",
+        "188f25b7805004c684d9a5bd72b352f486cf7d2d9925a72e9caf4928aef1ce58",
+        "b29bb54bef25d35f93dbe4e2a3b4b67a7c6ed7486a23bd375bb1ddfb984abe09",
     ),
 }
 EDGE_SUBS = SubstitutionList([(b"ing", 0xFF), (b"er", 0x80), (b"gi", 0x81)])
@@ -425,13 +452,16 @@ def edge_words(k):
     Short random words give side-table words and keys shared by words of
     different lengths at different positions; 2400 words sharing their first
     7 bytes give a list of over 16 kB, and 300 sharing their last 5 a second
-    long region; one word has payloads of exactly 255 bytes at this k.
+    long region; one word has payloads of exactly 255 bytes at this k.  40
+    words of 13 bytes with the same first 7 put a group of over 128 bytes,
+    at k = 1, in front of the last group of its region.
     """
     rng = random.Random(17)
     words = [bytes(rng.choices(EDGE_SYMBOLS, k=rng.randint(1, 12))) for _ in range(1500)]
     words += [EDGE_SYMBOLS + b"a\x00" + bytes(rng.choices(EDGE_SYMBOLS, k=7)) for _ in range(2400)]
     words += [bytes(rng.choices(EDGE_SYMBOLS, k=7)) + EDGE_SYMBOLS[::-1] for _ in range(300)]
     words.append(bytes(rng.choices(EDGE_SYMBOLS, k={1: 510, 2: 382, 3: 340}[k])))
+    words += [EDGE_SYMBOLS + b"a\x00" + bytes(rng.choices(EDGE_SYMBOLS, k=6)) for _ in range(40)]
     return words
 
 
@@ -445,17 +475,19 @@ def test_edge_layout_is_pinned():
         parts = (index_to_bytes(idx), lists, idx.table.data)
         assert tuple(hashlib.sha256(p).hexdigest() for p in parts) == digests, (fid, k, coded)
         # The edges are there: a list length of 3 LEB128 bytes, a region of
-        # 128 bytes or more after the first, a group length of 2 LEB128 bytes,
-        # a 255-byte payload, a key whose entries come from two word lengths
-        # in two regions, and side words.
+        # 128 bytes or more after the first, a group length of 2 LEB128 bytes
+        # (a region's last group has none), a 255-byte payload, whose L
+        # takes an escape, a key whose entries come from two word lengths in
+        # two regions, and side words.
         decode = idx.subs.decode if coded else bytes
         blobs = {key: idx.lists[begin:end] for _, key, begin, end in idx.table.records()}
         parsed = {key: groups(blob, k) for key, blob in blobs.items()}
         split = {key: regions(blob, k, decode) for key, blob in blobs.items()}
         assert max(map(len, blobs.values())) >= 16384
-        assert any(max(sum(1 + len(leb128(len(g))) + len(g) for _, g in gs) for gs in by[1:]) >= 128
+        assert any(max(sum(header_size(n, len(g), i == len(gs) - 1) + len(g) for i, (n, g) in enumerate(gs))
+                       for gs in by[1:]) >= 128
                    for _, by in parsed.values())
-        assert max(len(g) for _, by in parsed.values() for gs in by for _, g in gs) >= 128
+        assert max(len(g) for _, by in parsed.values() for gs in by for _, g in gs[:-1]) >= 128
         assert max(len(e) for by in split.values() for es in by for e in es) == 255
         mixed = [{(r, len(key) + len(e)) for r, es in enumerate(by) for e in es} for key, by in split.items()]
         assert any(r != q and n != m for pairs in mixed for r, n in pairs for q, m in pairs)
@@ -494,6 +526,22 @@ def leb128(n):
     return bytes(out)
 
 
+def tag(n, last):
+    """The tag of a length ``n`` from 1 to 255: one byte, with 0x80 set on a
+    bucket's or a region's last item, or for n of 128 or more an escape
+    byte, 0x80 on the last item and 0x00 on another, then n."""
+    flag = 0x80 if last else 0
+    return bytes((n | flag,)) if n < 0x80 else bytes((flag, n))
+
+
+def items(parts):
+    """``[tag of n][head][body length, LEB128][body]`` of each (n, head, body)
+    of ``parts``, but ``[tag of n][head][body]`` for the last."""
+    last = len(parts) - 1
+    return b"".join(tag(n, i == last) + head + (b"" if i == last else leb128(len(body))) + body
+                    for i, (n, head, body) in enumerate(parts))
+
+
 def reference_bytes(d, k, config, subs=None):
     """index_to_bytes of the split index of ``d``, built by entering each
     word's pieces one at a time and laying out the keys in (length, bytes)
@@ -511,17 +559,17 @@ def reference_bytes(d, k, config, subs=None):
             rest = word[:start] + word[start + plen :]
             staged.setdefault(word[start : start + plen], []).append((r, len(rest), rest))
             start += plen
-    buckets = [b""] * hashing._bucket_count(len(staged), config.max_load_factor)
+    buckets = [[] for _ in range(hashing._bucket_count(len(staged), config.max_load_factor))]
     for key, stored in sorted(staged.items(), key=lambda item: (len(item[0]), item[0])):
         by_group = {}
         for r, n, e in sorted(stored):
             by_group[r, n] = by_group.get((r, n), b"") + e
         if subs:
             by_group = {rn: subs.encode(g) for rn, g in by_group.items()}
-        by_region = [b"".join(bytes((n,)) + leb128(len(g)) + g for (r, n), g in by_group.items() if r == j)
-                     for j in range(k + 1)]
+        by_region = [items([(n, b"", g) for (r, n), g in by_group.items() if r == j]) for j in range(k + 1)]
         blob = b"".join(map(leb128, map(len, by_region[:k]))) + b"".join(by_region)
-        buckets[HASH_FUNCTIONS[config.function_id](key) % len(buckets)] += bytes((len(key),)) + key + leb128(len(blob)) + blob
+        buckets[HASH_FUNCTIONS[config.function_id](key) % len(buckets)].append((len(key), key, blob))
+    buckets = list(map(items, buckets))
     table = ChainedHashTable(b"".join(buckets), array("I", accumulate(map(len, buckets), initial=0)), config)
     side = {n: tuple(sorted(group)) for n, group in side.items()}
     return index_to_bytes(SplitIndex(k, table, side, subs, d.stats()))
@@ -544,6 +592,62 @@ def test_build_matches_the_reference_builder(data):
     d = Dictionary(words)
     subs = mine_substitutions(d, "mixed", 30) if coding == "mined" else GOLDEN_SUBS if coding else None
     assert index_to_bytes(build_index(d, k, hash_config=config, substitutions=subs)) == reference_bytes(d, k, config, subs)
+
+
+def tag_boundary_words():
+    """k = 1 words whose keys and group lengths L take one-byte tags and
+    escapes.  Words of 2p - 1 and 2p bytes that share a first piece P of p
+    bytes put groups of L = p - 1 and L = p, the last, in region 1 of P; for
+    p in 127, 128, 129 and 255, L is 127, 128 and 255 as a region's last
+    group, and 127 and 128 before it.  No group can follow one of 255 bytes,
+    the payload limit.  Their last pieces are keys of p - 1 and p bytes."""
+    rng = random.Random(31)
+    words = []
+    for p in (127, 128, 129, 255):
+        first = bytes(rng.choices(b"abc", k=p))
+        words += [first + bytes(rng.choices(b"abc", k=n)) for n in (p - 1, p - 1, p, p)]
+    return words
+
+
+@pytest.mark.parametrize("coded", [False, True])
+def test_tags_and_escapes_at_127_128_and_255_round_trip_and_answer_as_the_oracle(coded):
+    d = Dictionary(tag_boundary_words())
+    subs = GOLDEN_SUBS if coded else None
+    rng = random.Random(32)
+    patterns = []
+    for w in d.words:
+        for m in range(3):
+            p = bytearray(w)
+            for i in rng.sample(range(len(w)), m):
+                p[i] = ord("d")
+            patterns.append(bytes(p))
+    keys = set()
+    tags = set()
+    chain_lengths = set()
+    # One bucket puts every record but the last before another; a sparse
+    # table leaves most keys alone in their buckets.
+    for config in (HashConfig(max_load_factor=1e6), HashConfig(max_load_factor=0.25)):
+        idx = build_index(d, 1, hash_config=config, substitutions=subs)
+        blob = index_to_bytes(idx)
+        assert blob == reference_bytes(d, 1, config, subs)
+        loaded = index_from_bytes(blob)
+        assert index_to_bytes(loaded) == blob
+        assert loaded.list_stats().entry_count == 2 * len(d)
+        for p in patterns:
+            assert loaded.query(p) == oracle_query(d, p, 1), (config, p[:8])
+        ends = set(idx.table.starts)
+        chains = Counter(h for h, _, _, _ in idx.table.records())
+        for h, key, begin, end in idx.table.records():
+            keys.add((len(key), end in ends))
+            for region in groups(idx.lists[begin:end], 1)[1]:
+                tags.update((n, i == len(region) - 1) for i, (n, _) in enumerate(region))
+        assert any(not region for _, _, b, e in idx.table.records() for region in groups(idx.lists[b:e], 1)[1])
+        chain_lengths.update(chains.values())
+    # Empty regions, buckets of one record and of several, and every tag.
+    assert 1 in chain_lengths and max(chain_lengths) > 1
+    edges = {(n, last) for n in (127, 128, 255) for last in (False, True)}
+    assert edges <= keys
+    assert edges - {(255, False)} <= tags
 
 
 # list_stats() and bucket_stats() of the GOLDEN dictionary at k = 1 and 2,
@@ -578,7 +682,8 @@ def test_lists_slice_by_lookup_list_and_stats_are_stable(k):
             blob = idx.lists[idx.table.lookup_list(piece)]
             sizes, by_region = groups(blob, k)
             head = int(_length_bytes(np.array(sizes))[1].sum())
-            body = sum(1 + len(leb128(len(g))) + len(g) for region in by_region for _, g in region)
+            body = sum(header_size(n, len(g), i == len(region) - 1) + len(g)
+                       for region in by_region for i, (n, g) in enumerate(region))
             assert type(blob) is bytes and len(blob) == head + body
             assert b"".join(pieces[:r] + pieces[r + 1 :]) in regions(blob, k)[r]
     assert idx.table.lookup_list(b"\xff\xfe") is None
@@ -601,6 +706,13 @@ BENCHMARK_STATS = {
 }
 
 
+# The bucket arena (len(index.lists)) of the benchmark corpora.  Format v7,
+# which stores no byte length for the last group of a region nor for the
+# list of a bucket's last record, took them from 1457081, 1826787 and 962202
+# bytes.
+BENCHMARK_ARENAS = {("english", 1): 1366324, ("english", 2): 1790465, ("dna", 1): 882921}
+
+
 def test_list_stats_of_the_benchmark_corpora_are_those_of_version_5(english_dictionary, tmp_path):
     # The English dictionary of criteria 4 and 5, and criterion 7's DNA
     # 20-mers coded with their mined mixed/100 rules, as the benchmark builds.
@@ -610,6 +722,7 @@ def test_list_stats_of_the_benchmark_corpora_are_those_of_version_5(english_dict
     for (corpus, k), want in BENCHMARK_STATS.items():
         idx = build_index(english_dictionary, k) if corpus == "english" else build_index(dna, k, substitutions=subs)
         assert idx.list_stats() == want, (corpus, k)
+        assert len(idx.lists) == BENCHMARK_ARENAS[corpus, k], (corpus, k)
 
 
 def test_duplicate_words_do_not_duplicate_entries():

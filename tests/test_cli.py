@@ -121,15 +121,15 @@ def test_corrupt_index_is_data_error(tmp_path, capsys):
 
 def test_bench_of_a_damaged_list_is_data_error(tmp_path, capsys):
     # The group length of b"cd", the group in region 2 of the list for
-    # b"ab", is 0, in a file whose checksum is recomputed.  The query's
-    # search reads only region 1, and the report's walk over every list does
-    # not stop there.
+    # b"ab", is 0 (an escape, then 0), in a file whose checksum is
+    # recomputed.  The query's search reads only region 1, and the report's
+    # walk over every list does not stop there.
     idx = build_index(Dictionary([b"abcd", b"abce", b"abxy", b"cdab"]), 1)
     at = idx.table.lookup_list(b"ab")
     body = bytearray(index_to_bytes(idx)[:-4])
-    cd = len(body) - len(idx.lists) + at.start + 9
-    assert body[cd - 9 : cd + 4] == b"\x08\x02\x06cdcexy" + b"\x02\x02cd"
-    body[cd] = 0
+    cd = len(body) - len(idx.lists) + at.start + 8
+    assert body[cd - 8 : cd + 3] == b"\x07\x82cdcexy" + b"\x82cd"
+    body[cd : cd + 2] = b"\x80\x00"
     damaged = tmp_path / "damaged.bin"
     damaged.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
     queries = tmp_path / "queries.txt"

@@ -229,8 +229,12 @@ def test_table_holds_its_buckets_as_data_and_starts():
     keys = [b"a", b"bc", b"def", b"g"]
     t = table(keys, HashConfig(max_load_factor=1.0))
     assert len(t.starts) == t.bucket_count + 1 == 5
-    records = {key: bytes((len(key),)) + key + bytes((8 + len(key),)) + b"list of " + key for key in keys}
-    expected = [b"".join(records[key] for key in keys if HASH_FUNCTIONS["crc32"](key) & 3 == h) for h in range(4)]
+    # Each record is [key length][key][list length][list], but a bucket's
+    # last is [key length | 0x80][key][list]: its list runs to the bucket's end.
+    buckets = [[key for key in keys if HASH_FUNCTIONS["crc32"](key) & 3 == h] for h in range(4)]
+    expected = [b"".join(bytes((len(key) | 0x80 * (key == bucket[-1]),)) + key
+                         + (b"" if key == bucket[-1] else bytes((8 + len(key),))) + b"list of " + key for key in bucket)
+                for bucket in buckets]
     assert [t.data[a:b] for a, b in pairwise(t.starts)] == expected
     with pytest.raises(AttributeError):
         t.data = b""

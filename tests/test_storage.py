@@ -7,10 +7,11 @@ import re
 import struct
 import tracemalloc
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache
-from itertools import islice, pairwise, product
+from itertools import accumulate, islice, pairwise, product
 from pathlib import Path
 from unittest.mock import patch
 
@@ -47,7 +48,7 @@ from splitindex import (
 )
 from splitindex import core
 from splitindex.core import ListStats
-from splitindex.storage import index_from_bytes, index_to_bytes
+from splitindex.storage import FORMAT_VERSION, index_from_bytes, index_to_bytes
 
 
 @pytest.mark.parametrize("k,compressed", [(1, False), (1, True), (2, False), (3, True)])
@@ -97,10 +98,10 @@ def test_bad_magic():
 
 def test_version_mismatch_names_both_versions():
     blob = index_to_bytes(build_index(Dictionary([b"ab"]), 1))
-    bad = blob[:8] + (7).to_bytes(2, "little") + blob[10:]
+    bad = blob[:8] + (FORMAT_VERSION + 1).to_bytes(2, "little") + blob[10:]
     with pytest.raises(VersionMismatchError) as err:
         index_from_bytes(bad)
-    assert "7" in str(err.value) and "6" in str(err.value)
+    assert f"version {FORMAT_VERSION + 1}, this reader supports {FORMAT_VERSION}" in str(err.value)
 
 
 # A k = 1 index of b"table", b"left", b"tablet" as format version 2 wrote it.
@@ -117,7 +118,7 @@ VERSION_2_FILE = bytes.fromhex(
 
 def test_version_2_file_is_rejected():
     assert VERSION_2_FILE[8:10] == (2).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 6"):
+    with pytest.raises(VersionMismatchError, match="version 2, this reader supports 7"):
         index_from_bytes(VERSION_2_FILE)
 
 
@@ -134,7 +135,7 @@ VERSION_3_FILE = bytes.fromhex(
 
 def test_version_3_file_is_rejected():
     assert VERSION_3_FILE[8:10] == (3).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 3, this reader supports 6"):
+    with pytest.raises(VersionMismatchError, match="version 3, this reader supports 7"):
         index_from_bytes(VERSION_3_FILE)
 
 
@@ -150,7 +151,7 @@ VERSION_4_FILE = bytes.fromhex(
 
 def test_version_4_file_is_rejected():
     assert VERSION_4_FILE[8:10] == (4).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 4, this reader supports 6"):
+    with pytest.raises(VersionMismatchError, match="version 4, this reader supports 7"):
         index_from_bytes(VERSION_4_FILE)
 
 
@@ -166,7 +167,7 @@ VERSION_5_FILE = bytes.fromhex(
 
 def test_version_5_file_is_rejected():
     assert VERSION_5_FILE[8:10] == (5).to_bytes(2, "little")
-    with pytest.raises(VersionMismatchError, match="version 5, this reader supports 6"):
+    with pytest.raises(VersionMismatchError, match="version 5, this reader supports 7"):
         index_from_bytes(VERSION_5_FILE)
 
 
@@ -259,6 +260,15 @@ def lists_by_key(idx):
     return {key: idx.lists[b:e] for _, key, b, e in idx.table.records()}
 
 
+def arena_size(idx):
+    """Bytes of the records of ``idx``: each a key length tag, one byte or two
+    from 128, its key, its list's length as LEB128, and its list, but with no
+    list length in a bucket's last record."""
+    ends = set(idx.table.starts)
+    return sum((1 if len(key) < 0x80 else 2) + len(key) + (0 if end in ends else leb_size(end - begin)) + end - begin
+               for _, key, begin, end in idx.table.records())
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_xxhash_files_still_load_and_answer(tmp_path, monkeypatch, caplog, k):
     # Files written when xxhash was the default keep their hash id; loading one
@@ -281,7 +291,10 @@ def test_xxhash_files_still_load_and_answer(tmp_path, monkeypatch, caplog, k):
 
     assert (xx.table.config.function_id, crc.table.config.function_id) == ("xxhash", "crc32")
     assert index_to_bytes(xx) == xx_path.read_bytes()
-    assert lists_by_key(xx) == lists_by_key(crc) and xx.size_bytes() == crc.size_bytes()
+    # The hash id moves records, and so which record of a bucket is its last
+    # and stores no list length: the lists are the same, the arenas need not be.
+    assert lists_by_key(xx) == lists_by_key(crc) and xx.list_stats() == crc.list_stats()
+    assert len(xx.lists) == arena_size(xx) and len(crc.lists) == arena_size(crc)
     for p in gen_noisy_queries(d, 150, seed=k).patterns + (b"a", b"zz"):
         assert xx.query(p) == crc.query(p) == oracle_query(d, p, k)
 
@@ -421,9 +434,9 @@ def region_length_grown(idx, length_at):
 def regions_idx():
     d = Dictionary([b"abcdef", b"ghabij", b"gxabij", b"ghijab", b"gyijab"])
     idx = build_index(d, 2)
-    # Regions 1 and 2 hold 6 and 10 bytes, one group each; region 3 runs to
-    # the list's end.
-    assert idx.lists[idx.table.lookup_list(b"ab")] == b"\x06\x0a" + b"\x04\x04cdef" + b"\x04\x08ghijgxij" + b"\x04\x08ghijgyij"
+    # Regions 1 and 2 hold 5 and 9 bytes, one group each, which is their
+    # last; region 3 runs to the list's end.
+    assert idx.lists[idx.table.lookup_list(b"ab")] == b"\x05\x09" + b"\x84cdef" + b"\x84ghijgxij" + b"\x84ghijgyij"
     assert idx.query(b"abcdxf") == [b"abcdef"]
     return idx
 
@@ -447,59 +460,65 @@ def test_region_start_far_past_its_list_is_corrupt():
 
 
 def test_run_past_its_region_does_not_answer_from_the_next():
-    idx = build_index(Dictionary([b"abxy", b"cdab"]), 1)
-    a = idx.table.lookup_list(b"ab")
-    assert idx.lists[a] == b"\x04\x02\x02xy" + b"\x02\x02cd"
-    # Read as a region 1 entry, region 2's b"cd" would rebuild b"abcd".
-    assert idx.query(b"abcd") == []
-    # The group of region 1 now runs to the end of b"cd": it crosses its
-    # region's end, rather than answering from region 2.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + a.start + 2: b"\x06"}))
-    with pytest.raises(CorruptListError, match="a group of the list for key b'ab' crosses its region's end"):
-        damaged.query(b"abcd")
+    idx = build_index(Dictionary([b"abcxy", b"abcxyz", b"pqrabc"]), 1)
+    a = idx.table.lookup_list(b"abc")
+    assert idx.lists[a] == b"\x08" + b"\x02\x02xy\x83xyz" + b"\x83pqr"
+    # Read as a region 1 entry, b"qr" of region 2 would rebuild b"abcqr".
+    assert idx.query(b"abcqr") == []
+    # The group of b"xy", not its region's last, now runs to the end of
+    # b"qr": it crosses its region's end, rather than answering from region 2.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + a.start + 2: b"\x0a"}))
+    with pytest.raises(CorruptListError, match="a group of the list for key b'abc' crosses its region's end"):
+        damaged.query(b"abcqr")
 
 
 @pytest.mark.parametrize("coded", [False, True])
 def test_run_past_its_list_is_corrupt(coded):
     subs = SubstitutionList([(b"zz", 200)]) if coded else None
-    idx = build_index(Dictionary([b"abcxy", b"pqrst"]), 1, substitutions=subs)
+    idx = build_index(Dictionary([b"xyzabc", b"wxyzabc", b"pqrst"]), 1, substitutions=subs)
     at = idx.table.lookup_list(b"abc")
-    assert idx.lists[at] == b"\x04\x02\x02xy" and at.stop < len(idx.lists)
-    # The group of b"xy" grows over the list's end by a byte, which the
-    # pattern's last byte matches.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x03"}))
+    assert idx.lists[at] == b"\x00" + b"\x03\x03xyz\x84wxyz" and at.stop < len(idx.lists)
+    # The group of b"xyz", the first of the last region, grows to a byte past
+    # the list's end, which the pattern's last rest byte matches.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"\x09"}))
     with pytest.raises(CorruptListError, match="a group of the list for key b'abc' crosses its region's end"):
-        damaged.query(b"abcxy" + idx.lists[at.stop : at.stop + 1])
+        damaged.query(b"yz" + idx.lists[at.stop : at.stop + 1] + b"abc")
 
 
 def test_run_past_its_list_is_corrupt_in_the_matrix():
-    # The group keyed by the first piece grows over the list's end: as a
-    # matrix row its entry would match the pattern exactly.
-    for k, words, key, blob in ((1, [b"abcxy", b"pqrst"], b"abc", b"\x04\x02\x02xy"),
-                                (2, [b"abcxyz", b"pqrstu"], b"ab", b"\x06\x00\x04\x04cxyz")):
+    # The first group of the list's last region grows to a byte past the
+    # list's end: as a matrix row its last entry would match the pattern
+    # exactly.
+    for k, words, key, blob in ((1, [b"xyzabc", b"wxyzabc", b"pqrst"], b"abc", b"\x00" + b"\x03\x03xyz\x84wxyz"),
+                                (2, [b"cdefab", b"ghijklab", b"pqrstu"], b"ab", b"\x00\x00" + b"\x04\x04cdef\x86ghijkl")):
         idx = build_index(Dictionary(words), k)
         at = idx.table.lookup_list(key)
         assert idx.lists[at] == blob and at.stop < len(idx.lists)
         # The group's byte length follows the k region lengths and its L.
-        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + k + 1: bytes([blob[k + 1] + 1])}))
+        need = blob[k]
+        grown = at.stop + 1 - (at.start + k + 2)
+        assert grown % need == 0
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + k + 1: bytes([grown])}))
         with patch.object(core, "MATRIX_RUN", 1), pytest.raises(CorruptListError, match=repr(key)):
-            damaged.query(words[0] + idx.lists[at.stop : at.stop + 1])
+            damaged.query(idx.lists[at.stop + 1 - need : at.stop + 1] + key)
 
 
 def test_walk_past_its_list_is_corrupt():
-    idx = build_index(Dictionary([b"abcde", b"qqqqq"]), 2)
+    idx = build_index(Dictionary([b"abcde", b"abcdef", b"qqqqq"]), 2)
     at = idx.table.lookup_list(b"ab")
-    assert idx.lists[at] == b"\x05\x00\x03\x03cde" and at.stop < len(idx.lists)
+    assert idx.lists[at] == b"\x0a\x00" + b"\x03\x03cde\x84cdef" and at.stop < len(idx.lists)
     # The shorter group that the walk skips now ends past the list, in the
     # next record.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 3: b"\x04"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 3: b"\x09"}))
     with pytest.raises(CorruptListError, match="a group of the list for key b'ab' crosses its region's end"):
         damaged.query(b"abcdexx")
 
 
 # Two buckets: b"cd" alone in bucket 0, then b"ab" and b"xy" in bucket 1.
-TWO_BUCKETS = [b"\x02cd\x05" + b"\x04\x02\x02ab",
-               b"\x02ab\x09" + b"\x04\x02\x02xy\x02\x02cd" + b"\x02xy\x05" + b"\x00\x02\x02ab"]
+# Each bucket's last record has the flag in its key length and no list
+# length, and so has each region's last group in its L.
+TWO_BUCKETS = [b"\x82cd" + b"\x03\x82ab",
+               b"\x02ab\x07" + b"\x03\x82xy\x82cd" + b"\x82xy" + b"\x00\x82ab"]
 
 
 def two_buckets():
@@ -519,40 +538,42 @@ def assert_every_reader_raises(damaged, message, key, pattern):
 
 def test_bucket_record_past_its_bucket_is_corrupt():
     idx = two_buckets()
-    # The key of b"xy" grows to the end of bucket 1, where the arena ends
-    # too, leaving no byte for its list length, or past it: a miss walks
-    # over it, and b"ab", before it, still hits.
-    for key_length in (b"\x08", b"\x09"):
-        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 22: key_length}))
-        assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x04\x02\x02xy\x02\x02cd"
+    # The key of b"xy", bucket 1's last record, runs past the bucket's end,
+    # where the arena ends too; or it loses its flag and runs to the end,
+    # leaving no byte for a list length.  A miss walks over it, and b"ab",
+    # before it, still hits.
+    for key_length in (b"\x87", b"\x06"):
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 18: key_length}))
+        assert damaged.lists[damaged.table.lookup_list(b"ab")] == b"\x03\x82xy\x82cd"
         assert_every_reader_raises(damaged, "bucket 1 holds a record that runs past its end", b"zz", b"zzzz")
 
 
 def test_list_past_its_bucket_is_corrupt():
     idx = two_buckets()
-    # The list of b"cd" grows by a byte, into bucket 1.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 3: b"\x06"}))
-    assert_every_reader_raises(damaged, "the list for key b'cd' runs past the end of bucket 0", b"cd", b"cdab")
-    # A miss in bucket 0 walks over the grown list to past the bucket's end,
+    # The list of b"ab", the first record of bucket 1, grows past the
+    # bucket's end, over b"xy".
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 10: b"\x0f"}))
+    assert_every_reader_raises(damaged, "the list for key b'ab' runs past the end of bucket 1", b"ab", b"abxy")
+    # A miss in bucket 1 walks over the grown list to past the bucket's end,
     # in the probe and in the query's own walk, whose pieces are both ``miss``.
-    miss = next(key for key in (b"k%d" % i for i in range(100)) if HASH_FUNCTIONS["crc32"](key) & 1 == 0)
-    with pytest.raises(CorruptListError, match="bucket 0 holds a record that runs past its end"):
+    miss = next(key for key in (b"k%d" % i for i in range(100)) if HASH_FUNCTIONS["crc32"](key) & 1 == 1)
+    with pytest.raises(CorruptListError, match="bucket 1 holds a record that runs past its end"):
         damaged.table.lookup_list(miss)
-    with pytest.raises(CorruptListError, match="bucket 0 holds a record that runs past its end"):
+    with pytest.raises(CorruptListError, match="bucket 1 holds a record that runs past its end"):
         damaged.query(miss + miss)
 
 
 def test_list_length_past_its_bucket_is_corrupt():
     idx = two_buckets()
-    # The key of b"cd" grows over its list, so that the list length is the
-    # bucket's last byte; it carries on (0x80) into bucket 1.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx): b"\x07", arena_offset(idx) + 8: b"\x80"}))
-    assert_every_reader_raises(damaged, "bucket 0 holds a list length that runs past its end", b"cd", b"cdab")
+    # The key of b"ab" grows over its list and b"xy", so that its list
+    # length is the bucket's last byte; it carries on (0x80) past the arena.
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + 7: b"\x10", arena_offset(idx) + 24: b"\x80"}))
+    assert_every_reader_raises(damaged, "bucket 1 holds a list length that runs past its end", b"ab", b"abxy")
 
 
 def test_length_of_more_than_five_bytes_is_corrupt():
     idx = two_buckets()
-    at = arena_offset(idx) + 9 + 3  # the list length of b"ab", in bucket 1
+    at = arena_offset(idx) + 7 + 3  # the list length of b"ab", in bucket 1
     damaged = index_from_bytes(resealed(idx, {at: b"\x80\x80\x80\x80\x80\x01"}))
     assert_every_reader_raises(damaged, "bucket 1 holds a list length of more than 5 bytes", b"ab", b"abxy")
     # The same for the region length that opens the list of b"ab", which
@@ -569,8 +590,9 @@ def test_length_of_more_than_five_bytes_is_corrupt():
 
 def first_record(idx):
     """The key, list offset and list end of the arena's first record, the
-    first of its bucket."""
+    first of its bucket and not its last: a list length precedes its list."""
     _, key, begin, end = next(idx.table.records())
+    assert end < idx.table.starts[1]
     return key, begin, end
 
 
@@ -588,21 +610,24 @@ def test_list_shorter_than_its_region_lengths_is_corrupt(k):
 
 
 def test_zero_entry_length_is_corrupt():
+    # An L of 0 can be written only as an escape, 0x80 for a region's last
+    # group, and then a 0.
     for coded in (False, True):
         subs = SubstitutionList([(b"zz", 200)]) if coded else None
         idx = build_index(Dictionary([b"abcdef", b"ghijkl"]), 1, substitutions=subs)
         key, begin, end = first_record(idx)
-        assert idx.lists[begin + 1] == 3  # the first group's length L, after one region length
-        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin + 1: b"\x00"}))
+        assert idx.lists[begin + 1] == 0x83  # the first group's L, its region's last, after one region length
+        damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + begin + 1: b"\x80\x00"}))
         word = next(w for w in (b"abcdef", b"ghijkl") if key in split_word(w, 1))
-        with pytest.raises(CorruptListError, match=f"key {key!r}"):
+        with pytest.raises(CorruptListError, match=f"key {key!r} holds group lengths that do not rise"):
             damaged.query(word)
 
 
 GROUP_WORDS = [b"abz", b"abcd", b"abce", b"abxy", b"qrsab", b"cdab"]
 # The list for b"ab" at k = 1: region 1 holds the groups of lengths 1 and 2,
-# region 2 those of lengths 2 and 3, each ``[L][B][payloads]``.
-GROUP_LIST = b"\x0b" + b"\x01\x01z" + b"\x02\x06cdcexy" + b"\x02\x02cd" + b"\x03\x03qrs"
+# region 2 those of lengths 2 and 3, each ``[L][B][payloads]`` but the last
+# of its region ``[L | 0x80][payloads]``.
+GROUP_LIST = b"\x0a" + b"\x01\x01z" + b"\x82cdcexy" + b"\x02\x02cd" + b"\x83qrs"
 
 
 def damaged_groups(changes):
@@ -615,14 +640,16 @@ def damaged_groups(changes):
 
 
 # Each damage to the list for b"ab", a query whose walk reads it, and what
-# the error says; a zero length is test_zero_entry_length_is_corrupt's.
+# the error says; a zero length is test_zero_entry_length_is_corrupt's.  A
+# region's last group stores no byte length, so the damage to one lies on a
+# group before it.
 DAMAGED_GROUPS = {
-    "repeated length": ({4: b"\x01"}, b"abcd", "holds group lengths that do not rise"),
-    "descending length": ({16: b"\x01"}, b"qrsab", "holds group lengths that do not rise"),
-    "group past its region": ({5: b"\x07"}, b"abcd", "a group of the list for key b'ab' crosses its region's end"),
+    "repeated length": ({4: b"\x81"}, b"abcd", "holds group lengths that do not rise"),
+    "descending length": ({15: b"\x81"}, b"qrsab", "holds group lengths that do not rise"),
+    "group past its region": ({12: b"\x07"}, b"cdab", "a group of the list for key b'ab' crosses its region's end"),
     "skipped group past its region": ({2: b"\x0a"}, b"abcd", "a group of the list for key b'ab' crosses its region's end"),
-    "truncated group length": ({17: b"\x83\x80\x80\x80"}, b"qrsab", "holds a group length that runs past its end"),
-    "no whole number of entries": ({5: b"\x05"}, b"abcd", "a group of the list for key b'ab' holds no whole number of entries"),
+    "truncated group length": ({15: b"\x03\x83\x80\x80"}, b"qrsab", "holds a group length that runs past its end"),
+    "no whole number of entries": ({12: b"\x03"}, b"cdab", "a group of the list for key b'ab' holds no whole number of entries"),
 }
 
 
@@ -638,12 +665,63 @@ def test_damaged_group_is_corrupt(case):
         damaged.list_stats()
 
 
+# Damage to the flags and escapes of format v7: where it lies, "list" for
+# the list for b"ab" of GROUP_WORDS's index (offsets in GROUP_LIST) and
+# "arena" for TWO_BUCKETS; the bytes written; the bounds of the region or
+# bucket it damages; and patterns whose walks read it.
+FLAG_DAMAGE = {
+    "flag set on a group before its region's last": ("list", {1: b"\x81"}, (1, 11), [b"abz", b"abcd"]),
+    "flag set on region 2's first group": ("list", {11: b"\x82"}, (11, 19), [b"cdab", b"qrsab"]),
+    "flag cleared on region 1's last group": ("list", {4: b"\x02"}, (1, 11), [b"abcd", b"abxy"]),
+    "flag cleared on the list's last group": ("list", {15: b"\x03"}, (11, 19), [b"qrsab"]),
+    "escape as its region's last byte": ("list", {12: b"\x05", 18: b"\x80"}, (11, 19), [b"qrsab"]),
+    "flag set on a record before its bucket's last": ("arena", {7: b"\x82"}, (7, 25), [b"abxy", b"xyab", b"cdab"]),
+    "flag cleared on a bucket's last record": ("arena", {18: b"\x02"}, (7, 25), [b"abxy", b"xyab"]),
+    "escape as its bucket's last byte": ("arena", {0: b"\x02", 3: b"\x02", 6: b"\x00"}, (0, 7), [b"cdab", b"abcd"]),
+}
+
+
+@pytest.mark.parametrize("case", FLAG_DAMAGE)
+def test_damaged_flags_and_escapes_raise_or_answer_from_their_own_bytes(case):
+    # Every reader either raises CorruptListError or answers as before, but
+    # for words whose rest lies in the bytes of the damaged region or
+    # bucket; at least one pattern reads the damage.
+    where, changes, (lo, hi), patterns = FLAG_DAMAGE[case]
+    if where == "list":
+        idx = build_index(Dictionary(GROUP_WORDS), 1)
+        base = idx.table.lookup_list(b"ab").start
+        assert idx.lists[base : base + len(GROUP_LIST)] == GROUP_LIST
+    else:
+        idx, base = two_buckets(), 0
+        # Misses in bucket 0 and in bucket 1, which walk every record.
+        patterns = patterns + [2 * next(key for key in (b"k%d" % i for i in range(100))
+                                        if HASH_FUNCTIONS["crc32"](key) & 1 == h) for h in (0, 1)]
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + base + o: v for o, v in changes.items()}))
+    own = damaged.lists[base + lo : base + hi]
+    read = 0
+    for p in patterns:
+        try:
+            got = damaged.query(p)
+        except CorruptListError:
+            read += 1
+            continue
+        read += got != idx.query(p)
+        for w in set(got) - set(idx.query(p)):
+            assert any(piece in own for piece in split_word(w, 1)), (p, w)
+    assert read
+    for stats in (damaged.list_stats, damaged.table.bucket_stats):
+        try:
+            stats()
+        except CorruptListError:
+            pass
+
+
 def test_coded_group_of_no_whole_number_of_entries_is_corrupt():
     idx = build_index(Dictionary([b"abczz", b"pqrst"]), 1, substitutions=SubstitutionList([(b"zz", 200)]))
     at = idx.table.lookup_list(b"abc")
-    assert idx.lists[at] == b"\x03" + b"\x02\x01\xc8"  # b"zz" coded as one byte
+    assert idx.lists[at] == b"\x02" + b"\x82\xc8"  # b"zz" coded as one byte
     # The code becomes a plain byte: the group decodes to 1 byte, not 2.
-    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 3: b"x"}))
+    damaged = index_from_bytes(resealed(idx, {arena_offset(idx) + at.start + 2: b"x"}))
     what = "a group of the list for key b'abc' holds no whole number of entries"
     with pytest.raises(CorruptListError, match=re.escape(what)):
         damaged.query(b"abczz")
@@ -653,10 +731,10 @@ def test_coded_group_of_no_whole_number_of_entries_is_corrupt():
 
 def test_list_stats_of_a_damaged_list_is_corrupt():
     assert damaged_groups({}).list_stats() == ListStats(6, 12, 2.0, 6, 24)
-    # A zero length would divide by zero, and a group grown by one would
-    # count a byte of the next group or record as payload.
-    for changes, what in (({1: b"\x00"}, "holds group lengths that do not rise"),
-                          ({17: b"\x04"}, "crosses its region's end")):
+    # A zero length, an escape and a 0, would divide by zero, and a grown
+    # group would count bytes of the next group or record as payload.
+    for changes, what in (({1: b"\x00\x00"}, "holds group lengths that do not rise"),
+                          ({12: b"\x07"}, "crosses its region's end")):
         with pytest.raises(CorruptListError, match=f"list for key b'ab' {what}"):
             damaged_groups(changes).list_stats()
 
@@ -693,10 +771,11 @@ def leb_size(n):
     return max(1, -(-n.bit_length() // 7))
 
 
-def group_size(n):
-    """Bytes of a group of ``n`` payload bytes: its length L, its byte length
-    as LEB128, and the payloads; no group for none."""
-    return 1 + leb_size(n) + n if n else 0
+def group_size(n, last):
+    """Bytes of a group of ``n`` payload bytes, L under 128: its L, its byte
+    length as LEB128 unless it is its region's ``last``, and the payloads; no
+    group for none."""
+    return 1 + (0 if last else leb_size(n)) + n if n else 0
 
 
 @pytest.mark.parametrize(
@@ -706,9 +785,10 @@ def group_size(n):
 def test_lists_round_trip_at_every_list_length_width(size, length):
     # At k = 1 every word below is keyed by its first piece, b"abcde": a
     # 10-byte word stores a 5-byte payload in that list, a 9-byte one a
-    # 4-byte payload, in two groups of region 1, after its length.
+    # 4-byte payload, in two groups of region 1, after its length.  The
+    # record of b"abcde" is not its bucket's last, so it stores the length.
     fours, fives = next((f, s) for f in range(8) for s in range(size // 5 + 1)
-                        if (region := group_size(4 * f) + group_size(5 * s)) + leb_size(region) == size)
+                        if (region := group_size(4 * f, s == 0) + group_size(5 * s, True)) + leb_size(region) == size)
     tails = [bytes(t) for t in islice(product(b"fghijklmnopqrstu", repeat=5), fives)]
     tails += [bytes(t) for t in islice(product(b"vwxyz", repeat=4), fours)]
     d = Dictionary([b"abcde" + t for t in tails])
@@ -754,16 +834,16 @@ def stored_size(entries, x, coded):
 
 def region_words(key, r, k, size, coded):
     """Words whose entries fill region r + 1 of the list of ``key`` with
-    exactly ``size`` bytes, in two groups of lengths in a row.  A group's
-    coded size never falls as entries are added, so the first group's count
-    is found by bisection."""
+    exactly ``size`` bytes, in two groups of lengths in a row, the second the
+    region's last, with no byte length.  A group's coded size never falls as
+    entries are added, so the first group's count is found by bisection."""
     pool = entries_keyed_by(key, r, k)
     for n in sorted(pool):
         if n + 1 not in pool:
             continue
         first, second = pool[n], pool[n + 1]
         for y in range(1, len(second) + 1):
-            left = size - group_size(stored_size(second, y, coded))
+            left = size - group_size(stored_size(second, y, coded), True)
             for w in (1, 2, 3):  # the LEB128 bytes of the first group's length
                 want = left - 1 - w
                 x = bisect_left(range(len(first) + 1), want, key=lambda x: stored_size(first, x, coded))
@@ -816,6 +896,14 @@ def test_random_indexes_round_trip_and_answer_as_the_oracle(data):
         assert loaded.query(p) == oracle_query(d, p, k)
 
 
+def record(key, blob, last):
+    """The bucket record of ``key`` and its list ``blob``: ``[key length]
+    [key][list length, LEB128][list]``, or ``[key length | 0x80][key][list]``
+    for its bucket's ``last``; keys are under 128 bytes."""
+    assert len(key) < 0x80
+    return bytes((len(key) | 0x80 * last,)) + key + (b"" if last else hashing._length_bytes(np.array([len(blob)]))[0].tobytes()) + blob
+
+
 def test_buckets_with_their_records_in_another_order_load_answer_and_resave():
     # A build lays each bucket's records out in (key length, key bytes)
     # order, but no reader depends on it: earlier format-v5 builds kept them
@@ -827,14 +915,16 @@ def test_buckets_with_their_records_in_another_order_load_answer_and_resave():
     for k, subs in product((1, 2), (None, RANDOM_SUBS)):
         idx = build_index(d, k, substitutions=subs)
         table = idx.table
-        records = [[] for _ in range(table.bucket_count)]
-        o = 0
-        for h, _, _, end in table.records():
-            records[h].append(table.data[o:end])
-            o = end
-        arena = b"".join(r for bucket in records for r in reversed(bucket))
-        assert arena != table.data and len(arena) == len(table.data)
-        flipped = ChainedHashTable(arena, table.starts, table.config)
+        buckets = [[] for _ in range(table.bucket_count)]
+        for h, key, begin, end in table.records():
+            buckets[h].append((key, table.data[begin:end]))
+        relaid = [b"".join(record(key, blob, i == len(b) - 1) for i, (key, blob) in enumerate(b[::-1])) for b in buckets]
+        arena = b"".join(relaid)
+        # A bucket's last record stores no list length, so reversing a bucket
+        # adds the length of its old last list and drops that of its new one.
+        assert arena != table.data
+        assert len(arena) - len(table.data) == sum(leb_size(len(b[-1][1])) - leb_size(len(b[0][1])) for b in buckets if b)
+        flipped = ChainedHashTable(arena, array("I", accumulate(map(len, relaid), initial=0)), table.config)
         blob = index_to_bytes(SplitIndex(k, flipped, idx.side_table, subs, idx.source_stats))
         loaded = index_from_bytes(blob)
         assert index_to_bytes(loaded) == blob
@@ -843,27 +933,12 @@ def test_buckets_with_their_records_in_another_order_load_answer_and_resave():
             assert loaded.query(p) == oracle_query(d, p, k), (k, subs is not None, p)
 
 
-# The words of the files in tests/data/entry_coded_k{1,2}.bin: version 6
-# files written by index_to_bytes at commit 5fba327, whose build coded each
-# entry on its own and ordered a group by coded length and bytes, with crc32
-# and the words' mined mixed/20 rules.  A build now codes each group as one
-# string, in byte order, so the same lists come out in other bytes.
-ENTRY_CODED_WORDS = (
-    b"string stringer sting stinger resting tester testing station stations nation notion "
-    b"motion ration starter restart master mastering steering stern ingest interest singer "
-    b"ringer ringing stirring storing restoring mentioning question questions sterling "
-    b"tinsel insert inserting center centering nesting"
-).split()
-
-
 @pytest.mark.parametrize("k", [1, 2])
-def test_files_coded_entry_by_entry_still_load(k):
+def test_version_6_file_is_rejected(k):
+    # Format version 6 files, written by index_to_bytes at commit 5fba327
+    # from 37 words with crc32 and their mined mixed/20 rules: every group
+    # and every record stored its byte length.
     blob = (Path(__file__).parent / "data" / f"entry_coded_k{k}.bin").read_bytes()
-    loaded = index_from_bytes(blob)
-    assert index_to_bytes(loaded) == blob
-    d = Dictionary(ENTRY_CODED_WORDS)
-    fresh = build_index(d, k, hash_config=loaded.table.config, substitutions=loaded.subs)
-    assert index_to_bytes(fresh) != blob
-    assert loaded.list_stats().entry_count == fresh.list_stats().entry_count == (k + 1) * len(d)
-    for p in list(d.words) + list(gen_noisy_queries(d, 300, seed=k).patterns):
-        assert loaded.query(p) == fresh.query(p), (k, p)
+    assert blob[8:10] == (6).to_bytes(2, "little")
+    with pytest.raises(VersionMismatchError, match="version 6, this reader supports 7"):
+        index_from_bytes(blob)
