@@ -40,15 +40,21 @@ benchmark workloads: 32 made english k = 2 slower at the median, and 128 and
 256 its slowest 1% of queries.  A coded group is decoded before either kernel
 sees it.
 
-A matched word is its entry with the key put back at the key's offset.  When
-a matrix group has at least ``BULK_RUN`` matches, or an L <= k group at least
-``BULK_RUN`` entries, one numpy pass builds all of its words (``_words``);
-fewer are built one by one in Python.  The threshold, 16, was measured on the
-benchmark workloads: 8 made english k = 1 slower in its slowest 1% of
-queries, and 16 and 32 read the same.  A group stores its entries in payload
-byte order, and each of its words holds the same key at the same offset, so
-a group's matches come in ascending word order.  ``_search`` collects them
-in an insertion-ordered dict, and the sort in ``query`` merges those runs.
+A matched word is its entry with the key put back at the key's offset,
+joined from its non-empty parts only: for the first piece it is the key then
+the entry, for the last piece the entry then the key, and only for a middle
+piece (k >= 2) the entry's head, the key and the entry's tail.  The pattern's
+rest, its other pieces, is sliced out the same way, so at k = 1, where every
+piece is the first or the last, no empty part is sliced or joined.  When a
+matrix group has at least ``BULK_RUN`` matches, or an L <= k group at least
+``BULK_RUN`` entries, one numpy pass builds all of its words (``_words``),
+copying only the non-empty column blocks; fewer are built one by one in
+Python.  The threshold, 16, was measured on the benchmark workloads: 8 made
+english k = 1 slower in its slowest 1% of queries, and 16 and 32 read the
+same.  A group stores its entries in payload byte order, and each of its
+words holds the same key at the same offset, so a group's matches come in
+ascending word order.  ``_search`` collects them in an insertion-ordered
+dict, and the sort in ``query`` merges those runs.
 
 The build runs in numpy batches, one per key length.  Words of one length
 share their piece bounds, so the keys and payloads of one key position are
@@ -94,6 +100,7 @@ _SPREAD = tuple(int.from_bytes(b"\x01" * n, "little") for n in range(PAYLOAD_LIM
 # Made once here rather than per index, so that a loaded index holds nothing
 # more than its parts.
 _WITHIN = tuple(b"\x01" * (k + 1) + bytes(255 - k) for k in range(256))
+_BUDGET = tuple(np.float32(k) for k in range(256))  # k as a float32, like a matrix row sum; an int is cast per compare
 
 
 @lru_cache(maxsize=1024)  # builds and queries ask for few distinct lengths
@@ -308,12 +315,15 @@ class SplitIndex:
             o = starts[b]
             bend = starts[b + 1]
             kl = end - start
+            k0 = key[0]
             # A record costs two sums: p, the offset of its list length's
             # last byte, and the next record's offset.  A list length of
             # one or two bytes is read inline, a longer one by _read_length.
             # The bucket's last record has no list length: its list runs
             # from its key's end to the bucket's end, and its tag is its key
-            # length plus 0x80.
+            # length plus 0x80.  A key of the right length has its first
+            # byte tested before startswith: keys of one length are common
+            # (every DNA key has 10 bytes), and most differ there.
             while o < bend:
                 el = data[o]
                 if el < 0x80 and el:  # a record before the bucket's last, with a key under 128 bytes
@@ -328,7 +338,7 @@ class SplitIndex:
                         else:
                             size, p = _read_length(data, p - 1, bend, b)
                             p -= 1
-                    if el == kl and data.startswith(key, o + 1):
+                    if el == kl and data[o + 1] == k0 and data.startswith(key, o + 1):
                         p += 1
                         size += p  # the list's end
                         if size > bend:
@@ -339,7 +349,7 @@ class SplitIndex:
                     p = o + (el - 0x7F)  # the list's start
                     if p > bend:
                         raise CorruptListError(f"bucket {b} holds a record that runs past its end")
-                    if el == kl + 0x80 and data.startswith(key, o + 1):
+                    if el == kl + 0x80 and data[o + 1] == k0 and data.startswith(key, o + 1):
                         size = bend
                         break
                     o = bend
@@ -395,14 +405,17 @@ class SplitIndex:
                 buf = decode(data[o:stop])
                 o = 0
                 stop = size = len(buf)
-            rest = pattern[end:] if not start else pattern[:start] + pattern[end:]
+            # The first piece's rest and word have no part before the key, and
+            # the last piece's (start == need) none after it.
+            rest = pattern[end:] if not start else pattern[:start] if start == need else pattern[:start] + pattern[end:]
             if size == need:  # one entry
                 verified += 1
                 v = ifb(buf[o:stop], "little") ^ ifb(rest, "little")
                 if not v:
                     out[pattern] = None
                 elif v.to_bytes(need, "little").count(0) >= need - k:
-                    out[buf[o : o + start] + key + buf[o + start : stop]] = None
+                    out[key + buf[o:stop] if not start else buf[o:stop] + key if start == need else
+                        buf[o : o + start] + key + buf[o + start : stop]] = None
                 continue
             count = size // need
             if count * need != size:
@@ -414,7 +427,8 @@ class SplitIndex:
                     out.update(dict.fromkeys(_words(group.reshape(count, need), start, key)))
                     continue
                 for e in range(o, stop, need):
-                    out[buf[e : e + start] + key + buf[e + start : e + need]] = None
+                    out[key + buf[e : e + need] if not start else buf[e : e + need] + key if start == need else
+                        buf[e : e + start] + key + buf[e + start : e + need]] = None
                 continue
             rests = rest * count  # the rest once per entry, as both kernels take it
             if count >= MATRIX_RUN:
@@ -422,14 +436,15 @@ class SplitIndex:
                 # product sums each row: a row's sum of at most need <=
                 # PAYLOAD_LIMIT ones is a small whole number, exact in float32.
                 group = (view if buf is data else np.frombuffer(buf, dtype=np.uint8))[o:stop]
-                hits = (group != np.frombuffer(rests, dtype=np.uint8)).reshape(count, need) @ _ONES[:need] <= k
+                hits = (group != np.frombuffer(rests, dtype=np.uint8)).reshape(count, need) @ _ONES[:need] <= _BUDGET[k]
                 hits = hits.nonzero()[0]
                 if len(hits) >= BULK_RUN:
                     out.update(dict.fromkeys(_words(group.reshape(count, need).take(hits, 0), start, key)))
                     continue
                 for i in hits.tolist():
                     e = o + i * need
-                    out[buf[e : e + start] + key + buf[e + start : e + need]] = None
+                    out[key + buf[e : e + need] if not start else buf[e : e + need] + key if start == need else
+                        buf[e : e + start] + key + buf[e + start : e + need]] = None
                 continue
             # The xor with rests is nonzero in the bytes where an entry
             # differs.  As ones and zeros, those bytes times need one-bytes
@@ -443,7 +458,8 @@ class SplitIndex:
             i = hits.find(1)
             while i >= 0:
                 e = o + i * need
-                out[buf[e : e + start] + key + buf[e + start : e + need]] = None
+                out[key + buf[e : e + need] if not start else buf[e : e + need] + key if start == need else
+                    buf[e : e + start] + key + buf[e + start : e + need]] = None
                 i = hits.find(1, i + 1)
         return verified
 
@@ -520,9 +536,11 @@ def _words(rows: np.ndarray, start: int, key: bytes) -> list[bytes]:
     count, need = rows.shape
     width = need + len(key)
     words = np.empty((count, width), np.uint8)
-    words[:, :start] = rows[:, :start]
+    if start:
+        words[:, :start] = rows[:, :start]
     words[:, start : start + len(key)] = np.frombuffer(key, np.uint8)
-    words[:, start + len(key) :] = rows[:, start:]
+    if start < need:
+        words[:, start + len(key) :] = rows[:, start:]
     return words.view(f"V{width}").ravel().tolist()
 
 

@@ -1048,51 +1048,59 @@ def test_every_group_count_matches_the_oracle():
 
 
 def test_bulk_builder_keeps_trailing_nuls_at_every_key_position():
-    # At k = 2 a word of 9 bytes has three 3-byte pieces.  The key b"\xffa\x00"
-    # is the first, middle and last piece of 80 words each: two rests, one
-    # all NUL, with every one-byte variant of each, and more drawn.  A
-    # pattern made of the key and either rest matches 25 words or more of a
-    # group of 80, so the shipped thresholds build its words in bulk from a
-    # matrix group.  The key and many rests end in NUL, so the words end in
-    # NUL wherever the key sits: a bytes ('S') view would drop those NULs.
-    # The 3-byte words over the same symbols have 1-byte pieces and rests of
-    # need = 2 = k, so each key's region holds a group of 25 that match
-    # whole, built in bulk too.  The coded index keeps the NULs and 0x7F.
-    k = 2
-    rng = random.Random(31)
-    key = b"\xffa\x00"
-    bases = (b"\x80a\x00\xff\x7f\x00", bytes(6))
-    rests = {base[:i] + bytes([c]) + base[i + 1 :] for base in bases for i in range(6) for c in EDGE_SYMBOLS}
-    while len(rests) < 80:
-        rests.add(bytes(rng.choices(EDGE_SYMBOLS, k=6)))
-    words = [e[: 3 * r] + key + e[3 * r :] for r in range(k + 1) for e in sorted(rests)]
-    words += map(bytes, product(EDGE_SYMBOLS, repeat=3))
-    patterns = {bytes(p) for p in product(EDGE_SYMBOLS, repeat=3)}
-    for r, base in product(range(k + 1), bases):
-        word = base[: 3 * r] + key + base[3 * r :]
-        patterns.add(word)
-        for m in (1, 2, 3):
-            p = bytearray(word)
-            for i in rng.sample([i for i in range(9) if not 3 * r <= i < 3 * r + 3], m):
-                p[i] ^= 1
-            patterns.add(bytes(p))
-    patterns = sorted(patterns)
+    # At k = 1, 2 and 3 a word of 3(k + 1) bytes has k + 1 3-byte pieces.
+    # The key b"\xffa\x00" is each piece of 80 words: two rests of 3k bytes,
+    # one all NUL, with every one-byte variant of each, and more drawn.  So
+    # every builder puts the key first, last and, at k >= 2, in the middle.
+    # At k >= 2 a pattern made of the key and either rest matches 25 words
+    # or more of a group of 80, so the shipped thresholds build its words in
+    # bulk from a matrix group; at k = 1 it matches 13, built one by one.
+    # The key and many rests end in NUL, so the words end in NUL wherever
+    # the key sits: a bytes ('S') view would drop those NULs.  The
+    # (k + 1)-byte words over the same symbols have 1-byte pieces and rests
+    # of need = k, so each key's region holds a group that matches whole,
+    # of 25 entries or more, built in bulk too, at k >= 2.  A word whose key
+    # b"one" keys no other word is the one entry of its group.
+    # The coded index keeps the NULs and 0x7F.
     keep_nuls = bytes.maketrans(b"\x80\xff", b"bc")
     subs = SubstitutionList([(b"\x00\x00", 0x80), (b"a\x00", 0x81), (b"\x7fb", 0x82)])
-    for coded in (False, True):
-        d = Dictionary([w.translate(keep_nuls) for w in words] if coded else words)
-        idx = build_index(d, k, substitutions=subs if coded else None)
-        queried = [p.translate(keep_nuls) for p in patterns] if coded else patterns
-        wants = [oracle_query(d, p, k) for p in queried]
-        assert sum(w.endswith(b"\x00") for want in wants for w in want) > 100
-        with patch.object(core, "_words", wraps=core._words) as bulk:
-            for p, want in zip(queried, wants):
-                assert idx.query(p) == want, (coded, p)
-        assert bulk.call_count >= len(patterns)
-        for matrix_run, bulk_run in product(BOTH_KERNELS, BOTH_BUILDERS):
-            with patch.object(core, "MATRIX_RUN", matrix_run), patch.object(core, "BULK_RUN", bulk_run):
+    for k in (1, 2, 3):
+        rng = random.Random(31)
+        key = b"\xffa\x00"
+        bases = ((b"\x80a\x00\xff\x7f\x00" * 2)[: 3 * k], bytes(3 * k))
+        rests = {base[:i] + bytes([c]) + base[i + 1 :] for base in bases for i in range(3 * k) for c in EDGE_SYMBOLS}
+        while len(rests) < 80:
+            rests.add(bytes(rng.choices(EDGE_SYMBOLS, k=3 * k)))
+        words = [e[: 3 * r] + key + e[3 * r :] for r in range(k + 1) for e in sorted(rests)]
+        words += map(bytes, product(EDGE_SYMBOLS, repeat=k + 1))
+        patterns = {bytes(p) for p in product(EDGE_SYMBOLS, repeat=k + 1)}
+        for r, base in product(range(k + 1), bases):
+            word = base[: 3 * r] + key + base[3 * r :]
+            patterns.add(word)
+            for m in (1, 2, 3):
+                p = bytearray(word)
+                for i in rng.sample([i for i in range(3 * (k + 1)) if not 3 * r <= i < 3 * r + 3], m):
+                    p[i] ^= 1
+                patterns.add(bytes(p))
+            lone = bases[1][: 3 * r] + b"one" + bases[1][3 * r :]
+            words.append(lone)
+            patterns.add(lone[:-1] + b"a" if r < k else b"a" + lone[1:])
+        patterns = sorted(patterns)
+        for coded in (False, True):
+            d = Dictionary([w.translate(keep_nuls) for w in words] if coded else words)
+            idx = build_index(d, k, substitutions=subs if coded else None)
+            queried = [p.translate(keep_nuls) for p in patterns] if coded else patterns
+            wants = [oracle_query(d, p, k) for p in queried]
+            assert sum(w.endswith(b"\x00") for want in wants for w in want) > 100
+            with patch.object(core, "_words", wraps=core._words) as bulk:
                 for p, want in zip(queried, wants):
-                    assert idx.query(p) == want, (coded, matrix_run, bulk_run, p)
+                    assert idx.query(p) == want, (k, coded, p)
+            if k > 1:  # at k = 1 no group reaches BULK_RUN
+                assert bulk.call_count >= len(patterns)
+            for matrix_run, bulk_run in product(BOTH_KERNELS, BOTH_BUILDERS):
+                with patch.object(core, "MATRIX_RUN", matrix_run), patch.object(core, "BULK_RUN", bulk_run):
+                    for p, want in zip(queried, wants):
+                        assert idx.query(p) == want, (k, coded, matrix_run, bulk_run, p)
 
 
 def test_length_filter_never_drops_matches():

@@ -354,13 +354,14 @@ class RegionReached(Exception):
 
 
 def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
-    # Bytes flipped in the bucket arena, about half of them on key-length
-    # and list-length bytes, with the checksum recomputed.  Each piece of a
-    # probed pattern is searched alone, and the search stops where it would
-    # read the list's regions: its own walk of the piece's bucket must find
-    # the list that lookup_list finds, miss where it misses, or raise its
-    # error.  The probed patterns are those with a piece keying a damaged
-    # bucket, and 20 more.
+    # Bytes flipped in the bucket arena, about half of them on record
+    # headers: each record's key length tag (with its escape byte, if any)
+    # and the list length that every record but its bucket's last stores.
+    # The checksum is recomputed.  Each piece of a probed pattern is searched
+    # alone, and the search stops where it would read the list's regions:
+    # its own walk of the piece's bucket must find the list that lookup_list
+    # finds, miss where it misses, or raise its error.  The probed patterns
+    # are those with a piece keying a damaged bucket, and 20 more.
     rng = random.Random(63)
     whole_plan = core._plan
     plan = []
@@ -374,9 +375,14 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
             k = idx.k
             table = idx.table
             headers = []
-            for _, key, begin, end in table.records():
-                at = begin - leb_size(end - begin)
-                headers += [at - len(key) - 1, *range(at, begin)]
+            last_tags = set()  # the tag bytes of each bucket's last record
+            for h, key, begin, end in table.records():
+                last = end == table.starts[h + 1]
+                at = begin - (0 if last else leb_size(end - begin)) - len(key)  # the key's start
+                tag = range(at - (1 if len(key) < 0x80 else 2), at)
+                headers += [*tag, *range(at + len(key), begin)]
+                if last:
+                    last_tags.update(tag)
             patterns = [p for p in patterns if len(p) > k]
             fn = HASH_FUNCTIONS[table.config.function_id]
             # Each piece's (r, start, end, need) in the plan, and the bucket its key hashes to.
@@ -386,6 +392,7 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
             for _ in range(150):
                 spots = [rng.choice(headers) if rng.random() < 0.5 else rng.randrange(len(idx.lists))
                          for _ in range(rng.randint(1, 3))]
+                seen["last tag"] += sum(at in last_tags for at in spots)
                 changes = {arena_offset(idx) + at: bytes([idx.lists[at] ^ rng.randrange(1, 256)]) for at in spots}
                 damaged = index_from_bytes(resealed(idx, changes))
                 hurt = {bisect_right(table.starts, at) - 1 for at in spots}
@@ -407,7 +414,7 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
                             probe = str(err)
                         assert walk == probe, (p, piece)
                         seen[type(probe).__name__] += 1
-    assert seen["slice"] and seen["NoneType"] and seen["str"], seen
+    assert seen["slice"] and seen["NoneType"] and seen["str"] and seen["last tag"], seen
 
 
 def arena_offset(idx):
