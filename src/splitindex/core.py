@@ -60,11 +60,12 @@ The build runs in numpy batches, one per key length.  Words of one length
 share their piece bounds, so the keys and payloads of one key position are
 column slices of them.  The entry rows of one key length are sorted once as
 byte strings, which merges equal keys and orders each list's entries into
-regions and groups.  A coded build then codes each group of the batch once;
-numpy copies the group headers and payloads, and the table its records, into
-place.  Python steps once per batch and once per distinct key.  The keys
-come out in (key length, key bytes) order and every bucket keeps its records
-in that order, so the index depends on the set of words, not on their order.
+regions and groups.  A coded build then codes each group of the batch once,
+and two gathers (``hashing._gather``) lay out the batch's lists before the
+next batch is made; the table gathers its records the same way.  Python
+steps once per batch and once per distinct key.  The keys come out in (key
+length, key bytes) order and every bucket keeps its records in that order,
+so the index depends on the set of words, not on their order.
 
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
@@ -617,6 +618,11 @@ def _lists(
     same key, position and payload, which make the same word, so no two rows
     do.  The rows are then dropped, and a coded build codes each group's
     payloads as one string.
+
+    Each batch's lists are laid out before the next batch is made: one
+    ``_gather`` of each group's region lengths (for a list's first group
+    only), tag and B makes the headers, and a second puts each header in
+    front of its group's payloads.
     """
     if not groups:
         return [], np.zeros(0, np.uint8), np.zeros(0, np.int64)
@@ -629,11 +635,8 @@ def _lists(
             batches.setdefault(plen, []).append((run, sum(pieces), r, start))
             start += plen
     keys = []
-    payloads = []
-    owners = []  # of each group, in list order: its key's index in ``keys``
-    positions = []
-    group_lengths = []
-    group_sizes = []
+    lists = []  # of each batch: its lists back to back
+    sizes = []  # of each batch: the byte length of each of its lists
     for plen, parts in sorted(batches.items()):
         count = sum(len(run) for run, _, _, _ in parts)
         width = max(n for _, n, _, _ in parts) - plen
@@ -658,48 +661,33 @@ def _lists(
         for c in (plen, plen + 1):
             heads[1:] |= rows[1:, c] != rows[:-1, c]
         heads = np.flatnonzero(heads)
-        firsts = np.flatnonzero(new)
-        owners.append((np.cumsum(new)[heads] - 1) + len(keys))
-        raw = rows[firsts, :plen].tobytes()
+        first = new[heads]  # of each group: whether it opens its key's list
+        owner = np.cumsum(first) - 1  # of each group: its key's index in this batch
+        raw = rows[np.flatnonzero(new), :plen].tobytes()
         keys += [raw[i : i + plen] for i in range(0, len(raw), plen)]
-        positions.append(rows[heads, plen])
-        group_lengths.append(rows[heads, plen + 1])
-        size = np.diff(heads, append=count) * group_lengths[-1]  # of each group
+        position = rows[heads, plen]
+        group_length = rows[heads, plen + 1]
+        size = np.diff(heads, append=count) * group_length  # of each group
         payload = rows[:, plen + 2 :][np.arange(width) < rows[:, plen + 1, None]]
-        del rows  # dropped before the coding
+        del rows, new  # dropped before the coding
         if substitutions:
             payload, size = substitutions.encode_groups(payload, size)
-        group_sizes.append(size)
-        payloads.append(payload)
-    owner = np.concatenate(owners)
-    position = np.concatenate(positions)
-    group_size = np.concatenate(group_sizes)
-    group_length = np.concatenate(group_lengths)
-    del owners, positions, group_sizes, group_lengths  # not kept through the gather
-    # Each group is [L tag][B, LEB128][B bytes of payloads], but a region's
-    # last group, flagged in its tag, has no B; each list opens with the
-    # byte lengths of its regions 1..k, as LEB128, then holds its groups.
-    final = np.ones(len(owner), bool)
-    final[:-1] = (owner[1:] != owner[:-1]) | (position[1:] != position[:-1])
-    tags, tag_sizes = _tag_bytes(group_length, final)
-    leb, leb_sizes = _length_bytes(group_size[~final])
-    b_sizes = np.zeros(len(owner), np.int64)
-    b_sizes[~final] = leb_sizes
-    region = np.bincount(owner * (k + 1) + position, tag_sizes + b_sizes + group_size, len(keys) * (k + 1))
-    region = region.astype(np.int64).reshape(-1, k + 1)
-    head, head_sizes = _length_bytes(region[:, :k].ravel())
-    head_sizes = head_sizes.reshape(-1, k).sum(1)
-    # The headers of the groups, back to back: each list's region lengths in
-    # front of its first group's tag, then each tag in front of its B, if any
-    # (np.insert keeps the order of the values it puts at one index).  One
-    # gather then takes each group's header and payloads in turn.
-    count = np.bincount(owner, minlength=len(keys))
-    first = np.cumsum(count) - count
-    tags = np.insert(tags, np.repeat((np.cumsum(tag_sizes) - tag_sizes)[first], head_sizes), head)
-    tag_sizes[first] += head_sizes
-    headers = np.insert(leb, np.repeat(np.cumsum(b_sizes) - b_sizes, tag_sizes), tags)
-    spans = np.stack((tag_sizes + b_sizes, group_size), 1)
-    starts = np.cumsum(spans, 0) - spans
-    starts[:, 1] += len(headers)
-    lists = _gather(np.concatenate((headers, *payloads)), starts.ravel(), spans.ravel())
-    return keys, lists, head_sizes + region.sum(1)
+        # Each group is [L tag][B, LEB128][B bytes of payloads], but a region's
+        # last group, flagged in its tag, has no B; each list opens with the
+        # byte lengths of its regions 1..k, as LEB128, then holds its groups.
+        final = np.ones(len(heads), bool)
+        final[:-1] = first[1:] | (position[1:] != position[:-1])
+        tags, tag_sizes = _tag_bytes(group_length, final)
+        leb, leb_sizes = _length_bytes(size[~final])
+        b_sizes = np.zeros(len(heads), np.int64)
+        b_sizes[~final] = leb_sizes
+        region = np.bincount(owner * (k + 1) + position, tag_sizes + b_sizes + size, (owner[-1] + 1) * (k + 1))
+        region = region.astype(np.int64).reshape(-1, k + 1)
+        head, head_sizes = _length_bytes(region[:, :k].ravel())
+        head_sizes = head_sizes.reshape(-1, k).sum(1)
+        opening = np.zeros(len(heads), np.int64)  # of each group: its list's region length bytes, if it opens it
+        opening[first] = head_sizes
+        headers = _gather(((head, opening), (tags, tag_sizes), (leb, b_sizes)))
+        lists.append(_gather(((headers, opening + tag_sizes + b_sizes), (payload, size))))
+        sizes.append(head_sizes + region.sum(1))
+    return keys, np.concatenate(lists), np.concatenate(sizes)

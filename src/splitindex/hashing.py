@@ -32,7 +32,7 @@ import logging
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -245,9 +245,21 @@ def _tag_bytes(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.nda
     return tags[np.arange(2) < sizes[:, None]], sizes
 
 
-def _gather(data: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The slices ``data[s : s + n]`` for every (s, n), each n at least 1,
-    back to back."""
+def _gather(parts: Sequence[tuple[np.ndarray, np.ndarray]], order: np.ndarray | None = None) -> np.ndarray:
+    """Item i of every part in turn, for each i, or for each i of ``order``,
+    back to back as a uint8 array.
+
+    Each part is a pair: a uint8 array holding its items back to back, and
+    the byte size of each item, which may be 0.
+    """
+    data = np.concatenate([items for items, _ in parts])
+    sizes = np.stack([size for _, size in parts], dtype=np.int64)  # a row per part
+    starts = (np.cumsum(sizes).reshape(sizes.shape) - sizes).T
+    sizes = sizes.T
+    if order is not None:
+        starts, sizes = starts[order], sizes[order]
+    keep = sizes > 0  # an empty item would put two jumps at one index
+    starts, sizes = starts[keep], sizes[keep]
     total = int(sizes.sum())
     # An int32 index takes half the memory of an int64 one, where it fits.
     index = np.ones(total, np.int32 if max(len(data), total) < 2**31 else np.int64)
@@ -336,8 +348,9 @@ class ChainedHashTable:
         array, and ``sizes`` their byte lengths, in the order of ``keys``.
         Every key is hashed once, one stable sort by bucket orders the
         records, so each bucket holds its keys in the order of ``keys``, and
-        numpy copies them into the arena part by part.  The last record of a
-        bucket gets the flag in its key length tag and no list length.
+        one ``_gather`` takes each record's four parts, its tag, key, list
+        length and list, in that order.  The last record of a bucket gets the
+        flag in its key length tag and no list length.
         """
         config = config or HashConfig()
         count = len(keys)
@@ -353,18 +366,14 @@ class ChainedHashTable:
         last[order[:-1]] = np.diff(bucket[order]) != 0
         list_sizes = np.asarray(sizes, np.int64)
         tags, tag_sizes = _tag_bytes(key_sizes, last)
-        length_bytes, length_sizes = _length_bytes(list_sizes[~last])
-        # A record's four parts, each taken from its own run of ``parts``.
-        parts = (tags, np.frombuffer(b"".join(keys), np.uint8), length_bytes, np.frombuffer(lists, np.uint8))
-        spans = np.stack((tag_sizes, key_sizes, np.zeros(count, np.int64), list_sizes))
-        spans[2, ~last] = length_sizes
-        records = spans.sum(0)
+        leb, leb_sizes = _length_bytes(list_sizes[~last])
+        length_sizes = np.zeros(count, np.int64)  # a bucket's last record has no list length
+        length_sizes[~last] = leb_sizes
+        records = tag_sizes + key_sizes + length_sizes + list_sizes
         if records.sum() >= ARENA_LIMIT:
             raise BuildError(f"{records.sum()} bytes of buckets, over the {ARENA_LIMIT - 1} their u32 offsets address")
-        starts = (np.cumsum(spans).reshape(spans.shape) - spans)[:, order].T.ravel()
-        spans = spans[:, order].T.ravel()
-        keep = spans > 0  # a bucket's last record has no list length
-        data = _gather(np.concatenate(parts), starts[keep], spans[keep])
+        data = _gather(((tags, tag_sizes), (np.frombuffer(b"".join(keys), np.uint8), key_sizes),
+                        (leb, length_sizes), (np.frombuffer(lists, np.uint8), list_sizes)), order)
         ends = np.cumsum(np.bincount(bucket, records, n).astype(np.int64))
         bucket_starts = array("I", bytes(4))
         bucket_starts.frombytes(ends.astype(np.uint32).tobytes())

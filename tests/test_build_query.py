@@ -257,18 +257,36 @@ def test_coded_build_peaks_no_higher_than_the_plain_build(k):
     assert build_peak(d, k, subs) <= build_peak(d, k)
 
 
-# build_index's traced peak on the 200 kB corpus above at k = 1 with the
-# code just before format v7, plain and coded with its mined mixed/100
-# rules, under Python 3.11.7 and numpy 2.4.6; v7 read 8_490_796 and
-# 8_000_573.  The v7 headers are laid out in the same two gathers.
-PEAKS_BEFORE_V7 = {False: 8_892_584, True: 8_402_028}
+# build_index's traced peak on the 200 kB corpus above, plain and coded with
+# its mined mixed/100 rules, by (k, coded), under Python 3.11.7 and numpy
+# 2.4.6, with each key length's lists laid out right after its sort: 7_337_388
+# and 6_842_355 at k = 1, 5_646_007 and 4_651_834 at k = 2.  A peak moves by
+# a few kB with what the process ran before, so each bound is its peak
+# rounded up by under 0.5%.  Laying out every batch's lists after the last
+# sort read 8_490_796 and 8_000_573 at k = 1, and 6_433_594 and 5_442_835 at
+# k = 2; the code before format v7 read 8_892_584 and 8_402_028 at k = 1.
+ENGLISH_BUILD_PEAKS = {(1, False): 7_370_000, (1, True): 6_870_000, (2, False): 5_670_000, (2, True): 4_670_000}
 
 
 def test_build_peaks_no_higher_than_before_format_7():
     d = Dictionary(english_words(200_000, seed=3))
     subs = mine_substitutions(d, "mixed", 100)
-    assert build_peak(d, 1) <= PEAKS_BEFORE_V7[False]
-    assert build_peak(d, 1, subs) <= PEAKS_BEFORE_V7[True]
+    for (k, coded), peak in ENGLISH_BUILD_PEAKS.items():
+        assert build_peak(d, k, subs if coded else None) <= peak, (k, coded)
+
+
+# build_index's traced peak on 531 kB of DNA 20-mers at k = 1, coded with
+# their mined mixed/100 rules, under Python 3.11.7 and numpy 2.4.6: 10_265_575
+# to 10_267_215, rounded up as above.  It read 12_378_779 when
+# ``qgrams._gram_ids`` handed ``take`` all its windows at once: ``take``
+# casts its uint16 index to intp first, 8 bytes a window.
+CODED_DNA_PEAK = 10_300_000
+
+
+def test_coded_dna_build_peak_is_pinned(tmp_path):
+    dna_fasta(tmp_path / "genome.fa", min_kmer_bytes=200_000, seed=13)
+    d = extract_kmers(tmp_path / "genome.fa", 20)
+    assert build_peak(d, 1, mine_substitutions(d, "mixed", 100)) <= CODED_DNA_PEAK
 
 
 def test_list_of_65536_entries_builds_and_answers():

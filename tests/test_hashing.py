@@ -4,8 +4,9 @@ import logging
 import random
 from itertools import pairwise
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitindex import (
@@ -238,6 +239,20 @@ def test_table_holds_its_buckets_as_data_and_starts():
     assert [t.data[a:b] for a, b in pairwise(t.starts)] == expected
     with pytest.raises(AttributeError):
         t.data = b""
+
+
+@given(st.integers(0, 12).flatmap(lambda count: st.tuples(
+    st.lists(st.lists(st.binary(max_size=4), min_size=count, max_size=count), min_size=1, max_size=4),
+    st.none() | st.permutations(range(count)))))
+@example(([[b"ab", b"", b"c"], [b"", b"", b""], [b"", b"de", b"f"]], [2, 0, 1]))  # a part with no bytes at all
+@settings(max_examples=200, deadline=None)
+def test_gather_takes_item_i_of_every_part_in_turn(case):
+    items, order = case
+    parts = [(np.frombuffer(b"".join(part), np.uint8), np.fromiter(map(len, part), np.int64)) for part in items]
+    want = b"".join(part[i] for i in (range(len(items[0])) if order is None else order) for part in items)
+    got = hashing._gather(parts, None if order is None else np.array(order, np.intp))
+    assert got.dtype == np.uint8
+    assert got.tobytes() == want
 
 
 def test_pure_python_xxhash_warns_once(monkeypatch, caplog):
