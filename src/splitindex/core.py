@@ -61,11 +61,13 @@ share their piece bounds, so the keys and payloads of one key position are
 column slices of them.  The entry rows of one key length are sorted once as
 byte strings, which merges equal keys and orders each list's entries into
 regions and groups.  A coded build then codes each group of the batch once,
-and two gathers (``hashing._gather``) lay out the batch's lists before the
-next batch is made; the table gathers its records the same way.  Python
-steps once per batch and once per distinct key.  The keys come out in (key
-length, key bytes) order and every bucket keeps its records in that order,
-so the index depends on the set of words, not on their order.
+and one gather (``hashing._gather``) lays out the batch's lists before the
+next batch is made; the table gathers its records the same way.  Words are
+ordered by length, and records by bucket, with stable 16-bit radix passes
+(``hashing._radix_order``).  Python steps once per batch and once per
+distinct key.  The keys come out in (key length, key bytes) order and every
+bucket keeps its records in that order, so the index depends on the set of
+words, not on their order.
 
 Each list sits in the hash table's bucket arena, right after its key (see
 ``hashing``), and ``SplitIndex.lists`` is that arena's ``bytes``.  A query
@@ -87,8 +89,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BuildError, ConfigError, CorruptListError, WordTooShortError
-from .hashing import (HASH_FUNCTIONS, ChainedHashTable, HashConfig, _gather, _length_bytes, _read_length,
-                      _read_tag, _tag_bytes)
+from .hashing import (HASH_FUNCTIONS, ChainedHashTable, HashConfig, _gather, _length_bytes, _radix_order,
+                      _read_length, _read_tag, _tag_bytes)
 from .qgrams import SubstitutionList
 
 PAYLOAD_LIMIT = 255  # a group's L is one byte, after an escape from 128, from 1 up
@@ -546,8 +548,9 @@ def _words(rows: np.ndarray, start: int, key: bytes) -> list[bytes]:
 
 
 def _runs(values: np.ndarray) -> list[np.ndarray]:
-    """Indices of ``values`` grouped by value, ascending; ascending within a group."""
-    order = np.argsort(values, kind="stable")
+    """Indices of ``values``, below 2**32, grouped by value, ascending;
+    ascending within a group (``_radix_order``)."""
+    order = _radix_order(values)
     return [run for run in np.split(order, np.flatnonzero(np.diff(values[order])) + 1) if len(run)]
 
 
@@ -619,10 +622,10 @@ def _lists(
     do.  The rows are then dropped, and a coded build codes each group's
     payloads as one string.
 
-    Each batch's lists are laid out before the next batch is made: one
+    Each batch's lists are laid out before the next batch is made, by one
     ``_gather`` of each group's region lengths (for a list's first group
-    only), tag and B makes the headers, and a second puts each header in
-    front of its group's payloads.
+    only), tag, B and payloads.  The keys become bytes through a void view
+    of their rows, as in ``_words``.
     """
     if not groups:
         return [], np.zeros(0, np.uint8), np.zeros(0, np.int64)
@@ -663,8 +666,7 @@ def _lists(
         heads = np.flatnonzero(heads)
         first = new[heads]  # of each group: whether it opens its key's list
         owner = np.cumsum(first) - 1  # of each group: its key's index in this batch
-        raw = rows[np.flatnonzero(new), :plen].tobytes()
-        keys += [raw[i : i + plen] for i in range(0, len(raw), plen)]
+        keys += rows[np.flatnonzero(new), :plen].view(f"V{plen}").ravel().tolist()
         position = rows[heads, plen]
         group_length = rows[heads, plen + 1]
         size = np.diff(heads, append=count) * group_length  # of each group
@@ -687,7 +689,6 @@ def _lists(
         head_sizes = head_sizes.reshape(-1, k).sum(1)
         opening = np.zeros(len(heads), np.int64)  # of each group: its list's region length bytes, if it opens it
         opening[first] = head_sizes
-        headers = _gather(((head, opening), (tags, tag_sizes), (leb, b_sizes)))
-        lists.append(_gather(((headers, opening + tag_sizes + b_sizes), (payload, size))))
+        lists.append(_gather(((head, opening), (tags, tag_sizes), (leb, b_sizes), (payload, size))))
         sizes.append(head_sizes + region.sum(1))
     return keys, np.concatenate(lists), np.concatenate(sizes)

@@ -245,27 +245,64 @@ def _tag_bytes(values: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.nda
     return tags[np.arange(2) < sizes[:, None]], sizes
 
 
+def _radix_order(values: np.ndarray) -> np.ndarray:
+    """The stable ascending order of ``values``, non-negative and below 2**32,
+    as ``np.argsort(values, kind="stable")`` gives it.
+
+    numpy sorts 16-bit integers stably by radix, so the order is one pass
+    over the low 16 bits, and a second over the high 16 bits if any value
+    has them.
+    """
+    order = np.argsort(values.astype(np.uint16), kind="stable")  # the cast keeps the low 16 bits
+    if len(values) and values.max() >> 16:
+        order = order[np.argsort((values[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
+
+
+# The indices ``_take`` hands ``ndarray.take`` at once.  Each index of a block
+# costs 9 more bytes while it is taken, its intp cast and its output buffer.
+_BLOCK = 1 << 14
+
+
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]``, taken a block at a time: ``take`` casts its whole
+    index to 8-byte intp first, and plain indexing runs about 2.5x slower."""
+    out = np.empty(index.shape, table.dtype)
+    for i in range(0, index.size, _BLOCK):
+        table.take(index[i : i + _BLOCK], out=out[i : i + _BLOCK])
+    return out
+
+
 def _gather(parts: Sequence[tuple[np.ndarray, np.ndarray]], order: np.ndarray | None = None) -> np.ndarray:
     """Item i of every part in turn, for each i, or for each i of ``order``,
-    back to back as a uint8 array.
+    a permutation of the items, back to back as a uint8 array.
 
     Each part is a pair: a uint8 array holding its items back to back, and
-    the byte size of each item, which may be 0.
+    the byte size of each item, which may be 0.  The starts and sizes are
+    kept as one row per item, a column per part, so that ``order`` moves
+    whole rows and the rows read out in gather order.  The bytes are taken
+    by one index of every output byte, with ``_take``.
     """
     data = np.concatenate([items for items, _ in parts])
-    sizes = np.stack([size for _, size in parts], dtype=np.int64)  # a row per part
-    starts = (np.cumsum(sizes).reshape(sizes.shape) - sizes).T
-    sizes = sizes.T
+    # Int32 arrays take half the memory of int64 ones, where the bytes fit.
+    dtype = np.int32 if len(data) < 2**31 else np.int64
+    sizes = np.stack([size for _, size in parts], axis=1, dtype=dtype)
+    starts = np.cumsum(sizes, axis=0, dtype=dtype)
+    starts -= sizes
+    starts += np.cumsum([0] + [len(items) for items, _ in parts[:-1]], dtype=dtype)  # where each part begins
     if order is not None:
         starts, sizes = starts[order], sizes[order]
     keep = sizes > 0  # an empty item would put two jumps at one index
     starts, sizes = starts[keep], sizes[keep]
-    total = int(sizes.sum())
-    # An int32 index takes half the memory of an int64 one, where it fits.
-    index = np.ones(total, np.int32 if max(len(data), total) < 2**31 else np.int64)
-    # The index steps by one within a slice and jumps where the next begins.
-    index[np.cumsum(sizes) - sizes] = starts - np.concatenate(([0], starts[:-1] + sizes[:-1] - 1))
-    return data[np.cumsum(index, dtype=index.dtype, out=index)]
+    # The index steps by one within a slice and jumps where the next begins:
+    # from the byte before it, the last of the slice before.
+    starts[1:] -= starts[:-1] + sizes[:-1] - 1
+    firsts = np.cumsum(sizes, dtype=dtype)
+    firsts -= sizes
+    index = np.ones(int(sizes.sum()), dtype)
+    del sizes
+    index[firsts] = starts
+    return _take(data, np.cumsum(index, dtype=dtype, out=index))
 
 
 def _read_length(data: bytes, o: int, end: int, owner: int | bytes, kind: str = "region") -> tuple[int, int]:
@@ -346,11 +383,12 @@ class ChainedHashTable:
 
         ``lists`` holds the keys' lists back to back, as bytes or a uint8
         array, and ``sizes`` their byte lengths, in the order of ``keys``.
-        Every key is hashed once, one stable sort by bucket orders the
-        records, so each bucket holds its keys in the order of ``keys``, and
-        one ``_gather`` takes each record's four parts, its tag, key, list
-        length and list, in that order.  The last record of a bucket gets the
-        flag in its key length tag and no list length.
+        Every key is hashed once, and one stable radix order by bucket
+        (``_radix_order``) orders the records, so each bucket holds its keys
+        in the order of ``keys``; one ``_gather`` takes each record's four
+        parts, its tag, key, list length and list, in that order.  The last
+        record of a bucket gets the flag in its key length tag and no list
+        length.
         """
         config = config or HashConfig()
         count = len(keys)
@@ -361,7 +399,7 @@ class ChainedHashTable:
             raise BuildError(f"key longer than 255 bytes: {key[:16]!r}...")
         fn = HASH_FUNCTIONS[config.function_id]
         bucket = (np.fromiter(map(fn, keys), np.uint64, count) & np.uint64(n - 1)).astype(np.intp)
-        order = np.argsort(bucket, kind="stable")
+        order = _radix_order(bucket)
         last = np.ones(count, bool)
         last[order[:-1]] = np.diff(bucket[order]) != 0
         list_sizes = np.asarray(sizes, np.int64)

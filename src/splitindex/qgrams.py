@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import CodecError, ConfigError, DataError
+from .hashing import _take
 
 GRAM_MIN = 2
 GRAM_MAX = 4
@@ -52,7 +53,6 @@ _ONE_BYTE = [bytes((c,)) for c in range(256)]  # the interpreter's shared one-by
 # What each byte decodes to before a list's codes are entered: a plain byte
 # itself, a high byte nothing.
 _PLAIN_TABLE = _ONE_BYTE[:CODE_FIRST] + [None] * (256 - CODE_FIRST)
-_BLOCK = 1 << 16  # the indices ``_take`` hands ``ndarray.take`` at once
 
 
 class Substitution(NamedTuple):
@@ -184,11 +184,13 @@ class SubstitutionList:
                 for j in range(1, q):
                     keep[at + j] = False
             del hits
-        coded = np.zeros(len(sizes), np.int64)
-        full = sizes > 0
-        if out.size:
-            coded[full] = np.add.reduceat(keep, (ends - sizes)[full], dtype=np.int64)
-        return out[keep], coded
+        out = out[keep]
+        # kept[i] counts the bytes kept before byte i, in int32 where it fits
+        # rather than an int64 copy of keep; a group's coded size is the
+        # difference at its bounds, 0 for an empty group.
+        kept = np.zeros(keep.size + 1, np.int32 if keep.size < 2**31 else np.int64)
+        np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
+        return out, np.diff(kept[ends], prepend=0)
 
     def decode(self, encoded: bytes) -> bytes:
         """Expand code bytes back to their q-grams; unknown codes are corrupt data."""
@@ -227,15 +229,6 @@ def _gram_ids(data: np.ndarray, grams: list[bytes]) -> np.ndarray:
     key += _take(tail_of, pair[2:] if q == 4 else data[2:])
     del pair
     return _take(table.ravel(), key)
-
-
-def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]``, taken a block at a time: ``take`` casts its whole
-    index to 8-byte intp first, and plain indexing runs about 2.5x slower."""
-    out = np.empty(index.shape, table.dtype)
-    for i in range(0, index.size, _BLOCK):
-        table.take(index[i : i + _BLOCK], out=out[i : i + _BLOCK])
-    return out
 
 
 def _leftmost(starts: np.ndarray, q: int) -> np.ndarray:

@@ -259,13 +259,16 @@ def test_coded_build_peaks_no_higher_than_the_plain_build(k):
 
 # build_index's traced peak on the 200 kB corpus above, plain and coded with
 # its mined mixed/100 rules, by (k, coded), under Python 3.11.7 and numpy
-# 2.4.6, with each key length's lists laid out right after its sort: 7_337_388
-# and 6_842_355 at k = 1, 5_646_007 and 4_651_834 at k = 2.  A peak moves by
-# a few kB with what the process ran before, so each bound is its peak
-# rounded up by under 0.5%.  Laying out every batch's lists after the last
-# sort read 8_490_796 and 8_000_573 at k = 1, and 6_433_594 and 5_442_835 at
-# k = 2; the code before format v7 read 8_892_584 and 8_402_028 at k = 1.
-ENGLISH_BUILD_PEAKS = {(1, False): 7_370_000, (1, True): 6_870_000, (2, False): 5_670_000, (2, True): 4_670_000}
+# 2.4.6, with one gather per key length, int32 gather arrays and a blocked
+# final take: 6_135_523 to 6_135_582 and 5_557_980 to 5_559_160 at k = 1,
+# 5_420_412 to 5_421_297 and 4_260_569 to 4_261_277 at k = 2.  A peak moves by a few kB with what the
+# process ran before, so each bound is its peak rounded up by under 0.5%.
+# With two gathers per key length and int64 gather arrays they read
+# 7_337_388 and 6_842_355 at k = 1, 5_646_007 and 4_651_834 at k = 2; laying
+# out every batch's lists after the last sort read 8_490_796 and 8_000_573 at
+# k = 1, and 6_433_594 and 5_442_835 at k = 2; the code before format v7 read
+# 8_892_584 and 8_402_028 at k = 1.
+ENGLISH_BUILD_PEAKS = {(1, False): 6_160_000, (1, True): 5_580_000, (2, False): 5_440_000, (2, True): 4_280_000}
 
 
 def test_build_peaks_no_higher_than_before_format_7():
@@ -276,11 +279,13 @@ def test_build_peaks_no_higher_than_before_format_7():
 
 
 # build_index's traced peak on 531 kB of DNA 20-mers at k = 1, coded with
-# their mined mixed/100 rules, under Python 3.11.7 and numpy 2.4.6: 10_265_575
-# to 10_267_215, rounded up as above.  It read 12_378_779 when
+# their mined mixed/100 rules, under Python 3.11.7 and numpy 2.4.6: 8_958_306
+# to 8_958_424, rounded up as above.  It read 10_265_575 to 10_267_215 while
+# ``SubstitutionList.encode_groups`` summed each group's kept bytes by an
+# int64 ``reduceat``, 8 bytes a payload byte, and 12_378_779 when
 # ``qgrams._gram_ids`` handed ``take`` all its windows at once: ``take``
 # casts its uint16 index to intp first, 8 bytes a window.
-CODED_DNA_PEAK = 10_300_000
+CODED_DNA_PEAK = 9_000_000
 
 
 def test_coded_dna_build_peak_is_pinned(tmp_path):
@@ -610,6 +615,18 @@ def test_build_matches_the_reference_builder(data):
     d = Dictionary(words)
     subs = mine_substitutions(d, "mixed", 30) if coding == "mined" else GOLDEN_SUBS if coding else None
     assert index_to_bytes(build_index(d, k, hash_config=config, substitutions=subs)) == reference_bytes(d, k, config, subs)
+
+
+def test_a_table_of_over_65536_buckets_matches_the_reference_builder():
+    # 16_385 or more keys at a load of 0.25 take 131_072 buckets, so the
+    # stable order by bucket needs its second, high 16-bit radix pass.
+    rng = random.Random(35)
+    d = Dictionary([bytes(rng.choices(range(64, 128), k=6)) for _ in range(10_000)])
+    config = HashConfig(max_load_factor=0.25)
+    idx = build_index(d, 1, hash_config=config)
+    assert idx.table.bucket_count == 131_072
+    assert max(h for h, _, _, _ in idx.table.records()) >= 2**16
+    assert index_to_bytes(idx) == reference_bytes(d, 1, config)
 
 
 def tag_boundary_words():

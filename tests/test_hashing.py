@@ -255,6 +255,16 @@ def test_gather_takes_item_i_of_every_part_in_turn(case):
     assert got.tobytes() == want
 
 
+@given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**16 + 3) | st.integers(0, 5), max_size=300))
+@example([2**16, 1, 2**16, 0, 2**32 - 1, 1, 2**16 + 1, 2**32 - 1])  # ties on both sides of 2**16
+@settings(max_examples=300, deadline=None)
+def test_radix_order_is_the_stable_argsort(values):
+    # Small draws tie often; large ones reach the second, high 16-bit pass.
+    for dtype in (np.int64, np.uint32):  # as the build passes them, and unsigned
+        a = np.array(values, dtype)
+        assert hashing._radix_order(a).tolist() == np.argsort(a, kind="stable").tolist()
+
+
 def test_pure_python_xxhash_warns_once(monkeypatch, caplog):
     caplog.set_level(logging.WARNING, logger="splitindex.hashing")
     monkeypatch.setattr(hashing, "_slow_hash_warned", False)
