@@ -15,17 +15,19 @@ replacements in a whole batch of groups at once, with numpy.
 
 Mining.  The ``2gram``, ``3gram`` and ``4gram`` policies are a greedy q-gram
 substitution: each round picks the gram of that q whose non-overlapping
-replacement saves the most bytes.  The windows of the dictionary are counted
-once; after each pick only the windows that its replacements touch leave the
-counts, so the picks are exactly those of recounting the residual corpus
-every round.  The ``mixed`` policy mines pair merges, as Re-Pair (Larsson
-and Moffat, Proc. IEEE 88(11), 2000) and byte-pair encoding (Gage, C Users
-Journal 12(2), 1994) do: each round merges the adjacent pair of symbols --
-plain bytes or earlier codes -- with the most non-overlapping occurrences,
-among the pairs that stand for at most ``GRAM_MAX`` bytes.  A rule stands for
-the plain bytes its pair expands to, so a mined list is an ordinary list of
-2..4-byte grams, applied longest first like any other.  The pairs are counted
-once; each merge then updates only the pairs next to the pairs it merges.
+replacement saves the most bytes.  The ``mixed`` policy mines pair merges, as
+Re-Pair (Larsson and Moffat, Proc. IEEE 88(11), 2000) and byte-pair encoding
+(Gage, C Users Journal 12(2), 1994) do: each round merges the adjacent pair
+of symbols -- plain bytes or earlier codes -- with the most non-overlapping
+occurrences, among the pairs that stand for at most ``GRAM_MAX`` bytes.  A
+rule stands for the plain bytes its pair expands to, so a mined list is an
+ordinary list of 2..4-byte grams, applied longest first like any other.
+Each policy's miner counts once and then updates only what a pick touches:
+``_Windows`` the windows that the replacements overlap, ``_Pairs`` the pairs
+next to the merged ones.  A count that overlapping occurrences inflate only
+bounds the exact one, so one selection routine, ``_best``, counts candidates
+exactly in decreasing bound until none can beat the best; a miner gives it
+only its bounds and its exact key.
 """
 
 from __future__ import annotations
@@ -66,20 +68,18 @@ class Substitution(NamedTuple):
 class SubstitutionList:
     """Ordered substitution rules, longest grams first, then highest savings.
 
-    Construction re-sorts the given entries into that canonical order, checks
-    that grams are 2..4 plain bytes and that grams and codes are unique.  An
-    empty list is valid and encodes as the identity.  The rules are kept as
-    ``grams`` and ``codes`` in that order; ``entries`` makes them
-    Substitutions.
+    Construction checks that grams are 2..4 plain bytes and that grams and
+    codes are unique, then sorts the given entries stably into that
+    canonical order as ``entries``; ``grams`` and ``codes`` are theirs.  An
+    empty list is valid and encodes as the identity.
     """
 
-    __slots__ = ("grams", "codes", "_savings", "_plain", "_table")
+    __slots__ = ("entries", "grams", "codes", "_plain", "_table")
 
     def __init__(self, entries: Iterable[Substitution | tuple[bytes, int]] = ()):
-        entries = list(entries)
-        grams = [e[0] for e in entries]
-        codes = [e[1] for e in entries]
-        savings = [e[2] if len(e) > 2 else 0 for e in entries]
+        entries = [Substitution(*e) for e in entries]
+        grams = [e.gram for e in entries]
+        codes = [e.code for e in entries]
         if len(grams) > CODE_SPACE:
             raise CodecError(f"at most {CODE_SPACE} substitutions fit the spare code space")
         if not set(map(len, grams)) <= set(range(GRAM_MIN, GRAM_MAX + 1)):
@@ -92,23 +92,15 @@ class SubstitutionList:
             raise CodecError("duplicate q-grams in substitution list")
         if len(set(codes)) != len(codes):
             raise CodecError("duplicate codes in substitution list")
-        key = [(-len(g), -n) for g, n in zip(grams, savings)] if any(savings) else [-len(g) for g in grams]
-        if key != sorted(key):  # a loaded list is in order already
-            order = sorted(range(len(grams)), key=key.__getitem__)
-            grams, codes, savings = ([x[i] for i in order] for x in (grams, codes, savings))
-        self.grams: tuple[bytes, ...] = tuple(grams)
-        self.codes = bytes(codes)
-        self._savings = tuple(savings)
-        self._plain = bytes(range(CODE_FIRST)).translate(None, self.codes)
-        self.check_plain(self.grams)
+        self._plain = bytes(range(CODE_FIRST)).translate(None, bytes(codes))
+        self.check_plain(grams)
+        self.entries = tuple(sorted(entries, key=lambda e: (-len(e.gram), -e.savings)))
+        self.grams: tuple[bytes, ...] = tuple(e.gram for e in self.entries)
+        self.codes = bytes(e.code for e in self.entries)
         table = _PLAIN_TABLE.copy()  # a code below 128 is then overwritten
         for gram, code in zip(self.grams, self.codes):
             table[code] = gram
         self._table = table
-
-    @property
-    def entries(self) -> tuple[Substitution, ...]:
-        return tuple(map(Substitution, self.grams, self.codes, self._savings))
 
     def __len__(self) -> int:
         return len(self.grams)
@@ -252,18 +244,20 @@ def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> S
     ``2gram``, ``3gram`` and ``4gram`` are greedy: take the gram of that q
     whose non-overlapping replacement in the current residual corpus saves
     the most bytes, apply it, and repeat; ties go to the lexicographically
-    smallest gram.  Every window is counted once, up front; after each pick
-    only the counts of the windows that the replaced bytes touch change, so
-    the picks are those of recounting the residual corpus every round.
+    smallest gram.  A gram's bound is its window count, and its key is
+    ``(occurrences, -digits)``; its savings are its occurrences times q - 1.
 
     ``mixed`` merges pairs: take the adjacent pair of symbols (plain bytes or
     earlier codes) with the most non-overlapping occurrences whose expansion
     is at most ``GRAM_MAX`` bytes and not yet a rule, give it the next code,
     and repeat; ties go to the longer gram, then the smaller gram, then the
-    pair of smaller symbols.  A rule's savings are its occurrences.  The
-    pairs are counted once; each merge then changes only the counts of the
-    pairs it removes and makes.
+    pair of smaller symbols.  A pair's bound is its count of adjacent pairs,
+    and its key is ``(occurrences, gram length, -gram, -pair)``; a rule's
+    savings are its occurrences.
 
+    Every round is one call of ``_best`` on the miner's bounds and keys,
+    then one ``take`` of the pick, which updates only the counts it changes,
+    so the picks are those of recounting the residual corpus every round.
     Either stops early once no rule saves anything.  The corpus must be pure
     ASCII (all bytes < 128); code bytes are assigned from 128 upward.  One
     byte value is reserved internally, so at most 127 rules can be mined.
@@ -291,20 +285,39 @@ def mine_substitutions(dictionary, policy: str = "mixed", limit: int = 100) -> S
     rank = np.full(256, alphabet.size, dtype=np.uint8)  # the separator's digit is sigma
     rank[alphabet] = np.arange(alphabet.size)
     digits = rank[corpus]
+    miner = _Pairs(digits, alphabet, limit) if q is None else _Windows(digits, alphabet, q)
     picked: list[Substitution] = []
-    if q is None:
-        pairs = _Pairs(digits, alphabet, limit)
-        while len(picked) < limit and (best := pairs.best()) is not None:
-            pair, count, starts = best
-            picked.append(Substitution(pairs.merge(pair, starts), CODE_FIRST + len(picked), count))
-        return SubstitutionList(picked)
-
-    windows = _Windows(digits, alphabet, q)
-    while len(picked) < limit and (best := windows.best()) is not None:
-        savings, gid, starts = best
-        picked.append(Substitution(windows.gram(gid), CODE_FIRST + len(picked), savings))
-        windows.replace(starts)
+    while len(picked) < limit and (best := _best(miner.bounds(), miner.exact)) is not None:
+        gram, savings = miner.take(*best)
+        picked.append(Substitution(gram, CODE_FIRST + len(picked), savings))
     return SubstitutionList(picked)
+
+
+def _best(score: np.ndarray, exact):
+    """The greatest ``(key, starts)`` that ``exact`` gives a candidate, or None.
+
+    ``score[i]`` bounds candidate i's occurrences, the first item of its key.
+    Candidates are visited in decreasing bound, each next one being
+    ``score.argmax()``, whose bound is zeroed until the routine returns;
+    ``exact(i, bound, best key)`` gives ``(key, starts)``, or None for a
+    candidate that cannot be picked or cannot beat the best key.  The visits
+    stop once the bound is below the best key's occurrences.
+    """
+    best = starts = None
+    seen: list[tuple[int, int]] = []
+    while True:
+        i = int(score.argmax())
+        bound = int(score[i])
+        if bound < 1 or best is not None and bound < best[0]:
+            break
+        seen.append((i, bound))
+        score[i] = 0
+        found = exact(i, bound, best)
+        if found is not None and (best is None or found[0] > best):
+            best, starts = found
+    for i, bound in seen:
+        score[i] = bound
+    return None if best is None else (best, starts)
 
 
 class _Windows:
@@ -337,40 +350,24 @@ class _Windows:
         self.ids = ids.take(vals)
         self.counts = np.bincount(self.ids, minlength=values.size)[: values.size]
 
-    def gram(self, gid: int) -> bytes:
-        v, base = int(self.values[gid]), self.alphabet.size + 1
-        return bytes(self.alphabet[v // base ** (self.q - 1 - j) % base] for j in range(self.q))
+    def bounds(self) -> np.ndarray:
+        """``counts``, in place: exact unless the gram overlaps itself."""
+        return self.counts
 
-    def best(self):
-        """``(savings, gram id, starts)`` of the best pick, or None.
+    def exact(self, gid: int, count: int, best):
+        """``((occurrences, -digits), starts)`` of gram ``gid``, or None
+        without counting it when ``(count, -digits)`` is below ``best``: a
+        larger gram with the best count cannot win, so ties go to the
+        smaller digits."""
+        key = (count, -int(self.values[gid]))
+        if best is not None and key < best:
+            return None
+        starts = _leftmost(np.flatnonzero(self.ids == gid), self.q)
+        return (starts.size, key[1]), starts
 
-        A gram's window count times q - 1 bounds its savings; the bound is
-        exact unless the gram overlaps itself.  Grams are counted exactly in
-        decreasing ``(bound, -digits)`` order, the next one being
-        ``counts.argmax()`` (the first of the maxima, so the smallest
-        digits), whose count is then zeroed for the rest of the round.
-        Counting stops once the next bound is below the best exact savings,
-        so ties go to the smaller digits.
-        """
-        best = None  # ((savings, -digits), gram id, starts)
-        zeroed = []  # (gram id, count) to restore after the round
-        while True:
-            gid = int(self.counts.argmax())
-            key = (int(self.counts[gid]) * (self.q - 1), -int(self.values[gid]))
-            if key[0] < 1 or best is not None and key < best[0]:
-                break
-            starts = _leftmost(np.flatnonzero(self.ids == gid), self.q)
-            zeroed.append((gid, self.counts[gid]))
-            self.counts[gid] = 0
-            exact = (starts.size * (self.q - 1), key[1])
-            if best is None or exact > best[0]:
-                best = (exact, gid, starts)
-        for gid, count in zeroed:
-            self.counts[gid] = count
-        return None if best is None else (best[0][0], *best[1:])
-
-    def replace(self, starts) -> None:
-        """Drop the windows that overlap the spans ``[s, s + q)``."""
+    def take(self, key, starts) -> tuple[bytes, int]:
+        """Replace the gram of ``key`` at ``starts``, dropping the windows
+        that overlap the spans ``[s, s + q)``; return ``(gram, savings)``."""
         q = self.q
         offsets = np.arange(1 - q, q)[:, None]
         wins = (offsets + starts).ravel()
@@ -381,6 +378,8 @@ class _Windows:
         wins, gone = wins.compress(keep), gone.compress(keep)
         self.ids[wins] = self.sentinel
         np.subtract.at(self.counts, gone, 1)
+        v, base = -key[1], self.alphabet.size + 1
+        return bytes(self.alphabet[v // base ** (q - 1 - j) % base] for j in range(q)), key[0] * (q - 1)
 
 
 class _Pairs:
@@ -408,7 +407,7 @@ class _Pairs:
         self.grams = [bytes((c,)) for c in alphabet.tolist()] + [b""]  # by symbol id
         self.taken: set[bytes] = set()  # the grams of the rules made so far
         self.short = (self.span[:, None] + self.span <= GRAM_MAX).ravel()  # pairs that may be merged
-        self.exact: dict[int, tuple[int, np.ndarray]] = {}  # pair of one symbol -> (count, starts)
+        self.runs: dict[int, tuple[int, np.ndarray]] = {}  # pair of one symbol -> (count, starts)
         pairs = digits[:-1].astype(np.uint16) * m + digits[1:]
         self.counts = np.bincount(pairs, minlength=m * m)
         self.where: dict[int, np.ndarray] = {}
@@ -434,42 +433,33 @@ class _Pairs:
         # last: the gram's smallest period.
         return _leftmost(at, 2 * int(self.span[a])) if a == b else at
 
-    def best(self):
-        """``(pair id, occurrences, starts)`` of the pair to merge next, or None.
+    def bounds(self) -> np.ndarray:
+        """``counts`` of the pairs that may be merged, 0 for the others."""
+        return np.where(self.short, self.counts, 0)
 
-        ``counts`` is exact for a pair of two different symbols.  For a pair
-        of one symbol it bounds the occurrences, which are then counted, and
-        counted again only once its count has changed.  Pairs are visited in
-        decreasing count, all of one count at a time, until the count is
-        below the best occurrences found.
-        """
-        score = np.where(self.short, self.counts, 0)
-        best = None  # ((occurrences, gram length, -gram, -pair id), pair id, starts)
-        while (top := int(score.max())) >= 1 and (best is None or top >= best[0][0]):
-            ties = np.flatnonzero(score == top)
-            score[ties] = 0
-            for pair in ties.tolist():
-                a, b = divmod(pair, self.m)
-                gram = self.grams[a] + self.grams[b]
-                if gram in self.taken:  # never picked again
-                    self.short[pair] = False
-                    continue
-                starts = None
-                if a == b:
-                    cached = self.exact.get(pair)
-                    if cached is None or cached[0] != top:
-                        cached = self.exact[pair] = (top, self.starts(pair))
-                    starts = cached[1]
-                key = (top if starts is None else starts.size, len(gram), -int.from_bytes(gram, "big"), -pair)
-                if best is None or key > best[0]:
-                    best = (key, pair, starts)
-        if best is None:
+    def exact(self, pair: int, count: int, best):
+        """``((occurrences, gram length, -gram, -pair), starts)`` of ``pair``,
+        or None if its gram is a rule already.  ``counts`` is exact for a pair
+        of two different symbols, whose ``starts`` is left None.  A pair of
+        one symbol is counted, and counted again only once its count changes."""
+        a, b = divmod(pair, self.m)
+        gram = self.grams[a] + self.grams[b]
+        if gram in self.taken:  # never picked again
+            self.short[pair] = False
             return None
-        (count, *_), pair, starts = best
-        return pair, count, self.starts(pair) if starts is None else starts
+        starts = None
+        if a == b:
+            cached = self.runs.get(pair)
+            if cached is None or cached[0] != count:
+                cached = self.runs[pair] = (count, self.starts(pair))
+            count, starts = cached[1].size, cached[1]
+        return (count, len(gram), -int.from_bytes(gram, "big"), -pair), starts
 
-    def merge(self, pair: int, starts: np.ndarray) -> bytes:
-        """Merge ``pair`` at ``starts`` into the next code; return its gram."""
+    def take(self, key, starts) -> tuple[bytes, int]:
+        """Merge the pair of ``key`` at ``starts`` into the next code;
+        return ``(gram, occurrences)``."""
+        pair = -key[3]
+        starts = self.starts(pair) if starts is None else starts
         m, sym, span = self.m, self.sym, self.span
         a, b = divmod(pair, m)
         code = len(self.grams)
@@ -501,7 +491,7 @@ class _Pairs:
             at = np.concatenate((starts_alone - span[before], starts))
             keep = self.short[made]
             self._file(made[keep], at[keep].astype(np.int32))
-        return gram
+        return gram, key[0]
 
 
 def compression_ratio(dictionary, subs: SubstitutionList) -> float:

@@ -151,6 +151,13 @@ def test_empty_dictionary():
     assert idx.query(b"anything") == []
 
 
+def test_dictionary_takes_only_non_empty_bytes():
+    with pytest.raises(TypeError, match="got str"):
+        Dictionary([b"ab", "cd"])
+    with pytest.raises(ValueError, match="empty words"):
+        Dictionary([b"ab", b""])
+
+
 def test_short_words_go_to_side_table():
     d = Dictionary([b"aa", b"ab", b"ba"])
     idx = build_index(d, 2)

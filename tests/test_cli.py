@@ -194,6 +194,15 @@ def test_sweep_k_reports(wordfile, misspellings, capsys):
     assert reports[0]["index_bytes"] < reports[1]["index_bytes"]
 
 
+def test_sweep_load_factor_reports(wordfile, misspellings, capsys):
+    code, out, _ = run(
+        capsys, "sweep", "load_factor", "--grid", "1,2", "--dict", str(wordfile),
+        "--queries", str(misspellings),
+    )
+    assert code == 0
+    assert [r["max_load_factor"] for r in json.loads(out)] == [1.0, 2.0]
+
+
 def test_flags_a_command_would_drop_are_usage_errors(tmp_path, wordfile, misspellings, capsys):
     # A swept dimension takes its values from --grid, and --limit only bounds
     # mined rules, so either flag would otherwise be silently ignored.

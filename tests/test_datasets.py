@@ -77,6 +77,13 @@ def test_extract_kmers_count_equals_window_count_when_all_distinct(tmp_path):
     assert extract_kmers(p, 4).word_count == 6 - 4 + 1
 
 
+def test_extract_kmers_rejects_a_length_below_one(tmp_path):
+    p = tmp_path / "toy.fa"
+    p.write_bytes(b">rec\nACGT\n")
+    with pytest.raises(DataError, match="got 0"):
+        extract_kmers(p, 0)
+
+
 def test_extract_kmers_short_sequence(tmp_path):
     p = tmp_path / "short.fa"
     p.write_bytes(b">rec\nACG\n")

@@ -1,19 +1,22 @@
 """Substitution coding: worked example, mining, ordering, round trips."""
 
+import gc
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpora import dna_fasta, random_words
+from corpora import dna_fasta, english_words, random_words
 from reference import reference_mine, reference_pair_merge, rules
 
 from splitindex import (
     CodecError,
     ConfigError,
+    DataError,
     Dictionary,
     SubstitutionList,
     build_index,
@@ -24,7 +27,7 @@ from splitindex import (
     oracle_query,
     save_substitutions,
 )
-from splitindex.qgrams import POLICIES
+from splitindex.qgrams import POLICIES, _Pairs
 
 WORKED_EXAMPLE_LIST = [
     (b"com", ord("#")),
@@ -95,6 +98,34 @@ def test_substitution_list_validation():
         SubstitutionList([(b"\xc3\xa9", 128)])  # gram bytes must be < 128
 
 
+def test_substitution_list_holds_at_most_128_rules():
+    grams = [bytes((97 + i // 26, 97 + i % 26)) for i in range(129)]
+    codes = [*range(128, 256), 1]
+    assert len(SubstitutionList(zip(grams, codes[:128]))) == 128
+    with pytest.raises(CodecError, match="at most 128"):
+        SubstitutionList(zip(grams, codes))
+
+
+@pytest.mark.parametrize("code", [256, -1])
+def test_code_beyond_a_byte_is_named(code):
+    with pytest.raises(CodecError, match=f"got {code}$"):
+        SubstitutionList([(b"ab", 128), (b"cd", code)])
+
+
+def test_entries_sort_stably_by_length_then_savings():
+    # Validation runs in input order, so an error names the first bad rule
+    # given; the rules are then kept longest first, then by savings, ties in
+    # input order.
+    listed = [(b"ab", 130, 5), (b"abc", 131, 1), (b"cd", 132, 5), (b"ef", 133, 9), (b"xyz", 134, 1)]
+    subs = SubstitutionList(listed)
+    assert [tuple(e) for e in subs.entries] == [listed[1], listed[4], listed[3], listed[0], listed[2]]
+    assert subs.grams == (b"abc", b"xyz", b"ef", b"ab", b"cd") and subs.codes == bytes((131, 134, 133, 130, 132))
+    with pytest.raises(CodecError, match=re.escape("got b'abcde'")):
+        SubstitutionList([(b"ab", 128), (b"abcde", 129), (b"a", 130)])
+    with pytest.raises(CodecError, match=re.escape("in b'#b'")):
+        SubstitutionList([(b"ab", ord("#")), (b"xyz", 129), (b"#b", 130), (b"#bc", 131)])
+
+
 def test_gram_containing_a_code_byte_is_rejected():
     # b"abc" would encode to code 200, which decodes to b"#c": the round trip
     # breaks and coded indexes miss matches, so such a list cannot be made.
@@ -146,6 +177,21 @@ def test_pair_merge_counts_a_run_without_overlaps():
     assert rules(subs) == rules(reference_pair_merge(d, 3))
 
 
+def test_a_pair_whose_gram_is_taken_is_never_picked():
+    # No mined corpus is known to reach this guard (CHANGES.md records a
+    # random search), but a second rule with a taken gram would make
+    # SubstitutionList raise.  Symbols 0 and 1 are b"a" and b"b", 2 the
+    # separator; m = 3 + limit.
+    pairs = _Pairs(np.array([2, 2, 2, 0, 1, 0, 1, 2, 2, 2], np.uint8), np.frombuffer(b"ab", np.uint8), 3)
+    ab = 0 * pairs.m + 1
+    assert pairs.bounds()[ab] == 2
+    key, starts = pairs.exact(ab, 2, None)
+    assert key == (2, 2, -int.from_bytes(b"ab", "big"), -ab) and starts is None
+    pairs.taken.add(b"ab")
+    assert pairs.exact(ab, 2, None) is None
+    assert not pairs.short[ab] and pairs.bounds()[ab] == 0
+
+
 def test_mine_empty_dictionary():
     assert len(mine_substitutions(Dictionary(()), "mixed", 100)) == 0
 
@@ -153,6 +199,11 @@ def test_mine_empty_dictionary():
 def test_mine_unknown_policy():
     with pytest.raises(ConfigError):
         mine_substitutions(Dictionary([b"ab"]), "5gram", 10)
+
+
+def test_mine_rejects_a_negative_limit():
+    with pytest.raises(ConfigError, match="got -1"):
+        mine_substitutions(Dictionary([b"ab"]), "2gram", -1)
 
 
 def test_mine_rejects_non_ascii():
@@ -196,6 +247,10 @@ def test_mining_limit_respected():
 def test_compression_ratio_empty_list_is_one():
     d = Dictionary([b"table", b"chair"])
     assert compression_ratio(d, SubstitutionList()) == 1.0
+
+
+def test_compression_ratio_of_an_empty_dictionary_is_one():
+    assert compression_ratio(Dictionary(()), SubstitutionList([(b"ab", 128)])) == 1.0
 
 
 def test_compression_ratio_halves_repeats():
@@ -276,6 +331,29 @@ def test_mixed_uses_every_code(tmp_path, english_dictionary):
         assert {len(s.gram) for s in subs} == {2, 3, 4}
 
 
+# mine_substitutions' traced peak at limit 100 under Python 3.11.7 and numpy
+# 2.4.6: mixed on 531 kB of DNA 20-mers, 12_985_254 to 12_985_819, and 4gram
+# on the 200 kB English corpus of the build-peak tests, 8_718_957 to
+# 8_719_597.  Each bound is its peak rounded up by under 0.5%.
+MINING_PEAKS = {"mixed": 13_040_000, "4gram": 8_750_000}
+
+
+@pytest.mark.parametrize("policy", sorted(MINING_PEAKS))
+def test_mining_peak_is_pinned(tmp_path, policy):
+    if policy == "mixed":
+        dna_fasta(tmp_path / "genome.fa", min_kmer_bytes=200_000, seed=13)
+        d = extract_kmers(tmp_path / "genome.fa", 20)
+    else:
+        d = Dictionary(english_words(200_000, seed=3))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mine_substitutions(d, policy, 100)
+        assert tracemalloc.get_traced_memory()[1] <= MINING_PEAKS[policy]
+    finally:
+        tracemalloc.stop()
+
+
 def test_compressed_index_transparent_to_queries():
     rng = random.Random(6)
     for sigma in (4, 26):
@@ -302,6 +380,22 @@ def test_substitution_file_round_trip(tmp_path):
     again = load_substitutions(path)
     assert again == subs
     assert again.encode(b"compression") == b"#p*s\\"
+
+
+def test_substitution_file_refuses_a_gram_with_a_line_break(tmp_path):
+    subs = SubstitutionList([(b"a\nb", 128)])
+    assert subs.decode(subs.encode(b"xa\nb")) == b"xa\nb"
+    with pytest.raises(CodecError, match="line format"):
+        save_substitutions(subs, tmp_path / "subs.tsv")
+    assert not (tmp_path / "subs.tsv").exists()
+
+
+@pytest.mark.parametrize("line,message", [(b"128 ab", "line 2: expected '<code> TAB <gram>'"), (b"x80\tab", "line 2: bad code b'x80'")])
+def test_malformed_substitution_file_is_data_error(tmp_path, line, message):
+    path = tmp_path / "subs.tsv"
+    path.write_bytes(b"129\tcd\n" + line + b"\n")
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_substitutions(path)
 
 
 def test_build_with_compression_rejects_non_ascii_dictionary():

@@ -1,6 +1,7 @@
 """Static checks of the package source: no unused import, no private
-function, class or module constant that nothing in the package uses, and
-no ``self`` attribute that is assigned but never read."""
+function, class, module constant or private-class method that nothing in
+the package uses, and no ``self`` attribute that is assigned but never
+read."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,28 @@ def dead_private_names(trees):
     return [f"{module}:{name}" for module, tree in trees.items() for name in private_definitions(tree) if name not in used]
 
 
+def private_class_methods(tree):
+    """``Class.method`` for each non-dunder method of each private class of
+    ``tree`` that has no base class.  A class with a base may override a
+    method that only its base calls, as argparse calls ``_Parser.error``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and private(node.name) and not node.bases:
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.endswith("__"):
+                    yield f"{node.name}.{item.name}"
+
+
+def dead_methods(trees):
+    """``module:Class.method`` of each private-class method in ``trees``
+    whose name none of them reads.  It matches by name alone, so it misses a
+    leftover method whose name is read for something else: a stray
+    ``_Windows.gram`` or ``.replace`` would pass, as ``Substitution.gram``
+    and ``bytes.replace`` are read."""
+    used = set().union(*map(used_names, trees.values()))
+    return [f"{module}:{name}" for module, tree in trees.items() for name in private_class_methods(tree)
+            if name.partition(".")[2] not in used]
+
+
 def assigned_attributes(tree):
     """The names of the ``self.<name>`` that ``tree`` assigns."""
     for node in ast.walk(tree):
@@ -86,6 +109,12 @@ def test_every_private_name_is_used_in_the_package():
     assert not dead_private_names(trees)
 
 
+def test_every_private_class_method_is_used_in_the_package():
+    trees = {path.name: parse(path) for path in MODULES}
+    assert sum(len(list(private_class_methods(tree))) for tree in trees.values()) > 10
+    assert not dead_methods(trees)
+
+
 def test_every_assigned_attribute_is_read_in_the_package():
     trees = {path.name: parse(path) for path in MODULES}
     assert len({name for tree in trees.values() for name in assigned_attributes(tree)}) > 20
@@ -102,9 +131,14 @@ def test_the_checks_find_what_they_look_for():
         "class _Shape:\n"
         "    def __init__(self): self.side, self.unread = _KEPT, 0\n"
         "    def _area(self): return self.side\n"
+        "    def width(self): return self.side\n"
+        "    def height(self): return self.side\n"
+        "class _Flag(object):\n"
+        "    def format_usage(self): return ''\n"
         "def _dead(): return _dead()\n"
-        "def f(x): return os.path.join(x._area(), _Shape)\n"
+        "def f(x): return os.path.join(x._area(), x.width(), _Shape, _Flag)\n"
     )
     assert unused_imports(tree) == ["pairwise", "_chain"]
     assert dead_private_names({"m.py": tree}) == ["m.py:_LIMIT"]
+    assert dead_methods({"m.py": tree}) == ["m.py:_Shape.height"]
     assert dead_attributes({"m.py": tree}) == ["unread"]

@@ -27,6 +27,7 @@ from splitindex import (
     BadMagicError,
     ChainedHashTable,
     CodecError,
+    ConfigError,
     CorruptListError,
     Dictionary,
     HashConfig,
@@ -237,6 +238,19 @@ def test_rule_with_a_code_byte_in_its_gram_fails_at_load():
     blob = index_to_bytes(build_index(Dictionary([b"abcxyz", b"abcxyq"]), 1))
     with pytest.raises(CodecError, match="not plain"):
         index_from_bytes(with_rules(blob, [b"#ab", b"\xc8#c"]))
+
+
+def test_bucket_count_that_is_not_a_power_of_two_fails_at_load():
+    # The bucket section is the last before the checksum: u32 n, n u32
+    # lengths, then the arena.  Three buckets, the first holding the whole
+    # arena, make a file whose checksum holds.
+    idx = build_index(Dictionary([b"table", b"left", b"tablet"]), 1)
+    arena = idx.table.data
+    body = index_to_bytes(idx)[: -4 - 4 * len(idx.table.starts) - len(arena)]
+    body += struct.pack("<4I", 3, len(arena), 0, 0) + arena
+    with pytest.raises(ConfigError, match="power of two, got 3") as raised:
+        index_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    assert isinstance(raised.value, SplitIndexError)
 
 
 def test_corrupted_files_fail_at_load():
