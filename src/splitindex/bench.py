@@ -6,6 +6,7 @@ import gc
 import json
 import time
 from dataclasses import asdict, dataclass, fields, replace as dc_replace
+from functools import cache, partial
 from typing import Sequence
 
 from .core import Dictionary, SplitIndex, build_index
@@ -163,13 +164,7 @@ def sweep(
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
     base = hash_config or HashConfig()
-    mined_cache: dict[str, object] = {}
-
-    def mined(policy: str):
-        if policy not in mined_cache:
-            mined_cache[policy] = mine_substitutions(dictionary, policy, substitution_limit)
-        return mined_cache[policy]
-
+    mined = cache(partial(mine_substitutions, dictionary, limit=substitution_limit))  # each policy once
     reports = []
     for value in grid:
         cfg = base

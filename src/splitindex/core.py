@@ -1,10 +1,10 @@
 """Split index for dictionary matching under a small mismatch budget.
 
-Every indexed word is cut into ``k + 1`` contiguous pieces.  A query with at
-most ``k`` mismatching positions must agree with a stored word on at least
-one piece (pigeonhole), so each piece serves as a hash-table key whose list
-holds the rest of the word.  Verification then runs a plain Hamming check on
-the few surviving candidates.
+Every indexed word is cut into ``k + 1`` contiguous pieces, by the rule that
+``piece_lengths`` states.  A query with at most ``k`` mismatching positions
+must agree with a stored word on at least one piece (pigeonhole), so each
+piece serves as a hash-table key whose list holds the rest of the word.
+Verification then runs a plain Hamming check on the few surviving candidates.
 
 List layout (one blob per key, the same for every k):
 ``[byte lengths of regions 1..k, LEB128 each][region 1]...[region k + 1]``.
@@ -19,7 +19,7 @@ L itself for L of 1 to 127, or an escape byte, 0x00, or 0x80 for the last
 group, then L for L of 128 to 255 (``hashing._read_tag``).  Payloads may be
 substitution-coded (see ``qgrams``); keys never are.  A plain group's B is a
 multiple of L; a coded group is the encoding of the plain group's bytes.
-Piece boundaries are recomputed from the total length at query time.
+A piece's bounds come from the word's length alone, by the one cut ``_plan``.
 
 A query walks the group headers of its region to the group whose L is the
 length it wants, and verifies that group as a buffer of entries at stride L:
@@ -57,12 +57,13 @@ ascending word order.  ``_search`` collects them in an insertion-ordered
 dict, and the sort in ``query`` merges those runs.
 
 The build runs in numpy batches, one per key length.  Words of one length
-share their piece bounds, so the keys and payloads of one key position are
-column slices of them.  The entry rows of one key length are sorted once as
-byte strings, which merges equal keys and orders each list's entries into
-regions and groups.  A coded build then codes each group of the batch once,
-and one gather (``hashing._gather``) lays out the batch's lists before the
-next batch is made; the table gathers its records the same way.  Words are
+share one ``_plan``, so the keys and payloads of one key position are column
+slices of them, of its ``end - start`` and ``need`` bytes.  The entry rows
+of one key length are sorted once as byte strings, which merges equal keys
+and orders each list's entries into regions and groups.  A coded build then
+codes each group of the batch once, and one gather (``hashing._gather``)
+lays out the batch's lists before the next batch is made; the table gathers
+its records the same way.  Words are
 ordered by length, and records by bucket, with stable 16-bit radix passes
 (``hashing._radix_order``).  Python steps once per batch and once per
 distinct key.  The keys come out in (key length, key bytes) order and every
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -106,9 +108,9 @@ _WITHIN = tuple(b"\x01" * (k + 1) + bytes(255 - k) for k in range(256))
 _BUDGET = tuple(np.float32(k) for k in range(256))  # k as a float32, like a matrix row sum; an int is cast per compare
 
 
-@lru_cache(maxsize=1024)  # builds and queries ask for few distinct lengths
 def piece_lengths(length: int, k: int) -> tuple[int, ...]:
-    """Piece lengths for a word of ``length`` bytes split into k+1 pieces.
+    """Piece lengths for a word of ``length`` bytes split into k+1 pieces:
+    the rule of the cut, which ``_plan`` alone turns into piece bounds.
 
     Pieces 1..k share a common length, round-half-up of ``length / (k+1)``;
     the last piece takes the remainder.  When that rounding would leave the
@@ -127,30 +129,19 @@ def piece_lengths(length: int, k: int) -> tuple[int, ...]:
     return (base,) * k + (length - k * base,)
 
 
-def split_word(word: bytes, k: int) -> tuple[bytes, ...]:
-    """Split ``word`` into its k+1 pieces; words shorter than k+1 are rejected."""
-    lens = piece_lengths(len(word), k)
-    pieces = []
-    start = 0
-    for n in lens:
-        pieces.append(word[start : start + n])
-        start += n
-    return tuple(pieces)
-
-
-@lru_cache(maxsize=1024)  # queries ask for few distinct lengths
+@lru_cache(maxsize=1024)  # builds and queries ask for few distinct lengths
 def _plan(length: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Search plan for a ``length``-byte pattern, one tuple per piece r >= 0.
-
-    A tuple holds r; the piece's start and end in the pattern; and ``need``,
-    the length of the rest of the pattern.
+    """The one cut of a ``length``-byte word, one tuple per piece r >= 0: r,
+    the piece's start and end, and ``need``, the length of the word's other
+    k pieces.  The build, the query and ``split_word`` all cut by it.
     """
-    plan = []
-    start = 0
-    for r, plen in enumerate(piece_lengths(length, k)):
-        plan.append((r, start, start + plen, length - plen))
-        start += plen
-    return tuple(plan)
+    lens = piece_lengths(length, k)
+    return tuple((r, end - n, end, length - n) for r, (n, end) in enumerate(zip(lens, accumulate(lens))))
+
+
+def split_word(word: bytes, k: int) -> tuple[bytes, ...]:
+    """Split ``word`` into its k+1 pieces, as ``_plan`` cuts it; words shorter than k+1 are rejected."""
+    return tuple(word[start:end] for _, start, end, _ in _plan(len(word), k))
 
 
 def _region(data: bytes, begin: int, end: int, r: int, k: int, key: bytes) -> tuple[int, int]:
@@ -574,9 +565,10 @@ def build_index(
     bucket holds its records in (key length, key bytes) order, so the index
     is the same, byte for byte, for every order of the same words.
 
-    Raises BuildError if a word's stored complement would not fit an 8-bit
-    length tag, or CodecError if coding is asked for and a word over k holds
-    a byte that is not plain, naming the first such word in dictionary order.
+    Raises BuildError if a word's stored complement, its plan's largest
+    ``need``, would not fit an 8-bit length tag, or CodecError if coding is
+    asked for and a word over k holds a byte that is not plain, naming the
+    first such word in dictionary order.
     """
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"mismatch budget must be an integer >= 1, got {k!r}")
@@ -585,14 +577,14 @@ def build_index(
     words = dictionary.words
     lengths = np.fromiter(map(len, words), np.int64, len(words))
     side = {}
-    groups = []  # (indices of the words of one length over k, their piece lengths)
+    groups = []  # (indices of the words of one length over k, their plan)
     for run in _runs(lengths):
         n = int(lengths[run[0]])
         if n <= k:
             side[n] = tuple(sorted(map(words.__getitem__, run.tolist())))
         else:
-            groups.append((run, piece_lengths(n, k)))
-    oversized = [run[0] for run, pieces in groups if sum(pieces) - min(pieces) > PAYLOAD_LIMIT]
+            groups.append((run, _plan(n, k)))
+    oversized = [run[0] for run, plan in groups if max(need for *_, need in plan) > PAYLOAD_LIMIT]
     if oversized:
         raise BuildError(f"missing pieces exceed {PAYLOAD_LIMIT} bytes for word {words[min(oversized)][:32]!r}")
     if substitutions:  # side words are stored as they are
@@ -605,22 +597,23 @@ def build_index(
 def _lists(
     words: tuple[bytes, ...],
     lengths: np.ndarray,
-    groups: list[tuple[np.ndarray, tuple[int, ...]]],
+    groups: list[tuple[np.ndarray, tuple[tuple[int, int, int, int], ...]]],
     k: int,
     substitutions: SubstitutionList | None,
 ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
     """The distinct keys in (length, bytes) order, their lists back to back
     as a uint8 array, and the byte length of each list.
 
-    Each key length is one batch of entry rows, ``[key][position][payload
-    length][payload, padded to the batch's widest]``, sorted once as byte
-    strings.  The sort brings equal keys together and puts each key's entries
-    in list order: by position, so that they fall into regions, then by
-    length, so that they fall into groups, then by bytes.  What follows a
-    payload never decides the order: rows that agree up to its end hold the
-    same key, position and payload, which make the same word, so no two rows
-    do.  The rows are then dropped, and a coded build codes each group's
-    payloads as one string.
+    Each key length, a piece's ``end - start`` in its ``_plan``, is one batch
+    of entry rows, ``[key][position][payload length, the piece's need]
+    [payload, padded to the batch's widest]``, sorted once as byte strings.
+    The sort brings equal keys together and puts each key's entries in list
+    order: by position, so that they fall into regions, then by length, so
+    that they fall into groups, then by bytes.  What follows a payload never
+    decides the order: rows that agree up to its end hold the same key,
+    position and payload, which make the same word, so no two rows do.  The
+    rows are then dropped, and a coded build codes each group's payloads as
+    one string.
 
     Each batch's lists are laid out before the next batch is made, by one
     ``_gather`` of each group's region lengths (for a list's first group
@@ -631,26 +624,25 @@ def _lists(
         return [], np.zeros(0, np.uint8), np.zeros(0, np.int64)
     flat = np.frombuffer(b"".join(words), np.uint8)
     offsets = np.cumsum(lengths) - lengths
-    batches = {}  # key length -> [(word indices, word length, key position, key start)]
-    for run, pieces in groups:
-        start = 0
-        for r, plen in enumerate(pieces):
-            batches.setdefault(plen, []).append((run, sum(pieces), r, start))
-            start += plen
+    batches = {}  # key length -> [(word indices, the key's piece in their plan)]
+    for run, plan in groups:
+        for piece in plan:
+            _, start, end, _ = piece
+            batches.setdefault(end - start, []).append((run, piece))
     keys = []
     lists = []  # of each batch: its lists back to back
     sizes = []  # of each batch: the byte length of each of its lists
     for plen, parts in sorted(batches.items()):
-        count = sum(len(run) for run, _, _, _ in parts)
-        width = max(n for _, n, _, _ in parts) - plen
+        count = sum(len(run) for run, _ in parts)
+        width = max(need for _, (*_, need) in parts)
         rows = np.zeros((count, plen + 2 + width), np.uint8)
         i = 0
-        for run, n, r, start in parts:
+        for run, (r, start, end, need) in parts:
             j = i + len(run)
-            cols = np.r_[start : start + plen, :start, start + plen : n]  # the key, then the rest
-            rows[i:j, np.r_[:plen, plen + 2 : plen + 2 + n - plen]] = flat[offsets[run, None] + cols]
+            cols = np.r_[start:end, :start, end : plen + need]  # the key, then the rest
+            rows[i:j, np.r_[:plen, plen + 2 : plen + 2 + need]] = flat[offsets[run, None] + cols]
             rows[i:j, plen] = r
-            rows[i:j, plen + 1] = n - plen
+            rows[i:j, plen + 1] = need
             i = j
         rows = rows[np.lexsort(rows.T[::-1])]  # by the first byte, then the second, ...
         # A key's rows start where the key changes, and a group's where the

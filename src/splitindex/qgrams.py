@@ -68,18 +68,20 @@ class Substitution(NamedTuple):
 class SubstitutionList:
     """Ordered substitution rules, longest grams first, then highest savings.
 
-    Construction checks that grams are 2..4 plain bytes and that grams and
-    codes are unique, then sorts the given entries stably into that
-    canonical order as ``entries``; ``grams`` and ``codes`` are theirs.  An
-    empty list is valid and encodes as the identity.
+    Construction checks, in the order given, that grams are 2..4 plain bytes
+    and that grams and codes are unique, then orders the rules stably.  They
+    are kept in that order as columns, with no object per rule: ``grams``,
+    ``codes`` (one byte each) and their savings; ``entries`` and iteration
+    make ``Substitution``s.  An empty list is valid, encoding as the identity.
     """
 
-    __slots__ = ("entries", "grams", "codes", "_plain", "_table")
+    __slots__ = ("grams", "codes", "_savings", "_plain", "_table")
 
     def __init__(self, entries: Iterable[Substitution | tuple[bytes, int]] = ()):
-        entries = [Substitution(*e) for e in entries]
-        grams = [e.gram for e in entries]
-        codes = [e.code for e in entries]
+        entries = list(entries)
+        grams = [e[0] for e in entries]
+        codes = [e[1] for e in entries]
+        savings = [e[2] if len(e) > 2 else 0 for e in entries]
         if len(grams) > CODE_SPACE:
             raise CodecError(f"at most {CODE_SPACE} substitutions fit the spare code space")
         if not set(map(len, grams)) <= set(range(GRAM_MIN, GRAM_MAX + 1)):
@@ -94,19 +96,29 @@ class SubstitutionList:
             raise CodecError("duplicate codes in substitution list")
         self._plain = bytes(range(CODE_FIRST)).translate(None, bytes(codes))
         self.check_plain(grams)
-        self.entries = tuple(sorted(entries, key=lambda e: (-len(e.gram), -e.savings)))
-        self.grams: tuple[bytes, ...] = tuple(e.gram for e in self.entries)
-        self.codes = bytes(e.code for e in self.entries)
+        # Two stable sorts, the later one deciding first: a reversed sort
+        # keeps ties in the order given.  A loaded list is in order already.
+        order = sorted(range(len(grams)), key=savings.__getitem__, reverse=True)
+        order.sort(key=list(map(len, grams)).__getitem__, reverse=True)
+        if order != sorted(order):
+            grams, codes, savings = ([x[i] for i in order] for x in (grams, codes, savings))
+        self.grams: tuple[bytes, ...] = tuple(grams)
+        self.codes = bytes(codes)
+        self._savings = tuple(savings)
         table = _PLAIN_TABLE.copy()  # a code below 128 is then overwritten
         for gram, code in zip(self.grams, self.codes):
             table[code] = gram
         self._table = table
 
+    @property
+    def entries(self) -> tuple[Substitution, ...]:
+        return tuple(self)
+
     def __len__(self) -> int:
         return len(self.grams)
 
     def __iter__(self) -> Iterator[Substitution]:
-        return iter(self.entries)
+        return map(Substitution, self.grams, self.codes, self._savings)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubstitutionList):

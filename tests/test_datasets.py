@@ -52,6 +52,7 @@ def test_load_misspellings(tmp_path):
     p.write_bytes(b"abandonned->abandoned\njudgement->judgment, judgement\nnoarrow\na->b->c\n")
     qs = load_misspellings(p)
     assert qs.patterns == (b"abandonned", b"judgement", b"a")
+    assert len(qs) == 3
     assert qs.malformed_skipped == 1
     assert "missp.txt" in qs.provenance
 

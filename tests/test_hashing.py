@@ -136,6 +136,19 @@ def test_tiny_load_factor_and_huge_bucket_count_are_rejected():
         hashing._bucket_count(2**30 + 1, 0.25)
 
 
+def test_buckets_over_the_arena_limit_are_a_build_error(monkeypatch):
+    # The arena's u32 offsets address ARENA_LIMIT - 1 bytes.  The limit is
+    # lowered to a small table's arena: a build that reaches it fails and
+    # names the size that broke it, and one byte more lets it through.
+    keys = [b"tab", b"le", b"tablet"]
+    size = len(table(keys).data)
+    monkeypatch.setattr(hashing, "ARENA_LIMIT", size)
+    with pytest.raises(BuildError, match=f"^{size} bytes of buckets, over the {size - 1} "):
+        table(keys)
+    monkeypatch.setattr(hashing, "ARENA_LIMIT", size + 1)
+    assert len(table(keys).data) == size
+
+
 def test_build_and_lookup():
     t = table([b"tab", b"le"])
     for key in (b"tab", b"le"):

@@ -379,6 +379,7 @@ def test_substitution_file_round_trip(tmp_path):
     assert text.splitlines()[0] == b"92\tsion"  # applied order, code TAB gram
     again = load_substitutions(path)
     assert again == subs
+    assert (SubstitutionList() == object()) is False  # __eq__ defers, and Python falls back to identity
     assert again.encode(b"compression") == b"#p*s\\"
 
 

@@ -1,7 +1,7 @@
 """Static checks of the package source: no unused import, no private
 function, class, module constant or private-class method that nothing in
-the package uses, and no ``self`` attribute that is assigned but never
-read."""
+the package uses, no ``self`` attribute that is assigned but never read, and
+no error class that nothing in the package raises."""
 
 import ast
 from pathlib import Path
@@ -98,6 +98,28 @@ def dead_attributes(trees):
     return sorted({name for tree in trees.values() for name in assigned_attributes(tree)} - used)
 
 
+def error_classes(tree):
+    """The classes of ``tree`` that derive, directly or not, from
+    ``SplitIndexError``; each follows its base, as Python needs."""
+    names = {"SplitIndexError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in names for b in node.bases):
+            names.add(node.name)
+    return names - {"SplitIndexError"}
+
+
+def unraised_errors(trees):
+    """The error classes of ``trees["errors.py"]`` that no ``raise`` in
+    ``trees`` names, as ``raise E(...)``, ``raise E`` or ``raise m.E``."""
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return sorted(error_classes(trees["errors.py"]) - raised)
+
+
 def test_no_module_has_an_unused_import():
     unused = {path.name: names for path in MODULES if (names := unused_imports(parse(path)))}
     assert not unused
@@ -121,6 +143,12 @@ def test_every_assigned_attribute_is_read_in_the_package():
     assert not dead_attributes(trees)
 
 
+def test_every_error_class_is_raised_in_the_package():
+    trees = {path.name: parse(path) for path in MODULES}
+    assert len(error_classes(trees["errors.py"])) >= 9
+    assert not unraised_errors(trees)
+
+
 def test_the_checks_find_what_they_look_for():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -142,3 +170,13 @@ def test_the_checks_find_what_they_look_for():
     assert dead_private_names({"m.py": tree}) == ["m.py:_LIMIT"]
     assert dead_methods({"m.py": tree}) == ["m.py:_Shape.height"]
     assert dead_attributes({"m.py": tree}) == ["unread"]
+    errors = ast.parse(
+        "class SplitIndexError(Exception): pass\n"
+        "class StoreError(SplitIndexError): pass\n"
+        "class CutError(StoreError): pass\n"
+        "class DeadError(SplitIndexError): pass\n"
+        "class OtherError(Exception): pass\n"
+    )
+    user = ast.parse("def f(x):\n    if x:\n        raise CutError('cut') from None\n    raise errors.StoreError\n")
+    assert error_classes(errors) == {"StoreError", "CutError", "DeadError"}
+    assert unraised_errors({"errors.py": errors, "m.py": user}) == ["DeadError"]

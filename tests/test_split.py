@@ -1,4 +1,6 @@
-"""Piece arithmetic and word splitting."""
+"""Piece arithmetic and word splitting: ``piece_lengths`` is the rule of the
+cut, and ``core._plan`` its one set of bounds, by which the build, the query
+and ``split_word`` cut a word."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from splitindex import (
     piece_lengths,
     split_word,
 )
+from splitindex.core import _plan
 
 
 def test_split_table():
@@ -54,6 +57,12 @@ def test_piece_lengths_total_and_positive(length, k):
     assert all(n >= 1 for n in lens)
     assert sum(lens) == length
     assert len(set(lens[:k])) <= 1  # first k pieces share a common length
+    plan = _plan(length, k)
+    assert [r for r, _, _, _ in plan] == list(range(k + 1))
+    assert [end - start for _, start, end, _ in plan] == list(lens)
+    assert [start for _, start, _, _ in plan] == [0] + [end for _, _, end, _ in plan[:-1]]
+    assert plan[-1][2] == length
+    assert all(need == length - (end - start) for _, start, end, need in plan)
 
 
 @given(st.binary(min_size=1, max_size=60), st.integers(1, 4))
@@ -64,3 +73,4 @@ def test_split_concatenates_back(word, k):
     pieces = split_word(word, k)
     assert b"".join(pieces) == word
     assert all(pieces)
+    assert tuple(map(len, pieces)) == piece_lengths(len(word), k)

@@ -47,7 +47,7 @@ from splitindex import (
     save_index,
     split_word,
 )
-from splitindex import core
+from splitindex import core, storage
 from splitindex.core import ListStats
 from splitindex.storage import FORMAT_VERSION, index_from_bytes, index_to_bytes
 
@@ -384,8 +384,9 @@ def test_query_walk_answers_as_lookup_list_on_damaged_buckets():
         raise RegionReached(begin, end)
 
     seen = Counter()
+    corpora = damage_corpora(random.Random(62))  # built before the patch: builds cut words by _plan too
     with patch.object(core, "_plan", lambda n, k: plan), patch.object(core, "_region", region_reached):
-        for idx, patterns in damage_corpora(random.Random(62)):
+        for idx, patterns in corpora:
             k = idx.k
             table = idx.table
             headers = []
@@ -769,6 +770,20 @@ def test_bucket_lengths_adding_up_past_32_bits_are_a_cut_file():
     at = arena_offset(idx) - 4 * len(sizes)
     with pytest.raises(TruncatedIndexError):
         index_from_bytes(resealed(idx, {at: struct.pack(f"<{len(sizes)}I", *sizes)}))
+
+
+def test_section_over_the_arena_limit_is_storage_error(monkeypatch):
+    # A real file whose bucket section holds as many bytes as the lowered
+    # limit: the load fails and names the section's size, and one byte more
+    # lets it load.
+    idx = build_index(Dictionary([b"table", b"left", b"tablet"]), 1)
+    blob = index_to_bytes(idx)
+    size = len(idx.lists)
+    monkeypatch.setattr(storage, "ARENA_LIMIT", size)
+    with pytest.raises(StorageError, match=f"^a section of {size} bytes, over the {size - 1} "):
+        index_from_bytes(blob)
+    monkeypatch.setattr(storage, "ARENA_LIMIT", size + 1)
+    assert index_to_bytes(index_from_bytes(blob)) == blob
 
 
 @pytest.mark.parametrize("k", [1, 2])
